@@ -44,6 +44,7 @@ from .instances import (
     ParseError,
     dump_report,
     load_instance,
+    parse_int,
     subset_out,
 )
 from .mflow import solve_m_geq_k_w
@@ -71,7 +72,7 @@ def _problem_k(instance: Instance, override: Optional[int]) -> int:
         return override
     if "k" not in instance.problem:
         raise ParseError("problem.k: required (or pass --k)")
-    return int(instance.problem["k"])
+    return parse_int(instance.problem["k"], "problem.k")
 
 
 def _named_oracles(instance: Instance, count: Optional[int] = None):
@@ -364,7 +365,7 @@ def _cmd_verify(args) -> int:
         tuple(parse_rational(v) for v in witness_spec["p1"]),
         tuple(parse_rational(v) for v in witness_spec["p2"]),
         ground.subset_of_labels(witness_spec["matched"]),
-        int(witness_spec["k"]),
+        parse_int(witness_spec.get("k"), "witness.k"),
     )
     mode = witness_spec.get("mode", "geq")
     if mode == "eq-dual":

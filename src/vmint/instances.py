@@ -78,6 +78,13 @@ class ParseError(InvalidInputError):
     """Instance file violates the schema; the message names the field."""
 
 
+def parse_int(value, field: str) -> int:
+    """A YAML integer; booleans, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{field}: expected an integer, got {value!r}")
+    return value
+
+
 class Instance:
     """A parsed instance: ground set, named oracles, and a problem section."""
 

@@ -7,10 +7,18 @@ residual structure: the residual arcs of the network are joined by
 exchange arcs (x, y) whose cost is the change of h when the boundary moves
 one unit from y to x.  A feasible flow is optimal exactly when this
 auxiliary graph has no negative cycle; while one exists, the solver
-cancels a negative cycle with the fewest arcs (ties by cost), which is
-guaranteed not to increase the true objective beyond the cycle cost.  The
-true objective is re-evaluated after every cancellation and must strictly
-decrease, so termination follows from integrality and boundedness.
+cancels a negative cycle with the fewest arcs (ties by cost, then anchor
+node), which is guaranteed not to increase the true objective beyond the
+cycle cost.  The true objective is re-evaluated after every cancellation
+and must strictly decrease, so termination follows from integrality and
+boundedness.
+
+The cycle search is exact integer arithmetic: each search scales its arc
+costs once by the lcm of their denominators, a positive factor that keeps
+every comparison and so every choice of the rational search.  A
+Bellman-Ford pass from a virtual source settles in O(N*M) steps exactly
+when there is no negative cycle, so the final optimality proof skips the
+fewest-arcs walk DP; when it does not settle, the DP picks the cycle.
 
 The cardinality-coupled minimization over two M-convex functions reduces
 to this flow problem on a bipartite network between two copies of the
@@ -20,6 +28,8 @@ coupling lower bound.
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -123,11 +133,15 @@ def _residual_arcs(network: FlowNetwork, flow: Sequence[int]) -> list[_AuxArc]:
 
 def _exchange_arcs(h: MnatFunction, current: IntVector,
                    base_value: Fraction) -> list[_AuxArc]:
+    """Exchange arcs at a point of the box; a move that leaves the box has
+    infinite cost and is skipped without asking h."""
     arcs = []
     for x in range(h.dimension):
+        if current[x] == h.box_upper[x]:
+            continue
         up = current.add_unit(x, +1)
         for y in range(h.dimension):
-            if y == x:
+            if y == x or current[y] == h.box_lower[y]:
                 continue
             moved = h.value(up.add_unit(y, -1))
             if moved.is_finite:
@@ -135,57 +149,85 @@ def _exchange_arcs(h: MnatFunction, current: IntVector,
     return arcs
 
 
+def _scaled_costs(aux_arcs: list[_AuxArc]) -> list[int]:
+    """Arc costs times the lcm of their denominators, as ints."""
+    scale = math.lcm(*(arc.cost.denominator for arc in aux_arcs))
+    return [arc.cost.numerator * (scale // arc.cost.denominator)
+            for arc in aux_arcs]
+
+
+def _has_negative_cycle(num_nodes: int, aux_arcs: list[_AuxArc],
+                        costs: list[int]) -> bool:
+    """Bellman-Ford from a virtual source joined to every node at cost 0.
+
+    Without a negative cycle every shortest path has at most N - 1 arcs,
+    so some round among the first N changes nothing; with one, no round
+    ever settles.
+    """
+    dist = [0] * num_nodes
+    arcs = [(arc.tail, arc.head, cost) for arc, cost in zip(aux_arcs, costs)]
+    for _ in range(num_nodes):
+        changed = False
+        for tail, head, cost in arcs:
+            reached = dist[tail] + cost
+            if reached < dist[head]:
+                dist[head] = reached
+                changed = True
+        if not changed:
+            return False
+    return num_nodes > 0
+
+
 def _find_negative_cycles(num_nodes: int, aux_arcs: list[_AuxArc]):
     """Yield negative cycles ordered by (arc count, cost, anchor node).
 
-    Dynamic programming over walk length: the first length at which a
-    negative closed walk appears yields a simple cycle (a shorter negative
-    closed walk would exist otherwise).  Longer candidates may repeat arcs
-    and are validated by the caller before use.
+    Costs are scaled to ints once (see `_scaled_costs`), which keeps every
+    comparison, tie and sort position of the rational search.  If the
+    Bellman-Ford gate settles there is no negative cycle and nothing is
+    yielded.  Otherwise dynamic programming over walk length: the first
+    length at which a negative closed walk appears yields a simple cycle
+    (a shorter negative closed walk would exist otherwise).  Longer
+    candidates may repeat arcs and are validated by the caller before use.
     """
-    incoming: list[list[int]] = [[] for _ in range(num_nodes)]
-    for idx, arc in enumerate(aux_arcs):
-        incoming[arc.head].append(idx)
-    # best[u][v]: cheapest walk u -> v with exactly k arcs, plus parent arc.
-    best: list[dict[int, Fraction]] = [dict() for _ in range(num_nodes)]
-    parent: list[list[dict[int, int]]] = [[] for _ in range(num_nodes)]
-    for u in range(num_nodes):
-        best[u][u] = Fraction(0)
+    costs = _scaled_costs(aux_arcs)
+    if not _has_negative_cycle(num_nodes, aux_arcs, costs):
+        return
+    incoming: list[list[tuple[int, int, int]]] = [[] for _ in range(num_nodes)]
+    for idx, (arc, cost) in enumerate(zip(aux_arcs, costs)):
+        incoming[arc.head].append((arc.tail, cost, idx))
+    nodes = range(num_nodes)
+    # best[u][v]: cheapest walk u -> v with exactly k arcs (None: no walk);
+    # parent[u][k-1][v]: the last arc of that walk.
+    best: list[list[Optional[int]]] = [[None] * num_nodes for _ in nodes]
+    parent: list[list[list[int]]] = [[] for _ in nodes]
+    for u in nodes:
+        best[u][u] = 0
     for length in range(1, num_nodes + 1):
-        new_best: list[dict[int, Fraction]] = [dict() for _ in range(num_nodes)]
-        new_parent: list[dict[int, int]] = [dict() for _ in range(num_nodes)]
-        for u in range(num_nodes):
+        for u in nodes:
             reach = best[u]
-            if not reach:
-                continue
-            for v in range(num_nodes):
+            new_reach: list[Optional[int]] = [None] * num_nodes
+            new_parent = [-1] * num_nodes
+            for v in nodes:
                 chosen_cost = None
-                chosen_arc = -1
-                for idx in incoming[v]:
-                    arc = aux_arcs[idx]
-                    prev = reach.get(arc.tail)
+                for tail, cost, idx in incoming[v]:
+                    prev = reach[tail]
                     if prev is None:
                         continue
-                    cost = prev + arc.cost
-                    if chosen_cost is None or cost < chosen_cost:
-                        chosen_cost = cost
-                        chosen_arc = idx
-                if chosen_cost is not None:
-                    new_best[u][v] = chosen_cost
-                    new_parent[u][v] = chosen_arc
-        for u in range(num_nodes):
-            parent[u].append(new_parent[u])
-            best[u] = new_best[u]
-        negatives = sorted(
-            (cost, u) for u in range(num_nodes)
-            for v, cost in best[u].items() if v == u and cost < 0)
-        for cost, anchor in negatives:
-            cycle = _reconstruct_cycle(aux_arcs, parent, anchor, length)
-            yield cycle
+                    walk = prev + cost
+                    if chosen_cost is None or walk < chosen_cost:
+                        chosen_cost = walk
+                        new_parent[v] = idx
+                new_reach[v] = chosen_cost
+            best[u] = new_reach
+            parent[u].append(new_parent)
+        negatives = sorted((best[u][u], u) for u in nodes
+                           if best[u][u] is not None and best[u][u] < 0)
+        for _cost, anchor in negatives:
+            yield _reconstruct_cycle(aux_arcs, parent, anchor, length)
 
 
 def _reconstruct_cycle(aux_arcs: list[_AuxArc],
-                       parent: list[list[dict[int, int]]],
+                       parent: list[list[list[int]]],
                        anchor: int, length: int) -> list[_AuxArc]:
     arcs: list[_AuxArc] = []
     node = anchor
@@ -288,10 +330,10 @@ def _max_flow(num_nodes: int, capacities: dict[tuple[int, int], int],
         adjacency[v].add(u)
     while True:
         parent: dict[int, tuple[int, int, bool]] = {}
-        queue = [source]
+        queue = deque([source])
         seen = {source}
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             if node == sink:
                 break
             for nxt in adjacency[node]:

@@ -162,3 +162,25 @@ problem: {type: v_eq_k, oracles: [v1, v2], k: 1}
     assert main(["solve", "-i", str(inst), "--verify", "--out",
                  str(report)]) == 0
     assert main(["verify", "-i", str(inst), "-s", str(report)]) == 0
+
+
+@pytest.mark.parametrize("k", ["two", "true", "1.9"])
+def test_non_integer_k_is_invalid(tmp_path, capsys, k):
+    path = tmp_path / "inst.yaml"
+    path.write_text(BASIC.replace("v2], k: 2", f"v2], k: {k}"))
+    assert main(["solve", "-i", str(path)]) == 3
+    assert "problem.k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["two", True, 1.9])
+def test_non_integer_witness_k_is_invalid(basic_instance, tmp_path, capsys,
+                                          k):
+    report_path = tmp_path / "report.yaml"
+    assert main(["solve", "-i", basic_instance, "--out",
+                 str(report_path)]) == 0
+    report = yaml.safe_load(report_path.read_text())
+    report["witness"]["k"] = k
+    report_path.write_text(yaml.dump(report, sort_keys=False))
+    assert main(["verify", "-i", basic_instance, "-s",
+                 str(report_path)]) == 3
+    assert "witness.k" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmint.core import (
     ExtValue,
@@ -17,6 +18,11 @@ from vmint.matroid import make_uniform
 from vmint.mflow import (
     FlowArc,
     FlowNetwork,
+    _AuxArc,
+    _exchange_arcs,
+    _find_negative_cycles,
+    _has_negative_cycle,
+    _scaled_costs,
     boundary,
     build_mgeqk_instance,
     coupled_objective,
@@ -262,3 +268,175 @@ class TestCoupledSolve:
                 assert fast.value == slow.value
                 low = componentwise_min(fast.x1, fast.x2)
                 assert low.total() >= k
+
+
+# ---------------------------------------------------------------------------
+# The integer cycle search against the rational one it replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_find_negative_cycles(num_nodes, aux_arcs):
+    """The Fraction walk DP the integer search replaced, kept verbatim."""
+    incoming = [[] for _ in range(num_nodes)]
+    for idx, arc in enumerate(aux_arcs):
+        incoming[arc.head].append(idx)
+    # best[u][v]: cheapest walk u -> v with exactly k arcs, plus parent arc.
+    best = [dict() for _ in range(num_nodes)]
+    parent = [[] for _ in range(num_nodes)]
+    for u in range(num_nodes):
+        best[u][u] = Fraction(0)
+    for length in range(1, num_nodes + 1):
+        new_best = [dict() for _ in range(num_nodes)]
+        new_parent = [dict() for _ in range(num_nodes)]
+        for u in range(num_nodes):
+            reach = best[u]
+            if not reach:
+                continue
+            for v in range(num_nodes):
+                chosen_cost = None
+                chosen_arc = -1
+                for idx in incoming[v]:
+                    arc = aux_arcs[idx]
+                    prev = reach.get(arc.tail)
+                    if prev is None:
+                        continue
+                    cost = prev + arc.cost
+                    if chosen_cost is None or cost < chosen_cost:
+                        chosen_cost = cost
+                        chosen_arc = idx
+                if chosen_cost is not None:
+                    new_best[u][v] = chosen_cost
+                    new_parent[u][v] = chosen_arc
+        for u in range(num_nodes):
+            parent[u].append(new_parent[u])
+            best[u] = new_best[u]
+        negatives = sorted(
+            (cost, u) for u in range(num_nodes)
+            for v, cost in best[u].items() if v == u and cost < 0)
+        for cost, anchor in negatives:
+            cycle = _oracle_reconstruct_cycle(aux_arcs, parent, anchor, length)
+            yield cycle
+
+
+def _oracle_reconstruct_cycle(aux_arcs, parent, anchor, length):
+    arcs = []
+    node = anchor
+    for k in range(length, 0, -1):
+        idx = parent[anchor][k - 1][node]
+        arc = aux_arcs[idx]
+        arcs.append(arc)
+        node = arc.tail
+    arcs.reverse()
+    return arcs
+
+
+_COSTS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def _aux_graphs(draw):
+    """Arc lists on 2-8 nodes: free costs (negative cycles likely), or
+    potential differences plus a nonnegative slack, which leaves no
+    negative cycle and zero-cost cycles wherever the slack is 0."""
+    n = draw(st.integers(2, 8))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda pair: pair[0] != pair[1])
+    ends = draw(st.lists(pairs, min_size=n, max_size=3 * n))
+    if draw(st.booleans()):
+        costs = [draw(_COSTS) for _ in ends]
+    else:
+        potential = draw(st.lists(_COSTS, min_size=n, max_size=n))
+        slack = st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 3),
+                                 Fraction(5, 2)])
+        costs = [potential[head] - potential[tail] + draw(slack)
+                 for tail, head in ends]
+    arcs = [_AuxArc(tail, head, cost, i, +1)
+            for i, ((tail, head), cost) in enumerate(zip(ends, costs))]
+    return n, arcs
+
+
+class TestIntegerCycleSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(_aux_graphs())
+    def test_same_cycles_in_same_order_as_fraction_dp(self, graph):
+        n, arcs = graph
+        position = {id(arc): i for i, arc in enumerate(arcs)}
+
+        def indices(cycles):
+            return [[position[id(arc)] for arc in cycle] for cycle in cycles]
+
+        expected = indices(_oracle_find_negative_cycles(n, arcs))
+        assert indices(_find_negative_cycles(n, arcs)) == expected
+        assert _has_negative_cycle(n, arcs, _scaled_costs(arcs)) \
+            == bool(expected)
+
+    def test_scaled_costs_share_one_denominator(self):
+        arcs = [_AuxArc(0, 1, Fraction(1, 4), 0, +1),
+                _AuxArc(1, 0, Fraction(-5, 6), 1, +1),
+                _AuxArc(1, 0, Fraction(3), 2, +1)]
+        assert _scaled_costs(arcs) == [3, -10, 36]
+
+    def test_zero_cost_cycle_is_not_negative(self):
+        arcs = [_AuxArc(0, 1, Fraction(1, 3), 0, +1),
+                _AuxArc(1, 0, Fraction(-1, 3), 1, +1)]
+        assert not _has_negative_cycle(2, arcs, _scaled_costs(arcs))
+        assert list(_find_negative_cycles(2, arcs)) == []
+
+
+def _unpruned_exchange_arcs(h, current, base_value):
+    """The exchange scan that asks h at every pair, in or out of the box."""
+    arcs = []
+    for x in range(h.dimension):
+        up = current.add_unit(x, +1)
+        for y in range(h.dimension):
+            if y == x:
+                continue
+            moved = h.value(up.add_unit(y, -1))
+            if moved.is_finite:
+                arcs.append(_AuxArc(x, y, moved.finite - base_value, -1, 0))
+    return arcs
+
+
+def _exchange_scans(h, point):
+    base = h.value(point).finite
+    before = h.calls
+    pruned = _exchange_arcs(h, point, base)
+    pruned_calls = h.calls - before
+    before = h.calls
+    full = _unpruned_exchange_arcs(h, point, base)
+    return pruned, pruned_calls, full, h.calls - before
+
+
+class TestExchangePruning:
+    @pytest.mark.parametrize("point", [(3, -3, 0), (-3, 0, 3), (3, 3, -3),
+                                       (0, -3, 1), (-3, -3, -3)])
+    def test_box_boundary_points_of_quadratic(self, point):
+        h = _quadratic_h(3)
+        pruned, pruned_calls, full, full_calls = _exchange_scans(
+            h, IntVector(point))
+        assert pruned == full
+        assert pruned_calls < full_calls
+
+    def test_interior_point_scans_every_pair(self):
+        h = _quadratic_h(3)
+        pruned, pruned_calls, full, full_calls = _exchange_scans(
+            h, IntVector((1, 0, -2)))
+        assert pruned == full
+        assert pruned_calls == full_calls == 6
+
+    def test_coupled_instance_start_points(self):
+        rng = random.Random(3131)
+        for _ in range(10):
+            f1, f2 = random_mconvex_pair(rng, rng.randint(1, 3))
+            k = rng.randint(0, min(f1.rank_total(), f2.rank_total()))
+            inst = build_mgeqk_instance(f1, f2, k, [0] * f1.dimension)
+            flow = solution_to_flow(f1.require_witness(),
+                                    f2.require_witness(), inst)
+            point = boundary(flow, inst.network)
+            for h in (inst.h, inst.h_feasibility):
+                if not h.value(point).is_finite:
+                    continue   # the surplus exceeds the width of h
+                pruned, pruned_calls, full, full_calls = _exchange_scans(
+                    h, point)
+                assert pruned == full
+                # The s coordinate starts at its box upper bound 0.
+                assert pruned_calls < full_calls

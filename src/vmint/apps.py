@@ -17,7 +17,6 @@ from .core import (
     IntVector,
     InvalidInputError,
     Subset,
-    dot,
 )
 from .greedy import minimize_valuated
 from .matroid import MatroidOracle
@@ -29,6 +28,7 @@ from .valuated import (
     ValuationOracle,
     dual_valuation,
     from_matroid_and_weights,
+    modular_sum,
 )
 from .vmi import TupleSolution, solve_v_n_w, solve_sum_valuated_plus_laminar
 from .viap import IntersectionSolution, run_ladder, solve_v_geq_k
@@ -57,12 +57,12 @@ class IntervalUncertainty:
 def modular_on_domain(omega: ValuationOracle,
                       weights: Sequence[Fraction]) -> ValuationOracle:
     """Modular weights carried by the domain of an existing valuation."""
-    ws = tuple(Fraction(w) for w in weights)
+    weight_of = modular_sum(weights)
 
     def value(subset: Subset) -> ExtValue:
         if not omega.value(subset).is_finite:
             return INF
-        return ExtValue(dot(ws, subset))
+        return ExtValue(weight_of(subset))
 
     return ValuationOracle(omega.ground, omega.rank, value,
                            omega.witness_base, f"modular-on-dom({omega.name})")

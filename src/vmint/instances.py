@@ -117,8 +117,9 @@ class Instance:
         labels = spec.get("labels")
         if labels is not None:
             labels = tuple(str(lbl) for lbl in labels)
+        size = parse_int(spec["size"], "ground.size")
         try:
-            return GroundSet(int(spec["size"]), labels)
+            return GroundSet(size, labels)
         except InvalidInputError as exc:
             raise ParseError(f"ground: {exc}") from exc
 
@@ -128,7 +129,7 @@ class Instance:
         indices = []
         for member in members:
             if isinstance(member, int):
-                indices.append(member)
+                indices.append(parse_int(member, field))
             else:
                 indices.append(self.ground.index_of(str(member)))
         return self.ground.subset(indices)
@@ -141,6 +142,11 @@ class Instance:
         except InvalidInputError as exc:
             raise ParseError(f"{field}: {exc}") from exc
 
+    def _edge(self, field: str, edge) -> tuple[int, int]:
+        if not isinstance(edge, list) or len(edge) != 2:
+            raise ParseError(f"{field}: expected a pair of vertices, got {edge!r}")
+        return parse_int(edge[0], field), parse_int(edge[1], field)
+
     def _build_matroid(self, name: str, spec) -> MatroidOracle:
         field = f"matroids.{name}"
         if not isinstance(spec, dict) or "kind" not in spec:
@@ -148,18 +154,22 @@ class Instance:
         kind = str(spec["kind"]).replace("-", "_")
         try:
             if kind == "uniform":
-                return make_uniform(self.ground, int(spec["rank"]))
+                return make_uniform(self.ground,
+                                    parse_int(spec["rank"], f"{field}.rank"))
             if kind == "partition":
                 blocks = [(self._subset(f"{field}.blocks", b["members"]),
-                           int(b["capacity"])) for b in spec["blocks"]]
+                           parse_int(b["capacity"],
+                                     f"{field}.blocks.capacity"))
+                          for b in spec["blocks"]]
                 return make_partition(self.ground, blocks)
             if kind == "graphic":
-                edges = [(int(u), int(v)) for u, v in spec["edges"]]
+                edges = [self._edge(f"{field}.edges", e) for e in spec["edges"]]
                 if len(edges) != self.ground.size:
                     raise ParseError(
                         f"{field}.edges: need one edge per ground element")
-                return make_graphic(int(spec["vertices"]), edges,
-                                    self.ground.labels)
+                return make_graphic(
+                    parse_int(spec["vertices"], f"{field}.vertices"), edges,
+                    self.ground.labels)
             if kind == "linear":
                 return make_linear(self.ground, spec["columns"])
             if kind == "explicit":
@@ -185,7 +195,7 @@ class Instance:
                 return size_constrained_modular(
                     self.ground,
                     self._weights(f"{field}.weights", spec["weights"]),
-                    int(spec["rank"]))
+                    parse_int(spec["rank"], f"{field}.rank"))
             if kind == "dual_of":
                 return dual_valuation(self.named_valuation(field, spec["base"]))
             if kind == "indicator":
@@ -211,16 +221,21 @@ class Instance:
                     members.append(self._subset(
                         f"{field}.terms[{i}].members", term["members"]))
                     values = tuple(parse_rational(v) for v in term["values"])
-                    tables.append(ConvexTable(int(term.get("start", 0)), values))
+                    start = parse_int(term.get("start", 0),
+                                      f"{field}.terms[{i}].start")
+                    tables.append(ConvexTable(start, values))
                 lam = LaminarSpec(self.ground, tuple(members), tuple(tables))
                 box = spec.get("box")
                 lower = upper = None
                 if box is not None:
-                    lower = [int(v) for v in box["lower"]]
-                    upper = [int(v) for v in box["upper"]]
+                    lower = [parse_int(v, f"{field}.box.lower")
+                             for v in box["lower"]]
+                    upper = [parse_int(v, f"{field}.box.upper")
+                             for v in box["upper"]]
                 fn = laminar_convex_function(lam, lower, upper)
                 if "rank" in spec:
-                    restricted = restrict_to_hyperplane(fn, int(spec["rank"]))
+                    restricted = restrict_to_hyperplane(
+                        fn, parse_int(spec["rank"], f"{field}.rank"))
                     if isinstance(restricted, ValuationOracle):
                         from .apps import mnat_from_valuation
                         return mnat_from_valuation(restricted)

@@ -16,6 +16,7 @@ one solver run at a time (or guard it) when sharing across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -238,18 +239,41 @@ class ConvexTable:
         return INF
 
 
+def modular_sum(weights: Sequence[Fraction]) -> Callable[[Subset], Fraction]:
+    """The map X -> w(X), summed in integers.
+
+    The weights are scaled once by the lcm D of their denominators; each
+    call adds the scaled weights of the members and returns the sum over
+    D, which equals `core.dot(weights, X)` exactly.
+    """
+    ws = [Fraction(w) for w in weights]
+    scale = math.lcm(*(w.denominator for w in ws))
+    scaled = tuple(w.numerator * (scale // w.denominator) for w in ws)
+
+    def total(subset: Subset) -> Fraction:
+        acc = 0
+        mask = subset.mask
+        while mask:
+            low = mask & -mask
+            acc += scaled[low.bit_length() - 1]
+            mask ^= low
+        return Fraction(acc, scale)
+
+    return total
+
+
 def from_matroid_and_weights(matroid: MatroidOracle,
                              weights: Sequence[Fraction],
                              name: str = "modular") -> ValuationOracle:
     """Modular weights restricted to a base family: w(X) on bases, else +inf."""
     if len(weights) != matroid.ground.size:
         raise InvalidInputError("need one weight per ground element")
-    ws = tuple(Fraction(w) for w in weights)
+    weight_of = modular_sum(weights)
 
     def value(subset: Subset) -> ExtValue:
         if not matroid.is_independent(subset):
             return INF
-        return ExtValue(dot(ws, subset))
+        return ExtValue(weight_of(subset))
 
     return ValuationOracle(matroid.ground, matroid.rank, value,
                            matroid.some_base(), name)
@@ -266,9 +290,9 @@ def size_constrained_modular(ground: GroundSet, weights: Sequence[Fraction],
     """Modular weights on all r-subsets (the uniform-matroid special case)."""
     if not 0 <= r <= ground.size:
         raise InvalidInputError(f"rank {r} out of range 0..{ground.size}")
-    ws = tuple(Fraction(w) for w in weights)
+    weight_of = modular_sum(weights)
     witness = ground.subset(range(r))
-    return ValuationOracle(ground, r, lambda x: ExtValue(dot(ws, x)),
+    return ValuationOracle(ground, r, lambda x: ExtValue(weight_of(x)),
                            witness, f"size={r}")
 
 
@@ -446,10 +470,10 @@ def laminar_penalty(weights: Sequence[Fraction], n: int, r: int,
     if not 0 <= r <= n * ground.size:
         raise InvalidInputError(f"total rank {r} out of range 0..{n * ground.size}")
     tg = TupleGround(ground, n)
+    weight_of = modular_sum(ws)
 
     def value(subset: Subset) -> ExtValue:
-        inter = tg.common_intersection(subset)
-        return ExtValue(dot(ws, inter))
+        return ExtValue(weight_of(tg.common_intersection(subset)))
 
     witness = Subset(tg.combined, (1 << r) - 1)
     return (ValuationOracle(tg.combined, r, value, witness, "laminar-penalty"), tg)

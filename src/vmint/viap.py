@@ -11,16 +11,28 @@ auxiliary digraph on two copies of the ground set whose exchange arcs carry
 reduced-cost lengths, finds a shortest source-sink path (fewest arcs among
 the shortest), applies the exchanges along it, and raises the potentials by
 the capped shortest-path distances.  Every round grows the intersection by
-exactly one and keeps the optimality certificate valid, which the solver
-re-verifies after each step.
+exactly one and keeps the optimality certificate valid.
 
 Arc lengths are exact rationals and must be nonnegative; a negative length
 means a precondition was violated and is reported as an internal error.
+The shortest-path search scales them by the lcm of their denominators and
+runs on integers, which keeps every comparison and tie.
+
+Checking: after every step the structural invariants (intersection grown by
+one, matched set equal to the intersection, equal potentials, argmin/argmax
+conditions) are checked, and every aux build rejects a negative exchange
+length.  An exchange arc's length is exactly the local exchange inequality
+of the certificate for its (u, v) pair, so the aux build of a level and
+its structural checks together check that level's full certificate.
+Every level but the last gets an aux build; the last is certified by
+`verify_witness` once at the end of the ladder, unless the run stopped
+because the sink was unreachable, whose aux build already checked it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -59,7 +71,6 @@ class AuxDigraph:
     """Auxiliary digraph on V1 + V2 + {s, t} with nonnegative arc lengths."""
 
     n: int
-    arcs: list[AuxArc]
     adjacency: list[list[AuxArc]]
 
     @property
@@ -159,14 +170,13 @@ def build_aux_digraph(x1: Subset, x2: Subset,
     """
     ground = omega1.ground
     n = ground.size
-    graph = AuxDigraph(n, [], [[] for _ in range(2 * n + 2)])
+    graph = AuxDigraph(n, [[] for _ in range(2 * n + 2)])
 
     def add(arc: AuxArc) -> None:
         if arc.length < 0:
             raise InternalInvariantError(
                 f"negative arc length {arc.length} on {arc.kind} arc; "
                 "current sets are not minimizers of the shifted valuations")
-        graph.arcs.append(arc)
         graph.adjacency[arc.tail].append(arc)
 
     zero = Fraction(0)
@@ -220,30 +230,41 @@ def shortest_path_with_hop_tiebreak(
     each node on its shortest path, and the arc sequence of a shortest
     source-sink path with the fewest arcs among the shortest, or None when
     the sink is unreachable.
+
+    The search runs on (int, hops, node) keys: arc lengths are multiplied
+    by the lcm of their denominators, a positive scale that keeps every
+    comparison and tie, and the distances are divided by it on return.
     """
+    adjacency = graph.adjacency
+    scale = math.lcm(*(arc.length.denominator
+                       for out in adjacency for arc in out))
+    scaled = [[(arc.length.numerator * (scale // arc.length.denominator), arc)
+               for arc in out] for out in adjacency]
     size = graph.node_count()
-    dist: list[Optional[Fraction]] = [None] * size
+    dist: list[Optional[int]] = [None] * size
     hops: list[int] = [0] * size
     parent: list[Optional[AuxArc]] = [None] * size
     done = [False] * size
-    dist[graph.source] = Fraction(0)
-    heap: list[tuple[Fraction, int, int]] = [(Fraction(0), 0, graph.source)]
+    dist[graph.source] = 0
+    heap: list[tuple[int, int, int]] = [(0, 0, graph.source)]
     while heap:
         d, h, node = heapq.heappop(heap)
         if done[node]:
             continue
         done[node] = True
-        for arc in graph.adjacency[node]:
-            nd = d + arc.length
-            nh = h + 1
-            old = dist[arc.head]
-            if old is None or (nd, nh) < (old, hops[arc.head]):
-                dist[arc.head] = nd
-                hops[arc.head] = nh
-                parent[arc.head] = arc
-                heapq.heappush(heap, (nd, nh, arc.head))
+        nh = h + 1
+        for length, arc in scaled[node]:
+            nd = d + length
+            head = arc.head
+            old = dist[head]
+            if old is None or nd < old or (nd == old and nh < hops[head]):
+                dist[head] = nd
+                hops[head] = nh
+                parent[head] = arc
+                heapq.heappush(heap, (nd, nh, head))
+    distances = [None if d is None else Fraction(d, scale) for d in dist]
     if dist[graph.sink] is None:
-        return dist, parent, None
+        return distances, parent, None
     path: list[AuxArc] = []
     node = graph.sink
     while node != graph.source:
@@ -252,7 +273,7 @@ def shortest_path_with_hop_tiebreak(
         path.append(arc)
         node = arc.tail
     path.reverse()
-    return dist, parent, path
+    return distances, parent, path
 
 
 def augment_step(state: ViapState) -> Optional[ViapState]:
@@ -298,7 +319,12 @@ def augment_step(state: ViapState) -> Optional[ViapState]:
 
 
 def _check_state(state: ViapState, expected_intersection: int) -> None:
-    """Loop invariants checked after every augmentation (exact)."""
+    """Structural loop invariants checked after every augmentation (exact).
+
+    The exchange inequalities of the certificate are not re-checked here:
+    the next aux build rejects any that fail, and `run_ladder` verifies
+    the top level, which has no next aux build.
+    """
     state.stats.invariant_checks += 1
     inter = state.x1.intersection(state.x2)
     if inter.cardinality() != expected_intersection:
@@ -317,10 +343,6 @@ def _check_state(state: ViapState, expected_intersection: int) -> None:
     for v in state.x2.minus(state.x1).members():
         if state.p2[v] != max_p2:
             raise InternalInvariantError("X2 \\ X1 left argmax p2")
-    witness = Witness(state.p1, state.p2, state.matched, expected_intersection)
-    if not verify_witness(state.x1, state.x2, witness, expected_intersection,
-                          state.omega1, state.omega2):
-        raise InternalInvariantError("optimality witness failed after augment")
 
 
 def _is_shifted_minimizer(omega: ValuationOracle, x: Subset,
@@ -431,6 +453,10 @@ def run_ladder(omega1: ValuationOracle, omega2: ValuationOracle,
     `start`, when given, must be a pair of unconstrained minimizers; the
     equality solver passes the complemented pair here so that the dualized
     run begins strictly below its target level.
+
+    With `check_invariants`, the top entry's certificate is verified once
+    after the last augmentation; every lower level was checked by the aux
+    build that left it (see the module docstring).
     """
     stats = SolverStats()
     calls_before = omega1.calls + omega2.calls
@@ -456,6 +482,12 @@ def run_ladder(omega1: ValuationOracle, omega2: ValuationOracle,
             break
         state = next_state
         entries.append(_entry_from_state(state, state.intersection_size()))
+    top = entries[-1]
+    if check_invariants and len(entries) > 1 and not infeasible_beyond:
+        if not verify_witness(top.x1, top.x2, top.witness, top.level,
+                              omega1, omega2):
+            raise InternalInvariantError(
+                "optimality witness failed at the top level")
     stats.oracle_calls = omega1.calls + omega2.calls - calls_before
     return LadderResult(entries, state.intersection_size(), infeasible_beyond,
                         stats)

@@ -184,3 +184,30 @@ def test_non_integer_witness_k_is_invalid(basic_instance, tmp_path, capsys,
     assert main(["verify", "-i", basic_instance, "-s",
                  str(report_path)]) == 3
     assert "witness.k" in capsys.readouterr().err
+
+
+SCHEMA_INTS = BASIC.replace("""  M1: {kind: uniform, rank: 2}
+""", """  M1: {kind: uniform, rank: 2}
+  M2: {kind: partition, blocks: [{members: [a, b], capacity: 1},
+                                 {members: [c], capacity: 1}]}
+  M3: {kind: graphic, vertices: 3, edges: [[0, 1], [1, 2], [0, 2]]}
+""")
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("rank: 2", "rank: two", "matroids.M1.rank"),
+    ("capacity: 1},\n", "capacity: true},\n", "matroids.M2.blocks.capacity"),
+    ("vertices: 3", "vertices: 1.5", "matroids.M3.vertices"),
+    ("size: 3", "size: two", "ground.size"),
+    ("[1, 2], [0, 2]]", "[1, 2], [0, 2.5]]", "matroids.M3.edges"),
+], ids=["rank", "capacity", "vertices", "size", "edges"])
+def test_non_integer_schema_fields_are_invalid(tmp_path, capsys, old, new,
+                                               field):
+    path = tmp_path / "inst.yaml"
+    path.write_text(SCHEMA_INTS)
+    assert main(["solve", "-i", str(path)]) == 0
+    capsys.readouterr()
+    assert SCHEMA_INTS.count(old) == 1
+    path.write_text(SCHEMA_INTS.replace(old, new))
+    assert main(["solve", "-i", str(path)]) == 3
+    assert field in capsys.readouterr().err

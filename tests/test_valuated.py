@@ -13,8 +13,10 @@ from vmint.core import (
     IntVector,
     InvalidInputError,
     Subset,
+    dot,
 )
-from vmint.matroid import make_free, make_uniform
+from vmint.apps import modular_on_domain
+from vmint.matroid import make_free, make_graphic, make_partition, make_uniform
 from vmint.rand_instances import random_matroid, random_weights
 from vmint.valuated import (
     ConvexTable,
@@ -30,6 +32,7 @@ from vmint.valuated import (
     intersection_constraint_valuation,
     laminar_convex_function,
     laminar_penalty,
+    modular_sum,
     restrict_to_hyperplane,
     size_constrained_modular,
     valuation_from_explicit,
@@ -69,6 +72,53 @@ class TestModularConstructors:
         assert first == again
         assert omega.calls == 2
         assert omega.evals == 1
+
+
+class TestModularSum:
+    """The integer-scaled modular sum against `core.dot`."""
+
+    WEIGHTS = ("-3/4", "5/6", "-2", "7/10", "0", "-1/3")
+
+    def _matroids(self):
+        g6 = GroundSet(6)
+        partition = make_partition(g6, [(g6.subset([0, 1, 2]), 2),
+                                        (g6.subset([3, 4, 5]), 1)])
+        graphic = make_graphic(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0),
+                                   (1, 3)])
+        return [make_uniform(g6, 3), partition, graphic]
+
+    def test_equals_dot_on_every_subset(self):
+        ws = tuple(Fraction(w) for w in self.WEIGHTS)
+        weight_of = modular_sum(ws)
+        g6 = GroundSet(6)
+        for mask in range(1 << 6):
+            subset = Subset(g6, mask)
+            assert weight_of(subset) == dot(ws, subset)
+
+    def test_modular_constructors_equal_dot_on_bases(self):
+        ws = tuple(Fraction(w) for w in self.WEIGHTS)
+        for matroid in self._matroids():
+            omega = from_matroid_and_weights(matroid, ws)
+            carried = modular_on_domain(indicator_of_matroid(matroid), ws)
+            size = size_constrained_modular(matroid.ground, ws, matroid.rank)
+            bases = 0
+            for x in matroid.ground.subsets_of_size(matroid.rank):
+                assert size.value(x) == ExtValue(dot(ws, x))
+                if matroid.is_independent(x):
+                    bases += 1
+                    assert omega.value(x) == ExtValue(dot(ws, x))
+                    assert carried.value(x) == ExtValue(dot(ws, x))
+                else:
+                    assert omega.value(x) == INF
+                    assert carried.value(x) == INF
+            assert bases > 0
+
+    def test_laminar_penalty_charges_dot_of_common_intersection(self):
+        g3 = GroundSet(3)
+        ws = (Fraction(3, 4), Fraction(5, 6), Fraction(2))
+        omega, tg = laminar_penalty(ws, 2, 4, g3)
+        for x in omega.enumerate_domain():
+            assert omega.value(x) == ExtValue(dot(ws, tg.common_intersection(x)))
 
 
 class TestDualValuation:

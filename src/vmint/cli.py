@@ -12,13 +12,16 @@ import argparse
 import random
 import sys
 import time
+from fractions import Fraction
 from typing import Optional
 
 from .core import (
     EmptyDomainError,
     ExtValue,
+    GroundSet,
     InvalidInputError,
     ResourceLimitError,
+    Subset,
     parse_rational,
 )
 from .apps import (
@@ -44,12 +47,18 @@ from .instances import (
     ParseError,
     dump_report,
     load_instance,
+    load_yaml,
     parse_int,
     subset_out,
 )
+from .matroid import make_uniform
 from .mflow import solve_m_geq_k_w
 from .reference import lpt_solve_w_eq_k
-from .valuated import check_mnat_exchange, check_valuated_exchange
+from .valuated import (
+    check_mnat_exchange,
+    check_valuated_exchange,
+    dual_valuation,
+)
 from .viap import (
     IntersectionSolution,
     Witness,
@@ -57,8 +66,7 @@ from .viap import (
     solve_v_geq_k,
     verify_witness,
 )
-from .vmi import solve_v_In, solve_v_leq_k, solve_v_n_w
-from . import viap
+from .vmi import solve_v_In, solve_v_leq_k, solve_v_n_w, v_in_pair
 
 EXIT_OPTIMAL = 0
 EXIT_CHECK_FAILED = 1
@@ -96,204 +104,241 @@ def _witness_out(witness: Optional[Witness], mode: str) -> Optional[dict]:
     }
 
 
-def _intersection_report(problem: str, solution: IntersectionSolution,
-                         calls) -> dict:
-    report = {
-        "problem": problem,
-        "status": solution.status,
-        "value": str(solution.value) if solution.optimal else None,
-        "x1": subset_out(solution.x1),
-        "x2": subset_out(solution.x2),
-        "witness": _witness_out(solution.witness, solution.mode),
-        "oracle_calls": calls,
+def _sets_out(outcome) -> dict:
+    return {"x1": subset_out(outcome.x1), "x2": subset_out(outcome.x2)}
+
+
+def _intersection_fields(solution: IntersectionSolution, calls) -> dict:
+    return {**_sets_out(solution),
+            "witness": _witness_out(solution.witness, solution.mode),
+            "oracle_calls": calls}
+
+
+def _two_names(instance: Instance, key: str, what: str) -> list:
+    names = instance.problem.get(key)
+    if not isinstance(names, list) or len(names) != 2:
+        raise ParseError(f"problem.{key}: two {what} names required")
+    return names
+
+
+# Each problem type maps to a function (instance, k override) returning
+# (status, value, the report fields after problem/status/value, and a
+# brute-force thunk of the enumeration limit, or None when there is no
+# brute-force oracle).  Solvers are looked up as module globals at call
+# time, so wrapping them on `vmint.cli` takes effect.
+
+def _pair(instance: Instance, k_override: Optional[int]):
+    ptype = instance.problem["type"]
+    omega1, omega2 = _named_oracles(instance, 2)
+    names = instance.problem["oracles"]
+    k = _problem_k(instance, k_override)
+    solver, brute = {"v_geq_k": (solve_v_geq_k, brute_v_geq_k),
+                     "v_eq_k": (solve_v_eq_k, brute_v_eq_k),
+                     "v_leq_k": (solve_v_leq_k, brute_v_leq_k)}[ptype]
+    before = (omega1.calls, omega2.calls)
+    solution = solver(omega1, omega2, k)
+    calls = {str(names[0]): omega1.calls - before[0],
+             str(names[1]): omega2.calls - before[1]}
+    return (solution.status, solution.value,
+            _intersection_fields(solution, calls),
+            lambda limit: brute(omega1, omega2, k, limit))
+
+
+def _copies(instance: Instance, k_override: Optional[int]):
+    """v_in and v_n_w: n valuations coupled through their common part."""
+    omegas = _named_oracles(instance)
+    problem = instance.problem
+    if problem["type"] == "v_in":
+        coupling = instance.named_matroid("problem.constraint",
+                                          problem.get("constraint"))
+        solver, brute = solve_v_In, brute_v_In
+    else:
+        coupling = instance.weights_field("problem.w", problem.get("w"))
+        solver, brute = solve_v_n_w, brute_v_n_w
+    outcome = solver(omegas, coupling)
+    parts = ([subset_out(p) for p in outcome.parts]
+             if outcome.optimal else None)
+    return (outcome.status, outcome.value, {"parts": parts},
+            lambda limit: brute(omegas, coupling, limit))
+
+
+def _m_geq_k_w(instance: Instance, k_override: Optional[int]):
+    f1, f2 = (instance.named_mconvex("problem.functions", name)
+              for name in _two_names(instance, "functions", "mconvex"))
+    k = _problem_k(instance, k_override)
+    weights = instance.weights_field("problem.w", instance.problem.get("w"))
+    solution = solve_m_geq_k_w(f1, f2, k, weights)
+    fields = {
+        "x1": list(solution.x1.entries) if solution.optimal else None,
+        "x2": list(solution.x2.entries) if solution.optimal else None,
     }
-    return report
+    return (solution.status, solution.value, fields,
+            lambda limit: brute_m_geq_k_w(f1, f2, k, weights, limit))
+
+
+def _weighted_matroids(instance: Instance):
+    """The two matroids and modular weights of w_eq_k_lpt and copic."""
+    problem = instance.problem
+    m1, m2 = (instance.named_matroid("problem.matroids", name)
+              for name in _two_names(instance, "matroids", "matroid"))
+    w1 = instance.weights_field("problem.w1", problem.get("w1"))
+    w2 = instance.weights_field("problem.w2", problem.get("w2"))
+    return m1, m2, w1, w2
+
+
+def _w_eq_k_lpt(instance: Instance, k_override: Optional[int]):
+    m1, m2, w1, w2 = _weighted_matroids(instance)
+    k = _problem_k(instance, k_override)
+    solution = lpt_solve_w_eq_k(m1, m2, w1, w2, k)
+    return solution.status, solution.value, _sets_out(solution), None
+
+
+def _copic(instance: Instance, k_override: Optional[int]):
+    m1, m2, w1, w2 = _weighted_matroids(instance)
+    q = instance.weights_field("problem.q", instance.problem.get("q"))
+    outcome = solve_copic_diagonal(m1, m2, w1, w2, q)
+    return (outcome.status, outcome.value, _sets_out(outcome),
+            lambda limit: brute_copic(m1, m2, w1, w2, q, limit))
+
+
+def _v_c(instance: Instance, k_override: Optional[int]):
+    omega1, omega2 = _named_oracles(instance, 2)
+    table = instance.problem.get("c")
+    if not isinstance(table, list) or len(table) != instance.ground.size + 1:
+        raise ParseError("problem.c: table on 0..|V| required")
+    c = [ExtValue.parse(str(v)) for v in table]
+    outcome = solve_v_c(omega1, omega2, c)
+    fields = {"k": outcome.k if outcome.optimal else None,
+              **_sets_out(outcome)}
+    return outcome.status, outcome.value, fields, None
+
+
+def _recoverable_robust(instance: Instance, k_override: Optional[int]):
+    problem = instance.problem
+    omega1 = instance.named_valuation("problem.oracle", problem.get("oracle"))
+    lower = instance.weights_field("problem.lower", problem.get("lower"))
+    upper = instance.weights_field("problem.upper", problem.get("upper"))
+    k = _problem_k(instance, k_override)
+    unc = IntervalUncertainty.of(lower, upper)
+    before = omega1.calls
+    solution = solve_recoverable_robust_interval(omega1, unc, k)
+    calls = {str(problem["oracle"]): omega1.calls - before}
+    return (solution.status, solution.value,
+            _intersection_fields(solution, calls), None)
+
+
+def _congestion(instance: Instance, k_override: Optional[int]):
+    problem = instance.problem
+    names = problem.get("players")
+    if not isinstance(names, list) or not names:
+        raise ParseError("problem.players: list of valuation names required")
+    omegas = [instance.named_valuation("problem.players", n) for n in names]
+    delays_spec = problem.get("delays")
+    if not isinstance(delays_spec, list) \
+            or len(delays_spec) != instance.ground.size \
+            or not all(isinstance(t, list) for t in delays_spec):
+        raise ParseError("problem.delays: one table per resource required")
+    delays = [[parse_rational(v) for v in table] for table in delays_spec]
+    congestion = CongestionInstance.of(omegas, delays)
+    state, total = solve_congestion_social_optimum(congestion)
+    fields = {"state": [subset_out(x) for x in state]}
+    return ("optimal", total, fields,
+            lambda limit: brute_congestion(omegas, delays, limit))
+
+
+PROBLEMS = {
+    "v_geq_k": _pair, "v_eq_k": _pair, "v_leq_k": _pair,
+    "v_in": _copies, "v_n_w": _copies, "m_geq_k_w": _m_geq_k_w,
+    "w_eq_k_lpt": _w_eq_k_lpt, "v_c": _v_c, "copic": _copic,
+    "recoverable_robust": _recoverable_robust,
+    "congestion": _congestion,
+}
+
+# The types whose reports carry a witness that `_certify` checks.
+CERTIFIED = ("v_geq_k", "v_eq_k", "v_leq_k")
 
 
 def _solve(instance: Instance, args) -> tuple[dict, int]:
-    problem = instance.problem
-    ptype = problem["type"]
+    ptype = instance.problem["type"]
+    status, value, fields, brute = PROBLEMS[ptype](instance, args.k)
+    report = {"problem": ptype, "status": status,
+              "value": str(value) if status == "optimal" else None,
+              **fields}
+    if args.verify and status == "optimal" and ptype in CERTIFIED:
+        if not _certify(instance, report, args.k):
+            raise InvalidInputError("witness failed verification")
+        report["verified"] = True
+    if args.brute and brute is not None:
+        found = brute(args.limit)
+        _check_brute_match(status, value, found.status, found.value)
+        report["brute_checked"] = True
+    return report, EXIT_OPTIMAL if status == "optimal" else EXIT_INFEASIBLE
 
-    if ptype in ("v_geq_k", "v_eq_k", "v_leq_k"):
-        omega1, omega2 = _named_oracles(instance, 2)
-        names = instance.problem["oracles"]
-        k = _problem_k(instance, args.k)
-        before = (omega1.calls, omega2.calls)
-        solver = {"v_geq_k": solve_v_geq_k, "v_eq_k": solve_v_eq_k,
-                  "v_leq_k": solve_v_leq_k}[ptype]
-        solution = solver(omega1, omega2, k)
-        calls = {str(names[0]): omega1.calls - before[0],
-                 str(names[1]): omega2.calls - before[1]}
-        report = _intersection_report(ptype, solution, calls)
-        if args.verify and solution.optimal and solution.witness is not None:
-            if not viap.verify_solution(solution, omega1, omega2):
-                raise InvalidInputError("witness failed verification")
-            report["verified"] = True
-        if args.brute:
-            brute = {"v_geq_k": brute_v_geq_k, "v_eq_k": brute_v_eq_k,
-                     "v_leq_k": brute_v_leq_k}[ptype](omega1, omega2, k,
-                                                      args.limit)
-            _check_brute_match(solution.status, solution.value,
-                               brute.status, brute.value)
-            report["brute_checked"] = True
-        return report, _status_code(solution.status)
 
-    if ptype == "v_in":
-        omegas = _named_oracles(instance)
-        constraint = instance.named_matroid("problem.constraint",
-                                             problem.get("constraint"))
-        outcome = solve_v_In(omegas, constraint)
-        report = {
-            "problem": ptype,
-            "status": outcome.status,
-            "value": str(outcome.value) if outcome.optimal else None,
-            "parts": [subset_out(p) for p in outcome.parts]
-            if outcome.optimal else None,
-        }
-        if args.brute:
-            brute = brute_v_In(omegas, constraint, args.limit)
-            _check_brute_match(outcome.status, outcome.value,
-                               brute.status, brute.value)
-            report["brute_checked"] = True
-        return report, _status_code(outcome.status)
+def _labelled_subset(ground: GroundSet, labels, field: str) -> Subset:
+    """The subset that `subset_out` wrote as `labels`."""
+    if not isinstance(labels, list):
+        raise ParseError(f"{field}: expected a list of element labels")
+    index = {ground.label(v): v for v in ground.elements()}
+    try:
+        return ground.subset(index[str(label)] for label in labels)
+    except KeyError as exc:
+        raise ParseError(f"{field}: unknown element label {exc}") from None
 
-    if ptype == "v_n_w":
-        omegas = _named_oracles(instance)
-        weights = instance.weights_field("problem.w", problem.get("w"))
-        outcome = solve_v_n_w(omegas, weights)
-        report = {
-            "problem": ptype,
-            "status": outcome.status,
-            "value": str(outcome.value) if outcome.optimal else None,
-            "parts": [subset_out(p) for p in outcome.parts]
-            if outcome.optimal else None,
-        }
-        if args.brute:
-            brute = brute_v_n_w(omegas, weights, args.limit)
-            _check_brute_match(outcome.status, outcome.value,
-                               brute.status, brute.value)
-            report["brute_checked"] = True
-        return report, _status_code(outcome.status)
 
-    if ptype == "m_geq_k_w":
-        names = problem.get("functions")
-        if not isinstance(names, list) or len(names) != 2:
-            raise ParseError("problem.functions: two mconvex names required")
-        f1 = instance.named_mconvex("problem.functions", names[0])
-        f2 = instance.named_mconvex("problem.functions", names[1])
-        k = _problem_k(instance, args.k)
-        weights = instance.weights_field("problem.w", problem.get("w"))
-        solution = solve_m_geq_k_w(f1, f2, k, weights)
-        report = {
-            "problem": ptype,
-            "status": solution.status,
-            "value": str(solution.value) if solution.optimal else None,
-            "x1": list(solution.x1.entries) if solution.optimal else None,
-            "x2": list(solution.x2.entries) if solution.optimal else None,
-        }
-        if args.brute:
-            brute = brute_m_geq_k_w(f1, f2, k, weights, args.limit)
-            _check_brute_match(solution.status, solution.value,
-                               brute.status, brute.value)
-            report["brute_checked"] = True
-        return report, _status_code(solution.status)
+def _rationals(values, field: str, size: int) -> tuple[Fraction, ...]:
+    if not isinstance(values, list) or len(values) != size:
+        raise ParseError(f"{field}: expected {size} rationals")
+    return tuple(parse_rational(v) for v in values)
 
-    if ptype == "w_eq_k_lpt":
-        names = problem.get("matroids")
-        if not isinstance(names, list) or len(names) != 2:
-            raise ParseError("problem.matroids: two matroid names required")
-        m1 = instance.named_matroid("problem.matroids", names[0])
-        m2 = instance.named_matroid("problem.matroids", names[1])
-        w1 = instance.weights_field("problem.w1", problem.get("w1"))
-        w2 = instance.weights_field("problem.w2", problem.get("w2"))
-        k = _problem_k(instance, args.k)
-        solution = lpt_solve_w_eq_k(m1, m2, w1, w2, k)
-        report = _intersection_report(ptype, solution, None)
-        del report["witness"]
-        del report["oracle_calls"]
-        return report, _status_code(solution.status)
 
-    if ptype == "v_c":
-        omega1, omega2 = _named_oracles(instance, 2)
-        table = problem.get("c")
-        if not isinstance(table, list) or len(table) != instance.ground.size + 1:
-            raise ParseError("problem.c: table on 0..|V| required")
-        c = [ExtValue.parse(str(v)) for v in table]
-        outcome = solve_v_c(omega1, omega2, c)
-        report = {
-            "problem": ptype,
-            "status": outcome.status,
-            "value": str(outcome.value) if outcome.optimal else None,
-            "k": outcome.k if outcome.optimal else None,
-            "x1": subset_out(outcome.x1),
-            "x2": subset_out(outcome.x2),
-        }
-        return report, _status_code(outcome.status)
+def _certify(instance: Instance, report: dict,
+             k_override: Optional[int] = None) -> bool:
+    """Check the optimality witness of an optimal report on its instance.
 
-    if ptype == "copic":
-        names = problem.get("matroids")
-        if not isinstance(names, list) or len(names) != 2:
-            raise ParseError("problem.matroids: two matroid names required")
-        m1 = instance.named_matroid("problem.matroids", names[0])
-        m2 = instance.named_matroid("problem.matroids", names[1])
-        w1 = instance.weights_field("problem.w1", problem.get("w1"))
-        w2 = instance.weights_field("problem.w2", problem.get("w2"))
-        q = instance.weights_field("problem.q", problem.get("q"))
-        outcome = solve_copic_diagonal(m1, m2, w1, w2, q)
-        report = {
-            "problem": ptype,
-            "status": outcome.status,
-            "value": str(outcome.value) if outcome.optimal else None,
-            "x1": subset_out(outcome.x1),
-            "x2": subset_out(outcome.x2),
-        }
-        if args.brute:
-            brute = brute_copic(m1, m2, w1, w2, q, args.limit)
-            _check_brute_match(outcome.status, outcome.value,
-                               brute.status, brute.value)
-            report["brute_checked"] = True
-        return report, _status_code(outcome.status)
-
-    if ptype == "recoverable_robust":
-        omega1 = instance.named_valuation("problem.oracle",
-                                           problem.get("oracle"))
-        lower = instance.weights_field("problem.lower", problem.get("lower"))
-        upper = instance.weights_field("problem.upper", problem.get("upper"))
-        k = _problem_k(instance, args.k)
-        unc = IntervalUncertainty.of(lower, upper)
-        before = omega1.calls
-        solution = solve_recoverable_robust_interval(omega1, unc, k)
-        report = _intersection_report(
-            ptype, solution, {str(instance.problem["oracle"]):
-                              omega1.calls - before})
-        return report, _status_code(solution.status)
-
-    if ptype == "congestion":
-        names = problem.get("players")
-        if not isinstance(names, list) or not names:
-            raise ParseError("problem.players: list of valuation names required")
-        omegas = [instance.named_valuation("problem.players", n)
-                  for n in names]
-        delays_spec = problem.get("delays")
-        if not isinstance(delays_spec, list) \
-                or len(delays_spec) != instance.ground.size:
-            raise ParseError("problem.delays: one table per resource required")
-        delays = [[parse_rational(v) for v in table] for table in delays_spec]
-        congestion = CongestionInstance.of(omegas, delays)
-        state, total = solve_congestion_social_optimum(congestion)
-        report = {
-            "problem": ptype,
-            "status": "optimal",
-            "value": str(total),
-            "state": [subset_out(x) for x in state],
-        }
-        if args.brute:
-            brute = brute_congestion(omegas, delays, args.limit)
-            _check_brute_match("optimal", total, brute.status, brute.value)
-            report["brute_checked"] = True
-        return report, EXIT_OPTIMAL
-
-    raise ParseError(f"problem.type: unhandled type {ptype!r}")
+    Everything is read back from the report as emitted.  The reported
+    pair must be feasible for the instance's k, the reported value must
+    be its objective, and the witness must certify it at the level the
+    solver reached, on the instance it was solved on: k itself; for an
+    "eq-dual" `v_eq_k` witness, level rank_1 - k with the second
+    valuation dualized; for `v_leq_k`, the full rank of the valuated
+    matroid intersection of :func:`vmi.v_in_pair` with the uniform
+    matroid of rank min(k, |V|), on which the pair is one set.
+    """
+    ptype = report.get("problem")
+    if ptype not in CERTIFIED:
+        raise ParseError(f"verify: unsupported problem type {ptype!r}")
+    spec = report.get("witness")
+    if not isinstance(spec, dict):
+        raise ParseError("verify: report carries no witness")
+    omega1, omega2 = _named_oracles(instance, 2)
+    ground = instance.ground
+    x1 = _labelled_subset(ground, report.get("x1"), "x1")
+    x2 = _labelled_subset(ground, report.get("x2"), "x2")
+    value = parse_rational(report.get("value"))
+    k = level = _problem_k(instance, k_override)
+    # >= k holds through the matched set, <= k through the constraint
+    # valuation; only = k needs a check of its own.
+    feasible = ptype != "v_eq_k" or x1.intersection(x2).cardinality() == k
+    if ptype == "v_leq_k":
+        omega1, omega2, copies = v_in_pair(
+            [omega1, omega2], make_uniform(ground, min(k, ground.size)))
+        x1 = x2 = copies.to_subset([x1, x2])
+        level = omega1.rank
+    elif ptype == "v_eq_k" and spec.get("mode") == "eq-dual":
+        omega2 = dual_valuation(omega2)
+        x2 = x2.complement()
+        level = omega1.rank - k
+    inner = omega1.ground
+    witness = Witness(
+        _rationals(spec.get("p1"), "witness.p1", inner.size),
+        _rationals(spec.get("p2"), "witness.p2", inner.size),
+        _labelled_subset(inner, spec.get("matched"), "witness.matched"),
+        parse_int(spec.get("k"), "witness.k"),
+    )
+    return (feasible and witness.k == level
+            and omega1.value(x1) + omega2.value(x2) == value
+            and verify_witness(x1, x2, witness, level, omega1, omega2))
 
 
 def _check_brute_match(status: str, value, brute_status: str, brute_value):
@@ -303,10 +348,6 @@ def _check_brute_match(status: str, value, brute_status: str, brute_value):
     if status == "optimal" and value != brute_value:
         raise InvalidInputError(
             f"brute-force value mismatch: {value} vs {brute_value}")
-
-
-def _status_code(status: str) -> int:
-    return EXIT_OPTIMAL if status == "optimal" else EXIT_INFEASIBLE
 
 
 def _cmd_solve(args) -> int:
@@ -343,37 +384,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_verify(args) -> int:
     """Re-validate an emitted solution file without re-running the solver."""
-    import yaml
-
     instance = load_instance(args.instance)
-    with open(args.solution, "r", encoding="utf-8") as handle:
-        report = yaml.safe_load(handle)
-    ptype = report.get("problem")
+    report = load_yaml(args.solution)
+    if not isinstance(report, dict):
+        raise ParseError("verify: the solution file is not a report")
     if report.get("status") != "optimal":
         print("nothing to verify: solution is not optimal", file=sys.stderr)
         return EXIT_INFEASIBLE
-    if ptype not in ("v_geq_k", "v_eq_k"):
-        raise ParseError(f"verify: unsupported problem type {ptype!r}")
-    omega1, omega2 = _named_oracles(instance, 2)
-    witness_spec = report.get("witness")
-    if witness_spec is None:
-        raise ParseError("verify: report carries no witness")
-    ground = instance.ground
-    x1 = ground.subset_of_labels(report["x1"])
-    x2 = ground.subset_of_labels(report["x2"])
-    witness = Witness(
-        tuple(parse_rational(v) for v in witness_spec["p1"]),
-        tuple(parse_rational(v) for v in witness_spec["p2"]),
-        ground.subset_of_labels(witness_spec["matched"]),
-        parse_int(witness_spec.get("k"), "witness.k"),
-    )
-    mode = witness_spec.get("mode", "geq")
-    if mode == "eq-dual":
-        from .valuated import dual_valuation
-        ok = verify_witness(x1, x2.complement(), witness, witness.k,
-                            omega1, dual_valuation(omega2))
-    else:
-        ok = verify_witness(x1, x2, witness, witness.k, omega1, omega2)
+    ok = _certify(instance, report)
     print(f"witness: {'valid' if ok else 'INVALID'}")
     return EXIT_OPTIMAL if ok else EXIT_CHECK_FAILED
 

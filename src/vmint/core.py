@@ -404,11 +404,3 @@ def dot(weights: Sequence[Fraction], subset: Subset) -> Fraction:
         mask >>= 1
         i += 1
     return total
-
-
-def parse_weights(values: Sequence[RationalLike], size: int) -> tuple[Fraction, ...]:
-    """Parse a weight vector, checking its length against the ground set."""
-    ws = tuple(parse_rational(v) for v in values)
-    if len(ws) != size:
-        raise InvalidInputError(f"expected {size} weights, got {len(ws)}")
-    return ws

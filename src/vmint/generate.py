@@ -1,9 +1,8 @@
 """Random instance documents for the CLI `generate` subcommand.
 
 Only serializable matroid kinds are emitted (uniform, partition, graphic);
-weights come out as exact-rational strings.  The same generator seeds the
-equivalence suites, so `vmint generate` is a convenient way to reproduce a
-suite instance on disk.
+weights come out as exact-rational strings.  The test suites draw their
+instances from `rand_instances` directly, not from these documents.
 """
 
 from __future__ import annotations
@@ -12,11 +11,8 @@ import random
 from fractions import Fraction
 
 from .core import InvalidInputError
-from .rand_instances import random_rational
-
-GENERATABLE = ("v_geq_k", "v_eq_k", "v_leq_k", "v_in", "v_n_w", "m_geq_k_w",
-               "w_eq_k_lpt", "v_c", "copic", "recoverable_robust",
-               "congestion")
+from .instances import PROBLEM_TYPES
+from .rand_instances import random_convex_table, random_rational
 
 
 def _labels(n: int) -> list[str]:
@@ -54,19 +50,9 @@ def _matroid_spec(rng: random.Random, n: int, max_rank: int = 4) -> dict:
     return {"kind": "graphic", "vertices": vertices, "edges": edges}
 
 
-def _convex_table(rng: random.Random, length: int,
-                  nonnegative: bool = False) -> list[str]:
-    low = 0 if nonnegative else -4
-    increments = sorted(random_rational(rng, low, 4) for _ in range(length - 1))
-    values = [random_rational(rng, 0 if nonnegative else -5, 5)]
-    for inc in increments:
-        values.append(values[-1] + inc)
-    return [str(v) for v in values]
-
-
 def random_instance_document(problem: str, rng: random.Random) -> dict:
     """A full YAML-serializable instance for the given problem type."""
-    if problem not in GENERATABLE:
+    if problem not in PROBLEM_TYPES:
         raise InvalidInputError(f"cannot generate problem type {problem!r}")
     n = rng.randint(2, 6)
     doc: dict = {"ground": {"size": n, "labels": _labels(n)}}
@@ -118,7 +104,8 @@ def random_instance_document(problem: str, rng: random.Random) -> dict:
         for name in ("f1", "f2"):
             uppers = [rng.randint(1, 3) for _ in range(n)]
             terms = [{"members": [f"e{v}"], "start": 0,
-                      "values": _convex_table(rng, uppers[v] + 1)}
+                      "values": [str(value) for value in random_convex_table(
+                          rng, 0, uppers[v] + 1).values]}
                      for v in range(n)]
             rank = rng.randint(0, sum(uppers))
             ranks.append(rank)

@@ -39,7 +39,6 @@ from typing import Optional
 import yaml
 
 from .core import (
-    ExtValue,
     GroundSet,
     InvalidInputError,
     Subset,
@@ -85,6 +84,23 @@ def parse_int(value, field: str) -> int:
     return value
 
 
+def _mapping(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{field}: expected a mapping, got {value!r}")
+    return value
+
+
+def _list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{field}: expected a list, got {value!r}")
+    return value
+
+
+def _section(raw: dict, name: str) -> dict:
+    """A top-level section of named specs; absent or empty means none."""
+    return _mapping(raw.get(name) or {}, name)
+
+
 class Instance:
     """A parsed instance: ground set, named oracles, and a problem section."""
 
@@ -94,13 +110,13 @@ class Instance:
         self.raw = raw
         self.ground = self._parse_ground(raw.get("ground"))
         self.matroids: dict[str, MatroidOracle] = {}
-        for name, spec in (raw.get("matroids") or {}).items():
+        for name, spec in _section(raw, "matroids").items():
             self.matroids[name] = self._build_matroid(name, spec)
         self.valuations: dict[str, ValuationOracle] = {}
-        for name, spec in (raw.get("valuations") or {}).items():
+        for name, spec in _section(raw, "valuations").items():
             self.valuations[name] = self._build_valuation(name, spec)
         self.mconvex: dict[str, MnatFunction] = {}
-        for name, spec in (raw.get("mconvex") or {}).items():
+        for name, spec in _section(raw, "mconvex").items():
             self.mconvex[name] = self._build_mconvex(name, spec)
         problem = raw.get("problem")
         if not isinstance(problem, dict) or "type" not in problem:
@@ -116,7 +132,7 @@ class Instance:
             raise ParseError("ground: mapping with a size field is required")
         labels = spec.get("labels")
         if labels is not None:
-            labels = tuple(str(lbl) for lbl in labels)
+            labels = tuple(str(lbl) for lbl in _list(labels, "ground.labels"))
         size = parse_int(spec["size"], "ground.size")
         try:
             return GroundSet(size, labels)
@@ -157,13 +173,17 @@ class Instance:
                 return make_uniform(self.ground,
                                     parse_int(spec["rank"], f"{field}.rank"))
             if kind == "partition":
-                blocks = [(self._subset(f"{field}.blocks", b["members"]),
-                           parse_int(b["capacity"],
-                                     f"{field}.blocks.capacity"))
-                          for b in spec["blocks"]]
+                blocks = []
+                for block in _list(spec["blocks"], f"{field}.blocks"):
+                    block = _mapping(block, f"{field}.blocks")
+                    blocks.append((
+                        self._subset(f"{field}.blocks", block["members"]),
+                        parse_int(block["capacity"],
+                                  f"{field}.blocks.capacity")))
                 return make_partition(self.ground, blocks)
             if kind == "graphic":
-                edges = [self._edge(f"{field}.edges", e) for e in spec["edges"]]
+                edges = [self._edge(f"{field}.edges", e)
+                         for e in _list(spec["edges"], f"{field}.edges")]
                 if len(edges) != self.ground.size:
                     raise ParseError(
                         f"{field}.edges: need one edge per ground element")
@@ -171,10 +191,12 @@ class Instance:
                     parse_int(spec["vertices"], f"{field}.vertices"), edges,
                     self.ground.labels)
             if kind == "linear":
-                return make_linear(self.ground, spec["columns"])
+                return make_linear(self.ground, [
+                    _list(c, f"{field}.columns")
+                    for c in _list(spec["columns"], f"{field}.columns")])
             if kind == "explicit":
                 bases = tuple(self._subset(f"{field}.bases", b)
-                              for b in spec["bases"])
+                              for b in _list(spec["bases"], f"{field}.bases"))
                 return from_explicit_bases(
                     ExplicitBaseFamily(self.ground, bases))
         except KeyError as exc:
@@ -202,7 +224,8 @@ class Instance:
                 return indicator_of_matroid(
                     self.named_matroid(field, spec["matroid"]))
             if kind == "disjoint_sum":
-                parts = [self.named_valuation(field, p) for p in spec["parts"]]
+                parts = [self.named_valuation(field, p)
+                         for p in _list(spec["parts"], f"{field}.parts")]
                 return disjoint_sum(parts)[0]
         except KeyError as exc:
             raise ParseError(f"{field}: missing field {exc}") from exc
@@ -217,10 +240,13 @@ class Instance:
             if kind == "laminar_hyperplane":
                 members = []
                 tables = []
-                for i, term in enumerate(spec["terms"]):
+                for i, term in enumerate(_list(spec["terms"],
+                                               f"{field}.terms")):
+                    term = _mapping(term, f"{field}.terms[{i}]")
                     members.append(self._subset(
                         f"{field}.terms[{i}].members", term["members"]))
-                    values = tuple(parse_rational(v) for v in term["values"])
+                    values = tuple(parse_rational(v) for v in _list(
+                        term["values"], f"{field}.terms[{i}].values"))
                     start = parse_int(term.get("start", 0),
                                       f"{field}.terms[{i}].start")
                     tables.append(ConvexTable(start, values))
@@ -228,10 +254,11 @@ class Instance:
                 box = spec.get("box")
                 lower = upper = None
                 if box is not None:
+                    box = _mapping(box, f"{field}.box")
                     lower = [parse_int(v, f"{field}.box.lower")
-                             for v in box["lower"]]
+                             for v in _list(box["lower"], f"{field}.box.lower")]
                     upper = [parse_int(v, f"{field}.box.upper")
-                             for v in box["upper"]]
+                             for v in _list(box["upper"], f"{field}.box.upper")]
                 fn = laminar_convex_function(lam, lower, upper)
                 if "rank" in spec:
                     restricted = restrict_to_hyperplane(
@@ -252,43 +279,38 @@ class Instance:
     # -- lookups (also the CLI's resolution surface) -------------------------
 
     def named_matroid(self, field: str, name) -> MatroidOracle:
-        if name not in self.matroids:
-            raise ParseError(f"{field}: unknown matroid {name!r}")
-        return self.matroids[name]
+        return _named(self.matroids, "matroid", field, name)
 
     def named_valuation(self, field: str, name) -> ValuationOracle:
-        if name not in self.valuations:
-            raise ParseError(f"{field}: unknown valuation {name!r}")
-        return self.valuations[name]
+        return _named(self.valuations, "valuation", field, name)
 
     def named_mconvex(self, field: str, name) -> MnatFunction:
-        if name not in self.mconvex:
-            raise ParseError(f"{field}: unknown mconvex function {name!r}")
-        return self.mconvex[name]
+        return _named(self.mconvex, "mconvex function", field, name)
 
     def weights_field(self, field: str, values) -> tuple[Fraction, ...]:
         return self._weights(field, values)
 
 
-def load_instance(path: str) -> Instance:
+def _named(table: dict, what: str, field: str, name):
+    try:
+        return table[name]
+    except (KeyError, TypeError):   # TypeError: an unhashable name
+        raise ParseError(f"{field}: unknown {what} {name!r}") from None
+
+
+def load_yaml(path: str):
+    """The document in a YAML file; a syntax error is a ParseError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            raw = yaml.safe_load(handle)
+            return yaml.safe_load(handle)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             location = f" at line {mark.line + 1}" if mark else ""
             raise ParseError(f"YAML parse error{location}: {exc}") from exc
-    return Instance(raw)
 
 
-def parse_instance_text(text: str) -> Instance:
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        location = f" at line {mark.line + 1}" if mark else ""
-        raise ParseError(f"YAML parse error{location}: {exc}") from exc
-    return Instance(raw)
+def load_instance(path: str) -> Instance:
+    return Instance(load_yaml(path))
 
 
 # -- report helpers ---------------------------------------------------------
@@ -297,14 +319,6 @@ def subset_out(subset: Optional[Subset]) -> Optional[list]:
     if subset is None:
         return None
     return list(subset.member_labels())
-
-
-def value_out(value: ExtValue) -> str:
-    return str(value)
-
-
-def rationals_out(values) -> list[str]:
-    return [str(v) for v in values]
 
 
 def dump_report(report: dict) -> str:

@@ -31,7 +31,6 @@ from .core import (
     InvalidInputError,
     ResourceLimitError,
     Subset,
-    dot,
 )
 from .matroid import MatroidOracle
 
@@ -304,21 +303,6 @@ def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
     return ValuationOracle(omega.ground, omega.ground.size - omega.rank,
                            lambda x: omega.value(x.complement()),
                            witness, f"dual({omega.name})")
-
-
-def shift_by_potential(omega: ValuationOracle, potential: Sequence[Fraction],
-                       sign: int) -> ValuationOracle:
-    """The valuated matroid omega + sign * potential (sign is +1 or -1)."""
-    pot = tuple(Fraction(p) for p in potential)
-
-    def value(subset: Subset) -> ExtValue:
-        base = omega.value(subset)
-        if not base.is_finite:
-            return INF
-        return base + sign * dot(pot, subset)
-
-    return ValuationOracle(omega.ground, omega.rank, value,
-                           omega.witness_base, f"{omega.name}{'+' if sign > 0 else '-'}p")
 
 
 class TupleGround:

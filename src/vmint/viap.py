@@ -18,15 +18,17 @@ means a precondition was violated and is reported as an internal error.
 The shortest-path search scales them by the lcm of their denominators and
 runs on integers, which keeps every comparison and tie.
 
-Checking: after every step the structural invariants (intersection grown by
-one, matched set equal to the intersection, equal potentials, argmin/argmax
-conditions) are checked, and every aux build rejects a negative exchange
-length.  An exchange arc's length is exactly the local exchange inequality
-of the certificate for its (u, v) pair, so the aux build of a level and
-its structural checks together check that level's full certificate.
-Every level but the last gets an aux build; the last is certified by
-`verify_witness` once at the end of the ladder, unless the run stopped
-because the sink was unreachable, whose aux build already checked it.
+Checking: `build_aux_digraph` is the one place that rejects a negative
+reduced cost.  An exchange arc's length is exactly the local exchange
+inequality of the certificate for its (u, v) pair, so an aux build that
+raises no error proves that X1 and X2 minimize the shifted valuations.
+After every step the structural invariants (intersection grown by one,
+matched set equal to the intersection, potential conditions) are
+checked; the aux build of a level and those checks together check that
+level's full certificate.  Every level but the last gets an aux build;
+the last is certified by `verify_witness`, which runs one more aux build,
+once at the end of the ladder, unless the run stopped because the sink
+was unreachable, whose aux build already checked it.
 """
 
 from __future__ import annotations
@@ -318,6 +320,25 @@ def augment_step(state: ViapState) -> Optional[ViapState]:
     return new_state
 
 
+def _potential_fault(x1: Subset, x2: Subset, matched: Subset,
+                     p1: Sequence[Fraction],
+                     p2: Sequence[Fraction]) -> Optional[str]:
+    """The first potential condition of the certificate that fails, or None.
+
+    The conditions: p1 and p2 agree pointwise, X1 \\ F lies in argmin p1
+    and X2 \\ F lies in argmax p2.
+    """
+    if tuple(p1) != tuple(p2):
+        return "potentials on the two copies disagree"
+    min_p1 = min(p1)
+    if any(p1[v] != min_p1 for v in x1.minus(matched).members()):
+        return "X1 \\ F left argmin p1"
+    max_p2 = max(p2)
+    if any(p2[v] != max_p2 for v in x2.minus(matched).members()):
+        return "X2 \\ F left argmax p2"
+    return None
+
+
 def _check_state(state: ViapState, expected_intersection: int) -> None:
     """Structural loop invariants checked after every augmentation (exact).
 
@@ -331,39 +352,12 @@ def _check_state(state: ViapState, expected_intersection: int) -> None:
         raise InternalInvariantError("intersection did not grow by exactly 1")
     if state.matched.mask != inter.mask:
         raise InternalInvariantError("matched set drifted from the intersection")
-    if state.p1 != state.p2:
-        raise InternalInvariantError("potentials on the two copies disagree")
+    fault = _potential_fault(state.x1, state.x2, state.matched,
+                             state.p1, state.p2)
+    if fault is not None:
+        raise InternalInvariantError(fault)
     if min(state.p1) != 0:
         raise InternalInvariantError("minimum of p1 is not zero")
-    min_p1 = min(state.p1)
-    max_p2 = max(state.p2)
-    for v in state.x1.minus(state.x2).members():
-        if state.p1[v] != min_p1:
-            raise InternalInvariantError("X1 \\ X2 left argmin p1")
-    for v in state.x2.minus(state.x1).members():
-        if state.p2[v] != max_p2:
-            raise InternalInvariantError("X2 \\ X1 left argmax p2")
-
-
-def _is_shifted_minimizer(omega: ValuationOracle, x: Subset,
-                          potential: Sequence[Fraction], sign: int) -> bool:
-    """Local (hence global) minimality of omega + sign*potential at x."""
-    base = omega.value(x)
-    if not base.is_finite:
-        return False
-    pot_x = sum(potential[v] for v in x.members())
-    shifted_base = base.finite + sign * pot_x
-    for u in x.members():
-        for v in omega.ground.elements():
-            if x.contains(v):
-                continue
-            moved = omega.value(x.exchange(u, v))
-            if not moved.is_finite:
-                continue
-            shifted = moved.finite + sign * (pot_x - potential[u] + potential[v])
-            if shifted < shifted_base:
-                return False
-    return True
 
 
 def verify_witness(x1: Subset, x2: Subset, witness: Witness, k: int,
@@ -371,38 +365,28 @@ def verify_witness(x1: Subset, x2: Subset, witness: Witness, k: int,
                    exhaustive: bool = False) -> bool:
     """Check the optimality certificate for a pair feasible at level k.
 
-    Verifies that the potentials agree pointwise, that X1 and X2 minimize
-    the shifted valuations omega_1 - p1 and omega_2 + p2 (by the local
-    exchange criterion, which is equivalent to global minimality for
-    valuated matroids, or exhaustively on request), and that the witness's
-    matched set F has size k, lies inside the intersection, and satisfies
-    the argmin/argmax conditions on X1 \\ F and X2 \\ F.
+    Verifies that the witness's matched set F has size k and lies inside
+    the intersection, the potential conditions of `_potential_fault`, and
+    that X1 and X2 minimize the shifted valuations omega_1 - p1 and
+    omega_2 + p2.  Minimality is checked by the local exchange criterion,
+    which is equivalent to global minimality for valuated matroids: the
+    aux build rejects exactly a negative exchange.  `exhaustive` checks
+    it against every set of each domain instead.
     """
     p1, p2, matched = witness.p1, witness.p2, witness.matched
-    if tuple(p1) != tuple(p2):
-        return False
     if matched.cardinality() != k:
         return False
     if not matched.is_subset_of(x1.intersection(x2)):
         return False
+    if _potential_fault(x1, x2, matched, p1, p2) is not None:
+        return False
     if exhaustive:
-        if not _is_shifted_minimizer_exhaustive(omega1, x1, p1, -1):
-            return False
-        if not _is_shifted_minimizer_exhaustive(omega2, x2, p2, +1):
-            return False
-    else:
-        if not _is_shifted_minimizer(omega1, x1, p1, -1):
-            return False
-        if not _is_shifted_minimizer(omega2, x2, p2, +1):
-            return False
-    min_p1 = min(p1)
-    max_p2 = max(p2)
-    for v in x1.minus(matched).members():
-        if p1[v] != min_p1:
-            return False
-    for v in x2.minus(matched).members():
-        if p2[v] != max_p2:
-            return False
+        return (_is_shifted_minimizer_exhaustive(omega1, x1, p1, -1)
+                and _is_shifted_minimizer_exhaustive(omega2, x2, p2, +1))
+    try:
+        build_aux_digraph(x1, x2, p1, p2, matched, omega1, omega2)
+    except InternalInvariantError:
+        return False
     return True
 
 

@@ -69,6 +69,20 @@ def solve_vmi(omega: ValuationOracle, omega2: ValuationOracle,
     return solution
 
 
+def v_in_pair(omegas: Sequence[ValuationOracle], constraint: MatroidOracle,
+              ) -> tuple[ValuationOracle, ValuationOracle, TupleGround]:
+    """The valuated matroid intersection instance that :func:`solve_v_In`
+    solves: the disjoint sum of the valuations, the 0/+infinity valuation
+    of tuples whose common intersection is independent in `constraint`,
+    and the copies they both live on.  Its witnesses certify the
+    reduction's optima.
+    """
+    sum_oracle, tg = disjoint_sum(omegas)
+    delta, _ = intersection_constraint_valuation(len(omegas), constraint,
+                                                 sum_oracle.rank)
+    return sum_oracle, delta, tg
+
+
 def solve_v_In(omegas: Sequence[ValuationOracle], constraint: MatroidOracle,
                check_invariants: bool = True) -> TupleSolution:
     """Minimize the sum of the valuations with the common intersection
@@ -81,9 +95,7 @@ def solve_v_In(omegas: Sequence[ValuationOracle], constraint: MatroidOracle,
         raise InvalidInputError("need at least one valuation")
     for om in omegas:
         om.require_witness()
-    sum_oracle, tg = disjoint_sum(omegas)
-    delta, _ = intersection_constraint_valuation(len(omegas), constraint,
-                                                 sum_oracle.rank)
+    sum_oracle, delta, tg = v_in_pair(omegas, constraint)
     if delta.witness_base is None:
         return TupleSolution("infeasible")
     inner = solve_vmi(sum_oracle, delta, check_invariants)

@@ -6,7 +6,9 @@ import sys
 import pytest
 import yaml
 
+from vmint import cli
 from vmint.cli import main
+from vmint.instances import PROBLEM_TYPES
 
 BASIC = """\
 ground: {size: 3, labels: [a, b, c]}
@@ -115,10 +117,12 @@ def test_hyphenated_kind_spellings_accepted(tmp_path, capsys):
     assert report["value"] == "9"
 
 
+def test_problem_table_covers_every_type():
+    assert set(cli.PROBLEMS) == set(PROBLEM_TYPES)
+
+
 def test_generate_then_solve_all_types(tmp_path):
-    types = ["v_geq_k", "v_eq_k", "v_leq_k", "v_in", "v_n_w", "m_geq_k_w",
-             "w_eq_k_lpt", "v_c", "copic", "recoverable_robust", "congestion"]
-    for seed, ptype in enumerate(types):
+    for seed, ptype in enumerate(PROBLEM_TYPES):
         path = tmp_path / f"{ptype}.yaml"
         assert main(["generate", "--problem", ptype, "--seed", str(seed),
                      "--out", str(path)]) == 0
@@ -164,6 +168,86 @@ problem: {type: v_eq_k, oracles: [v1, v2], k: 1}
     assert main(["verify", "-i", str(inst), "-s", str(report)]) == 0
 
 
+LEQ = BASIC.replace("type: v_geq_k, oracles: [v1, v2], k: 2",
+                    "type: v_leq_k, oracles: [v1, v2], k: 1")
+
+
+def test_leq_witness_verifies_via_cli(tmp_path, capsys):
+    inst = tmp_path / "leq.yaml"
+    inst.write_text(LEQ)
+    report_path = tmp_path / "report.yaml"
+    assert main(["solve", "-i", str(inst), "--verify", "--out",
+                 str(report_path)]) == 0
+    report = yaml.safe_load(report_path.read_text())
+    assert report["verified"] is True
+    assert report["witness"]["mode"] == "leq"
+    assert main(["verify", "-i", str(inst), "-s", str(report_path)]) == 0
+    report["witness"]["p1"][0] = "1/7"
+    report_path.write_text(yaml.dump(report, sort_keys=False))
+    assert main(["verify", "-i", str(inst), "-s", str(report_path)]) == 1
+
+
+def test_verify_unsupported_type_is_invalid(tmp_path, capsys):
+    inst = tmp_path / "copic.yaml"
+    report_path = tmp_path / "report.yaml"
+    assert main(["generate", "--problem", "copic", "--seed", "0",
+                 "--out", str(inst)]) == 0
+    assert main(["solve", "-i", str(inst), "--verify", "--out",
+                 str(report_path)]) == 0
+    assert "verified" not in yaml.safe_load(report_path.read_text())
+    assert main(["verify", "-i", str(inst), "-s", str(report_path)]) == 3
+    assert "unsupported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["status: [optimal\n", "- optimal\n"],
+                         ids=["not-yaml", "not-a-mapping"])
+def test_malformed_solution_file_is_invalid(basic_instance, tmp_path,
+                                            capsys, text):
+    report_path = tmp_path / "report.yaml"
+    report_path.write_text(text)
+    assert main(["verify", "-i", basic_instance, "-s",
+                 str(report_path)]) == 3
+
+
+def test_reported_value_is_verified(basic_instance, tmp_path, capsys):
+    report_path = tmp_path / "report.yaml"
+    assert main(["solve", "-i", basic_instance, "--out",
+                 str(report_path)]) == 0
+    report = yaml.safe_load(report_path.read_text())
+    report["value"] = "8"
+    report_path.write_text(yaml.dump(report, sort_keys=False))
+    assert main(["verify", "-i", basic_instance, "-s",
+                 str(report_path)]) == 1
+
+
+def test_witness_for_another_k_is_rejected(basic_instance, tmp_path,
+                                           capsys):
+    # Optimal for k = 0, but the instance asks for k = 2.
+    report_path = tmp_path / "report.yaml"
+    assert main(["solve", "-i", basic_instance, "--k", "0", "--out",
+                 str(report_path)]) == 0
+    assert main(["verify", "-i", basic_instance, "-s",
+                 str(report_path)]) == 1
+
+
+def test_eq_report_off_target_is_rejected(tmp_path, capsys):
+    # (ab, ab) with zero potentials certifies the >= 1 optimum, value 6,
+    # but its intersection is 2; the = 1 optimum has value 8.
+    inst = tmp_path / "eq.yaml"
+    inst.write_text(BASIC.replace('["4", "2", "1"]', '["1", "2", "4"]')
+                    .replace("type: v_geq_k, oracles: [v1, v2], k: 2",
+                             "type: v_eq_k, oracles: [v1, v2], k: 1"))
+    report = {"problem": "v_eq_k", "status": "optimal", "value": "6",
+              "x1": ["a", "b"], "x2": ["a", "b"],
+              "witness": {"p1": ["0"] * 3, "p2": ["0"] * 3,
+                          "matched": ["a"], "k": 1, "mode": "eq-direct"}}
+    report_path = tmp_path / "report.yaml"
+    report_path.write_text(yaml.dump(report, sort_keys=False))
+    assert main(["verify", "-i", str(inst), "-s", str(report_path)]) == 1
+    assert main(["solve", "-i", str(inst), "--verify"]) == 0
+    assert yaml.safe_load(capsys.readouterr().out)["value"] == "8"
+
+
 @pytest.mark.parametrize("k", ["two", "true", "1.9"])
 def test_non_integer_k_is_invalid(tmp_path, capsys, k):
     path = tmp_path / "inst.yaml"
@@ -200,7 +284,19 @@ SCHEMA_INTS = BASIC.replace("""  M1: {kind: uniform, rank: 2}
     ("vertices: 3", "vertices: 1.5", "matroids.M3.vertices"),
     ("size: 3", "size: two", "ground.size"),
     ("[1, 2], [0, 2]]", "[1, 2], [0, 2.5]]", "matroids.M3.edges"),
-], ids=["rank", "capacity", "vertices", "size", "edges"])
+    ("blocks: [{members: [a, b], capacity: 1},\n"
+     "                                 {members: [c], capacity: 1}]",
+     "blocks: [5]", "matroids.M2.blocks"),
+    ("edges: [[0, 1], [1, 2], [0, 2]]", "edges: 7", "matroids.M3.edges"),
+    ("matroids:\n  M1: {kind: uniform, rank: 2}\n"
+     "  M2: {kind: partition, blocks: [{members: [a, b], capacity: 1},\n"
+     "                                 {members: [c], capacity: 1}]}\n"
+     "  M3: {kind: graphic, vertices: 3, edges: [[0, 1], [1, 2], [0, 2]]}\n",
+     "matroids: [1, 2]\n", "matroids"),
+    ("matroid: M1, weights: [\"1\"", "matroid: [M1], weights: [\"1\"",
+     "valuations.v1"),
+], ids=["rank", "capacity", "vertices", "size", "edges", "block-not-mapping",
+        "edges-not-list", "matroids-not-mapping", "unhashable-name"])
 def test_non_integer_schema_fields_are_invalid(tmp_path, capsys, old, new,
                                                field):
     path = tmp_path / "inst.yaml"

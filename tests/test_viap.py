@@ -351,6 +351,91 @@ class TestWitness:
         assert not verify_witness(x_bad, x_bad, witness, 1, omega1, omega2)
 
 
+def _is_shifted_minimizer(omega, x, potential, sign) -> bool:
+    """Local (hence global) minimality of omega + sign*potential at x.
+
+    The exchange check `verify_witness` made before it went through the
+    aux build, kept verbatim as the reference for it.
+    """
+    base = omega.value(x)
+    if not base.is_finite:
+        return False
+    pot_x = sum(potential[v] for v in x.members())
+    shifted_base = base.finite + sign * pot_x
+    for u in x.members():
+        for v in omega.ground.elements():
+            if x.contains(v):
+                continue
+            moved = omega.value(x.exchange(u, v))
+            if not moved.is_finite:
+                continue
+            shifted = moved.finite + sign * (pot_x - potential[u] + potential[v])
+            if shifted < shifted_base:
+                return False
+    return True
+
+
+def _reference_verify(x1, x2, witness, k, omega1, omega2) -> bool:
+    p1, p2, matched = witness.p1, witness.p2, witness.matched
+    if tuple(p1) != tuple(p2):
+        return False
+    if matched.cardinality() != k:
+        return False
+    if not matched.is_subset_of(x1.intersection(x2)):
+        return False
+    if not _is_shifted_minimizer(omega1, x1, p1, -1):
+        return False
+    if not _is_shifted_minimizer(omega2, x2, p2, +1):
+        return False
+    return (all(p1[v] == min(p1) for v in x1.minus(matched).members())
+            and all(p2[v] == max(p2) for v in x2.minus(matched).members()))
+
+
+def _random_subset(rng, ground, size=None):
+    if size is None:
+        size = rng.randint(0, ground.size)
+    return ground.subset(rng.sample(range(ground.size), min(size, ground.size)))
+
+
+class TestWitnessAgainstExchangeReference:
+    """`verify_witness` (through the aux build) agrees with the exchange
+    check on solver witnesses, perturbed ones, non-minimizers, and sets
+    outside the domains."""
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32 - 1),
+           st.sampled_from(["solved", "perturbed", "rank_sized", "any_size"]))
+    def test_agrees_with_reference(self, seed, kind):
+        rng = random.Random(seed)
+        ground = random_ground(rng, 2, 6)
+        omega1, _, _ = random_modular_valuation(rng, ground)
+        omega2, _, _ = random_modular_valuation(rng, ground)
+        if kind in ("solved", "perturbed"):
+            out = solve_v_geq_k(omega1, omega2,
+                                rng.randint(0, min(omega1.rank, omega2.rank)))
+            if not out.optimal:
+                return
+            x1, x2, witness = out.x1, out.x2, out.witness
+            if kind == "perturbed":
+                v = rng.randrange(ground.size)
+                delta = rng.choice([Fraction(-1), Fraction(1, 2), Fraction(2)])
+                p = tuple(pv + delta if i == v else pv
+                          for i, pv in enumerate(witness.p1))
+                witness = Witness(p, p, witness.matched, witness.k)
+        else:
+            sizes = ((omega1.rank, omega2.rank) if kind == "rank_sized"
+                     else (None, None))
+            x1 = _random_subset(rng, ground, sizes[0])
+            x2 = _random_subset(rng, ground, sizes[1])
+            p = tuple(rng.choice([Fraction(0), Fraction(1, 2), Fraction(1)])
+                      for _ in range(ground.size))
+            inter = list(x1.intersection(x2).members())
+            matched = ground.subset(rng.sample(inter, rng.randint(0, len(inter))))
+            witness = Witness(p, p, matched, matched.cardinality())
+        assert verify_witness(x1, x2, witness, witness.k, omega1, omega2) \
+            == _reference_verify(x1, x2, witness, witness.k, omega1, omega2)
+
+
 class TestLadderCertificate:
     def test_verified_once_per_ladder(self, monkeypatch):
         calls = []

@@ -46,12 +46,12 @@ from .instances import (
     Instance,
     ParseError,
     dump_report,
+    dump_yaml,
     load_instance,
     load_yaml,
     parse_int,
     subset_out,
 )
-from .matroid import make_uniform
 from .mflow import solve_m_geq_k_w
 from .reference import lpt_solve_w_eq_k
 from .valuated import (
@@ -66,7 +66,7 @@ from .viap import (
     solve_v_geq_k,
     verify_witness,
 )
-from .vmi import solve_v_In, solve_v_leq_k, solve_v_n_w, v_in_pair
+from .vmi import solve_v_In, solve_v_leq_k, solve_v_n_w, v_leq_k_pair
 
 EXIT_OPTIMAL = 0
 EXIT_CHECK_FAILED = 1
@@ -302,8 +302,8 @@ def _certify(instance: Instance, report: dict,
     solver reached, on the instance it was solved on: k itself; for an
     "eq-dual" `v_eq_k` witness, level rank_1 - k with the second
     valuation dualized; for `v_leq_k`, the full rank of the valuated
-    matroid intersection of :func:`vmi.v_in_pair` with the uniform
-    matroid of rank min(k, |V|), on which the pair is one set.
+    matroid intersection of :func:`vmi.v_leq_k_pair`, on which the pair
+    is one set.
     """
     ptype = report.get("problem")
     if ptype not in CERTIFIED:
@@ -321,8 +321,7 @@ def _certify(instance: Instance, report: dict,
     # valuation; only = k needs a check of its own.
     feasible = ptype != "v_eq_k" or x1.intersection(x2).cardinality() == k
     if ptype == "v_leq_k":
-        omega1, omega2, copies = v_in_pair(
-            [omega1, omega2], make_uniform(ground, min(k, ground.size)))
+        omega1, omega2, copies = v_leq_k_pair(omega1, omega2, k)
         x1 = x2 = copies.to_subset([x1, x2])
         level = omega1.rank
     elif ptype == "v_eq_k" and spec.get("mode") == "eq-dual":
@@ -401,8 +400,7 @@ def _cmd_generate(args) -> int:
 
     rng = random.Random(args.seed)
     document = random_instance_document(args.problem, rng)
-    import yaml
-    text = yaml.dump(document, sort_keys=False, default_flow_style=None)
+    text = dump_yaml(document, sort_keys=False, default_flow_style=None)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

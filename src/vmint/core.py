@@ -56,8 +56,8 @@ class ExtValue:
     __slots__ = ("_num",)
 
     def __init__(self, value: Optional[RationalLike]):
-        if value is None:
-            self._num: Optional[Fraction] = None
+        if value is None or type(value) is Fraction:
+            self._num: Optional[Fraction] = value
         else:
             self._num = parse_rational(value)
 
@@ -268,7 +268,13 @@ class Subset:
         return self.contains(index)
 
     def members(self) -> tuple[int, ...]:
-        return tuple(i for i in self.ground.elements() if self.mask >> i & 1)
+        found = []
+        mask = self.mask
+        while mask:
+            low = mask & -mask
+            found.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(found)
 
     def member_labels(self) -> tuple[str, ...]:
         return tuple(self.ground.label(i) for i in self.members())
@@ -306,7 +312,7 @@ class Subset:
         return self.members()
 
     def _check_ground(self, other: "Subset") -> None:
-        if other.ground != self.ground:
+        if other.ground is not self.ground and other.ground != self.ground:
             raise InvalidInputError("subsets live on different ground sets")
 
     def __str__(self) -> str:

@@ -31,7 +31,7 @@ def minimize_valuated(omega: ValuationOracle) -> tuple[Subset, ExtValue]:
             for v in range(n):
                 if current.contains(v):
                     continue
-                candidate_value = omega.value(current.exchange(u, v))
+                candidate_value = omega.exchange_value(current, u, v)
                 if candidate_value < best_value:
                     best_value = candidate_value
                     best_exchange = (u, v)

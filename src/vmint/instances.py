@@ -298,11 +298,18 @@ def _named(table: dict, what: str, field: str, name):
         raise ParseError(f"{field}: unknown {what} {name!r}") from None
 
 
+def _libyaml(fast: str, pure: str):
+    """The PyYAML class named `fast` when PyYAML was built with libyaml,
+    else the pure-Python `pure`; both read and write the same documents."""
+    return getattr(yaml, fast if yaml.__with_libyaml__ else pure)
+
+
 def load_yaml(path: str):
     """The document in a YAML file; a syntax error is a ParseError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return yaml.safe_load(handle)
+            return yaml.load(handle,
+                             Loader=_libyaml("CSafeLoader", "SafeLoader"))
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             location = f" at line {mark.line + 1}" if mark else ""
@@ -321,7 +328,13 @@ def subset_out(subset: Optional[Subset]) -> Optional[list]:
     return list(subset.member_labels())
 
 
+def dump_yaml(document, **options) -> str:
+    """Serialize plain data (mappings, lists, scalars) to YAML text."""
+    return yaml.dump(document, Dumper=_libyaml("CSafeDumper", "SafeDumper"),
+                     **options)
+
+
 def dump_report(report: dict) -> str:
     """Serialize a report with stable key order (insertion order)."""
-    return yaml.dump(report, sort_keys=False, default_flow_style=False,
+    return dump_yaml(report, sort_keys=False, default_flow_style=False,
                      allow_unicode=True)

@@ -22,19 +22,29 @@ class MatroidOracle:
 
     The rank is computed once by greedy augmentation from the empty set
     and cached; every downstream algorithm needs it repeatedly.
+
+    A construction that knows its structure may also pass `circuits`, a
+    map from the mask of a base X to its fundamental-circuit table: a
+    tuple whose entry v, for each v outside X, is the mask of the u in X
+    for which X - u + v is a base, that is C(X, v) - v (entries for v in
+    X are unspecified).  Then `circuits(mask)` answers every single
+    exchange of X at once, and is None when the mask is not a base;
+    `has_circuits` tells whether the table exists.
     """
 
     def __init__(self, ground: GroundSet, independent: Callable[[Subset], bool],
-                 name: str = "matroid"):
+                 name: str = "matroid",
+                 circuits: Optional[Callable[[int], tuple[int, ...]]] = None):
         self.ground = ground
         self._independent = independent
+        self._circuits = circuits
         self.name = name
         if not independent(ground.empty()):
             raise InvalidInputError("the empty set must be independent")
         self._rank = len(self._greedy_extend(ground.empty(), ground.full()))
 
     def is_independent(self, subset: Subset) -> bool:
-        if subset.ground != self.ground:
+        if subset.ground is not self.ground and subset.ground != self.ground:
             raise InvalidInputError("subset is on a different ground set")
         return self._independent(subset)
 
@@ -48,6 +58,19 @@ class MatroidOracle:
 
     def is_base(self, subset: Subset) -> bool:
         return subset.cardinality() == self._rank and self.is_independent(subset)
+
+    @property
+    def has_circuits(self) -> bool:
+        return self._circuits is not None
+
+    def circuits(self, base_mask: int) -> Optional[tuple[int, ...]]:
+        """The fundamental-circuit table of a base, or None for a non-base."""
+        if self._circuits is None:
+            raise InvalidInputError(f"{self.name} matroid has no circuit table")
+        if (base_mask.bit_count() != self._rank
+                or not self._independent(Subset(self.ground, base_mask))):
+            return None
+        return self._circuits(base_mask)
 
     def some_base(self) -> Subset:
         return self._greedy_extend(self.ground.empty(), self.ground.full())
@@ -81,7 +104,8 @@ def make_uniform(ground: GroundSet, r: int) -> MatroidOracle:
     """The uniform matroid U(r, |V|): independent iff cardinality <= r."""
     if not 0 <= r <= ground.size:
         raise InvalidInputError(f"uniform rank {r} out of range 0..{ground.size}")
-    return MatroidOracle(ground, lambda x: x.cardinality() <= r, f"uniform(r={r})")
+    return MatroidOracle(ground, lambda x: x.cardinality() <= r, f"uniform(r={r})",
+                         lambda base: (base,) * ground.size)
 
 
 def make_free(ground: GroundSet) -> MatroidOracle:
@@ -106,11 +130,20 @@ def make_partition(ground: GroundSet,
     if seen != ground.full().mask:
         raise InvalidInputError("blocks do not cover the ground set")
     masks_caps = tuple((block.mask, cap) for block, cap in blocks)
+    block_of = [0] * ground.size
+    for block, _ in blocks:
+        for v in block.members():
+            block_of[v] = block.mask
 
     def independent(x: Subset) -> bool:
         return all(bin(x.mask & m).count("1") <= cap for m, cap in masks_caps)
 
-    return MatroidOracle(ground, independent, "partition")
+    def circuits(base: int) -> tuple[int, ...]:
+        # A base fills the block of every v outside it, so v can only
+        # replace a member of its own block.
+        return tuple(base & m for m in block_of)
+
+    return MatroidOracle(ground, independent, "partition", circuits)
 
 
 def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],
@@ -144,7 +177,43 @@ def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],
             parent[ru] = rv
         return True
 
-    return MatroidOracle(ground, independent, "graphic")
+    def circuits(base: int) -> tuple[int, ...]:
+        # Root every tree of the spanning forest, then walk the tree path
+        # between the ends of each non-forest edge.
+        tree: list[list[tuple[int, int]]] = [[] for _ in range(vertices)]
+        for i in Subset(ground, base).members():
+            a, b = edge_list[i]
+            tree[a].append((b, i))
+            tree[b].append((a, i))
+        up_vertex = list(range(vertices))
+        up_edge = [-1] * vertices
+        depth = [-1] * vertices
+        for root in range(vertices):
+            if depth[root] >= 0:
+                continue
+            depth[root] = 0
+            stack = [root]
+            while stack:
+                a = stack.pop()
+                for b, i in tree[a]:
+                    if depth[b] < 0:
+                        depth[b] = depth[a] + 1
+                        up_vertex[b], up_edge[b] = a, i
+                        stack.append(b)
+        table = [0] * len(edge_list)
+        for i, (a, b) in enumerate(edge_list):
+            if base >> i & 1:
+                continue
+            path = 0
+            while a != b:
+                if depth[a] < depth[b]:
+                    a, b = b, a
+                path |= 1 << up_edge[a]
+                a = up_vertex[a]
+            table[i] = path
+        return tuple(table)
+
+    return MatroidOracle(ground, independent, "graphic", circuits)
 
 
 def make_linear(ground: GroundSet,

@@ -11,6 +11,16 @@ All value queries are memoized per oracle and counted, which feeds the
 oracle-complexity checks in the test suite.  Oracles are logically
 immutable, but the memo and counters mutate on query: confine an oracle to
 one solver run at a time (or guard it) when sharing across threads.
+
+The descent and the auxiliary digraph ask only single-exchange queries
+omega(X - u + v), through `ValuationOracle.exchange_value`.  It keeps the
+calls, evals and memo exactly as `value(X.exchange(u, v))` does; only a
+memo miss may be computed differently.  A modular valuation on a matroid
+with fundamental-circuit tables answers the misses around a base X from
+one circuit table per base (X - u + v is a base exactly when u lies on the
+circuit C(X, v)) and the integer sum w(X) - w_u + w_v, with no
+independence test; the dual of any oracle passes its queries on as
+exchanges of the complement.
 """
 
 from __future__ import annotations
@@ -47,12 +57,15 @@ class ValuationOracle:
     def __init__(self, ground: GroundSet, rank: int,
                  value_fn: Callable[[Subset], ExtValue],
                  witness_base: Optional[Subset],
-                 name: str = "valuation"):
+                 name: str = "valuation",
+                 exchange_fn: Optional[
+                     Callable[[Subset, int, int], ExtValue]] = None):
         if not 0 <= rank <= ground.size:
             raise InvalidInputError(f"rank {rank} out of range 0..{ground.size}")
         self.ground = ground
         self.rank = rank
         self._value_fn = value_fn
+        self._exchange_fn = exchange_fn
         self.witness_base = witness_base
         self.name = name
         self._memo: dict[int, ExtValue] = {}
@@ -65,7 +78,7 @@ class ValuationOracle:
                 raise InvalidInputError("witness base has infinite value")
 
     def value(self, subset: Subset) -> ExtValue:
-        if subset.ground != self.ground:
+        if subset.ground is not self.ground and subset.ground != self.ground:
             raise InvalidInputError("subset is on a different ground set")
         self.calls += 1
         cached = self._memo.get(subset.mask)
@@ -75,6 +88,34 @@ class ValuationOracle:
             else:
                 cached = self._value_fn(subset)
             self._memo[subset.mask] = cached
+            self.evals += 1
+        return cached
+
+    def exchange_value(self, base: Subset, u: int, v: int) -> ExtValue:
+        """`value(base.exchange(u, v))`, with the same checks, counters and
+        memo; a hit builds no subset.
+
+        A miss that is a proper exchange (u in base, v not) of a rank-sized
+        base goes to the oracle's `exchange_fn(base, u, v)` when it has
+        one, and to the value function otherwise.
+        """
+        mask = base.mask
+        key = mask & ~(1 << u) | (1 << v)
+        if key >> base.ground.size:
+            raise InvalidInputError("subset mask out of range for ground set")
+        if base.ground is not self.ground and base.ground != self.ground:
+            raise InvalidInputError("subset is on a different ground set")
+        self.calls += 1
+        cached = self._memo.get(key)
+        if cached is None:
+            if key.bit_count() != self.rank:
+                cached = INF
+            elif (self._exchange_fn is not None
+                  and mask >> u & 1 and not mask >> v & 1):
+                cached = self._exchange_fn(base, u, v)
+            else:
+                cached = self._value_fn(Subset(self.ground, key))
+            self._memo[key] = cached
             self.evals += 1
         return cached
 
@@ -238,6 +279,22 @@ class ConvexTable:
         return INF
 
 
+def _scaled_weights(weights: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The weights times the lcm D of their denominators, and D."""
+    ws = [Fraction(w) for w in weights]
+    scale = math.lcm(*(w.denominator for w in ws))
+    return tuple(w.numerator * (scale // w.denominator) for w in ws), scale
+
+
+def _scaled_sum(scaled: Sequence[int], mask: int) -> int:
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc += scaled[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 def modular_sum(weights: Sequence[Fraction]) -> Callable[[Subset], Fraction]:
     """The map X -> w(X), summed in integers.
 
@@ -245,37 +302,46 @@ def modular_sum(weights: Sequence[Fraction]) -> Callable[[Subset], Fraction]:
     call adds the scaled weights of the members and returns the sum over
     D, which equals `core.dot(weights, X)` exactly.
     """
-    ws = [Fraction(w) for w in weights]
-    scale = math.lcm(*(w.denominator for w in ws))
-    scaled = tuple(w.numerator * (scale // w.denominator) for w in ws)
-
-    def total(subset: Subset) -> Fraction:
-        acc = 0
-        mask = subset.mask
-        while mask:
-            low = mask & -mask
-            acc += scaled[low.bit_length() - 1]
-            mask ^= low
-        return Fraction(acc, scale)
-
-    return total
+    scaled, scale = _scaled_weights(weights)
+    return lambda subset: Fraction(_scaled_sum(scaled, subset.mask), scale)
 
 
 def from_matroid_and_weights(matroid: MatroidOracle,
                              weights: Sequence[Fraction],
                              name: str = "modular") -> ValuationOracle:
-    """Modular weights restricted to a base family: w(X) on bases, else +inf."""
+    """Modular weights restricted to a base family: w(X) on bases, else +inf.
+
+    When the matroid has circuit tables, exchange queries are answered
+    from the table of the last base asked about and its scaled sum w(X):
+    X - u + v is a base exactly when u is in the table's entry for v, and
+    then its value is (w(X) - w_u + w_v) scaled back by D.
+    """
     if len(weights) != matroid.ground.size:
         raise InvalidInputError("need one weight per ground element")
-    weight_of = modular_sum(weights)
+    scaled, scale = _scaled_weights(weights)
 
     def value(subset: Subset) -> ExtValue:
         if not matroid.is_independent(subset):
             return INF
-        return ExtValue(weight_of(subset))
+        return ExtValue(Fraction(_scaled_sum(scaled, subset.mask), scale))
+
+    exchange = None
+    if matroid.has_circuits:
+        last: list = [None, None, 0]     # base mask, its table, scaled w(X)
+
+        def exchange(base: Subset, u: int, v: int) -> ExtValue:
+            if last[0] != base.mask:
+                last[:] = [base.mask, matroid.circuits(base.mask),
+                           _scaled_sum(scaled, base.mask)]
+            table = last[1]
+            if table is None:
+                return value(base.exchange(u, v))
+            if not table[v] >> u & 1:
+                return INF
+            return ExtValue(Fraction(last[2] - scaled[u] + scaled[v], scale))
 
     return ValuationOracle(matroid.ground, matroid.rank, value,
-                           matroid.some_base(), name)
+                           matroid.some_base(), name, exchange)
 
 
 def indicator_of_matroid(matroid: MatroidOracle) -> ValuationOracle:
@@ -302,7 +368,9 @@ def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
         witness = omega.witness_base.complement()
     return ValuationOracle(omega.ground, omega.ground.size - omega.rank,
                            lambda x: omega.value(x.complement()),
-                           witness, f"dual({omega.name})")
+                           witness, f"dual({omega.name})",
+                           lambda x, u, v: omega.exchange_value(
+                               x.complement(), v, u))
 
 
 class TupleGround:

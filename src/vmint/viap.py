@@ -201,7 +201,7 @@ def build_aux_digraph(x1: Subset, x2: Subset,
         for v in ground.elements():
             if x1.contains(v):
                 continue
-            moved = omega1.value(x1.exchange(u, v))
+            moved = omega1.exchange_value(x1, u, v)
             if moved.is_finite:
                 length = (moved.finite - base1.finite) - p1[v] + p1[u]
                 add(AuxArc(graph.node_v1(u), graph.node_v1(v), length,
@@ -210,7 +210,7 @@ def build_aux_digraph(x1: Subset, x2: Subset,
         if x2.contains(v):
             continue
         for u in x2.members():
-            moved = omega2.value(x2.exchange(u, v))
+            moved = omega2.exchange_value(x2, u, v)
             if moved.is_finite:
                 length = (moved.finite - base2.finite) + p2[v] - p2[u]
                 add(AuxArc(graph.node_v2(v), graph.node_v2(u), length,
@@ -585,10 +585,19 @@ def verify_solution(solution: IntersectionSolution,
     """Re-check a solution's witness against the oracles it was solved on.
 
     Dual-mode solutions are verified on the dualized instance they were
-    actually certified for.
+    actually certified for, and `v_leq_k` solutions on the valuated
+    matroid intersection of :func:`vmi.v_leq_k_pair`, where the pair is
+    one set on two copies of the ground set.
     """
     if not solution.optimal or solution.witness is None:
         return False
+    if solution.mode == "leq":
+        from .vmi import v_leq_k_pair   # vmi imports this module
+
+        sum_oracle, delta, copies = v_leq_k_pair(omega1, omega2, solution.k)
+        pair = copies.to_subset([solution.x1, solution.x2])
+        return verify_witness(pair, pair, solution.witness, sum_oracle.rank,
+                              sum_oracle, delta, exhaustive)
     if solution.mode == "eq-dual":
         dual2 = dual_valuation(omega2)
         return verify_witness(solution.x1, solution.x2.complement(),

@@ -83,6 +83,17 @@ def v_in_pair(omegas: Sequence[ValuationOracle], constraint: MatroidOracle,
     return sum_oracle, delta, tg
 
 
+def v_leq_k_pair(omega1: ValuationOracle, omega2: ValuationOracle, k: int,
+                 ) -> tuple[ValuationOracle, ValuationOracle, TupleGround]:
+    """The :func:`v_in_pair` instance that :func:`solve_v_leq_k` solves:
+    the intersection constraint is the uniform matroid of rank
+    min(k, |V|).  A solution pair lifts to one set on the copies, and its
+    witness certifies it at the full rank of the disjoint sum.
+    """
+    ground = omega1.ground
+    return v_in_pair([omega1, omega2], make_uniform(ground, min(k, ground.size)))
+
+
 def solve_v_In(omegas: Sequence[ValuationOracle], constraint: MatroidOracle,
                check_invariants: bool = True) -> TupleSolution:
     """Minimize the sum of the valuations with the common intersection

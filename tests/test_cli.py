@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: solving, verification, exit codes, determinism."""
 
+import re
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import yaml
 
 from vmint import cli
 from vmint.cli import main
-from vmint.instances import PROBLEM_TYPES
+from vmint.instances import PROBLEM_TYPES, ParseError, dump_report, load_yaml
 
 BASIC = """\
 ground: {size: 3, labels: [a, b, c]}
@@ -307,3 +308,22 @@ def test_non_integer_schema_fields_are_invalid(tmp_path, capsys, old, new,
     path.write_text(SCHEMA_INTS.replace(old, new))
     assert main(["solve", "-i", str(path)]) == 3
     assert field in capsys.readouterr().err
+
+
+def test_both_yaml_back_ends_agree(tmp_path, monkeypatch):
+    """libyaml and pure-Python PyYAML read the same document, report a
+    syntax error on the same line and write the same report text."""
+    good = tmp_path / "good.yaml"
+    good.write_text(SCHEMA_INTS)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(BASIC.replace('weights: ["4"', 'weights: [["4"'))
+    outcomes = []
+    for libyaml in (False, True):
+        monkeypatch.setattr(yaml, "__with_libyaml__", libyaml)
+        document = load_yaml(str(good))
+        with pytest.raises(ParseError) as error:
+            load_yaml(str(bad))
+        line = re.search(r"at line (\d+)", str(error.value)).group(1)
+        outcomes.append((document, line, dump_report(document)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][:2] == (yaml.safe_load(SCHEMA_INTS), "6")

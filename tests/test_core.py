@@ -11,6 +11,7 @@ from vmint.core import (
     GroundSet,
     IntVector,
     InvalidInputError,
+    Subset,
     componentwise_min,
     intersection_cardinality,
     parse_rational,
@@ -104,6 +105,12 @@ class TestSubsetsAndVectors:
         pairs = list(ground.subsets_of_size(2))
         assert len(pairs) == 3
         assert all(p.cardinality() == 2 for p in pairs)
+
+    @given(st.integers(1, 70), st.data())
+    def test_members_ascending(self, n, data):
+        mask = data.draw(st.integers(0, (1 << n) - 1))
+        subset = Subset(GroundSet(n), mask)
+        assert subset.members() == tuple(i for i in range(n) if mask >> i & 1)
 
     def test_sort_key_is_lexicographic(self, ground):
         # {a, c} before {b, c}: member-tuple order, not mask order.

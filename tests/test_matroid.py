@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from vmint.core import GroundSet, InvalidInputError
 from vmint.matroid import (
@@ -25,6 +26,27 @@ from vmint.rand_instances import random_matroid
 @pytest.fixture
 def g3():
     return GroundSet(3, ("a", "b", "c"))
+
+
+@st.composite
+def structured_matroids(draw):
+    """Uniform, partition and graphic matroids on up to 7 elements; the
+    graphs are multigraphs with parallel edges and self-loops."""
+    n = draw(st.integers(1, 7))
+    ground = GroundSet(n)
+    kind = draw(st.sampled_from(("uniform", "partition", "graphic")))
+    if kind == "uniform":
+        return make_uniform(ground, draw(st.integers(0, n)))
+    if kind == "partition":
+        block_of = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        return make_partition(ground, [
+            (ground.subset(v for v in range(n) if block_of[v] == b),
+             draw(st.integers(0, 3)))
+            for b in sorted(set(block_of))])
+    vertices = draw(st.integers(1, 5))
+    ends = st.integers(0, vertices - 1)
+    return make_graphic(vertices, draw(st.lists(st.tuples(ends, ends),
+                                                min_size=n, max_size=n)))
 
 
 class TestConstructions:
@@ -100,6 +122,54 @@ class TestDual:
 
     def test_dual_free_is_rank_zero(self, g3):
         assert dual_matroid(make_uniform(g3, 3)).rank == 0
+
+
+class TestCircuits:
+    """`circuits(X)[v]` is exactly the set of u with X - u + v a base."""
+
+    @given(structured_matroids())
+    def test_circuit_tables_match_independence(self, matroid):
+        assert matroid.has_circuits
+        ground = matroid.ground
+        bases = {b.mask for b in enumerate_bases(matroid)}
+        for x in ground.subsets_of_size(matroid.rank):
+            table = matroid.circuits(x.mask)
+            if x.mask not in bases:
+                assert table is None
+                continue
+            for v in ground.elements():
+                if x.contains(v):
+                    continue
+                for u in x.members():
+                    assert bool(table[v] >> u & 1) == matroid.is_independent(
+                        x.exchange(u, v)), (matroid.name, x.mask, u, v)
+                assert table[v] & ~x.mask == 0
+
+    @given(structured_matroids())
+    def test_non_bases_have_no_table(self, matroid):
+        full = matroid.ground.full().mask
+        if matroid.rank < matroid.ground.size:
+            assert matroid.circuits(full) is None
+        if matroid.rank > 0:
+            assert matroid.circuits(0) is None
+
+    def test_graphic_loops_and_parallel_edges(self):
+        # Triangle 0-1-2 with edge 3 parallel to edge 0 and a loop 4.
+        graph = make_graphic(3, [(0, 1), (1, 2), (2, 0), (0, 1), (2, 2)])
+        table = graph.circuits(0b00011)
+        assert table[2] == 0b00011
+        assert table[3] == 0b00001
+        assert table[4] == 0
+        assert graph.circuits(0b01001) is None
+
+    def test_generic_constructions_have_no_table(self, g3):
+        for matroid in (make_linear(g3, [[1, 0], [0, 1], [1, 1]]),
+                        dual_matroid(make_uniform(g3, 2)),
+                        from_explicit_bases(ExplicitBaseFamily.of(
+                            g3, [g3.subset([0])]))):
+            assert not matroid.has_circuits
+            with pytest.raises(InvalidInputError):
+                matroid.circuits(1)
 
 
 class TestCheckers:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vmint.core import (
     INF,
@@ -17,7 +18,7 @@ from vmint.core import (
 )
 from vmint.apps import modular_on_domain
 from vmint.matroid import make_free, make_graphic, make_partition, make_uniform
-from vmint.rand_instances import random_matroid, random_weights
+from vmint.rand_instances import MATROID_KINDS, random_matroid, random_weights
 from vmint.valuated import (
     ConvexTable,
     LaminarSpec,
@@ -119,6 +120,84 @@ class TestModularSum:
         omega, tg = laminar_penalty(ws, 2, 4, g3)
         for x in omega.enumerate_domain():
             assert omega.value(x) == ExtValue(dot(ws, tg.common_intersection(x)))
+
+
+class TestExchangeValue:
+    """`exchange_value(X, u, v)` is `value(X.exchange(u, v))` in every
+    observable way: the result, `calls`, `evals` and the memo, of the
+    oracle and of the oracle a dual passes its queries on to."""
+
+    @staticmethod
+    def _exchanges(ground, rank):
+        """Every proper exchange of every rank-sized set, bases or not."""
+        return [(x, u, v) for x in ground.subsets_of_size(rank)
+                for u in x.members() for v in ground.elements()
+                if not x.contains(v)]
+
+    @staticmethod
+    def _same_queries(make, queries):
+        """Ask the same queries of two fresh copies, one path each."""
+        by_value, by_exchange = make(), make()
+        for x, u, v in queries:
+            expected = by_value[0].value(x.exchange(u, v))
+            assert by_exchange[0].exchange_value(x, u, v) == expected, (
+                x.mask, u, v)
+            for a, b in zip(by_value, by_exchange):
+                assert (a.calls, a.evals) == (b.calls, b.evals)
+        for a, b in zip(by_value, by_exchange):
+            assert list(a._memo.items()) == list(b._memo.items())
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 6),
+           st.sampled_from(MATROID_KINDS + ("explicit",)), st.booleans())
+    def test_equals_value_on_every_query(self, seed, n, kind, dual):
+        rng = random.Random(seed)
+        ground = GroundSet(n)
+        weights = random_weights(rng, n)
+        if kind == "explicit":
+            # An oracle without structure: values on some rank-sized sets.
+            r = rng.randint(0, n)
+            table = {x.mask: weights[x.mask % n]
+                     for x in ground.subsets_of_size(r) if rng.random() < 0.6}
+            table.setdefault((1 << r) - 1, Fraction(0))
+        else:
+            matroid = random_matroid(rng, ground, kinds=(kind,))
+
+        def make():
+            if kind == "explicit":
+                omega = valuation_from_explicit(ground, r, table)
+            else:
+                omega = from_matroid_and_weights(matroid, weights)
+            return [dual_valuation(omega), omega] if dual else [omega]
+
+        # Proper exchanges first, so that their misses are not already
+        # memoized by the improper queries (u outside X, v inside, u = v).
+        queries = self._exchanges(ground, make()[0].rank) + [
+            (x, u, v) for x in ground.all_subsets()
+            for u in range(n) for v in range(n)]
+        self._same_queries(make, queries)
+
+    def test_mixed_denominators_loops_and_non_bases(self):
+        ws = tuple(Fraction(w) for w in ("-3/4", "5/6", "-2", "7/10", "0",
+                                         "-1/3"))
+        graph = make_graphic(4, [(0, 1), (1, 2), (2, 0), (2, 3), (0, 1),
+                                 (3, 3)])
+        ground = graph.ground
+        for make in (lambda: [from_matroid_and_weights(graph, ws)],
+                     lambda: [dual_valuation(
+                         from_matroid_and_weights(graph, ws))]):
+            self._same_queries(make, self._exchanges(ground, make()[0].rank))
+        omega = from_matroid_and_weights(graph, ws)
+        tree = ground.subset([0, 1, 3])
+        assert omega.exchange_value(tree, 0, 4) == ExtValue(
+            dot(ws, tree.exchange(0, 4)))
+        assert omega.exchange_value(tree, 1, 4) == INF
+        assert omega.exchange_value(tree, 0, 5) == INF
+        not_a_base = ground.subset([0, 1, 2])
+        assert omega.exchange_value(not_a_base, 0, 3) == ExtValue(
+            dot(ws, not_a_base.exchange(0, 3)))
+        with pytest.raises(InvalidInputError):
+            omega.exchange_value(GroundSet(7).subset([0, 1, 3]), 0, 4)
 
 
 class TestDualValuation:

@@ -30,7 +30,7 @@ from vmint.vmi import (
     solve_v_n_w,
     solve_vmi,
 )
-from vmint.viap import solve_v_geq_k
+from vmint.viap import Witness, solve_v_geq_k, verify_solution
 
 
 @pytest.fixture
@@ -127,6 +127,34 @@ class TestSolveVLeqK:
         omega1 = from_matroid_and_weights(u23, [1, 2, 4])
         omega2 = from_matroid_and_weights(u23, [1, 2, 4])
         assert solve_v_leq_k(omega1, omega2, 0).status == "infeasible"
+
+    def test_verify_solution_on_the_lifted_pair(self):
+        g6 = GroundSet(6)
+        u36 = make_uniform(g6, 3)
+        omega1 = from_matroid_and_weights(u36, [1, 2, 3, 4, 5, 6])
+        omega2 = from_matroid_and_weights(u36, [1, 3, 2, 6, 5, 4])
+        out = solve_v_leq_k(omega1, omega2, 1)
+        assert out.optimal and out.mode == "leq"
+        assert verify_solution(out, omega1, omega2)
+        assert verify_solution(out, omega1, omega2, exhaustive=True)
+        witness = out.witness
+        p1 = (witness.p1[0] + 1,) + witness.p1[1:]
+        out.witness = Witness(p1, witness.p2, witness.matched, witness.k)
+        assert not verify_solution(out, omega1, omega2)
+
+    def test_verify_solution_on_random_optima(self):
+        rng = random.Random(53)
+        verified = 0
+        for _ in range(20):
+            ground = random_ground(rng, 2, 6)
+            omega1, _, _ = random_modular_valuation(rng, ground)
+            omega2, _, _ = random_modular_valuation(rng, ground)
+            k = rng.randint(0, ground.size)
+            out = solve_v_leq_k(omega1, omega2, k)
+            if out.optimal:
+                assert verify_solution(out, omega1, omega2)
+                verified += 1
+        assert verified > 0
 
     def test_dual_route_agrees(self):
         rng = random.Random(111)

@@ -28,6 +28,7 @@ from .valuated import (
     ValuationOracle,
     dual_valuation,
     from_matroid_and_weights,
+    mnat_from_valuation,
     modular_sum,
 )
 from .vmi import TupleSolution, solve_v_n_w, solve_sum_valuated_plus_laminar
@@ -180,27 +181,6 @@ class CopicSolution:
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
-
-
-def mnat_from_valuation(omega: ValuationOracle) -> MnatFunction:
-    """View a valuated matroid as an M-convex function on {0,1}^V."""
-
-    def value(x: IntVector) -> ExtValue:
-        mask = 0
-        for i, entry in enumerate(x.entries):
-            if entry not in (0, 1):
-                return INF
-            mask |= entry << i
-        return omega.value(Subset(omega.ground, mask))
-
-    witness = None
-    if omega.witness_base is not None:
-        witness = IntVector(tuple(
-            1 if omega.witness_base.mask >> i & 1 else 0
-            for i in range(omega.ground.size)))
-    return MnatFunction(omega.ground.size, value,
-                        (0,) * omega.ground.size, (1,) * omega.ground.size,
-                        witness, f"mnat({omega.name})")
 
 
 def solve_copic_diagonal(matroid1: MatroidOracle, matroid2: MatroidOracle,

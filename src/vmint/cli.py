@@ -53,20 +53,21 @@ from .instances import (
     subset_out,
 )
 from .mflow import solve_m_geq_k_w
+from .rand_instances import random_instance_document
 from .reference import lpt_solve_w_eq_k
 from .valuated import (
+    TupleGround,
     check_mnat_exchange,
     check_valuated_exchange,
-    dual_valuation,
 )
 from .viap import (
     IntersectionSolution,
     Witness,
     solve_v_eq_k,
     solve_v_geq_k,
-    verify_witness,
+    verify_solution,
 )
-from .vmi import solve_v_In, solve_v_leq_k, solve_v_n_w, v_leq_k_pair
+from .vmi import solve_v_In, solve_v_leq_k, solve_v_n_w
 
 EXIT_OPTIMAL = 0
 EXIT_CHECK_FAILED = 1
@@ -297,13 +298,10 @@ def _certify(instance: Instance, report: dict,
     """Check the optimality witness of an optimal report on its instance.
 
     Everything is read back from the report as emitted.  The reported
-    pair must be feasible for the instance's k, the reported value must
-    be its objective, and the witness must certify it at the level the
-    solver reached, on the instance it was solved on: k itself; for an
-    "eq-dual" `v_eq_k` witness, level rank_1 - k with the second
-    valuation dualized; for `v_leq_k`, the full rank of the valuated
-    matroid intersection of :func:`vmi.v_leq_k_pair`, on which the pair
-    is one set.
+    value must be the objective of the reported pair, and
+    :func:`viap.verify_solution` must accept the pair and its witness at
+    the instance's k.  A `v_eq_k` report is checked on the dual only when
+    its witness says "eq-dual".
     """
     ptype = report.get("problem")
     if ptype not in CERTIFIED:
@@ -316,28 +314,24 @@ def _certify(instance: Instance, report: dict,
     x1 = _labelled_subset(ground, report.get("x1"), "x1")
     x2 = _labelled_subset(ground, report.get("x2"), "x2")
     value = parse_rational(report.get("value"))
-    k = level = _problem_k(instance, k_override)
-    # >= k holds through the matched set, <= k through the constraint
-    # valuation; only = k needs a check of its own.
-    feasible = ptype != "v_eq_k" or x1.intersection(x2).cardinality() == k
-    if ptype == "v_leq_k":
-        omega1, omega2, copies = v_leq_k_pair(omega1, omega2, k)
-        x1 = x2 = copies.to_subset([x1, x2])
-        level = omega1.rank
-    elif ptype == "v_eq_k" and spec.get("mode") == "eq-dual":
-        omega2 = dual_valuation(omega2)
-        x2 = x2.complement()
-        level = omega1.rank - k
-    inner = omega1.ground
+    k = _problem_k(instance, k_override)
+    if ptype == "v_geq_k":
+        mode, inner = "geq", ground
+    elif ptype == "v_leq_k":
+        mode, inner = "leq", TupleGround(ground, 2).combined
+    else:
+        mode = "eq-dual" if spec.get("mode") == "eq-dual" else "eq-direct"
+        inner = ground
     witness = Witness(
         _rationals(spec.get("p1"), "witness.p1", inner.size),
         _rationals(spec.get("p2"), "witness.p2", inner.size),
         _labelled_subset(inner, spec.get("matched"), "witness.matched"),
         parse_int(spec.get("k"), "witness.k"),
     )
-    return (feasible and witness.k == level
-            and omega1.value(x1) + omega2.value(x2) == value
-            and verify_witness(x1, x2, witness, level, omega1, omega2))
+    solution = IntersectionSolution("optimal", x1, x2, value, witness, k,
+                                    mode)
+    return (omega1.value(x1) + omega2.value(x2) == value
+            and verify_solution(solution, omega1, omega2))
 
 
 def _check_brute_match(status: str, value, brute_status: str, brute_value):
@@ -396,8 +390,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    from .generate import random_instance_document
-
     rng = random.Random(args.seed)
     document = random_instance_document(args.problem, rng)
     text = dump_yaml(document, sort_keys=False, default_flow_style=None)

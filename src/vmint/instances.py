@@ -63,6 +63,7 @@ from .valuated import (
     from_matroid_and_weights,
     indicator_of_matroid,
     laminar_convex_function,
+    mnat_from_valuation,
     restrict_to_hyperplane,
     size_constrained_modular,
 )
@@ -99,6 +100,68 @@ def _list(value, field: str) -> list:
 def _section(raw: dict, name: str) -> dict:
     """A top-level section of named specs; absent or empty means none."""
     return _mapping(raw.get(name) or {}, name)
+
+
+def _subset(ground: GroundSet, field: str, members) -> Subset:
+    if not isinstance(members, list):
+        raise ParseError(f"{field}: expected a list of elements")
+    indices = []
+    for member in members:
+        if isinstance(member, int):
+            indices.append(parse_int(member, field))
+        else:
+            indices.append(ground.index_of(str(member)))
+    return ground.subset(indices)
+
+
+def _edge(field: str, edge) -> tuple[int, int]:
+    if not isinstance(edge, list) or len(edge) != 2:
+        raise ParseError(f"{field}: expected a pair of vertices, got {edge!r}")
+    return parse_int(edge[0], field), parse_int(edge[1], field)
+
+
+def build_matroid(ground: GroundSet, spec, field: str) -> MatroidOracle:
+    """The matroid oracle of one `matroids` spec on `ground`.
+
+    `field` names the spec in error messages.  Elements are labels or
+    0-based indices.  This is how `vmint solve` reads a document, and how
+    the seeded suites build the specs of :mod:`vmint.rand_instances`.
+    """
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ParseError(f"{field}: mapping with a kind field is required")
+    kind = str(spec["kind"]).replace("-", "_")
+    try:
+        if kind == "uniform":
+            return make_uniform(ground,
+                                parse_int(spec["rank"], f"{field}.rank"))
+        if kind == "partition":
+            blocks = []
+            for block in _list(spec["blocks"], f"{field}.blocks"):
+                block = _mapping(block, f"{field}.blocks")
+                blocks.append((
+                    _subset(ground, f"{field}.blocks", block["members"]),
+                    parse_int(block["capacity"], f"{field}.blocks.capacity")))
+            return make_partition(ground, blocks)
+        if kind == "graphic":
+            edges = [_edge(f"{field}.edges", e)
+                     for e in _list(spec["edges"], f"{field}.edges")]
+            if len(edges) != ground.size:
+                raise ParseError(
+                    f"{field}.edges: need one edge per ground element")
+            return make_graphic(
+                parse_int(spec["vertices"], f"{field}.vertices"), edges,
+                ground.labels)
+        if kind == "linear":
+            return make_linear(ground, [
+                _list(c, f"{field}.columns")
+                for c in _list(spec["columns"], f"{field}.columns")])
+        if kind == "explicit":
+            bases = tuple(_subset(ground, f"{field}.bases", b)
+                          for b in _list(spec["bases"], f"{field}.bases"))
+            return from_explicit_bases(ExplicitBaseFamily(ground, bases))
+    except KeyError as exc:
+        raise ParseError(f"{field}: missing field {exc}") from exc
+    raise ParseError(f"{field}.kind: unknown kind {kind!r}")
 
 
 class Instance:
@@ -139,17 +202,6 @@ class Instance:
         except InvalidInputError as exc:
             raise ParseError(f"ground: {exc}") from exc
 
-    def _subset(self, field: str, members) -> Subset:
-        if not isinstance(members, list):
-            raise ParseError(f"{field}: expected a list of elements")
-        indices = []
-        for member in members:
-            if isinstance(member, int):
-                indices.append(parse_int(member, field))
-            else:
-                indices.append(self.ground.index_of(str(member)))
-        return self.ground.subset(indices)
-
     def _weights(self, field: str, values) -> tuple[Fraction, ...]:
         if not isinstance(values, list) or len(values) != self.ground.size:
             raise ParseError(f"{field}: expected {self.ground.size} rationals")
@@ -158,50 +210,8 @@ class Instance:
         except InvalidInputError as exc:
             raise ParseError(f"{field}: {exc}") from exc
 
-    def _edge(self, field: str, edge) -> tuple[int, int]:
-        if not isinstance(edge, list) or len(edge) != 2:
-            raise ParseError(f"{field}: expected a pair of vertices, got {edge!r}")
-        return parse_int(edge[0], field), parse_int(edge[1], field)
-
     def _build_matroid(self, name: str, spec) -> MatroidOracle:
-        field = f"matroids.{name}"
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ParseError(f"{field}: mapping with a kind field is required")
-        kind = str(spec["kind"]).replace("-", "_")
-        try:
-            if kind == "uniform":
-                return make_uniform(self.ground,
-                                    parse_int(spec["rank"], f"{field}.rank"))
-            if kind == "partition":
-                blocks = []
-                for block in _list(spec["blocks"], f"{field}.blocks"):
-                    block = _mapping(block, f"{field}.blocks")
-                    blocks.append((
-                        self._subset(f"{field}.blocks", block["members"]),
-                        parse_int(block["capacity"],
-                                  f"{field}.blocks.capacity")))
-                return make_partition(self.ground, blocks)
-            if kind == "graphic":
-                edges = [self._edge(f"{field}.edges", e)
-                         for e in _list(spec["edges"], f"{field}.edges")]
-                if len(edges) != self.ground.size:
-                    raise ParseError(
-                        f"{field}.edges: need one edge per ground element")
-                return make_graphic(
-                    parse_int(spec["vertices"], f"{field}.vertices"), edges,
-                    self.ground.labels)
-            if kind == "linear":
-                return make_linear(self.ground, [
-                    _list(c, f"{field}.columns")
-                    for c in _list(spec["columns"], f"{field}.columns")])
-            if kind == "explicit":
-                bases = tuple(self._subset(f"{field}.bases", b)
-                              for b in _list(spec["bases"], f"{field}.bases"))
-                return from_explicit_bases(
-                    ExplicitBaseFamily(self.ground, bases))
-        except KeyError as exc:
-            raise ParseError(f"{field}: missing field {exc}") from exc
-        raise ParseError(f"{field}.kind: unknown kind {kind!r}")
+        return build_matroid(self.ground, spec, f"matroids.{name}")
 
     def _build_valuation(self, name: str, spec) -> ValuationOracle:
         field = f"valuations.{name}"
@@ -243,8 +253,9 @@ class Instance:
                 for i, term in enumerate(_list(spec["terms"],
                                                f"{field}.terms")):
                     term = _mapping(term, f"{field}.terms[{i}]")
-                    members.append(self._subset(
-                        f"{field}.terms[{i}].members", term["members"]))
+                    members.append(_subset(
+                        self.ground, f"{field}.terms[{i}].members",
+                        term["members"]))
                     values = tuple(parse_rational(v) for v in _list(
                         term["values"], f"{field}.terms[{i}].values"))
                     start = parse_int(term.get("start", 0),
@@ -264,12 +275,10 @@ class Instance:
                     restricted = restrict_to_hyperplane(
                         fn, parse_int(spec["rank"], f"{field}.rank"))
                     if isinstance(restricted, ValuationOracle):
-                        from .apps import mnat_from_valuation
                         return mnat_from_valuation(restricted)
                     return restricted
                 return fn
             if kind == "from_valuation":
-                from .apps import mnat_from_valuation
                 return mnat_from_valuation(
                     self.named_valuation(field, spec["valuation"]))
         except KeyError as exc:

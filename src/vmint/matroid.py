@@ -151,6 +151,8 @@ def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],
     """Graphic matroid of a multigraph; the ground set is the edge list.
 
     A subset of edges is independent iff it is acyclic (union-find check).
+    Only the vertices that edges touch are kept, renumbered in ascending
+    order, so a query costs nothing per isolated vertex.
     """
     if vertices < 1:
         raise InvalidInputError("graph needs at least one vertex")
@@ -158,7 +160,10 @@ def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],
         if not (0 <= u < vertices and 0 <= v < vertices):
             raise InvalidInputError(f"edge ({u},{v}) has an endpoint out of range")
     ground = GroundSet(len(edges), tuple(labels) if labels else None)
-    edge_list = tuple(edges)
+    ends = sorted({end for edge in edges for end in edge})
+    index = {end: i for i, end in enumerate(ends)}
+    edge_list = tuple((index[u], index[v]) for u, v in edges)
+    vertices = len(ends)
 
     def independent(x: Subset) -> bool:
         parent = list(range(vertices))

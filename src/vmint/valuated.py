@@ -41,6 +41,7 @@ from .core import (
     InvalidInputError,
     ResourceLimitError,
     Subset,
+    subset_to_vector,
 )
 from .matroid import MatroidOracle
 
@@ -619,6 +620,25 @@ def restrict_to_hyperplane(fn: MnatFunction, r: int,
     if restricted.witness_point is None:
         raise EmptyDomainError("hyperplane restriction has an empty domain")
     return restricted
+
+
+def mnat_from_valuation(omega: ValuationOracle) -> MnatFunction:
+    """View a valuated matroid as an M-convex function on {0,1}^V."""
+
+    def value(x: IntVector) -> ExtValue:
+        mask = 0
+        for i, entry in enumerate(x.entries):
+            if entry not in (0, 1):
+                return INF
+            mask |= entry << i
+        return omega.value(Subset(omega.ground, mask))
+
+    witness = None
+    if omega.witness_base is not None:
+        witness = subset_to_vector(omega.witness_base)
+    return MnatFunction(omega.ground.size, value,
+                        (0,) * omega.ground.size, (1,) * omega.ground.size,
+                        witness, f"mnat({omega.name})")
 
 
 def check_valuated_exchange(omega: ValuationOracle,

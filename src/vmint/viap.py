@@ -584,24 +584,31 @@ def verify_solution(solution: IntersectionSolution,
                     exhaustive: bool = False) -> bool:
     """Re-check a solution's witness against the oracles it was solved on.
 
-    Dual-mode solutions are verified on the dualized instance they were
-    actually certified for, and `v_leq_k` solutions on the valuated
-    matroid intersection of :func:`vmi.v_leq_k_pair`, where the pair is
-    one set on two copies of the ground set.
+    The witness must certify the pair at the level the solver reached, on
+    the instance it was solved on: level k itself; for an "eq-dual"
+    solution, level rank_1 - k with omega_2 dualized; for a "leq" solution,
+    the full rank of the valuated matroid intersection of
+    :func:`vmi.v_leq_k_pair`, on which the pair is one set.  An "eq-*"
+    pair must also meet in exactly k elements; >= k holds through the
+    matched set and <= k through the constraint valuation.
     """
     if not solution.optimal or solution.witness is None:
         return False
+    x1, x2, k = solution.x1, solution.x2, solution.k
+    if (solution.mode.startswith("eq")
+            and intersection_cardinality(x1, x2) != k):
+        return False
+    level = k
     if solution.mode == "leq":
         from .vmi import v_leq_k_pair   # vmi imports this module
 
-        sum_oracle, delta, copies = v_leq_k_pair(omega1, omega2, solution.k)
-        pair = copies.to_subset([solution.x1, solution.x2])
-        return verify_witness(pair, pair, solution.witness, sum_oracle.rank,
-                              sum_oracle, delta, exhaustive)
-    if solution.mode == "eq-dual":
-        dual2 = dual_valuation(omega2)
-        return verify_witness(solution.x1, solution.x2.complement(),
-                              solution.witness, omega1.rank - solution.k,
-                              omega1, dual2, exhaustive)
-    return verify_witness(solution.x1, solution.x2, solution.witness,
-                          solution.witness.k, omega1, omega2, exhaustive)
+        omega1, omega2, copies = v_leq_k_pair(omega1, omega2, k)
+        x1 = x2 = copies.to_subset([x1, x2])
+        level = omega1.rank
+    elif solution.mode == "eq-dual":
+        omega2 = dual_valuation(omega2)
+        x2 = x2.complement()
+        level = omega1.rank - k
+    return (solution.witness.k == level
+            and verify_witness(x1, x2, solution.witness, level, omega1,
+                               omega2, exhaustive))

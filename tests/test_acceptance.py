@@ -396,14 +396,8 @@ def test_criterion_9_applications():
             matroid = ri.random_matroid(rng, ground, max_rank=2)
             weights = [abs(w) for w in ri.random_weights(rng, ground.size)]
             omegas.append(vm.from_matroid_and_weights(matroid, weights))
-        delays = []
-        for _ in range(ground.size):
-            increments = sorted(abs(ri.random_rational(rng, 0, 3))
-                                for _ in range(players))
-            table = [Fraction(0)]
-            for inc in increments:
-                table.append(table[-1] + inc)
-            delays.append(table)
+        delays = [ri.random_delay_table(rng, players)
+                  for _ in range(ground.size)]
         congestion = vm.CongestionInstance.of(omegas, delays)
         state, total = vm.solve_congestion_social_optimum(congestion)
         ref = bf.brute_congestion(omegas, delays)
@@ -439,9 +433,7 @@ def test_criterion_9_applications():
         matroid = ri.random_matroid(rng, ground)
         omega1 = vm.from_matroid_and_weights(
             matroid, ri.random_weights(rng, ground.size))
-        lower = ri.random_weights(rng, ground.size)
-        upper = tuple(lo + abs(ri.random_rational(rng, 0, 4))
-                      for lo in lower)
+        lower, upper = ri.random_interval(rng, ground.size, -10, 10, 4)
         unc = vm.IntervalUncertainty.of(lower, upper)
         k = rng.randint(0, matroid.rank)
         fast = vm.solve_recoverable_robust_interval(omega1, unc, k)

@@ -26,7 +26,9 @@ from vmint.bruteforce import (
 )
 from vmint.matroid import make_uniform
 from vmint.rand_instances import (
+    random_delay_table,
     random_ground,
+    random_interval,
     random_matroid,
     random_rational,
     random_weights,
@@ -77,9 +79,7 @@ class TestRecoverableRobust:
             matroid = random_matroid(rng, ground)
             omega1 = from_matroid_and_weights(
                 matroid, random_weights(rng, ground.size))
-            lower = random_weights(rng, ground.size)
-            upper = tuple(lo + abs(random_rational(rng, 0, 4))
-                          for lo in lower)
+            lower, upper = random_interval(rng, ground.size, -10, 10, 4)
             unc = IntervalUncertainty.of(lower, upper)
             k = rng.randint(0, matroid.rank)
             out = solve_recoverable_robust_interval(omega1, unc, k)
@@ -276,14 +276,8 @@ class TestCongestion:
                 matroid = random_matroid(rng, ground, max_rank=2)
                 weights = [abs(w) for w in random_weights(rng, ground.size)]
                 omegas.append(from_matroid_and_weights(matroid, weights))
-            delays = []
-            for _ in range(ground.size):
-                increments = sorted(abs(random_rational(rng, 0, 3))
-                                    for _ in range(players))
-                table = [Fraction(0)]
-                for inc in increments:
-                    table.append(table[-1] + inc)
-                delays.append(table)
+            delays = [random_delay_table(rng, players)
+                      for _ in range(ground.size)]
             inst = CongestionInstance.of(omegas, delays)
             state, total = solve_congestion_social_optimum(inst)
             ref = brute_congestion(omegas, delays)
@@ -297,14 +291,8 @@ class TestCongestion:
             players = rng.randint(1, 3)
             matroids = [random_matroid(rng, ground, max_rank=2)
                         for _ in range(players)]
-            costs = []
-            for _ in range(ground.size):
-                increments = sorted(abs(random_rational(rng, 0, 3))
-                                    for _ in range(players))
-                table = [Fraction(0)]
-                for inc in increments:
-                    table.append(table[-1] + inc)
-                costs.append(table)
+            costs = [random_delay_table(rng, players)
+                     for _ in range(ground.size)]
             inst = standard_congestion_instance(matroids, costs)
             # Direct evaluation of the standard model on a random state.
             state = []

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: solving, verification, exit codes, determinism."""
 
+import hashlib
 import re
 import subprocess
 import sys
@@ -129,6 +130,44 @@ def test_generate_then_solve_all_types(tmp_path):
                      "--out", str(path)]) == 0
         code = main(["solve", "-i", str(path)])
         assert code in (0, 2), (ptype, code)
+
+
+# sha256 over "<exit code>\n<stdout>" of `vmint generate` for seeds 0-299,
+# per type.  A change to any draw of `rand_instances` shows here.
+GENERATE_DIGESTS = {
+    "v_geq_k":
+        "33ad0820882c960dca2e8e10f6b1fd7adb77f54e6cad086cb6f318f8693897be",
+    "v_eq_k":
+        "b468a51f5fa1d10d8015d239d2259633a3663e1b958c8f64f4bae2d1beddb009",
+    "v_leq_k":
+        "118e83d0b8ab6501b2b920b4de8ab9290ec33a158d1f476a2946793f1defec9c",
+    "v_in":
+        "1f08e659d4329cf1f94916a951f5a7ea9cdef895a3b20f747b75487f2c4e7ebc",
+    "v_n_w":
+        "62fa249c18016fde81a097af7c2ced2b1c0f576affa6594a907651bc92325a9d",
+    "m_geq_k_w":
+        "f9e92ac1d06dd0855cd460b964ba33ad033be3d2c6b5ae4d92287dfa356e31cb",
+    "w_eq_k_lpt":
+        "87636bb88003d858386f2eccc8ed87d9cddf1d06d6e054b8c6a170315d9e34dd",
+    "v_c":
+        "23e6851e203b0374d0c0da59639b6284cea8e18db1c842a0f2c1f485cad8f752",
+    "copic":
+        "14420f0af452f25b05e53def1d20267ed4bcc93849bf86c8d981fd9694c8aebc",
+    "recoverable_robust":
+        "09451c2625431765a459ed66a8217c1fac39c4a87a136ff6605f8f9cd8fc74e1",
+    "congestion":
+        "69062cdaabecc6deb10d9dde078bef90c9aa07133007c177c8d361e2852f6cf9",
+}
+
+
+def test_generate_output_is_pinned(capsys):
+    assert set(GENERATE_DIGESTS) == set(PROBLEM_TYPES)
+    for ptype, expected in GENERATE_DIGESTS.items():
+        digest = hashlib.sha256()
+        for seed in range(300):
+            code = main(["generate", "--problem", ptype, "--seed", str(seed)])
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == expected, ptype
 
 
 def test_stock_instances(capsys):

@@ -1,12 +1,13 @@
 """Matroid constructions, duality, and the axiom checkers."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from vmint.core import GroundSet, InvalidInputError
+from vmint.core import GroundSet, InvalidInputError, Subset
 from vmint.matroid import (
     ExplicitBaseFamily,
     check_base_exchange,
@@ -161,6 +162,30 @@ class TestCircuits:
         assert table[3] == 0b00001
         assert table[4] == 0
         assert graph.circuits(0b01001) is None
+
+    def test_graphic_queries_ignore_isolated_vertices(self):
+        graph = make_graphic(10**6, [(0, 1), (1, 2), (2, 0), (5, 999_999)])
+        tracemalloc.start()
+        try:
+            assert not graph.is_independent(graph.ground.full())
+            assert graph.circuits(0b1011)[2] == 0b0011
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_graphic_tables_match_the_tight_vertex_count(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            edges = [(rng.randrange(9), rng.randrange(9)) for _ in range(n)]
+            tight = make_graphic(max(max(e) for e in edges) + 1, edges)
+            loose = make_graphic(9 + rng.randint(0, 50), edges)
+            assert loose.rank == tight.rank
+            for mask in range(1 << n):
+                x = Subset(tight.ground, mask)
+                assert loose.is_independent(x) == tight.is_independent(x)
+                assert loose.circuits(mask) == tight.circuits(mask)
 
     def test_generic_constructions_have_no_table(self, g3):
         for matroid in (make_linear(g3, [[1, 0], [0, 1], [1, 1]]),

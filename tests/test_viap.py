@@ -2,6 +2,7 @@
 
 import heapq
 import random
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -343,6 +344,18 @@ class TestWitness:
         omega1, omega2 = _modular_pair(g3)
         out = solve_v_geq_k(omega1, omega2, 2)
         assert verify_solution(out, omega1, omega2, exhaustive=True)
+
+    def test_solution_must_sit_at_its_level(self, g3):
+        # (ab, ab) is the >= 1 optimum of this pair: it meets in 2
+        # elements, not exactly 1, and its witness certifies level 1.
+        u23 = make_uniform(g3, 2)
+        omega1 = from_matroid_and_weights(u23, [1, 2, 4])
+        omega2 = from_matroid_and_weights(u23, [1, 2, 4])
+        out = solve_v_geq_k(omega1, omega2, 1)
+        assert verify_solution(out, omega1, omega2)
+        assert not verify_solution(replace(out, mode="eq-direct"),
+                                   omega1, omega2)
+        assert not verify_solution(replace(out, k=0), omega1, omega2)
 
     def test_non_minimizer_rejected(self, g3):
         omega1, omega2 = _modular_pair(g3)

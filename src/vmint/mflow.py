@@ -20,6 +20,14 @@ Bellman-Ford pass from a virtual source settles in O(N*M) steps exactly
 when there is no negative cycle, so the final optimality proof skips the
 fewest-arcs walk DP; when it does not settle, the DP picks the cycle.
 
+Exchange arcs of a direct sum h(z) = sum of part_B(z_B) (see
+`valuated.direct_sum`) are read block by block.  A pair (x, y) inside one
+block costs part_B(z_B + e_x - e_y) - part_B(z_B), one evaluation of that
+part; a pair across blocks costs up[x] + down[y], where up and down are the
+unit-move deltas of the two blocks, looked up once per build.  The arc list
+is the one the whole-h scan gives, in the same order, so the canceled
+cycles do not depend on it; an h without blocks is scanned as one block.
+
 The cardinality-coupled minimization over two M-convex functions reduces
 to this flow problem on a bipartite network between two copies of the
 ground set, with interval indicators on two extra nodes encoding the
@@ -43,7 +51,12 @@ from .core import (
     ResourceLimitError,
     componentwise_min,
 )
-from .valuated import MnatFunction
+from .valuated import (
+    MnatFunction,
+    NegatedMnat,
+    direct_sum,
+    interval_indicator,
+)
 
 MAX_CANCEL_ITERATIONS = 100_000
 
@@ -133,19 +146,57 @@ def _residual_arcs(network: FlowNetwork, flow: Sequence[int]) -> list[_AuxArc]:
 
 def _exchange_arcs(h: MnatFunction, current: IntVector,
                    base_value: Fraction) -> list[_AuxArc]:
-    """Exchange arcs at a point of the box; a move that leaves the box has
-    infinite cost and is skipped without asking h."""
+    """Exchange arcs at a point of the box where h is finite, block by block.
+
+    A move that leaves the box has infinite cost and is skipped without
+    asking h.  A pair inside one block costs part(z_B + e_x - e_y) -
+    part(z_B); a pair across blocks costs up[x] + down[y], the unit-move
+    deltas of the two blocks, and is skipped when either is infinite.  An
+    h without `blocks` is its own single block at base value `base_value`.
+    """
+    z = current.entries
+    lower, upper = h.box_lower, h.box_upper
+    blocks = getattr(h, "blocks", None)
+    if blocks:
+        block_points = [IntVector(z[off:off + part.dimension])
+                        for off, part in blocks]
+        bases = [part.value(point).finite
+                 for (_, part), point in zip(blocks, block_points)]
+    else:
+        blocks, block_points, bases = ((0, h),), [current], [base_value]
+    block_of = [b for b, (_, part) in enumerate(blocks)
+                for _ in range(part.dimension)]
+
+    def unit_delta(v: int, step: int) -> Optional[Fraction]:
+        b = block_of[v]
+        off, part = blocks[b]
+        moved = part.value(block_points[b].add_unit(v - off, step))
+        return moved.finite - bases[b] if moved.is_finite else None
+
+    up: list[Optional[Fraction]] = [None] * h.dimension
+    down: list[Optional[Fraction]] = [None] * h.dimension
+    if len(blocks) > 1:
+        for v in range(h.dimension):
+            if z[v] != upper[v]:
+                up[v] = unit_delta(v, +1)
+            if z[v] != lower[v]:
+                down[v] = unit_delta(v, -1)
     arcs = []
     for x in range(h.dimension):
-        if current[x] == h.box_upper[x]:
+        if z[x] == upper[x]:
             continue
-        up = current.add_unit(x, +1)
+        bx = block_of[x]
+        off, part = blocks[bx]
+        raised = block_points[bx].add_unit(x - off, +1)
         for y in range(h.dimension):
-            if y == x or current[y] == h.box_lower[y]:
+            if y == x or z[y] == lower[y]:
                 continue
-            moved = h.value(up.add_unit(y, -1))
-            if moved.is_finite:
-                arcs.append(_AuxArc(x, y, moved.finite - base_value, -1, 0))
+            if block_of[y] == bx:
+                moved = part.value(raised.add_unit(y - off, -1))
+                if moved.is_finite:
+                    arcs.append(_AuxArc(x, y, moved.finite - bases[bx], -1, 0))
+            elif up[x] is not None and down[y] is not None:
+                arcs.append(_AuxArc(x, y, up[x] + down[y], -1, 0))
     return arcs
 
 
@@ -528,11 +579,13 @@ def build_mgeqk_instance(f1: MnatFunction, f2: MnatFunction, k: int,
                          weights: Sequence[Fraction]) -> CoupledInstance:
     """Build the flow instance for the coupled problem with w <= 0.
 
-    The boundary at a copy-1 node is -x1(v) (the copy-1 block of h is
-    evaluated with inverted sign), at a copy-2 node x2(v); the s and t
-    coordinates range over the surplus intervals [0, r2 - k] and
-    [0, r1 - k].  All arcs have lower capacity 0; upper capacities are the
-    box bounds, which no flow with finite h can exceed.
+    The boundary at a copy-1 node is -x1(v), at a copy-2 node x2(v); the
+    s and t coordinates are minus the copy-2 surplus and the copy-1
+    surplus, within [0, r2 - k] and [0, r1 - k].  So h is the direct sum
+    of x -> f1(-x), the indicator of [k - r2, 0], f2 and the indicator of
+    [0, r1 - k]; `h_feasibility` is the indicator of the same sum with
+    k = 0.  All arcs have lower capacity 0; upper capacities are the box
+    bounds, which no flow with finite h can exceed.
     """
     n = f1.dimension
     if f2.dimension != n:
@@ -549,35 +602,11 @@ def build_mgeqk_instance(f1: MnatFunction, f2: MnatFunction, k: int,
     if not 0 <= k <= min(r1, r2):
         raise InvalidInputError(f"k={k} out of range 0..min({r1},{r2})")
 
-    def make_h(s_width: int, t_width: int, indicator: bool) -> MnatFunction:
-        def value(z: IntVector) -> ExtValue:
-            x1 = IntVector(tuple(-z[v] for v in range(n)))
-            x2 = IntVector(tuple(z[n + 1 + v] for v in range(n)))
-            surplus2 = -z[n]
-            surplus1 = z[2 * n + 1]
-            if not (0 <= surplus2 <= s_width and 0 <= surplus1 <= t_width):
-                return INF
-            v1 = f1.value(x1)
-            if not v1.is_finite:
-                return INF
-            v2 = f2.value(x2)
-            if not v2.is_finite:
-                return INF
-            if indicator:
-                return ExtValue(0)
-            return v1 + v2
-
-        lower = tuple(-u for u in f1.box_upper) + (-s_width,) \
-            + f2.box_lower + (0,)
-        upper = tuple(-lo for lo in f1.box_lower) + (0,) \
-            + f2.box_upper + (t_width,)
-        witness = IntVector(tuple(-v for v in f1.require_witness())
-                            + (0,) + f2.require_witness().entries + (0,))
-        return MnatFunction(2 * n + 2, value, lower, upper, witness,
-                            "coupled-h" if not indicator else "coupled-h-feas")
-
-    h = make_h(r2 - k, r1 - k, indicator=False)
-    h_feas = make_h(r2, r1, indicator=True)
+    h = direct_sum((NegatedMnat(f1), interval_indicator(k - r2, 0, 0),
+                    f2, interval_indicator(0, r1 - k, 0)), "coupled-h")
+    h_feas = direct_sum((NegatedMnat(f1), interval_indicator(-r2, 0, 0),
+                         f2, interval_indicator(0, r1, 0)),
+                        "coupled-h-feas", indicator=True)
     arcs = []
     for v in range(n):
         cap = min(f1.box_upper[v], f2.box_upper[v])

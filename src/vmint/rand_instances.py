@@ -48,8 +48,9 @@ def random_matroid_spec(rng: random.Random, n: int, max_rank: int = 4,
     """The `matroids` spec of a random matroid on n elements.
 
     Its rank is at most min(max_rank, n), except that a partition matroid
-    may exceed it.  Partition members are written as `labels[i]`, or as
-    the indices i when `labels` is None.
+    may exceed it.  When that cap is 0, a graphic spec is a graph of
+    self-loops and a linear spec has zero columns.  Partition members are
+    written as `labels[i]`, or as the indices i when `labels` is None.
     """
     kind = rng.choice(list(kinds))
     cap = min(max_rank, n)
@@ -67,6 +68,9 @@ def random_matroid_spec(rng: random.Random, n: int, max_rank: int = 4,
                            "capacity": rng.randint(0, 2)})
         return {"kind": "partition", "blocks": blocks}
     if kind == "graphic":
+        if cap == 0:
+            return {"kind": "graphic", "vertices": 1,
+                    "edges": [[0, 0] for _ in range(n)]}
         vertices = rng.randint(2, min(cap + 1, 5))
         edges = []
         for _ in range(n):
@@ -75,6 +79,8 @@ def random_matroid_spec(rng: random.Random, n: int, max_rank: int = 4,
             edges.append([u, v if v != u else (u + 1) % vertices])
         return {"kind": "graphic", "vertices": vertices, "edges": edges}
     # Linear matroid over the rationals with a short random matrix.
+    if cap == 0:
+        return {"kind": "linear", "columns": [[0] for _ in range(n)]}
     height = rng.randint(1, cap)
     return {"kind": "linear",
             "columns": [[rng.randint(-2, 2) for _ in range(height)]

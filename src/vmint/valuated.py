@@ -228,6 +228,90 @@ class MnatFunction:
         return f"MnatFunction({self.name}, dim={self.dimension})"
 
 
+class NegatedMnat:
+    """The part x -> f(-x) of a direct sum, with the mirrored box.
+
+    It asks f directly, so f's memo and counters are the only ones.
+    """
+
+    def __init__(self, fn: MnatFunction):
+        self.fn = fn
+        self.dimension = fn.dimension
+        self.box_lower = tuple(-hi for hi in fn.box_upper)
+        self.box_upper = tuple(-lo for lo in fn.box_lower)
+        self.witness_point = None if fn.witness_point is None \
+            else -fn.witness_point
+
+    def value(self, x: IntVector) -> ExtValue:
+        return self.fn.value(-x)
+
+
+class _FiniteIndicator:
+    """0 where a part is finite, +infinity elsewhere."""
+
+    def __init__(self, part):
+        self.part = part
+        self.dimension = part.dimension
+        self.box_lower = part.box_lower
+        self.box_upper = part.box_upper
+        self.witness_point = part.witness_point
+
+    def value(self, x: IntVector) -> ExtValue:
+        return ZERO if self.part.value(x).is_finite else INF
+
+
+def interval_indicator(lower: int, upper: int, witness: int) -> MnatFunction:
+    """The 1-dimensional indicator of the integer interval [lower, upper]."""
+    return MnatFunction(1, lambda x: ZERO, (lower,), (upper,),
+                        IntVector((witness,)), "interval")
+
+
+def direct_sum(parts: Sequence, name: str,
+               indicator: bool = False) -> MnatFunction:
+    """The function z -> sum of part_i(z_i) over consecutive blocks z_i.
+
+    A part is an :class:`MnatFunction` or any object with `dimension`,
+    `box_lower`, `box_upper`, `witness_point` and `value(IntVector)`, which
+    is +infinity outside its box.  The box and witness are the parts'
+    joined end to end (no witness if a part has none).  With `indicator`
+    the value is 0 wherever every part is finite.
+
+    The result exposes `blocks`, a tuple of `(offset, part)` pairs that
+    tile the coordinates in order and satisfy, at every point z,
+    value(z) == sum of part.value(z[offset:offset + part.dimension]);
+    with `indicator` each part there is the 0/+infinity indicator of the
+    part passed in.  Exchange arcs of a direct sum are read block by block
+    from this (see :mod:`vmint.mflow`).
+    """
+    if indicator:
+        parts = [_FiniteIndicator(part) for part in parts]
+    blocks = []
+    offset = 0
+    for part in parts:
+        blocks.append((offset, part))
+        offset += part.dimension
+
+    def value(z: IntVector) -> ExtValue:
+        total = ZERO
+        for start, part in blocks:
+            term = part.value(
+                IntVector(z.entries[start:start + part.dimension]))
+            if not term.is_finite:
+                return INF
+            total = total + term
+        return total
+
+    witnesses = [part.witness_point for part in parts]
+    witness = None if any(w is None for w in witnesses) \
+        else IntVector(tuple(v for w in witnesses for v in w.entries))
+    fn = MnatFunction(offset, value,
+                      tuple(v for part in parts for v in part.box_lower),
+                      tuple(v for part in parts for v in part.box_upper),
+                      witness, name)
+    fn.blocks = tuple(blocks)
+    return fn
+
+
 @dataclass(frozen=True)
 class LaminarSpec:
     """A laminar family with one univariate convex table per member.

@@ -21,7 +21,11 @@ from vmint.matroid import (
     make_uniform,
     min_weight_base,
 )
-from vmint.rand_instances import random_matroid
+from vmint.rand_instances import (
+    MATROID_KINDS,
+    random_matroid,
+    random_matroid_spec,
+)
 
 
 @pytest.fixture
@@ -220,6 +224,20 @@ class TestCheckers:
             n = rng.randint(1, 8)
             m = random_matroid(rng, GroundSet(n))
             assert check_independence_axioms(m), m.name
+
+    @pytest.mark.parametrize("kind", MATROID_KINDS)
+    def test_rank_cap_zero_gives_rank_zero(self, kind):
+        for seed in range(5):
+            for n in (1, 3):
+                m = random_matroid(random.Random(seed), GroundSet(n),
+                                   max_rank=0, kinds=(kind,))
+                assert m.rank == 0 and m.ground.size == n
+                assert check_independence_axioms(m), m.name
+            # No GroundSet has 0 elements, but the spec of one is drawn.
+            spec = random_matroid_spec(random.Random(seed), 0, kinds=(kind,))
+            assert spec["kind"] == kind
+            assert not spec.get("blocks", spec.get("edges",
+                                                   spec.get("columns")))
 
     def test_bases_equicardinal_at_rank(self):
         rng = random.Random(11)

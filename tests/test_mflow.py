@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vmint.core import (
+    INF,
     ExtValue,
     GroundSet,
     IntVector,
@@ -19,6 +20,7 @@ from vmint.mflow import (
     FlowArc,
     FlowNetwork,
     _AuxArc,
+    _cancel_negative_cycles,
     _exchange_arcs,
     _find_negative_cycles,
     _has_negative_cycle,
@@ -425,6 +427,7 @@ class TestExchangePruning:
 
     def test_coupled_instance_start_points(self):
         rng = random.Random(3131)
+        block_calls = generic_calls = 0
         for _ in range(10):
             f1, f2 = random_mconvex_pair(rng, rng.randint(1, 3))
             k = rng.randint(0, min(f1.rank_total(), f2.rank_total()))
@@ -440,3 +443,165 @@ class TestExchangePruning:
                 assert pruned == full
                 # The s coordinate starts at its box upper bound 0.
                 assert pruned_calls < full_calls
+                base = h.value(point).finite
+                block_calls += _part_calls(inst, h, point, base)
+                generic_calls += _part_calls(inst, _without_blocks(h), point,
+                                             base)
+        # The block scan asks f1 and f2 less often than the generic scan of
+        # the same functions without blocks.  Not at every point: the block
+        # scan's unit-move lookups can outnumber the few in-box pairs at a
+        # point of dimension 1.
+        assert block_calls < generic_calls
+
+
+# ---------------------------------------------------------------------------
+# The direct-sum h against the coupled h it replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_coupled_h(f1, f2, k):
+    """h and h_feasibility as `build_mgeqk_instance` built them before the
+    direct sum; `make_h` is kept verbatim."""
+    n = f1.dimension
+    r1 = f1.rank_total()
+    r2 = f2.rank_total()
+
+    def make_h(s_width: int, t_width: int, indicator: bool) -> MnatFunction:
+        def value(z: IntVector) -> ExtValue:
+            x1 = IntVector(tuple(-z[v] for v in range(n)))
+            x2 = IntVector(tuple(z[n + 1 + v] for v in range(n)))
+            surplus2 = -z[n]
+            surplus1 = z[2 * n + 1]
+            if not (0 <= surplus2 <= s_width and 0 <= surplus1 <= t_width):
+                return INF
+            v1 = f1.value(x1)
+            if not v1.is_finite:
+                return INF
+            v2 = f2.value(x2)
+            if not v2.is_finite:
+                return INF
+            if indicator:
+                return ExtValue(0)
+            return v1 + v2
+
+        lower = tuple(-u for u in f1.box_upper) + (-s_width,) \
+            + f2.box_lower + (0,)
+        upper = tuple(-lo for lo in f1.box_lower) + (0,) \
+            + f2.box_upper + (t_width,)
+        witness = IntVector(tuple(-v for v in f1.require_witness())
+                            + (0,) + f2.require_witness().entries + (0,))
+        return MnatFunction(2 * n + 2, value, lower, upper, witness,
+                            "coupled-h" if not indicator else "coupled-h-feas")
+
+    return make_h(r2 - k, r1 - k, indicator=False), \
+        make_h(r2, r1, indicator=True)
+
+
+def _without_blocks(h):
+    """The same value function as an opaque MnatFunction with a fresh memo."""
+    return MnatFunction(h.dimension, h._value_fn, h.box_lower, h.box_upper,
+                        h.witness_point, h.name)
+
+
+def _part_calls(inst, h, point, base):
+    """How often one exchange scan asks f1 and f2."""
+    before = inst.f1.calls + inst.f2.calls
+    _exchange_arcs(h, point, base)
+    return inst.f1.calls + inst.f2.calls - before
+
+
+def _memoized_parts(h):
+    """The memoizing functions under the blocks of a direct sum."""
+    parts = []
+    for _offset, part in h.blocks:
+        part = getattr(part, "part", part)   # under an indicator
+        parts.append(getattr(part, "fn", part))   # under a negation
+    return parts
+
+
+class TestDirectSumH:
+    def test_values_match_the_coupled_h_on_the_whole_box(self):
+        rng = random.Random(2718)
+        for dimension in (1, 1, 2, 2, 3, 3):
+            f1, f2 = random_mconvex_pair(rng, dimension, max_entry=2)
+            k = rng.randint(0, min(f1.rank_total(), f2.rank_total()))
+            inst = build_mgeqk_instance(f1, f2, k, [0] * f1.dimension)
+            for new, old in zip((inst.h, inst.h_feasibility),
+                                _oracle_coupled_h(f1, f2, k)):
+                assert (new.dimension, new.box_lower, new.box_upper,
+                        new.witness_point, new.name) == \
+                    (old.dimension, old.box_lower, old.box_upper,
+                     old.witness_point, old.name)
+                finite = 0
+                for point in old.iter_box():
+                    assert new.value(point) == old.value(point), point
+                    finite += old.value(point).is_finite
+                assert 0 < finite < old.box_volume()
+
+    def test_blocks_tile_the_coordinates(self):
+        f1, f2 = random_mconvex_pair(random.Random(4), 3, max_entry=2)
+        inst = build_mgeqk_instance(f1, f2, 1, [0, 0, 0])
+        for h in (inst.h, inst.h_feasibility):
+            assert [(off, part.dimension) for off, part in h.blocks] == \
+                [(0, 3), (3, 1), (4, 3), (7, 1)]
+            assert _memoized_parts(h)[0] is f1
+            assert _memoized_parts(h)[2] is f2
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dimension=st.integers(1, 4),
+           data=st.data())
+    def test_block_scan_equals_the_generic_scan(self, seed, dimension, data):
+        rng = random.Random(seed)
+        f1, f2 = random_mconvex_pair(rng, dimension)
+        k = data.draw(st.integers(0, min(f1.rank_total(), f2.rank_total())))
+        w = [-abs(random_rational(rng, 0, 5)) for _ in range(dimension)]
+        inst = build_mgeqk_instance(f1, f2, k, w)
+        n = inst.n
+        # Points the cycle canceling reaches, in both phases.
+        points = []
+
+        def record(stop):
+            def visit(flow):
+                points.append(boundary(flow, inst.network))
+                return stop(flow)
+            return visit
+
+        def mass(flow):
+            return sum(flow[inst.identity_arc(v)] for v in range(n))
+
+        flow = solution_to_flow(f1.require_witness(), f2.require_witness(),
+                                inst)
+        feas_net = FlowNetwork(inst.network.num_nodes, tuple(
+            FlowArc(arc.tail, arc.head, arc.lower, arc.upper,
+                    Fraction(-1) if i < n else Fraction(0))
+            for i, arc in enumerate(inst.network.arcs)))
+        flow, _ = _cancel_negative_cycles(
+            inst.h_feasibility, feas_net, flow,
+            stop=record(lambda fl: mass(fl) >= k))
+        if mass(flow) >= k:
+            _cancel_negative_cycles(inst.h, inst.network, flow,
+                                    stop=record(lambda fl: False))
+        # Box-edge points: domain points of f1 and f2, s and t at the ends
+        # of their intervals.
+        for _ in range(3):
+            x1 = data.draw(st.sampled_from(f1.enumerate_domain()))
+            x2 = data.draw(st.sampled_from(f2.enumerate_domain()))
+            for h in (inst.h, inst.h_feasibility):
+                s = data.draw(st.sampled_from((h.box_lower[n], 0)))
+                t = data.draw(st.sampled_from((0, h.box_upper[2 * n + 1])))
+                points.append(IntVector((-x1).entries + (s,) + x2.entries
+                                        + (t,)))
+        compared = 0
+        for point in points:
+            for h in (inst.h, inst.h_feasibility):
+                value = h.value(point)
+                if not value.is_finite:
+                    continue
+                expected = _unpruned_exchange_arcs(_without_blocks(h), point,
+                                                   value.finite)
+                assert _exchange_arcs(h, point, value.finite) == expected
+                compared += 1
+        assert compared > 0
+        # The block scan asks no part outside its box.
+        for h in (inst.h, inst.h_feasibility):
+            for part in _memoized_parts(h):
+                assert all(part.in_box(IntVector(key)) for key in part._memo)

@@ -1,6 +1,7 @@
 """Command-line entry point: parse instances, dispatch solvers, emit reports.
 
-Exit codes: 0 optimal, 2 infeasible, 3 invalid input, 4 resource limit.
+Exit codes: 0 optimal, 2 infeasible, 3 invalid input (a malformed
+command line included), 4 resource limit.
 The machine-readable report goes to stdout (or --out) with a fixed field
 order, so identical inputs produce byte-identical reports; the human
 summary, including wall time, goes to stderr.
@@ -9,6 +10,7 @@ summary, including wall time, goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -258,9 +260,15 @@ PROBLEMS = {
 # The types whose reports carry a witness that `_certify` checks.
 CERTIFIED = ("v_geq_k", "v_eq_k", "v_leq_k")
 
+# The types whose problem has a k, which `--k` overrides.
+TAKES_K = ("v_geq_k", "v_eq_k", "v_leq_k", "m_geq_k_w", "w_eq_k_lpt",
+           "recoverable_robust")
+
 
 def _solve(instance: Instance, args) -> tuple[dict, int]:
     ptype = instance.problem["type"]
+    if args.k is not None and ptype not in TAKES_K:
+        raise InvalidInputError(f"--k: problem type {ptype!r} takes no k")
     status, value, fields, brute = PROBLEMS[ptype](instance, args.k)
     report = {"problem": ptype, "status": status,
               "value": str(value) if status == "optimal" else None,
@@ -401,8 +409,17 @@ def _cmd_generate(args) -> int:
     return EXIT_OPTIMAL
 
 
+class _UsageError(Exception):
+    """A command line that argparse rejects; main maps it to exit 3."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vmint",
         description="Exact solvers for valuated matroid and M-convex "
                     "optimization under intersection constraints.")
@@ -442,9 +459,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INVALID
     try:
         return args.func(args)
     except ParseError as exc:

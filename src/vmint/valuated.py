@@ -21,6 +21,15 @@ one circuit table per base (X - u + v is a base exactly when u lies on the
 circuit C(X, v)) and the integer sum w(X) - w_u + w_v, with no
 independence test; the dual of any oracle passes its queries on as
 exchanges of the complement.
+
+The four oracles of the copy reductions answer exchanges block by block.
+A disjoint sum sends a pair inside one copy to that component's own
+`exchange_value` and asks every other copy for the part X - u + v has
+there, so each component's calls, evals and memo move exactly as under
+`value`.  The intersection constraint, the laminar penalty and the
+lifted laminar function depend only on how many copies pick each
+element; they keep those counts for the last base, and an exchange moves
+at most two of them.
 """
 
 from __future__ import annotations
@@ -499,11 +508,19 @@ class TupleGround:
             mask &= part.mask
         return Subset(self.base, mask)
 
-    def copy_counts(self, subset: Subset) -> IntVector:
-        """How many copies contain each base element."""
-        parts = self.to_parts(subset)
-        return IntVector(tuple(sum(1 for p in parts if p.mask >> v & 1)
-                               for v in self.base.elements()))
+    def counts_of_mask(self, mask: int) -> list[int]:
+        """How many copies of a combined mask contain each base element."""
+        size = self.base.size
+        window = (1 << size) - 1
+        counts = [0] * size
+        while mask:
+            part = mask & window
+            while part:
+                low = part & -part
+                counts[low.bit_length() - 1] += 1
+                part ^= low
+            mask >>= size
+        return counts
 
 
 def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, TupleGround]:
@@ -511,6 +528,12 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
 
     value(X_1, ..., X_n) = sum_i omega_i(X_i); the rank is the sum of the
     component ranks and the witness concatenates the component witnesses.
+
+    An exchange X - u + v asks the components what `value` asks them, in
+    the same order and up to the same first +infinity: the copy holding
+    both u and v gets `exchange_value` of its part (so its circuit table
+    answers), and every other copy `value` of the part X - u + v has
+    there, off-rank parts of a cross-copy pair included.
     """
     if not omegas:
         raise InvalidInputError("need at least one valuation")
@@ -529,11 +552,109 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
             total = total + term
         return total
 
+    size = base.size
+    window = (1 << size) - 1
+    last: list = [None, ()]             # tuple mask, its parts
+
+    def exchange(subset: Subset, u: int, v: int) -> ExtValue:
+        if last[0] != subset.mask:
+            last[:] = [subset.mask,
+                       tuple(Subset(base, subset.mask >> (i * size) & window)
+                             for i in range(tg.n))]
+        parts = last[1]
+        copy_u, a = divmod(u, size)
+        copy_v, b = divmod(v, size)
+        total = None
+        for i, om in enumerate(omegas):
+            if i == copy_u == copy_v:
+                term = om.exchange_value(parts[i], a, b)
+            elif i == copy_u:
+                term = om.value(Subset(base, parts[i].mask & ~(1 << a)))
+            elif i == copy_v:
+                term = om.value(Subset(base, parts[i].mask | 1 << b))
+            else:
+                term = om.value(parts[i])
+            if not term.is_finite:
+                return INF
+            total = term if total is None else total + term
+        return total
+
     witness = None
     if all(om.witness_base is not None for om in omegas):
         witness = tg.to_subset([om.witness_base for om in omegas])
     rank = sum(om.rank for om in omegas)
-    return (ValuationOracle(tg.combined, rank, value, witness, "disjoint-sum"), tg)
+    return (ValuationOracle(tg.combined, rank, value, witness, "disjoint-sum",
+                            exchange), tg)
+
+
+def _count_exchange(tg: TupleGround, state_of: Callable[[list[int]], object],
+                    step: Callable[[object, list[int], int, int], ExtValue],
+                    ) -> Callable[[Subset, int, int], ExtValue]:
+    """An `exchange_fn` for a valuation of the copy counts of a tuple.
+
+    X - u + v moves one pick from element a = u mod |V| to b = v mod |V|
+    (no count changes when a = b).  The counts of the last base asked
+    about, and `state_of(counts)`, are computed once per base;
+    `step(state, counts, a, b)` is the value after the move.
+    """
+    size = tg.base.size
+    last: list = [None, None, None]     # tuple mask, its counts, its state
+
+    def exchange(subset: Subset, u: int, v: int) -> ExtValue:
+        if last[0] != subset.mask:
+            counts = tg.counts_of_mask(subset.mask)
+            last[:] = [subset.mask, counts, state_of(counts)]
+        return step(last[2], last[1], u % size, v % size)
+
+    return exchange
+
+
+def lifted_laminar_exchange(tg: TupleGround, members: Sequence[Subset],
+                            tables: Sequence[ConvexTable],
+                            ) -> Callable[[Subset, int, int], ExtValue]:
+    """The `exchange_fn` of sum over members M of g_M(copy count of M).
+
+    The tables are scaled to integers by one common denominator D.  Per
+    base it keeps each member's count, the scaled sum of the finite terms
+    and the number of infinite ones; a move from a to b changes only the
+    members holding exactly one of a and b.
+    """
+    scaled, scale = _scaled_weights([g for t in tables for g in t.values])
+    offsets = list(itertools.accumulate((len(t.values) for t in tables),
+                                        initial=0))
+    bounds = [(offsets[m] - t.start, t.start, t.end)
+              for m, t in enumerate(tables)]
+    elements = [m.members() for m in members]
+    holding = [sum(1 << m for m, member in enumerate(members)
+                   if member.mask >> e & 1) for e in tg.base.elements()]
+
+    def shift(acc: int, infinite: int, m: int, count: int, sign: int):
+        first, start, end = bounds[m]
+        if start <= count <= end:
+            return acc + sign * scaled[first + count], infinite
+        return acc, infinite + sign
+
+    def state_of(counts: list[int]):
+        member_counts = [sum(counts[e] for e in els) for els in elements]
+        acc, infinite = 0, 0
+        for m, count in enumerate(member_counts):
+            acc, infinite = shift(acc, infinite, m, count, 1)
+        return member_counts, acc, infinite
+
+    def step(state, counts: list[int], a: int, b: int) -> ExtValue:
+        member_counts, acc, infinite = state
+        moved = holding[a] ^ holding[b]
+        while moved:
+            low = moved & -moved
+            m = low.bit_length() - 1
+            moved ^= low
+            old = member_counts[m]
+            acc, infinite = shift(acc, infinite, m, old, -1)
+            acc, infinite = shift(acc, infinite, m,
+                                  old + 1 if holding[b] & low else old - 1, 1)
+        return INF if infinite else ExtValue(Fraction(acc, scale))
+
+    return _count_exchange(tg, state_of, step)
 
 
 def intersection_constraint_valuation(n: int, constraint: MatroidOracle,
@@ -545,6 +666,10 @@ def intersection_constraint_valuation(n: int, constraint: MatroidOracle,
     The witness is found by a greedy fill; matroid augmentation guarantees
     the greedy reaches r whenever any tuple of total size r exists, so an
     unfinished fill means the domain is empty (witness None).
+
+    An exchange moves at most one element out of and one into the common
+    intersection (those with all n copies picked); the verdict of each
+    distinct intersection is asked of `constraint` once.
     """
     base = constraint.ground
     if not 0 <= r <= n * base.size:
@@ -557,9 +682,27 @@ def intersection_constraint_valuation(n: int, constraint: MatroidOracle,
             return ZERO
         return INF
 
+    verdicts: dict[int, ExtValue] = {}
+
+    def common(counts: list[int]) -> int:
+        return sum(1 << e for e, count in enumerate(counts) if count == n)
+
+    def step(inter: int, counts: list[int], a: int, b: int) -> ExtValue:
+        if a != b:
+            inter &= ~(1 << a)
+            if counts[b] == n - 1:
+                inter |= 1 << b
+        verdict = verdicts.get(inter)
+        if verdict is None:
+            verdict = (ZERO if constraint.is_independent(Subset(base, inter))
+                       else INF)
+            verdicts[inter] = verdict
+        return verdict
+
     witness: Optional[Subset] = _greedy_tuple_fill(tg, constraint, r)
     return (ValuationOracle(tg.combined, r, value, witness,
-                            "intersection-constraint"), tg)
+                            "intersection-constraint",
+                            _count_exchange(tg, common, step)), tg)
 
 
 def _greedy_tuple_fill(tg: TupleGround, constraint: MatroidOracle,
@@ -597,7 +740,9 @@ def laminar_penalty(weights: Sequence[Fraction], n: int, r: int,
     sum over v of g_v(count of copies containing v), where g_v is w(v) at
     count n and 0 below; off the hyperplane the value is +infinity.
     Nonnegative w makes each g_v convex, which is what turns this into a
-    valuated matroid; negative entries are rejected.
+    valuated matroid; negative entries are rejected.  Exchanges are
+    answered as those of the lifted laminar function of the singletons
+    with the tables g_v.
     """
     ws = tuple(Fraction(w) for w in weights)
     if len(ws) != ground.size:
@@ -612,8 +757,12 @@ def laminar_penalty(weights: Sequence[Fraction], n: int, r: int,
     def value(subset: Subset) -> ExtValue:
         return ExtValue(weight_of(tg.common_intersection(subset)))
 
+    exchange = lifted_laminar_exchange(
+        tg, [ground.subset([v]) for v in ground.elements()],
+        [ConvexTable(0, (Fraction(0),) * n + (w,)) for w in ws])
     witness = Subset(tg.combined, (1 << r) - 1)
-    return (ValuationOracle(tg.combined, r, value, witness, "laminar-penalty"), tg)
+    return (ValuationOracle(tg.combined, r, value, witness, "laminar-penalty",
+                            exchange), tg)
 
 
 def laminar_convex_function(spec: LaminarSpec,

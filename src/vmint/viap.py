@@ -18,17 +18,18 @@ means a precondition was violated and is reported as an internal error.
 The shortest-path search scales them by the lcm of their denominators and
 runs on integers, which keeps every comparison and tie.
 
-Checking: `build_aux_digraph` is the one place that rejects a negative
-reduced cost.  An exchange arc's length is exactly the local exchange
-inequality of the certificate for its (u, v) pair, so an aux build that
-raises no error proves that X1 and X2 minimize the shifted valuations.
-After every step the structural invariants (intersection grown by one,
-matched set equal to the intersection, potential conditions) are
-checked; the aux build of a level and those checks together check that
-level's full certificate.  Every level but the last gets an aux build;
-the last is certified by `verify_witness`, which runs one more aux build,
-once at the end of the ladder, unless the run stopped because the sink
-was unreachable, whose aux build already checked it.
+Checking: `_exchange_lengths`, the exchange-arc loop of
+`build_aux_digraph`, is the one place that rejects a negative reduced
+cost.  An exchange arc's length is exactly the local exchange inequality
+of the certificate for its (u, v) pair, so an aux build that raises no
+error proves that X1 and X2 minimize the shifted valuations.  After every
+step the structural invariants (intersection grown by one, matched set
+equal to the intersection, potential conditions) are checked; the aux
+build of a level and those checks together check that level's full
+certificate.  Every level but the last gets an aux build; the last is
+certified by `verify_witness`, which runs the same loop once more, at the
+end of the ladder and without building arcs, unless the run stopped
+because the sink was unreachable, whose aux build already checked it.
 """
 
 from __future__ import annotations
@@ -156,6 +157,49 @@ class ViapState:
         return self.omega1.value(self.x1) + self.omega2.value(self.x2)
 
 
+def _exchange_lengths(x1: Subset, x2: Subset,
+                      p1: Sequence[Fraction], p2: Sequence[Fraction],
+                      omega1: ValuationOracle, omega2: ValuationOracle):
+    """The exchange arcs of the auxiliary digraph, as (kind, u, v, length).
+
+    A1 arcs come first, by u in X1 then v outside X1, and then A2 arcs, by
+    v outside X2 then u in X2; each length is the reduced-cost change of
+    its single exchange.  This loop is the one place that rejects a
+    negative reduced cost: it raises as soon as it meets one, and when
+    the current sets leave the effective domains.
+    """
+    base1 = omega1.value(x1)
+    base2 = omega2.value(x2)
+    if not (base1.is_finite and base2.is_finite):
+        raise InternalInvariantError("current sets left the effective domains")
+    ground = omega1.ground
+    for u in x1.members():
+        for v in ground.elements():
+            if x1.contains(v):
+                continue
+            moved = omega1.exchange_value(x1, u, v)
+            if moved.is_finite:
+                length = (moved.finite - base1.finite) - p1[v] + p1[u]
+                _check_length(length, ARC_EXCHANGE_1)
+                yield ARC_EXCHANGE_1, u, v, length
+    for v in ground.elements():
+        if x2.contains(v):
+            continue
+        for u in x2.members():
+            moved = omega2.exchange_value(x2, u, v)
+            if moved.is_finite:
+                length = (moved.finite - base2.finite) + p2[v] - p2[u]
+                _check_length(length, ARC_EXCHANGE_2)
+                yield ARC_EXCHANGE_2, u, v, length
+
+
+def _check_length(length: Fraction, kind: str) -> None:
+    if length < 0:
+        raise InternalInvariantError(
+            f"negative arc length {length} on {kind} arc; "
+            "current sets are not minimizers of the shifted valuations")
+
+
 def build_aux_digraph(x1: Subset, x2: Subset,
                       p1: Sequence[Fraction], p2: Sequence[Fraction],
                       matched: Subset,
@@ -165,20 +209,16 @@ def build_aux_digraph(x1: Subset, x2: Subset,
 
     Arc classes: one edge arc per element (copy 1 to copy 2), one reverse
     arc per matched element, exchange arcs within each copy carrying the
-    reduced-cost change of the corresponding single exchange, source arcs
+    reduced-cost change of the corresponding single exchange (from
+    :func:`_exchange_lengths`, which rejects a negative one), source arcs
     into X1 \\ X2 and sink arcs out of X2 \\ X1.  Exchange arc lengths are
-    nonnegative exactly when X1 and X2 minimize the shifted valuations, so
-    a negative length is reported as an internal error.
+    nonnegative exactly when X1 and X2 minimize the shifted valuations.
     """
     ground = omega1.ground
     n = ground.size
     graph = AuxDigraph(n, [[] for _ in range(2 * n + 2)])
 
     def add(arc: AuxArc) -> None:
-        if arc.length < 0:
-            raise InternalInvariantError(
-                f"negative arc length {arc.length} on {arc.kind} arc; "
-                "current sets are not minimizers of the shifted valuations")
         graph.adjacency[arc.tail].append(arc)
 
     zero = Fraction(0)
@@ -192,29 +232,13 @@ def build_aux_digraph(x1: Subset, x2: Subset,
     for v in matched.members():
         add(AuxArc(graph.node_v2(v), graph.node_v1(v), zero, ARC_MATCHED,
                    element_in=v))
-
-    base1 = omega1.value(x1)
-    base2 = omega2.value(x2)
-    if not (base1.is_finite and base2.is_finite):
-        raise InternalInvariantError("current sets left the effective domains")
-    for u in x1.members():
-        for v in ground.elements():
-            if x1.contains(v):
-                continue
-            moved = omega1.exchange_value(x1, u, v)
-            if moved.is_finite:
-                length = (moved.finite - base1.finite) - p1[v] + p1[u]
-                add(AuxArc(graph.node_v1(u), graph.node_v1(v), length,
-                           ARC_EXCHANGE_1, element_out=u, element_in=v))
-    for v in ground.elements():
-        if x2.contains(v):
-            continue
-        for u in x2.members():
-            moved = omega2.exchange_value(x2, u, v)
-            if moved.is_finite:
-                length = (moved.finite - base2.finite) + p2[v] - p2[u]
-                add(AuxArc(graph.node_v2(v), graph.node_v2(u), length,
-                           ARC_EXCHANGE_2, element_out=u, element_in=v))
+    for kind, u, v, length in _exchange_lengths(x1, x2, p1, p2,
+                                                omega1, omega2):
+        if kind == ARC_EXCHANGE_1:
+            tail, head = graph.node_v1(u), graph.node_v1(v)
+        else:
+            tail, head = graph.node_v2(v), graph.node_v2(u)
+        add(AuxArc(tail, head, length, kind, element_out=u, element_in=v))
     for v in ground.elements():
         if x2.contains(v) and not x1.contains(v):
             add(AuxArc(graph.node_v2(v), graph.sink, zero, ARC_SINK,
@@ -370,7 +394,8 @@ def verify_witness(x1: Subset, x2: Subset, witness: Witness, k: int,
     that X1 and X2 minimize the shifted valuations omega_1 - p1 and
     omega_2 + p2.  Minimality is checked by the local exchange criterion,
     which is equivalent to global minimality for valuated matroids: the
-    aux build rejects exactly a negative exchange.  `exhaustive` checks
+    exchange-arc scan of the aux build, run without building arcs,
+    rejects exactly a negative exchange.  `exhaustive` checks
     it against every set of each domain instead.
     """
     p1, p2, matched = witness.p1, witness.p2, witness.matched
@@ -384,7 +409,8 @@ def verify_witness(x1: Subset, x2: Subset, witness: Witness, k: int,
         return (_is_shifted_minimizer_exhaustive(omega1, x1, p1, -1)
                 and _is_shifted_minimizer_exhaustive(omega2, x2, p2, +1))
     try:
-        build_aux_digraph(x1, x2, p1, p2, matched, omega1, omega2)
+        for _ in _exchange_lengths(x1, x2, p1, p2, omega1, omega2):
+            pass
     except InternalInvariantError:
         return False
     return True

@@ -32,6 +32,7 @@ from .valuated import (
     intersection_constraint_valuation,
     laminar_convex_function,
     laminar_penalty,
+    lifted_laminar_exchange,
 )
 from .viap import IntersectionSolution, solve_v_geq_k
 
@@ -191,7 +192,8 @@ def lift_laminar_to_copies(spec: LaminarSpec, tg: TupleGround,
     Each laminar member X lifts to the set of all copies of its elements;
     the member sums then count, per member, how many copies picked its
     elements.  The hyperplane restriction of the lifted function is a
-    valuated matroid on the copies.
+    valuated matroid on the copies.  Exchanges are answered from the copy
+    counts of the last base (:func:`valuated.lifted_laminar_exchange`).
     """
     member_data = tuple((member.mask, table)
                         for member, table in zip(spec.members, spec.tables))
@@ -216,7 +218,9 @@ def lift_laminar_to_copies(spec: LaminarSpec, tg: TupleGround,
             break
     if witness is None:
         raise EmptyDomainError("lifted laminar valuation has an empty domain")
-    return ValuationOracle(tg.combined, rank, value, witness, "laminar-lift")
+    return ValuationOracle(tg.combined, rank, value, witness, "laminar-lift",
+                           lifted_laminar_exchange(tg, spec.members,
+                                                   spec.tables))
 
 
 def solve_sum_valuated_plus_laminar(omegas: Sequence[ValuationOracle],

@@ -170,6 +170,80 @@ def test_generate_output_is_pinned(capsys):
         assert digest.hexdigest() == expected, ptype
 
 
+# sha256 over "<exit code>\n<report>" of `vmint solve` on the documents of
+# `vmint generate` for seeds 0-29, per type.  The reports carry the
+# oracle_calls counters, so a change to how often an oracle is asked
+# shows here as well as a change to an optimum.
+SOLVE_DIGESTS = {
+    "v_geq_k":
+        "fcda4bf14eca020639ebf97fd622e696ef430c7daa101437b074e748fa21a550",
+    "v_eq_k":
+        "c39c22c7f41546d8c5e3fb27806ec5ae69d0ad0b6c21db96c83abcdfa782b2f3",
+    "v_leq_k":
+        "8825b71b6c22c0ee1a93ebf281fdb9b89befa5d3aeeafa73e2190e9406420062",
+    "v_in":
+        "641504e1fb55788dd160f9971e249ff9cdd6168dc145f8dab580cf3d910e8d46",
+    "v_n_w":
+        "d9014ce4386b96b1a74bd576e7a98328b8e19b261e0475abbd70171ed0902dfa",
+    "m_geq_k_w":
+        "2e74d8ff04c54295bb0d67bdb9e4613abd4a89909f42e8f2949068ca8787a6c9",
+    "w_eq_k_lpt":
+        "c07b7c4e3d42e8fbb4b6ab4ad94e56ecdb6fe9ff5fedb1ad6ce21d885915bf7d",
+    "v_c":
+        "6a69d19cd810640a73e93036ef39da4fd450869df9fa9d9591204a4ec9e00b18",
+    "copic":
+        "53a001c938e6e2631f406a3db00db8d3b35a6bf9d2a26adcda00ea8d7d340d2a",
+    "recoverable_robust":
+        "04748ed91c728f2b0b8dfca3db7e5db01442adb90b68686dc89c3653c3d33af3",
+    "congestion":
+        "b4bf9d2ed5ce3f7a65022b0f93b9c6772abe0f0c05b48a375d870f547dba61ac",
+}
+
+
+def test_solve_reports_are_pinned(tmp_path, capsys):
+    assert set(SOLVE_DIGESTS) == set(PROBLEM_TYPES)
+    for ptype, expected in SOLVE_DIGESTS.items():
+        digest = hashlib.sha256()
+        for seed in range(30):
+            path = tmp_path / f"{ptype}-{seed}.yaml"
+            assert main(["generate", "--problem", ptype, "--seed", str(seed),
+                         "--out", str(path)]) == 0
+            code = main(["solve", "-i", str(path)])
+            digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+        assert digest.hexdigest() == expected, ptype
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["solve"], ["solve", "-i", "x.yaml", "--k", "abc"], ["bogus"],
+    ["verify", "-i", "x.yaml"], ["generate"],
+])
+def test_usage_errors_are_invalid_input(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "usage: vmint" in err and "error:" in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--instance" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ptype", ["v_in", "v_n_w", "copic", "v_c",
+                                   "congestion"])
+def test_k_is_rejected_where_there_is_no_k(ptype, tmp_path, capsys):
+    path = tmp_path / f"{ptype}.yaml"
+    assert main(["generate", "--problem", ptype, "--seed", "0",
+                 "--out", str(path)]) == 0
+    assert main(["solve", "-i", str(path)]) in (0, 2)
+    capsys.readouterr()
+    assert main(["solve", "-i", str(path), "--k", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ptype in captured.err and "--k" in captured.err
+
+
 def test_stock_instances(capsys):
     import pathlib
 

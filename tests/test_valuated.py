@@ -18,7 +18,12 @@ from vmint.core import (
 )
 from vmint.apps import modular_on_domain
 from vmint.matroid import make_free, make_graphic, make_partition, make_uniform
-from vmint.rand_instances import MATROID_KINDS, random_matroid, random_weights
+from vmint.rand_instances import (
+    MATROID_KINDS,
+    random_convex_table,
+    random_matroid,
+    random_weights,
+)
 from vmint.valuated import (
     ConvexTable,
     LaminarSpec,
@@ -38,6 +43,7 @@ from vmint.valuated import (
     size_constrained_modular,
     valuation_from_explicit,
 )
+from vmint.vmi import lift_laminar_to_copies
 
 
 @pytest.fixture
@@ -198,6 +204,132 @@ class TestExchangeValue:
             dot(ws, not_a_base.exchange(0, 3)))
         with pytest.raises(InvalidInputError):
             omega.exchange_value(GroundSet(7).subset([0, 1, 3]), 0, 4)
+
+
+class TestCopyReductionExchange:
+    """The four oracles of the copy reductions answer `exchange_value`
+    exactly like a twin built from the same value function with no
+    `exchange_fn`: the same values, and the same `calls`, `evals` and
+    memo, on the reduction oracle and on every component of a sum."""
+
+    @staticmethod
+    def _component(rng, ground, kind):
+        weights = random_weights(rng, ground.size)
+        if kind == "explicit":
+            r = rng.randint(0, ground.size)
+            table = {x.mask: weights[x.mask % ground.size]
+                     for x in ground.subsets_of_size(r) if rng.random() < 0.6}
+            table.setdefault((1 << r) - 1, Fraction(0))
+            return lambda: valuation_from_explicit(ground, r, table)
+        dual = kind == "dual"
+        matroid = random_matroid(rng, ground,
+                                 kinds=MATROID_KINDS if dual else (kind,))
+
+        def build():
+            omega = from_matroid_and_weights(matroid, weights)
+            return dual_valuation(omega) if dual else omega
+        return build
+
+    @staticmethod
+    def _laminar(rng, ground, copies):
+        """A chain of nested members plus some singletons; the tables'
+        intervals may miss some counts, so +infinity terms occur."""
+        order = list(ground.elements())
+        rng.shuffle(order)
+        cut = rng.randint(0, ground.size)
+        members = [ground.subset(order[:j]) for j in range(1, cut + 1)
+                   if rng.random() < 0.6]
+        members += [ground.subset([v]) for v in order[cut:]
+                    if rng.random() < 0.6]
+        tables = []
+        for member in members:
+            top = member.cardinality() * copies
+            start = rng.randint(0, top)
+            tables.append(random_convex_table(
+                rng, start, rng.randint(1, top - start + 1)))
+        return LaminarSpec(ground, tuple(members), tuple(tables))
+
+    @staticmethod
+    def _queries(rng, tg, rank, base):
+        """Proper exchanges of a base and of rank-sized sets, within and
+        across copies, then queries with u outside X.  Half of the sets
+        start from one subset picked in every copy, so that exchanges
+        move elements into and out of the common intersection."""
+        ground = tg.combined
+        sets = [base]
+        for i in range(6):
+            if i % 2:
+                common = rng.sample(range(tg.base.size),
+                                    rng.randint(0, tg.base.size))
+                shared = [c * tg.base.size + e for c in range(tg.n)
+                          for e in common]
+                rest = [e for e in range(ground.size) if e not in shared]
+                rng.shuffle(shared)
+                rng.shuffle(rest)
+                picked = (shared + rest)[:rank]
+            else:
+                picked = rng.sample(range(ground.size), rank)
+            sets.append(ground.subset(picked))
+        queries = [(x, u, v) for x in sets for u in x.members()
+                   for v in ground.elements() if not x.contains(v)]
+        queries += [(x, rng.randrange(ground.size), rng.randrange(ground.size))
+                    for x in sets for _ in range(10)]
+        return queries
+
+    @staticmethod
+    def _same_answers(make, queries):
+        ours, twin = make(), make()
+        twin[0]._exchange_fn = None
+        for x, u, v in queries:
+            assert ours[0].exchange_value(x, u, v) == twin[0].value(
+                x.exchange(u, v)), (x.mask, u, v)
+            for a, b in zip(ours, twin):
+                assert (a.calls, a.evals) == (b.calls, b.evals), (
+                    a.name, x.mask, u, v)
+        for a, b in zip(ours, twin):
+            assert a._memo == b._memo, a.name
+
+    @pytest.mark.parametrize("kind",
+                             ["sum", "constraint", "penalty", "lifted"])
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 5), st.integers(1, 3))
+    def test_twin_answers_alike(self, kind, seed, size, copies):
+        rng = random.Random(seed)
+        ground = GroundSet(size)
+        tg = TupleGround(ground, copies)
+        rank = rng.randint(0, copies * size)
+        if kind == "sum":
+            makers = [self._component(rng, ground, rng.choice(
+                MATROID_KINDS + ("explicit", "dual"))) for _ in range(copies)]
+
+            def make():
+                parts = [build() for build in makers]
+                return [disjoint_sum(parts)[0]] + parts
+        elif kind == "constraint":
+            constraint = random_matroid(rng, ground, rng.randint(0, 3))
+
+            def make():
+                return [intersection_constraint_valuation(
+                    copies, constraint, rank)[0]]
+            if make()[0].witness_base is None:
+                return
+        elif kind == "penalty":
+            weights = [abs(w) for w in random_weights(rng, size)]
+
+            def make():
+                return [laminar_penalty(weights, copies, rank, ground)[0]]
+        else:
+            spec = self._laminar(rng, ground, copies)
+            try:
+                lift_laminar_to_copies(spec, tg, rank)
+            except EmptyDomainError:
+                return
+
+            def make():
+                return [lift_laminar_to_copies(spec, tg, rank)]
+        oracle = make()[0]
+        self._same_answers(make, self._queries(rng, tg, oracle.rank,
+                                               oracle.witness_base))
 
 
 class TestDualValuation:

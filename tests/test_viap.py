@@ -363,6 +363,18 @@ class TestWitness:
         x_bad = g3.subset([1, 2])  # not a minimizer of omega1
         assert not verify_witness(x_bad, x_bad, witness, 1, omega1, omega2)
 
+    def test_builds_no_arcs(self, g3, monkeypatch):
+        def no_arcs(*args, **kwargs):
+            raise AssertionError("verify_witness built an aux arc")
+
+        monkeypatch.setattr(viap, "AuxArc", no_arcs)
+        omega1, omega2 = _modular_pair(g3)
+        witness = Witness(ZEROS3, ZEROS3, g3.subset([1]), 1)
+        assert verify_witness(g3.subset([0, 1]), g3.subset([1, 2]), witness,
+                              1, omega1, omega2)
+        x_bad = g3.subset([1, 2])
+        assert not verify_witness(x_bad, x_bad, witness, 1, omega1, omega2)
+
 
 def _is_shifted_minimizer(omega, x, potential, sign) -> bool:
     """Local (hence global) minimality of omega + sign*potential at x.

@@ -29,7 +29,8 @@ from .valuated import (
     dual_valuation,
     from_matroid_and_weights,
     mnat_from_valuation,
-    modular_sum,
+    scaled_sum,
+    scaled_weights,
 )
 from .vmi import TupleSolution, solve_v_n_w, solve_sum_valuated_plus_laminar
 from .viap import IntersectionSolution, run_ladder, solve_v_geq_k
@@ -57,16 +58,31 @@ class IntervalUncertainty:
 
 def modular_on_domain(omega: ValuationOracle,
                       weights: Sequence[Fraction]) -> ValuationOracle:
-    """Modular weights carried by the domain of an existing valuation."""
-    weight_of = modular_sum(weights)
+    """Modular weights carried by the domain of an existing valuation.
 
-    def value(subset: Subset) -> ExtValue:
-        if not omega.value(subset).is_finite:
-            return INF
-        return ExtValue(weight_of(subset))
+    Scaled by the weights' denominator; an exchange miss asks `omega` the
+    same exchange (the memo key of `value` on the exchanged set) and adds
+    the weights to the scaled sum of the last base.
+    """
+    scaled, scale = scaled_weights(weights)
+
+    def value(subset: Subset) -> Optional[int]:
+        if omega.raw_value(subset) is None:
+            return None
+        return scaled_sum(scaled, subset.mask)
+
+    last: list = [None, 0]              # base mask, its scaled sum
+
+    def exchange(base: Subset, u: int, v: int) -> Optional[int]:
+        if omega.raw_exchange(base, u, v) is None:
+            return None
+        if last[0] != base.mask:
+            last[:] = [base.mask, scaled_sum(scaled, base.mask)]
+        return last[1] - scaled[u] + scaled[v]
 
     return ValuationOracle(omega.ground, omega.rank, value,
-                           omega.witness_base, f"modular-on-dom({omega.name})")
+                           omega.witness_base, f"modular-on-dom({omega.name})",
+                           exchange, scale)
 
 
 def solve_recoverable_robust_interval(omega1: ValuationOracle,

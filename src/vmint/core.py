@@ -1,9 +1,12 @@
 """Exact arithmetic, ground sets, subsets, and integer vectors.
 
-Every cost, weight, and potential in this package is an exact rational
-(`fractions.Fraction`), extended with a single +infinity element through
-:class:`ExtValue`.  Minus infinity is deliberately not representable;
-arithmetic that would produce it raises instead of silently wrapping.
+Every cost, weight, and potential that this package takes or hands out
+is an exact rational (`fractions.Fraction`), extended with a single
++infinity element through :class:`ExtValue`; inside, the oracles and the
+augmenting solver keep them as integers over a common denominator (see
+:mod:`vmint.valuated` and :mod:`vmint.viap`).  Minus infinity is
+deliberately not representable; arithmetic that would produce it raises
+instead of silently wrapping.
 """
 
 from __future__ import annotations

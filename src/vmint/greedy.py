@@ -2,8 +2,8 @@
 
 For valuated matroids, a point admitting no improving single exchange is a
 global minimizer, so steepest descent from the witness base terminates with
-a global certificate.  Each step strictly decreases an exact rational and
-the domain is finite, so termination is guaranteed.
+a global certificate.  Each step strictly decreases an exact value and the
+domain is finite, so termination is guaranteed.
 """
 
 from __future__ import annotations
@@ -17,26 +17,26 @@ def minimize_valuated(omega: ValuationOracle) -> tuple[Subset, ExtValue]:
 
     Steepest single-exchange descent from the witness base; among equally
     improving exchanges the lexicographically smallest (u, v) index pair is
-    taken, for reproducibility.
+    taken, for reproducibility.  The descent compares the oracle's raw
+    values (ints in units of 1/D for a scaled oracle).
     """
     current = omega.require_witness()
-    current_value = omega.value(current)
-    n = omega.ground.size
+    current_value = omega.raw_value(current)
+    exchange = omega.raw_exchange
+    elements = range(omega.ground.size)
     while True:
         best_value = current_value
         best_exchange = None
-        for u in range(n):
-            if not current.contains(u):
-                continue
-            for v in range(n):
-                if current.contains(v):
-                    continue
-                candidate_value = omega.exchange_value(current, u, v)
-                if candidate_value < best_value:
-                    best_value = candidate_value
+        mask = current.mask
+        outside = [v for v in elements if not mask >> v & 1]
+        for u in current.members():
+            for v in outside:
+                candidate = exchange(current, u, v)
+                if candidate is not None and candidate < best_value:
+                    best_value = candidate
                     best_exchange = (u, v)
         if best_exchange is None:
-            return current, current_value
+            return current, omega.as_value(current_value)
         current = current.exchange(*best_exchange)
         current_value = best_value
 

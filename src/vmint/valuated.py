@@ -12,10 +12,18 @@ oracle-complexity checks in the test suite.  Oracles are logically
 immutable, but the memo and counters mutate on query: confine an oracle to
 one solver run at a time (or guard it) when sharing across threads.
 
+A valuation oracle with a `scale` D keeps its values as ints in units of
+1/D, +infinity as None; the solvers compare and add those raw values, and
+`value` turns them into exact `ExtValue`s for everyone else.  Every
+oracle built here from weights or tables is scaled (a disjoint sum by the
+lcm of its parts' denominators); one built from an opaque value function
+has scale None and keeps rationals, which the solvers treat as D = 1.
+
 The descent and the auxiliary digraph ask only single-exchange queries
-omega(X - u + v), through `ValuationOracle.exchange_value`.  It keeps the
-calls, evals and memo exactly as `value(X.exchange(u, v))` does; only a
-memo miss may be computed differently.  A modular valuation on a matroid
+omega(X - u + v), through `ValuationOracle.raw_exchange` (or its
+`ExtValue` form `exchange_value`).  It keeps the calls, evals and memo
+exactly as `value(X.exchange(u, v))` does; only a memo miss may be
+computed differently.  A modular valuation on a matroid
 with fundamental-circuit tables answers the misses around a base X from
 one circuit table per base (X - u + v is a base exactly when u lies on the
 circuit C(X, v)) and the integer sum w(X) - w_u + w_v, with no
@@ -24,7 +32,7 @@ exchanges of the complement.
 
 The four oracles of the copy reductions answer exchanges block by block.
 A disjoint sum sends a pair inside one copy to that component's own
-`exchange_value` and asks every other copy for the part X - u + v has
+exchange query and asks every other copy for the part X - u + v has
 there, so each component's calls, evals and memo move exactly as under
 `value`.  The intersection constraint, the laminar penalty and the
 lifted laminar function depend only on how many copies pick each
@@ -38,7 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .core import (
     INF,
@@ -56,54 +64,71 @@ from .matroid import MatroidOracle
 
 DEFAULT_DOMAIN_LIMIT = 200_000
 
+# A raw oracle value: an int in units of 1/D for a scaled oracle, the
+# rational value for an opaque one, None for +infinity.
+Raw = Union[int, Fraction, None]
+_MISSING = object()
+
 
 class ValuationOracle:
     """A valuated matroid given by a value query on subsets.
 
     `value(X)` is finite only on rank-sized subsets; `witness_base` is one
     finite-valued subset, or None when the effective domain is empty.
+
+    `scale` is the oracle's denominator D, or None for an opaque value
+    function.  A scaled oracle's `value_fn` and `exchange_fn` return ints
+    in units of 1/D, with None for +infinity; an opaque oracle's return
+    `ExtValue`s.  The memo keeps raw values: those ints, or, for an opaque
+    oracle, the rational value itself (D = 1) or None.  `raw_value` and
+    `raw_exchange` hand out raw values; `value` and `exchange_value` hand
+    out the same answers as `ExtValue`s.  All four share the counters and
+    the memo.
     """
 
     def __init__(self, ground: GroundSet, rank: int,
-                 value_fn: Callable[[Subset], ExtValue],
+                 value_fn: Callable[[Subset], Raw],
                  witness_base: Optional[Subset],
                  name: str = "valuation",
                  exchange_fn: Optional[
-                     Callable[[Subset, int, int], ExtValue]] = None):
+                     Callable[[Subset, int, int], Raw]] = None,
+                 scale: Optional[int] = None):
         if not 0 <= rank <= ground.size:
             raise InvalidInputError(f"rank {rank} out of range 0..{ground.size}")
         self.ground = ground
         self.rank = rank
+        self.scale = scale
         self._value_fn = value_fn
         self._exchange_fn = exchange_fn
         self.witness_base = witness_base
         self.name = name
-        self._memo: dict[int, ExtValue] = {}
+        self._memo: dict[int, Raw] = {}
         self.calls = 0
         self.evals = 0
         if witness_base is not None:
             if witness_base.cardinality() != rank:
                 raise InvalidInputError("witness base has the wrong cardinality")
-            if not self.value(witness_base).is_finite:
+            if self.raw_value(witness_base) is None:
                 raise InvalidInputError("witness base has infinite value")
 
-    def value(self, subset: Subset) -> ExtValue:
+    def raw_value(self, subset: Subset) -> Raw:
+        """The value of `subset` in units of 1/D, None for +infinity."""
         if subset.ground is not self.ground and subset.ground != self.ground:
             raise InvalidInputError("subset is on a different ground set")
         self.calls += 1
-        cached = self._memo.get(subset.mask)
-        if cached is None:
+        cached = self._memo.get(subset.mask, _MISSING)
+        if cached is _MISSING:
             if subset.cardinality() != self.rank:
-                cached = INF
+                cached = None
             else:
-                cached = self._value_fn(subset)
+                cached = self._raw(self._value_fn(subset))
             self._memo[subset.mask] = cached
             self.evals += 1
         return cached
 
-    def exchange_value(self, base: Subset, u: int, v: int) -> ExtValue:
-        """`value(base.exchange(u, v))`, with the same checks, counters and
-        memo; a hit builds no subset.
+    def raw_exchange(self, base: Subset, u: int, v: int) -> Raw:
+        """`raw_value(base.exchange(u, v))`, with the same checks, counters
+        and memo; a hit builds no subset.
 
         A miss that is a proper exchange (u in base, v not) of a rank-sized
         base goes to the oracle's `exchange_fn(base, u, v)` when it has
@@ -116,21 +141,39 @@ class ValuationOracle:
         if base.ground is not self.ground and base.ground != self.ground:
             raise InvalidInputError("subset is on a different ground set")
         self.calls += 1
-        cached = self._memo.get(key)
-        if cached is None:
+        cached = self._memo.get(key, _MISSING)
+        if cached is _MISSING:
             if key.bit_count() != self.rank:
-                cached = INF
+                cached = None
             elif (self._exchange_fn is not None
                   and mask >> u & 1 and not mask >> v & 1):
-                cached = self._exchange_fn(base, u, v)
+                cached = self._raw(self._exchange_fn(base, u, v))
             else:
-                cached = self._value_fn(Subset(self.ground, key))
+                cached = self._raw(self._value_fn(Subset(self.ground, key)))
             self._memo[key] = cached
             self.evals += 1
         return cached
 
+    def _raw(self, answer):
+        if self.scale is not None:
+            return answer
+        return answer.finite if answer.is_finite else None
+
+    def as_value(self, raw: Raw) -> ExtValue:
+        """A raw value of this oracle as the exact `ExtValue` it stands for."""
+        if raw is None:
+            return INF
+        return ExtValue(raw if self.scale is None else Fraction(raw, self.scale))
+
+    def value(self, subset: Subset) -> ExtValue:
+        return self.as_value(self.raw_value(subset))
+
+    def exchange_value(self, base: Subset, u: int, v: int) -> ExtValue:
+        """`value(base.exchange(u, v))`; see `raw_exchange`."""
+        return self.as_value(self.raw_exchange(base, u, v))
+
     def in_domain(self, subset: Subset) -> bool:
-        return self.value(subset).is_finite
+        return self.raw_value(subset) is not None
 
     def reset_counters(self) -> None:
         self.calls = 0
@@ -373,14 +416,16 @@ class ConvexTable:
         return INF
 
 
-def _scaled_weights(weights: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+def scaled_weights(weights: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     """The weights times the lcm D of their denominators, and D."""
     ws = [Fraction(w) for w in weights]
     scale = math.lcm(*(w.denominator for w in ws))
     return tuple(w.numerator * (scale // w.denominator) for w in ws), scale
 
 
-def _scaled_sum(scaled: Sequence[int], mask: int) -> int:
+def scaled_sum(scaled: Sequence[int], mask: int) -> int:
+    """The sum of the scaled weights of the members of a mask: w(X) times
+    the denominator D of :func:`scaled_weights`."""
     acc = 0
     while mask:
         low = mask & -mask
@@ -389,53 +434,43 @@ def _scaled_sum(scaled: Sequence[int], mask: int) -> int:
     return acc
 
 
-def modular_sum(weights: Sequence[Fraction]) -> Callable[[Subset], Fraction]:
-    """The map X -> w(X), summed in integers.
-
-    The weights are scaled once by the lcm D of their denominators; each
-    call adds the scaled weights of the members and returns the sum over
-    D, which equals `core.dot(weights, X)` exactly.
-    """
-    scaled, scale = _scaled_weights(weights)
-    return lambda subset: Fraction(_scaled_sum(scaled, subset.mask), scale)
-
-
 def from_matroid_and_weights(matroid: MatroidOracle,
                              weights: Sequence[Fraction],
                              name: str = "modular") -> ValuationOracle:
     """Modular weights restricted to a base family: w(X) on bases, else +inf.
 
-    When the matroid has circuit tables, exchange queries are answered
-    from the table of the last base asked about and its scaled sum w(X):
-    X - u + v is a base exactly when u is in the table's entry for v, and
-    then its value is (w(X) - w_u + w_v) scaled back by D.
+    The oracle is scaled by the lcm D of the weights' denominators.  When
+    the matroid has circuit tables, exchange queries are answered from the
+    table of the last base asked about and its scaled sum w(X): X - u + v
+    is a base exactly when u is in the table's entry for v, and then its
+    value is w(X) - w_u + w_v.
     """
     if len(weights) != matroid.ground.size:
         raise InvalidInputError("need one weight per ground element")
-    scaled, scale = _scaled_weights(weights)
+    scaled, scale = scaled_weights(weights)
 
-    def value(subset: Subset) -> ExtValue:
+    def value(subset: Subset) -> Optional[int]:
         if not matroid.is_independent(subset):
-            return INF
-        return ExtValue(Fraction(_scaled_sum(scaled, subset.mask), scale))
+            return None
+        return scaled_sum(scaled, subset.mask)
 
     exchange = None
     if matroid.has_circuits:
         last: list = [None, None, 0]     # base mask, its table, scaled w(X)
 
-        def exchange(base: Subset, u: int, v: int) -> ExtValue:
+        def exchange(base: Subset, u: int, v: int) -> Optional[int]:
             if last[0] != base.mask:
                 last[:] = [base.mask, matroid.circuits(base.mask),
-                           _scaled_sum(scaled, base.mask)]
+                           scaled_sum(scaled, base.mask)]
             table = last[1]
             if table is None:
                 return value(base.exchange(u, v))
             if not table[v] >> u & 1:
-                return INF
-            return ExtValue(Fraction(last[2] - scaled[u] + scaled[v], scale))
+                return None
+            return last[2] - scaled[u] + scaled[v]
 
     return ValuationOracle(matroid.ground, matroid.rank, value,
-                           matroid.some_base(), name, exchange)
+                           matroid.some_base(), name, exchange, scale)
 
 
 def indicator_of_matroid(matroid: MatroidOracle) -> ValuationOracle:
@@ -449,22 +484,31 @@ def size_constrained_modular(ground: GroundSet, weights: Sequence[Fraction],
     """Modular weights on all r-subsets (the uniform-matroid special case)."""
     if not 0 <= r <= ground.size:
         raise InvalidInputError(f"rank {r} out of range 0..{ground.size}")
-    weight_of = modular_sum(weights)
+    scaled, scale = scaled_weights(weights)
     witness = ground.subset(range(r))
-    return ValuationOracle(ground, r, lambda x: ExtValue(weight_of(x)),
-                           witness, f"size={r}")
+    return ValuationOracle(ground, r,
+                           lambda x: scaled_sum(scaled, x.mask),
+                           witness, f"size={r}", scale=scale)
 
 
 def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
-    """The dual valuated matroid: value(X) = omega(V \\ X)."""
+    """The dual valuated matroid: value(X) = omega(V \\ X).
+
+    It has omega's scale, and passes its queries on to omega, exchanges
+    as exchanges of the complement.
+    """
     witness = None
     if omega.witness_base is not None:
         witness = omega.witness_base.complement()
+    if omega.scale is None:
+        value, exchange = omega.value, omega.exchange_value
+    else:
+        value, exchange = omega.raw_value, omega.raw_exchange
     return ValuationOracle(omega.ground, omega.ground.size - omega.rank,
-                           lambda x: omega.value(x.complement()),
+                           lambda x: value(x.complement()),
                            witness, f"dual({omega.name})",
-                           lambda x, u, v: omega.exchange_value(
-                               x.complement(), v, u))
+                           lambda x, u, v: exchange(x.complement(), v, u),
+                           omega.scale)
 
 
 class TupleGround:
@@ -528,10 +572,12 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
 
     value(X_1, ..., X_n) = sum_i omega_i(X_i); the rank is the sum of the
     component ranks and the witness concatenates the component witnesses.
+    The sum is scaled by the lcm S of the components' denominators and
+    adds their raw values times S / D_i; it is opaque when a component is.
 
     An exchange X - u + v asks the components what `value` asks them, in
     the same order and up to the same first +infinity: the copy holding
-    both u and v gets `exchange_value` of its part (so its circuit table
+    both u and v gets `raw_exchange` of its part (so its circuit table
     answers), and every other copy `value` of the part X - u + v has
     there, off-rank parts of a cross-copy pair included.
     """
@@ -542,21 +588,30 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
         if om.ground != base:
             raise InvalidInputError("valuations live on different ground sets")
     tg = TupleGround(base, len(omegas))
+    scale = math.lcm(*(om.scale or 1 for om in omegas))
+    factors = [scale // (om.scale or 1) for om in omegas]
+    opaque = any(om.scale is None for om in omegas)
 
-    def value(subset: Subset) -> ExtValue:
-        total = ZERO
-        for om, part in zip(omegas, tg.to_parts(subset)):
-            term = om.value(part)
-            if not term.is_finite:
-                return INF
-            total = total + term
-        return total
+    def answer(total: Raw):
+        # Opaque components give rational totals, handed out as ExtValues.
+        if not opaque:
+            return total
+        return INF if total is None else ExtValue(Fraction(total, scale))
+
+    def value(subset: Subset):
+        total = 0
+        for om, factor, part in zip(omegas, factors, tg.to_parts(subset)):
+            term = om.raw_value(part)
+            if term is None:
+                return answer(None)
+            total += term * factor
+        return answer(total)
 
     size = base.size
     window = (1 << size) - 1
     last: list = [None, ()]             # tuple mask, its parts
 
-    def exchange(subset: Subset, u: int, v: int) -> ExtValue:
+    def exchange(subset: Subset, u: int, v: int):
         if last[0] != subset.mask:
             last[:] = [subset.mask,
                        tuple(Subset(base, subset.mask >> (i * size) & window)
@@ -564,32 +619,32 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
         parts = last[1]
         copy_u, a = divmod(u, size)
         copy_v, b = divmod(v, size)
-        total = None
+        total = 0
         for i, om in enumerate(omegas):
             if i == copy_u == copy_v:
-                term = om.exchange_value(parts[i], a, b)
+                term = om.raw_exchange(parts[i], a, b)
             elif i == copy_u:
-                term = om.value(Subset(base, parts[i].mask & ~(1 << a)))
+                term = om.raw_value(Subset(base, parts[i].mask & ~(1 << a)))
             elif i == copy_v:
-                term = om.value(Subset(base, parts[i].mask | 1 << b))
+                term = om.raw_value(Subset(base, parts[i].mask | 1 << b))
             else:
-                term = om.value(parts[i])
-            if not term.is_finite:
-                return INF
-            total = term if total is None else total + term
-        return total
+                term = om.raw_value(parts[i])
+            if term is None:
+                return answer(None)
+            total += term * factors[i]
+        return answer(total)
 
     witness = None
     if all(om.witness_base is not None for om in omegas):
         witness = tg.to_subset([om.witness_base for om in omegas])
     rank = sum(om.rank for om in omegas)
     return (ValuationOracle(tg.combined, rank, value, witness, "disjoint-sum",
-                            exchange), tg)
+                            exchange, None if opaque else scale), tg)
 
 
 def _count_exchange(tg: TupleGround, state_of: Callable[[list[int]], object],
-                    step: Callable[[object, list[int], int, int], ExtValue],
-                    ) -> Callable[[Subset, int, int], ExtValue]:
+                    step: Callable[[object, list[int], int, int], Raw],
+                    ) -> Callable[[Subset, int, int], Raw]:
     """An `exchange_fn` for a valuation of the copy counts of a tuple.
 
     X - u + v moves one pick from element a = u mod |V| to b = v mod |V|
@@ -600,7 +655,7 @@ def _count_exchange(tg: TupleGround, state_of: Callable[[list[int]], object],
     size = tg.base.size
     last: list = [None, None, None]     # tuple mask, its counts, its state
 
-    def exchange(subset: Subset, u: int, v: int) -> ExtValue:
+    def exchange(subset: Subset, u: int, v: int) -> Raw:
         if last[0] != subset.mask:
             counts = tg.counts_of_mask(subset.mask)
             last[:] = [subset.mask, counts, state_of(counts)]
@@ -609,30 +664,43 @@ def _count_exchange(tg: TupleGround, state_of: Callable[[list[int]], object],
     return exchange
 
 
-def lifted_laminar_exchange(tg: TupleGround, members: Sequence[Subset],
-                            tables: Sequence[ConvexTable],
-                            ) -> Callable[[Subset, int, int], ExtValue]:
-    """The `exchange_fn` of sum over members M of g_M(copy count of M).
-
-    The tables are scaled to integers by one common denominator D.  Per
-    base it keeps each member's count, the scaled sum of the finite terms
-    and the number of infinite ones; a move from a to b changes only the
-    members holding exactly one of a and b.
-    """
-    scaled, scale = _scaled_weights([g for t in tables for g in t.values])
+def scaled_tables(tables: Sequence[ConvexTable],
+                  ) -> tuple[Callable[[int, int], Optional[int]], int]:
+    """Convex tables as ints over the lcm D of all their values'
+    denominators: `term(m, count)` is table m at count times D, None
+    outside its interval; returns `term` and D."""
+    scaled, scale = scaled_weights([g for t in tables for g in t.values])
     offsets = list(itertools.accumulate((len(t.values) for t in tables),
                                         initial=0))
     bounds = [(offsets[m] - t.start, t.start, t.end)
               for m, t in enumerate(tables)]
+
+    def term(m: int, count: int) -> Optional[int]:
+        first, start, end = bounds[m]
+        return scaled[first + count] if start <= count <= end else None
+
+    return term, scale
+
+
+def lifted_laminar_exchange(tg: TupleGround, members: Sequence[Subset],
+                            term: Callable[[int, int], Optional[int]],
+                            ) -> Callable[[Subset, int, int], Optional[int]]:
+    """The `exchange_fn` of sum over members M of g_M(copy count of M),
+    with the tables given as the `term` of :func:`scaled_tables`.
+
+    Per base it keeps each member's count, the scaled sum of the finite
+    terms and the number of infinite ones; a move from a to b changes only
+    the members holding exactly one of a and b.
+    """
     elements = [m.members() for m in members]
     holding = [sum(1 << m for m, member in enumerate(members)
                    if member.mask >> e & 1) for e in tg.base.elements()]
 
     def shift(acc: int, infinite: int, m: int, count: int, sign: int):
-        first, start, end = bounds[m]
-        if start <= count <= end:
-            return acc + sign * scaled[first + count], infinite
-        return acc, infinite + sign
+        finite = term(m, count)
+        if finite is None:
+            return acc, infinite + sign
+        return acc + sign * finite, infinite
 
     def state_of(counts: list[int]):
         member_counts = [sum(counts[e] for e in els) for els in elements]
@@ -641,7 +709,7 @@ def lifted_laminar_exchange(tg: TupleGround, members: Sequence[Subset],
             acc, infinite = shift(acc, infinite, m, count, 1)
         return member_counts, acc, infinite
 
-    def step(state, counts: list[int], a: int, b: int) -> ExtValue:
+    def step(state, counts: list[int], a: int, b: int) -> Optional[int]:
         member_counts, acc, infinite = state
         moved = holding[a] ^ holding[b]
         while moved:
@@ -652,7 +720,7 @@ def lifted_laminar_exchange(tg: TupleGround, members: Sequence[Subset],
             acc, infinite = shift(acc, infinite, m, old, -1)
             acc, infinite = shift(acc, infinite, m,
                                   old + 1 if holding[b] & low else old - 1, 1)
-        return INF if infinite else ExtValue(Fraction(acc, scale))
+        return None if infinite else acc
 
     return _count_exchange(tg, state_of, step)
 
@@ -676,33 +744,30 @@ def intersection_constraint_valuation(n: int, constraint: MatroidOracle,
         raise InvalidInputError(f"total rank {r} out of range 0..{n * base.size}")
     tg = TupleGround(base, n)
 
-    def value(subset: Subset) -> ExtValue:
+    def value(subset: Subset) -> Optional[int]:
         inter = tg.common_intersection(subset)
-        if constraint.is_independent(inter):
-            return ZERO
-        return INF
+        return 0 if constraint.is_independent(inter) else None
 
-    verdicts: dict[int, ExtValue] = {}
+    verdicts: dict[int, bool] = {}
 
     def common(counts: list[int]) -> int:
         return sum(1 << e for e, count in enumerate(counts) if count == n)
 
-    def step(inter: int, counts: list[int], a: int, b: int) -> ExtValue:
+    def step(inter: int, counts: list[int], a: int, b: int) -> Optional[int]:
         if a != b:
             inter &= ~(1 << a)
             if counts[b] == n - 1:
                 inter |= 1 << b
-        verdict = verdicts.get(inter)
-        if verdict is None:
-            verdict = (ZERO if constraint.is_independent(Subset(base, inter))
-                       else INF)
-            verdicts[inter] = verdict
-        return verdict
+        independent = verdicts.get(inter)
+        if independent is None:
+            independent = constraint.is_independent(Subset(base, inter))
+            verdicts[inter] = independent
+        return 0 if independent else None
 
     witness: Optional[Subset] = _greedy_tuple_fill(tg, constraint, r)
     return (ValuationOracle(tg.combined, r, value, witness,
                             "intersection-constraint",
-                            _count_exchange(tg, common, step)), tg)
+                            _count_exchange(tg, common, step), 1), tg)
 
 
 def _greedy_tuple_fill(tg: TupleGround, constraint: MatroidOracle,
@@ -742,7 +807,7 @@ def laminar_penalty(weights: Sequence[Fraction], n: int, r: int,
     Nonnegative w makes each g_v convex, which is what turns this into a
     valuated matroid; negative entries are rejected.  Exchanges are
     answered as those of the lifted laminar function of the singletons
-    with the tables g_v.
+    with the tables g_v, whose common denominator scales the oracle.
     """
     ws = tuple(Fraction(w) for w in weights)
     if len(ws) != ground.size:
@@ -752,17 +817,18 @@ def laminar_penalty(weights: Sequence[Fraction], n: int, r: int,
     if not 0 <= r <= n * ground.size:
         raise InvalidInputError(f"total rank {r} out of range 0..{n * ground.size}")
     tg = TupleGround(ground, n)
-    weight_of = modular_sum(ws)
+    term, scale = scaled_tables(
+        [ConvexTable(0, (Fraction(0),) * n + (w,)) for w in ws])
+    scaled = [term(v, n) for v in ground.elements()]
 
-    def value(subset: Subset) -> ExtValue:
-        return ExtValue(weight_of(tg.common_intersection(subset)))
+    def value(subset: Subset) -> int:
+        return scaled_sum(scaled, tg.common_intersection(subset).mask)
 
     exchange = lifted_laminar_exchange(
-        tg, [ground.subset([v]) for v in ground.elements()],
-        [ConvexTable(0, (Fraction(0),) * n + (w,)) for w in ws])
+        tg, [ground.subset([v]) for v in ground.elements()], term)
     witness = Subset(tg.combined, (1 << r) - 1)
     return (ValuationOracle(tg.combined, r, value, witness, "laminar-penalty",
-                            exchange), tg)
+                            exchange, scale), tg)
 
 
 def laminar_convex_function(spec: LaminarSpec,

@@ -13,10 +13,15 @@ the shortest), applies the exchanges along it, and raises the potentials by
 the capped shortest-path distances.  Every round grows the intersection by
 exactly one and keeps the optimality certificate valid.
 
-Arc lengths are exact rationals and must be nonnegative; a negative length
-means a precondition was violated and is reported as an internal error.
-The shortest-path search scales them by the lcm of their denominators and
-runs on integers, which keeps every comparison and tie.
+Arc lengths are exact and must be nonnegative; a negative length means a
+precondition was violated and is reported as an internal error.  The
+ladder runs on integers: with oracle denominators D1 and D2 (see
+`ValuationOracle.scale`) and the potentials' denominators, every value,
+potential, arc length and distance lies in (1/S)Z for their lcm S, so
+they are all kept as ints in units of 1/S, which keeps every comparison
+and tie.  `Fraction` appears only where a `Witness`, a ladder value or an
+`AuxArc.length` is read.  An opaque oracle (no scale) feeds its rational
+values into the same expressions with D = 1.
 
 Checking: `_exchange_lengths`, the exchange-arc loop of
 `build_aux_digraph`, is the one place that rejects a negative reduced
@@ -36,9 +41,9 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .core import (
     INF,
@@ -50,6 +55,10 @@ from .core import (
 )
 from .greedy import minimize_valuated
 from .valuated import ValuationOracle, dual_valuation
+
+# A potential, length or distance: an int in units of 1/S, or an exact
+# rational when an opaque oracle takes part (see the module docstring).
+Rational = Union[int, Fraction]
 
 ARC_EDGE = "E"          # v1 -> v2, length 0, matches v
 ARC_MATCHED = "F"       # v2 -> v1 for v in F, length 0, unmatches v
@@ -63,18 +72,28 @@ ARC_SINK = "T"          # v2 -> t for v in X2 \ X1
 class AuxArc:
     tail: int
     head: int
-    length: Fraction
+    units: Rational         # the length in units of 1/scale
     kind: str
     element_out: int = -1   # u of an exchange arc, else -1
     element_in: int = -1    # v of an exchange arc / the element of E, F arcs
+    scale: int = 1
+
+    @property
+    def length(self) -> Fraction:
+        """The exact length, units / scale."""
+        return Fraction(self.units, self.scale)
 
 
 @dataclass
 class AuxDigraph:
-    """Auxiliary digraph on V1 + V2 + {s, t} with nonnegative arc lengths."""
+    """Auxiliary digraph on V1 + V2 + {s, t} with nonnegative arc lengths.
+
+    Every arc's length is in units of 1/scale.
+    """
 
     n: int
     adjacency: list[list[AuxArc]]
+    scale: int = 1
 
     @property
     def source(self) -> int:
@@ -140,15 +159,29 @@ class SolverStats:
 
 @dataclass
 class ViapState:
+    """The solver's pair, matched set and potentials.
+
+    The potentials p1 and p2 are in units of 1/scale, where scale is a
+    multiple of both oracles' denominators.
+    """
+
     omega1: ValuationOracle
     omega2: ValuationOracle
     x1: Subset
     x2: Subset
-    p1: tuple[Fraction, ...]
-    p2: tuple[Fraction, ...]
+    p1: tuple[Rational, ...]
+    p2: tuple[Rational, ...]
     matched: Subset
     stats: SolverStats = field(default_factory=SolverStats)
     check_invariants: bool = True
+    scale: int = 1
+
+    def __post_init__(self):
+        if self.scale % _denominator(self.omega1) \
+                or self.scale % _denominator(self.omega2):
+            raise InvalidInputError(
+                f"potential scale {self.scale} is not a multiple of the "
+                "oracles' denominators")
 
     def intersection_size(self) -> int:
         return intersection_cardinality(self.x1, self.x2)
@@ -157,54 +190,80 @@ class ViapState:
         return self.omega1.value(self.x1) + self.omega2.value(self.x2)
 
 
+def _denominator(omega: ValuationOracle) -> int:
+    return omega.scale or 1
+
+
+def _in_units(omega1: ValuationOracle, omega2: ValuationOracle,
+              p1: Sequence[Rational], p2: Sequence[Rational],
+              ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Rational potentials as ints in units of 1/S, and S: the lcm of both
+    oracles' denominators and the potentials' denominators."""
+    scale = math.lcm(_denominator(omega1), _denominator(omega2),
+                     *(p.denominator for p in p1), *(p.denominator for p in p2))
+    return (tuple(p.numerator * (scale // p.denominator) for p in p1),
+            tuple(p.numerator * (scale // p.denominator) for p in p2), scale)
+
+
 def _exchange_lengths(x1: Subset, x2: Subset,
-                      p1: Sequence[Fraction], p2: Sequence[Fraction],
+                      p1: Sequence[Rational], p2: Sequence[Rational],
+                      scale: int,
                       omega1: ValuationOracle, omega2: ValuationOracle):
     """The exchange arcs of the auxiliary digraph, as (kind, u, v, length).
 
-    A1 arcs come first, by u in X1 then v outside X1, and then A2 arcs, by
-    v outside X2 then u in X2; each length is the reduced-cost change of
-    its single exchange.  This loop is the one place that rejects a
-    negative reduced cost: it raises as soon as it meets one, and when
-    the current sets leave the effective domains.
+    The potentials and the lengths are in units of 1/scale, a multiple of
+    both oracles' denominators.  A1 arcs come first, by u in X1 then v
+    outside X1, and then A2 arcs, by v outside X2 then u in X2; each
+    length is the reduced-cost change of its single exchange.  This loop
+    is the one place that rejects a negative reduced cost: it raises as
+    soon as it meets one, and when the current sets leave the effective
+    domains.
     """
-    base1 = omega1.value(x1)
-    base2 = omega2.value(x2)
-    if not (base1.is_finite and base2.is_finite):
+    base1 = omega1.raw_value(x1)
+    base2 = omega2.raw_value(x2)
+    if base1 is None or base2 is None:
         raise InternalInvariantError("current sets left the effective domains")
-    ground = omega1.ground
+    factor1 = scale // _denominator(omega1)
+    factor2 = scale // _denominator(omega2)
+    exchange1, exchange2 = omega1.raw_exchange, omega2.raw_exchange
+    elements = omega1.ground.elements()
+    outside1 = [v for v in elements if not x1.mask >> v & 1]
     for u in x1.members():
-        for v in ground.elements():
-            if x1.contains(v):
-                continue
-            moved = omega1.exchange_value(x1, u, v)
-            if moved.is_finite:
-                length = (moved.finite - base1.finite) - p1[v] + p1[u]
-                _check_length(length, ARC_EXCHANGE_1)
+        pu = p1[u]
+        for v in outside1:
+            moved = exchange1(x1, u, v)
+            if moved is not None:
+                length = (moved - base1) * factor1 - p1[v] + pu
+                if length < 0:
+                    raise _negative_length(length, scale, ARC_EXCHANGE_1)
                 yield ARC_EXCHANGE_1, u, v, length
-    for v in ground.elements():
-        if x2.contains(v):
+    members2 = x2.members()
+    for v in elements:
+        if x2.mask >> v & 1:
             continue
-        for u in x2.members():
-            moved = omega2.exchange_value(x2, u, v)
-            if moved.is_finite:
-                length = (moved.finite - base2.finite) + p2[v] - p2[u]
-                _check_length(length, ARC_EXCHANGE_2)
+        pv = p2[v]
+        for u in members2:
+            moved = exchange2(x2, u, v)
+            if moved is not None:
+                length = (moved - base2) * factor2 + pv - p2[u]
+                if length < 0:
+                    raise _negative_length(length, scale, ARC_EXCHANGE_2)
                 yield ARC_EXCHANGE_2, u, v, length
 
 
-def _check_length(length: Fraction, kind: str) -> None:
-    if length < 0:
-        raise InternalInvariantError(
-            f"negative arc length {length} on {kind} arc; "
-            "current sets are not minimizers of the shifted valuations")
+def _negative_length(length: Rational, scale: int,
+                     kind: str) -> InternalInvariantError:
+    return InternalInvariantError(
+        f"negative arc length {Fraction(length, scale)} on {kind} arc; "
+        "current sets are not minimizers of the shifted valuations")
 
 
 def build_aux_digraph(x1: Subset, x2: Subset,
-                      p1: Sequence[Fraction], p2: Sequence[Fraction],
+                      p1: Sequence[Rational], p2: Sequence[Rational],
                       matched: Subset,
                       omega1: ValuationOracle,
-                      omega2: ValuationOracle) -> AuxDigraph:
+                      omega2: ValuationOracle,
+                      scale: Optional[int] = None) -> AuxDigraph:
     """Construct the auxiliary digraph for the current solver state.
 
     Arc classes: one edge arc per element (copy 1 to copy 2), one reverse
@@ -213,74 +272,74 @@ def build_aux_digraph(x1: Subset, x2: Subset,
     :func:`_exchange_lengths`, which rejects a negative one), source arcs
     into X1 \\ X2 and sink arcs out of X2 \\ X1.  Exchange arc lengths are
     nonnegative exactly when X1 and X2 minimize the shifted valuations.
+
+    The potentials are exact rationals, or, when `scale` is given, in
+    units of 1/scale as `ViapState` keeps them.  The graph's scale is
+    that scale, or the lcm of the oracles' and the potentials'
+    denominators.
     """
+    if scale is None:
+        p1, p2, scale = _in_units(omega1, omega2, p1, p2)
     ground = omega1.ground
     n = ground.size
-    graph = AuxDigraph(n, [[] for _ in range(2 * n + 2)])
+    graph = AuxDigraph(n, [[] for _ in range(2 * n + 2)], scale)
+    node_v1, node_v2 = graph.node_v1, graph.node_v2
 
-    def add(arc: AuxArc) -> None:
-        graph.adjacency[arc.tail].append(arc)
+    def add(tail: int, head: int, length: Rational, kind: str,
+            element_out: int, element_in: int) -> None:
+        graph.adjacency[tail].append(AuxArc(tail, head, length, kind,
+                                            element_out, element_in, scale))
 
-    zero = Fraction(0)
     for v in ground.elements():
         if x1.contains(v) and not x2.contains(v):
-            add(AuxArc(graph.source, graph.node_v1(v), zero, ARC_SOURCE,
-                       element_in=v))
+            add(graph.source, node_v1(v), 0, ARC_SOURCE, -1, v)
     for v in ground.elements():
-        add(AuxArc(graph.node_v1(v), graph.node_v2(v), zero, ARC_EDGE,
-                   element_in=v))
+        add(node_v1(v), node_v2(v), 0, ARC_EDGE, -1, v)
     for v in matched.members():
-        add(AuxArc(graph.node_v2(v), graph.node_v1(v), zero, ARC_MATCHED,
-                   element_in=v))
-    for kind, u, v, length in _exchange_lengths(x1, x2, p1, p2,
+        add(node_v2(v), node_v1(v), 0, ARC_MATCHED, -1, v)
+    for kind, u, v, length in _exchange_lengths(x1, x2, p1, p2, scale,
                                                 omega1, omega2):
         if kind == ARC_EXCHANGE_1:
-            tail, head = graph.node_v1(u), graph.node_v1(v)
+            add(node_v1(u), node_v1(v), length, kind, u, v)
         else:
-            tail, head = graph.node_v2(v), graph.node_v2(u)
-        add(AuxArc(tail, head, length, kind, element_out=u, element_in=v))
+            add(node_v2(v), node_v2(u), length, kind, u, v)
     for v in ground.elements():
         if x2.contains(v) and not x1.contains(v):
-            add(AuxArc(graph.node_v2(v), graph.sink, zero, ARC_SINK,
-                       element_in=v))
+            add(node_v2(v), graph.sink, 0, ARC_SINK, -1, v)
     return graph
 
 
 def shortest_path_with_hop_tiebreak(
         graph: AuxDigraph,
-) -> tuple[list[Optional[Fraction]], list[Optional[AuxArc]],
+) -> tuple[list[Optional[Rational]], list[Optional[AuxArc]],
            Optional[list[AuxArc]]]:
     """Label-setting search on the lexicographic key (length, hop count).
 
-    Returns per-node distances (None for unreachable), the parent arc of
-    each node on its shortest path, and the arc sequence of a shortest
-    source-sink path with the fewest arcs among the shortest, or None when
-    the sink is unreachable.
+    Returns per-node distances (None for unreachable) in the graph's
+    units of 1/scale, the parent arc of each node on its shortest path,
+    and the arc sequence of a shortest source-sink path with the fewest
+    arcs among the shortest, or None when the sink is unreachable.
 
-    The search runs on (int, hops, node) keys: arc lengths are multiplied
-    by the lcm of their denominators, a positive scale that keeps every
-    comparison and tie, and the distances are divided by it on return.
+    The search runs on (length, hops, node) keys over the arcs' `units`,
+    all in units of the graph's 1/scale: ints for a graph that the aux
+    build made from scaled oracles.
     """
     adjacency = graph.adjacency
-    scale = math.lcm(*(arc.length.denominator
-                       for out in adjacency for arc in out))
-    scaled = [[(arc.length.numerator * (scale // arc.length.denominator), arc)
-               for arc in out] for out in adjacency]
     size = graph.node_count()
-    dist: list[Optional[int]] = [None] * size
+    dist: list[Optional[Rational]] = [None] * size
     hops: list[int] = [0] * size
     parent: list[Optional[AuxArc]] = [None] * size
     done = [False] * size
     dist[graph.source] = 0
-    heap: list[tuple[int, int, int]] = [(0, 0, graph.source)]
+    heap: list[tuple[Rational, int, int]] = [(0, 0, graph.source)]
     while heap:
         d, h, node = heapq.heappop(heap)
         if done[node]:
             continue
         done[node] = True
         nh = h + 1
-        for length, arc in scaled[node]:
-            nd = d + length
+        for arc in adjacency[node]:
+            nd = d + arc.units
             head = arc.head
             old = dist[head]
             if old is None or nd < old or (nd == old and nh < hops[head]):
@@ -288,9 +347,8 @@ def shortest_path_with_hop_tiebreak(
                 hops[head] = nh
                 parent[head] = arc
                 heapq.heappush(heap, (nd, nh, head))
-    distances = [None if d is None else Fraction(d, scale) for d in dist]
     if dist[graph.sink] is None:
-        return distances, parent, None
+        return dist, parent, None
     path: list[AuxArc] = []
     node = graph.sink
     while node != graph.source:
@@ -299,7 +357,7 @@ def shortest_path_with_hop_tiebreak(
         path.append(arc)
         node = arc.tail
     path.reverse()
-    return distances, parent, path
+    return dist, parent, path
 
 
 def augment_step(state: ViapState) -> Optional[ViapState]:
@@ -310,10 +368,11 @@ def augment_step(state: ViapState) -> Optional[ViapState]:
     Exchanges are applied arc-wise along the path: each exchange arc swaps
     one element of its copy, each edge arc matches its element, each
     reverse arc unmatches it; the potentials then grow by the shortest-path
-    distances capped at the sink distance.
+    distances capped at the sink distance, all in the state's units.
     """
     graph = build_aux_digraph(state.x1, state.x2, state.p1, state.p2,
-                              state.matched, state.omega1, state.omega2)
+                              state.matched, state.omega1, state.omega2,
+                              scale=state.scale)
     dist, _parent, path = shortest_path_with_hop_tiebreak(graph)
     if path is None:
         return None
@@ -329,15 +388,12 @@ def augment_step(state: ViapState) -> Optional[ViapState]:
             matched = matched.remove(arc.element_in)
     d_sink = dist[graph.sink]
     assert d_sink is not None
-
-    def capped(d: Optional[Fraction]) -> Fraction:
-        return d_sink if d is None else min(d, d_sink)
-
     n = state.omega1.ground.size
-    p1 = tuple(state.p1[v] + capped(dist[graph.node_v1(v)]) for v in range(n))
-    p2 = tuple(state.p2[v] + capped(dist[graph.node_v2(v)]) for v in range(n))
+    capped = [d_sink if d is None or d > d_sink else d for d in dist]
+    p1 = tuple(p + d for p, d in zip(state.p1, capped[1:n + 1]))
+    p2 = tuple(p + d for p, d in zip(state.p2, capped[n + 1:2 * n + 1]))
     new_state = ViapState(state.omega1, state.omega2, x1, x2, p1, p2, matched,
-                          state.stats, state.check_invariants)
+                          state.stats, state.check_invariants, state.scale)
     new_state.stats.iterations += 1
     if state.check_invariants:
         _check_state(new_state, expected_intersection=state.intersection_size() + 1)
@@ -345,8 +401,8 @@ def augment_step(state: ViapState) -> Optional[ViapState]:
 
 
 def _potential_fault(x1: Subset, x2: Subset, matched: Subset,
-                     p1: Sequence[Fraction],
-                     p2: Sequence[Fraction]) -> Optional[str]:
+                     p1: Sequence[Rational],
+                     p2: Sequence[Rational]) -> Optional[str]:
     """The first potential condition of the certificate that fails, or None.
 
     The conditions: p1 and p2 agree pointwise, X1 \\ F lies in argmin p1
@@ -408,8 +464,9 @@ def verify_witness(x1: Subset, x2: Subset, witness: Witness, k: int,
     if exhaustive:
         return (_is_shifted_minimizer_exhaustive(omega1, x1, p1, -1)
                 and _is_shifted_minimizer_exhaustive(omega2, x2, p2, +1))
+    q1, q2, scale = _in_units(omega1, omega2, p1, p2)
     try:
-        for _ in _exchange_lengths(x1, x2, p1, p2, omega1, omega2):
+        for _ in _exchange_lengths(x1, x2, q1, q2, scale, omega1, omega2):
             pass
     except InternalInvariantError:
         return False
@@ -433,13 +490,26 @@ def _is_shifted_minimizer_exhaustive(omega: ValuationOracle, x: Subset,
 
 @dataclass
 class LadderEntry:
-    """Optimal solution for one intersection level of the augmenting run."""
+    """Optimal solution for one intersection level of the augmenting run.
+
+    The potentials are kept in units of 1/scale; `witness` reads them as
+    exact rationals.
+    """
 
     level: int
     x1: Subset
     x2: Subset
     value: ExtValue
-    witness: Witness
+    p1: tuple[Rational, ...]
+    p2: tuple[Rational, ...]
+    matched: Subset
+    scale: int
+
+    @property
+    def witness(self) -> Witness:
+        return Witness(tuple(Fraction(p, self.scale) for p in self.p1),
+                       tuple(Fraction(p, self.scale) for p in self.p2),
+                       self.matched, self.level)
 
 
 @dataclass
@@ -477,10 +547,10 @@ def run_ladder(omega1: ValuationOracle, omega2: ValuationOracle,
         x2, _ = minimize_valuated(omega2)
     else:
         x1, x2 = start
-    n = omega1.ground.size
-    zeros = (Fraction(0),) * n
+    zeros = (0,) * omega1.ground.size
     state = ViapState(omega1, omega2, x1, x2, zeros, zeros,
-                      x1.intersection(x2), stats, check_invariants)
+                      x1.intersection(x2), stats, check_invariants,
+                      math.lcm(_denominator(omega1), _denominator(omega2)))
     entries: list[LadderEntry] = []
     start = state.intersection_size()
     entries.append(_entry_from_state(state, start))
@@ -504,8 +574,8 @@ def run_ladder(omega1: ValuationOracle, omega2: ValuationOracle,
 
 
 def _entry_from_state(state: ViapState, level: int) -> LadderEntry:
-    witness = Witness(state.p1, state.p2, state.matched, level)
-    return LadderEntry(level, state.x1, state.x2, state.objective(), witness)
+    return LadderEntry(level, state.x1, state.x2, state.objective(),
+                       state.p1, state.p2, state.matched, state.scale)
 
 
 def _k_subset(subset: Subset, k: int) -> Subset:
@@ -540,8 +610,8 @@ def solve_v_geq_k(omega1: ValuationOracle, omega2: ValuationOracle, k: int,
     if top.level >= k:
         if ladder.entries[0].level >= k:
             first = ladder.entries[0]
-            witness = Witness(first.witness.p1, first.witness.p2,
-                              _k_subset(first.x1.intersection(first.x2), k), k)
+            witness = replace(first.witness, k=k, matched=_k_subset(
+                first.x1.intersection(first.x2), k))
             return IntersectionSolution("optimal", first.x1, first.x2,
                                         first.value, witness, k, "geq",
                                         ladder.stats.oracle_calls)

@@ -26,20 +26,14 @@ from .valuated import (
     LaminarSpec,
     TupleGround,
     ValuationOracle,
-    check_mnat_exchange,
     disjoint_sum,
     dual_valuation,
     intersection_constraint_valuation,
-    laminar_convex_function,
     laminar_penalty,
     lifted_laminar_exchange,
+    scaled_tables,
 )
 from .viap import IntersectionSolution, solve_v_geq_k
-
-# The count-space exchange validation is quadratic in the box volume, so
-# the default only covers genuinely small boxes; raise it to force the
-# check on bigger instances.
-MNAT_CHECK_LIMIT = 256
 
 
 @dataclass
@@ -192,63 +186,56 @@ def lift_laminar_to_copies(spec: LaminarSpec, tg: TupleGround,
     Each laminar member X lifts to the set of all copies of its elements;
     the member sums then count, per member, how many copies picked its
     elements.  The hyperplane restriction of the lifted function is a
-    valuated matroid on the copies.  Exchanges are answered from the copy
-    counts of the last base (:func:`valuated.lifted_laminar_exchange`).
+    valuated matroid on the copies, scaled by the tables' common
+    denominator.  Exchanges are answered from the copy counts of the last
+    base (:func:`valuated.lifted_laminar_exchange`).
     """
-    member_data = tuple((member.mask, table)
-                        for member, table in zip(spec.members, spec.tables))
+    term, scale = scaled_tables(spec.tables)
+    member_masks = tuple(member.mask for member in spec.members)
     base_size = tg.base.size
 
-    def value(subset: Subset) -> ExtValue:
-        total = ExtValue(0)
-        for member_mask, table in member_data:
+    def value(subset: Subset) -> Optional[int]:
+        total = 0
+        for m, member_mask in enumerate(member_masks):
             count = 0
             for i in range(tg.n):
                 count += bin(subset.mask >> (i * base_size) & member_mask).count("1")
-            term = table.at(count)
-            if not term.is_finite:
-                return INF
-            total = total + term
+            finite = term(m, count)
+            if finite is None:
+                return None
+            total += finite
         return total
 
     witness = None
     for candidate in tg.combined.subsets_of_size(rank):
-        if value(candidate).is_finite:
+        if value(candidate) is not None:
             witness = candidate
             break
     if witness is None:
         raise EmptyDomainError("lifted laminar valuation has an empty domain")
     return ValuationOracle(tg.combined, rank, value, witness, "laminar-lift",
-                           lifted_laminar_exchange(tg, spec.members,
-                                                   spec.tables))
+                           lifted_laminar_exchange(tg, spec.members, term),
+                           scale)
 
 
 def solve_sum_valuated_plus_laminar(omegas: Sequence[ValuationOracle],
                                     phi: LaminarSpec,
                                     check_invariants: bool = True,
-                                    mnat_check_limit: int = MNAT_CHECK_LIMIT,
                                     ) -> TupleSolution:
     """Minimize sum of the valuations plus a laminar convex function of the
     copy counts (how many of the n sets picked each element).
 
     This is the generalized penalty problem behind congestion games.  The
-    laminar structure is validated (convex tables are enforced by
-    construction; the exchange axiom of the count-space function is
-    additionally checked exhaustively when its box is desk-scale).
+    laminar structure is validated by :class:`LaminarSpec` and the tables'
+    convexity by :class:`ConvexTable`; a laminar sum of convex tables is
+    M-natural-convex (Murota 2003), so the count-space function needs no
+    exchange check here.
     """
     if not omegas:
         raise InvalidInputError("need at least one valuation")
-    n = len(omegas)
     ground = omegas[0].ground
     if phi.ground != ground:
         raise InvalidInputError("laminar spec is on a different ground set")
-    box_volume = (n + 1) ** ground.size
-    if box_volume <= mnat_check_limit:
-        counts_fn = laminar_convex_function(
-            phi, box_lower=(0,) * ground.size, box_upper=(n,) * ground.size)
-        if not check_mnat_exchange(counts_fn, max(box_volume, 1)):
-            raise InvalidInputError(
-                "count-space function failed the exchange axiom check")
     for om in omegas:
         om.require_witness()
     sum_oracle, tg = disjoint_sum(omegas)

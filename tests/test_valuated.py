@@ -22,6 +22,7 @@ from vmint.rand_instances import (
     MATROID_KINDS,
     random_convex_table,
     random_matroid,
+    random_rational,
     random_weights,
 )
 from vmint.valuated import (
@@ -38,8 +39,9 @@ from vmint.valuated import (
     intersection_constraint_valuation,
     laminar_convex_function,
     laminar_penalty,
-    modular_sum,
     restrict_to_hyperplane,
+    scaled_sum,
+    scaled_weights,
     size_constrained_modular,
     valuation_from_explicit,
 )
@@ -96,11 +98,11 @@ class TestModularSum:
 
     def test_equals_dot_on_every_subset(self):
         ws = tuple(Fraction(w) for w in self.WEIGHTS)
-        weight_of = modular_sum(ws)
+        scaled, scale = scaled_weights(ws)
         g6 = GroundSet(6)
         for mask in range(1 << 6):
             subset = Subset(g6, mask)
-            assert weight_of(subset) == dot(ws, subset)
+            assert Fraction(scaled_sum(scaled, mask), scale) == dot(ws, subset)
 
     def test_modular_constructors_equal_dot_on_bases(self):
         ws = tuple(Fraction(w) for w in self.WEIGHTS)
@@ -332,6 +334,96 @@ class TestCopyReductionExchange:
                                                oracle.witness_base))
 
 
+class TestModularOnDomainExchange:
+    """`modular_on_domain` answers exchanges like a twin with no
+    `exchange_fn`, asking its base valuation the same queries: the same
+    values, and the same `calls`, `evals` and memo on both oracles."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 6),
+           st.sampled_from(MATROID_KINDS + ("explicit", "dual")))
+    def test_twin_answers_alike(self, seed, n, kind):
+        rng = random.Random(seed)
+        ground = GroundSet(n)
+        build = TestCopyReductionExchange._component(rng, ground, kind)
+        weights = tuple(random_rational(rng, denominators=range(1, 13))
+                        for _ in range(n))
+
+        def make():
+            omega = build()
+            return [modular_on_domain(omega, weights), omega]
+
+        queries = TestExchangeValue._exchanges(ground, make()[0].rank) + [
+            (x, u, v) for x in ground.all_subsets()
+            for u in range(n) for v in range(n)]
+        TestCopyReductionExchange._same_answers(make, queries)
+
+
+class TestScale:
+    """A scaled oracle keeps ints over its denominator in the memo and
+    hands out the same exact values; an opaque one keeps rationals, and
+    makes a disjoint sum that contains it opaque."""
+
+    WEIGHTS = tuple(Fraction(w) for w in TestModularSum.WEIGHTS)   # D = 60
+
+    @staticmethod
+    def _agrees(omega, scale):
+        assert omega.scale == scale
+        finite = 0
+        for x in omega.ground.subsets_of_size(omega.rank):
+            raw, value = omega.raw_value(x), omega.value(x)
+            if raw is None:
+                assert value == INF
+                continue
+            finite += 1
+            assert type(raw) is (int if scale is not None else Fraction)
+            assert value == ExtValue(Fraction(raw, scale or 1))
+        assert finite > 0
+
+    def test_constructors_and_their_denominators(self):
+        ws = self.WEIGHTS
+        g6 = GroundSet(6)
+        uniform = make_uniform(g6, 3)
+        omega = from_matroid_and_weights(uniform, ws)
+        sevenths = from_matroid_and_weights(make_uniform(g6, 2),
+                                            [Fraction(k, 7) for k in range(6)])
+        self._agrees(omega, 60)
+        self._agrees(size_constrained_modular(g6, ws, 3), 60)
+        self._agrees(dual_valuation(omega), 60)
+        self._agrees(indicator_of_matroid(uniform), 1)
+        self._agrees(modular_on_domain(indicator_of_matroid(uniform), ws), 60)
+        g3 = GroundSet(3)
+        self._agrees(disjoint_sum([from_matroid_and_weights(
+            make_uniform(g3, 1), ws[:3]), from_matroid_and_weights(
+            make_uniform(g3, 2), [Fraction(1, 7)] * 3)])[0], 84)
+        self._agrees(laminar_penalty([abs(w) for w in ws[:3]], 2, 4, g3)[0],
+                     12)
+        self._agrees(intersection_constraint_valuation(
+            2, make_uniform(g3, 1), 4)[0], 1)
+        spec = LaminarSpec(g3, (g3.subset([0, 1]), g3.subset([2])),
+                           (ConvexTable(0, tuple(Fraction(k * k, 5)
+                                                 for k in range(5))),
+                            ConvexTable(1, (Fraction(1, 2), Fraction(0)))))
+        tg = TupleGround(g3, 2)
+        self._agrees(lift_laminar_to_copies(spec, tg, 3), 10)
+        explicit = valuation_from_explicit(
+            g6, 2, {x.mask: dot(ws, x) for x in g6.subsets_of_size(2)})
+        self._agrees(explicit, None)
+        self._agrees(dual_valuation(explicit), None)
+
+    def test_opaque_component_makes_the_sum_opaque(self):
+        g3 = GroundSet(3)
+        ws = (Fraction(1, 3), Fraction(-5, 4), Fraction(2))
+        explicit = valuation_from_explicit(
+            g3, 1, {1 << v: ws[v] for v in range(3)})
+        scaled = from_matroid_and_weights(make_uniform(g3, 2), ws)
+        total, tg = disjoint_sum([explicit, scaled])
+        self._agrees(total, None)
+        for x in total.ground.subsets_of_size(total.rank):
+            first, second = tg.to_parts(x)
+            assert total.value(x) == explicit.value(first) + scaled.value(second)
+
+
 class TestDualValuation:
     def test_dual_example(self):
         g2 = GroundSet(2, ("a", "b"))
@@ -442,7 +534,49 @@ class TestLaminarPenalty:
                 assert omega.value(subset) == ExtValue(expected)
 
 
+def _random_laminar_family(rng, elements):
+    """A random laminar family on `elements`: the block itself with
+    probability 0.6, then the families of a random split into at least
+    two blocks."""
+    family = [elements] if rng.random() < 0.6 else []
+    if len(elements) > 1:
+        order = list(elements)
+        rng.shuffle(order)
+        cuts = sorted(rng.sample(range(1, len(order)),
+                                 rng.randint(1, len(order) - 1)))
+        for lo, hi in zip([0] + cuts, cuts + [len(order)]):
+            family += _random_laminar_family(rng, order[lo:hi])
+    return family
+
+
 class TestLaminarConvexFunction:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(
+        [(1, 8), (1, 5), (2, 5), (2, 3), (3, 4), (3, 2), (4, 3), (7, 2)]))
+    def test_laminar_sums_pass_mnat_exchange_on_the_copy_box(self, seed,
+                                                             shape):
+        # The property the congestion solve relies on without checking:
+        # a laminar sum of convex tables is M-natural-convex on the box
+        # of copy counts 0..n (at most 256 points here).
+        copies, size = shape
+        rng = random.Random(seed)
+        ground = GroundSet(size)
+        members = tuple(ground.subset(block) for block in
+                        _random_laminar_family(rng, list(range(size))))
+        tables = []
+        for member in members:
+            top = member.cardinality() * copies
+            start = rng.randint(0, top // 2)
+            tables.append(random_convex_table(
+                rng, start, rng.randint(top // 2 + 1 - start, top + 1 - start)))
+        spec = LaminarSpec(ground, members, tuple(tables))
+        try:
+            fn = laminar_convex_function(spec, (0,) * size, (copies,) * size)
+        except EmptyDomainError:
+            return
+        assert fn.box_volume() <= 256
+        assert check_mnat_exchange(fn, fn.box_volume())
+
     def test_singleton_squares(self):
         g2 = GroundSet(2, ("a", "b"))
         spec = LaminarSpec(

@@ -1,6 +1,8 @@
 """The augmenting-path solver: graph construction, paths, witnesses."""
 
+import hashlib
 import heapq
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -10,18 +12,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vmint.viap as viap
-from vmint.core import ExtValue, GroundSet, InternalInvariantError
+from vmint.core import ExtValue, GroundSet, InternalInvariantError, dot
 from vmint.bruteforce import brute_v_eq_k, brute_v_geq_k
 from vmint.matroid import make_uniform
-from vmint.rand_instances import random_ground, random_modular_valuation
+from vmint.rand_instances import (
+    MATROID_KINDS,
+    random_ground,
+    random_matroid,
+    random_modular_valuation,
+    random_rational,
+)
 from vmint.valuated import (
     check_valuated_exchange,
+    dual_valuation,
     from_matroid_and_weights,
     valuation_from_explicit,
 )
 from vmint.viap import (
     ARC_EDGE,
     ARC_EXCHANGE_1,
+    ARC_EXCHANGE_2,
     ARC_MATCHED,
     ARC_SINK,
     ARC_SOURCE,
@@ -202,27 +212,32 @@ _LENGTHS = st.builds(Fraction, st.integers(0, 6),
 
 @st.composite
 def _aux_graphs(draw):
-    """Digraphs on 2n + 2 nodes with nonnegative mixed-denominator lengths.
+    """Digraphs on 2n + 2 nodes with nonnegative mixed-denominator lengths,
+    stored as ints in units of 1/S for the lcm S of their denominators.
 
     Small lengths give many zero-length and equal-length ties; an arc may
     come with an equal-length two-arc detour, and the sink may be cut off.
     """
     n = draw(st.integers(1, 4))
-    graph = AuxDigraph(n, [[] for _ in range(2 * n + 2)])
+    sink = 2 * n + 1
     cut_sink = draw(st.booleans())
-    nodes = st.integers(0, graph.sink).filter(
-        lambda v: not (cut_sink and v == graph.sink))
+    nodes = st.integers(0, sink).filter(
+        lambda v: not (cut_sink and v == sink))
+    arcs = []
     for _ in range(draw(st.integers(0, 8 * n + 8))):
         tail, head, length = draw(nodes), draw(nodes), draw(_LENGTHS)
-        graph.adjacency[tail].append(AuxArc(tail, head, length, ARC_EDGE))
+        arcs.append((tail, head, length))
         if draw(st.booleans()):
             middle = draw(nodes)
             first = length * draw(st.sampled_from(
                 [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]))
-            graph.adjacency[tail].append(
-                AuxArc(tail, middle, first, ARC_EDGE))
-            graph.adjacency[middle].append(
-                AuxArc(middle, head, length - first, ARC_EDGE))
+            arcs.append((tail, middle, first))
+            arcs.append((middle, head, length - first))
+    scale = math.lcm(*(length.denominator for _, _, length in arcs))
+    graph = AuxDigraph(n, [[] for _ in range(2 * n + 2)], scale)
+    for tail, head, length in arcs:
+        graph.adjacency[tail].append(AuxArc(
+            tail, head, int(length * scale), ARC_EDGE, scale=scale))
     return graph
 
 
@@ -232,8 +247,9 @@ class TestIntegerDijkstra:
     def test_matches_fraction_search(self, graph):
         dist, parent, path = shortest_path_with_hop_tiebreak(graph)
         ref_dist, ref_parent, ref_path = _fraction_shortest_path(graph)
-        assert dist == ref_dist
-        assert all(d is None or isinstance(d, Fraction) for d in dist)
+        assert [None if d is None else Fraction(d, graph.scale)
+                for d in dist] == ref_dist
+        assert all(d is None or type(d) is int for d in dist)
         assert [id(a) for a in parent] == [id(a) for a in ref_parent]
         if ref_path is None:
             assert path is None
@@ -541,3 +557,242 @@ class TestAgainstBruteForce:
                 if fast_eq.optimal:
                     assert fast_eq.value == slow_eq.value
                     assert verify_solution(fast_eq, omega1, omega2)
+
+
+PIN_KINDS = MATROID_KINDS + ("explicit",)
+
+
+def _pinned_makers(seed):
+    """Two oracle makers on one random ground set, and a level k.
+
+    Each side is a modular valuation on a uniform, partition, graphic or
+    linear matroid, or the same valuation given as an explicit table (an
+    opaque oracle); weights have denominators 1 to 12.
+    """
+    rng = random.Random(seed)
+    ground = random_ground(rng, 2, 7)
+    makers, ranks = [], []
+    for _ in range(2):
+        kind = rng.choice(PIN_KINDS)
+        matroid = random_matroid(
+            rng, ground, kinds=MATROID_KINDS if kind == "explicit" else (kind,))
+        weights = tuple(random_rational(rng, denominators=range(1, 13))
+                        for _ in ground.elements())
+        if kind == "explicit":
+            table = {x.mask: dot(weights, x)
+                     for x in ground.subsets_of_size(matroid.rank)
+                     if matroid.is_independent(x)}
+            makers.append(lambda g=ground, r=matroid.rank, t=table:
+                            valuation_from_explicit(g, r, t))
+        else:
+            makers.append(lambda m=matroid, w=weights:
+                            from_matroid_and_weights(m, w))
+        ranks.append(matroid.rank)
+    return makers, rng.randint(0, min(ranks) + 1)
+
+
+def _solution_text(solution) -> str:
+    """Every output of a solve: status, sets, value, mode, level, oracle
+    calls, the witness with its potentials as strings, and the same for
+    the last feasible level of an infeasible outcome."""
+    if solution is None:
+        return "None"
+
+    def mask(subset):
+        return None if subset is None else subset.mask
+
+    witness = solution.witness
+    if witness is not None:
+        witness = ([str(p) for p in witness.p1], [str(p) for p in witness.p2],
+                   witness.matched.mask, witness.k)
+    return repr((solution.status, mask(solution.x1), mask(solution.x2),
+                 str(solution.value), solution.mode, solution.k,
+                 solution.oracle_calls, witness,
+                 _solution_text(solution.last_feasible)))
+
+
+class TestPinnedLadderOutputs:
+    # sha256 of the outputs below, computed with the rational ladder that
+    # preceded the integer one (exact Fraction potentials and lengths).
+    DIGEST = "8e2f0ae6804fd78ecc2e9aba75b45e8170d8d5e182b1b2b83ccb6f4d3884f7d1"
+
+    def test_outputs_are_pinned(self):
+        digest = hashlib.sha256()
+        for seed in range(200):
+            (make1, make2), k = _pinned_makers(seed)
+            for solve in (solve_v_geq_k, solve_v_eq_k):
+                digest.update(_solution_text(solve(make1(), make2(), k))
+                              .encode() + b"\n")
+        assert digest.hexdigest() == self.DIGEST
+
+
+def _fraction_exchange_lengths(x1, x2, p1, p2, omega1, omega2):
+    """The exchange arcs of the auxiliary digraph, as (kind, u, v, length).
+
+    Verbatim copy of the rational loop that the integer `_exchange_lengths`
+    replaced, kept as its reference.
+
+    A1 arcs come first, by u in X1 then v outside X1, and then A2 arcs, by
+    v outside X2 then u in X2; each length is the reduced-cost change of
+    its single exchange.  This loop is the one place that rejects a
+    negative reduced cost: it raises as soon as it meets one, and when
+    the current sets leave the effective domains.
+    """
+    base1 = omega1.value(x1)
+    base2 = omega2.value(x2)
+    if not (base1.is_finite and base2.is_finite):
+        raise InternalInvariantError("current sets left the effective domains")
+    ground = omega1.ground
+    for u in x1.members():
+        for v in ground.elements():
+            if x1.contains(v):
+                continue
+            moved = omega1.exchange_value(x1, u, v)
+            if moved.is_finite:
+                length = (moved.finite - base1.finite) - p1[v] + p1[u]
+                _check_length(length, ARC_EXCHANGE_1)
+                yield ARC_EXCHANGE_1, u, v, length
+    for v in ground.elements():
+        if x2.contains(v):
+            continue
+        for u in x2.members():
+            moved = omega2.exchange_value(x2, u, v)
+            if moved.is_finite:
+                length = (moved.finite - base2.finite) + p2[v] - p2[u]
+                _check_length(length, ARC_EXCHANGE_2)
+                yield ARC_EXCHANGE_2, u, v, length
+
+
+def _check_length(length: Fraction, kind: str) -> None:
+    if length < 0:
+        raise InternalInvariantError(
+            f"negative arc length {length} on {kind} arc; "
+            "current sets are not minimizers of the shifted valuations")
+
+
+def _unit_exchange_lengths(x1, x2, p1, p2, omega1, omega2):
+    """The integer loop on rational potentials, lengths read as Fractions."""
+    q1, q2, scale = viap._in_units(omega1, omega2, p1, p2)
+    for kind, u, v, length in viap._exchange_lengths(x1, x2, q1, q2, scale,
+                                                     omega1, omega2):
+        assert type(length) is int or omega1.scale is None \
+            or omega2.scale is None
+        yield kind, u, v, Fraction(length, scale)
+
+
+def _drain(arcs):
+    """The arcs a loop yields, and the message it raises with, if any."""
+    out = []
+    try:
+        for arc in arcs:
+            out.append(arc)
+    except InternalInvariantError as exc:
+        return out, str(exc)
+    return out, None
+
+
+DENOMINATORS = range(1, 13)
+EXCHANGE_KINDS = (ARC_EXCHANGE_1, ARC_EXCHANGE_2)
+
+
+def _differential_side(rng, ground, kind):
+    """A maker of one side: scaled with mixed denominators, opaque (an
+    explicit table), or the dual of a scaled one."""
+    matroid = random_matroid(rng, ground)
+    weights = tuple(random_rational(rng, denominators=DENOMINATORS)
+                    for _ in ground.elements())
+    if kind == "opaque":
+        table = {x.mask: dot(weights, x)
+                 for x in ground.subsets_of_size(matroid.rank)
+                 if matroid.is_independent(x)}
+        return lambda: valuation_from_explicit(ground, matroid.rank, table)
+    omega = (lambda: from_matroid_and_weights(matroid, weights))
+    if kind == "dual":
+        return lambda: dual_valuation(omega())
+    return omega
+
+
+class TestIntegerExchangeLengths:
+    """The integer exchange loop against the rational one it replaced:
+    the same arcs in the same order with the same exact lengths, the same
+    first negative arc and message, and the same oracle counters."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32),
+           st.sampled_from(["scaled", "opaque", "dual"]),
+           st.sampled_from(["scaled", "opaque", "dual"]),
+           st.sampled_from(["solved", "planted", "foreign", "rank_sized"]))
+    def test_matches_fraction_loop(self, seed, kind1, kind2, potentials):
+        rng = random.Random(seed)
+        ground = random_ground(rng, 2, 7)
+        make1 = _differential_side(rng, ground, kind1)
+        make2 = _differential_side(rng, ground, kind2)
+        omega1, omega2 = make1(), make2()
+        if potentials in ("solved", "planted", "foreign"):
+            out = solve_v_geq_k(omega1, omega2, rng.randint(
+                0, min(omega1.rank, omega2.rank)))
+            if not out.optimal:
+                return
+            x1, x2, p = out.x1, out.x2, out.witness.p1
+            if potentials != "solved":
+                # Plant a fault: shift one potential by a rational whose
+                # denominator ("foreign") need not divide either D.
+                den = rng.choice([5, 7, 11, 13] if potentials == "foreign"
+                                 else DENOMINATORS)
+                delta = Fraction(rng.choice([-1, 1]) * rng.randint(1, 3 * den),
+                                 den)
+                v = rng.randrange(ground.size)
+                p = tuple(pv + delta if i == v else pv
+                          for i, pv in enumerate(p))
+        else:
+            x1 = ground.subset(rng.sample(range(ground.size), omega1.rank))
+            x2 = ground.subset(rng.sample(range(ground.size), omega2.rank))
+            p = tuple(random_rational(rng, -2, 2, denominators=(1, 3, 7))
+                      for _ in ground.elements())
+        ours1, ours2 = make1(), make2()
+        theirs1, theirs2 = make1(), make2()
+        ours = _drain(_unit_exchange_lengths(x1, x2, p, p, ours1, ours2))
+        theirs = _drain(_fraction_exchange_lengths(x1, x2, p, p,
+                                                   theirs1, theirs2))
+        assert ours == theirs
+        assert all(type(length) is Fraction for *_, length in ours[0])
+        for a, b in ((ours1, theirs1), (ours2, theirs2)):
+            assert (a.calls, a.evals) == (b.calls, b.evals)
+
+    def test_negative_arc_message_prints_the_fraction(self, g3):
+        omega1 = from_matroid_and_weights(make_uniform(g3, 2),
+                                          [Fraction(1, 3), 2, 4])
+        omega2 = from_matroid_and_weights(make_uniform(g3, 2), [4, 2, 1])
+        x = g3.subset([1, 2])
+        p = (Fraction(0), Fraction(1, 7), Fraction(0))
+        with pytest.raises(InternalInvariantError,
+                           match=r"negative arc length -32/21 on A1 arc"):
+            list(_unit_exchange_lengths(x, x, p, p, omega1, omega2))
+
+    def test_aux_arc_lengths_are_the_lpt_rationals(self):
+        # The LPT raise loop of `reference.py` builds the aux digraph on
+        # rational duals and reads `AuxArc.length` as exact Fractions.
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(40):
+            ground = random_ground(rng, 2, 7)
+            omega1 = _differential_side(rng, ground, "scaled")()
+            omega2 = _differential_side(rng, ground, "scaled")()
+            out = solve_v_geq_k(omega1, omega2,
+                                min(omega1.rank, omega2.rank))
+            if not out.optimal:
+                continue
+            q = list(out.witness.p1)
+            graph = build_aux_digraph(out.x1, out.x2, q, q, out.witness.matched,
+                                      omega1, omega2)
+            reference = list(_fraction_exchange_lengths(
+                out.x1, out.x2, q, q, omega1, omega2))
+            arcs = _arcs(graph)
+            exchange = [(arc.kind, arc.element_out, arc.element_in, arc.length)
+                        for arc in arcs if arc.kind in EXCHANGE_KINDS]
+            assert sorted(exchange) == sorted(reference)
+            assert all(type(arc.length) is Fraction for arc in arcs)
+            assert all(arc.length == 0 for arc in arcs
+                       if arc.kind not in EXCHANGE_KINDS)
+            checked += len(exchange)
+        assert checked > 0

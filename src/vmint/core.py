@@ -259,7 +259,7 @@ class Subset:
             raise InvalidInputError("subset mask out of range for ground set")
 
     def cardinality(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def __len__(self) -> int:
         return self.cardinality()
@@ -399,7 +399,7 @@ def vector_to_subset(ground: GroundSet, x: IntVector) -> Subset:
 
 def intersection_cardinality(x: Subset, y: Subset) -> int:
     """|X intersect Y| for two subsets of the same ground set."""
-    return bin(x.intersection(y).mask).count("1")
+    return x.intersection(y).mask.bit_count()
 
 
 def dot(weights: Sequence[Fraction], subset: Subset) -> Fraction:

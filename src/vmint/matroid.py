@@ -136,7 +136,7 @@ def make_partition(ground: GroundSet,
             block_of[v] = block.mask
 
     def independent(x: Subset) -> bool:
-        return all(bin(x.mask & m).count("1") <= cap for m, cap in masks_caps)
+        return all((x.mask & m).bit_count() <= cap for m, cap in masks_caps)
 
     def circuits(base: int) -> tuple[int, ...]:
         # A base fills the block of every v outside it, so v can only

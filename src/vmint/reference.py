@@ -33,6 +33,7 @@ from .viap import (
     ARC_EXCHANGE_2,
     IntersectionSolution,
     build_aux_digraph,
+    in_units,
     shortest_path_with_hop_tiebreak,
 )
 from . import viap
@@ -135,9 +136,10 @@ def _lpt_case1(matroid1: MatroidOracle, matroid2: MatroidOracle,
     state = _LptState(start[0], start[1],
                       [Fraction(0)] * n, [Fraction(0)] * n)
     while intersection_cardinality(state.x1, state.x2) < k:
-        graph = build_aux_digraph(state.x1, state.x2, state.q1, state.q2,
+        q1, q2, scale = in_units(omega1, omega2, state.q1, state.q2)
+        graph = build_aux_digraph(state.x1, state.x2, q1, q2,
                                   state.x1.intersection(state.x2),
-                                  omega1, omega2)
+                                  omega1, omega2, scale)
         dist, _parents, path = shortest_path_with_hop_tiebreak(graph)
         sink_dist = dist[graph.sink]
         if sink_dist is not None and sink_dist == 0:

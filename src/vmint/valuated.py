@@ -12,12 +12,11 @@ oracle-complexity checks in the test suite.  Oracles are logically
 immutable, but the memo and counters mutate on query: confine an oracle to
 one solver run at a time (or guard it) when sharing across threads.
 
-A valuation oracle with a `scale` D keeps its values as ints in units of
-1/D, +infinity as None; the solvers compare and add those raw values, and
-`value` turns them into exact `ExtValue`s for everyone else.  Every
-oracle built here from weights or tables is scaled (a disjoint sum by the
-lcm of its parts' denominators); one built from an opaque value function
-has scale None and keeps rationals, which the solvers treat as D = 1.
+A valuation oracle has a `scale` D: its value function returns ints in
+units of 1/D, +infinity as None.  The solvers compare and add those raw
+values, and `value` turns them into exact `ExtValue`s for everyone else.
+Every constructor here scales its oracle by the lcm of the denominators
+of its weights or tables (a disjoint sum by the lcm of its parts').
 
 The descent and the auxiliary digraph ask only single-exchange queries
 omega(X - u + v), through `ValuationOracle.raw_exchange` (or its
@@ -30,14 +29,18 @@ circuit C(X, v)) and the integer sum w(X) - w_u + w_v, with no
 independence test; the dual of any oracle passes its queries on as
 exchanges of the complement.
 
-The four oracles of the copy reductions answer exchanges block by block.
+The oracles of the copy reductions answer exchanges block by block.
 A disjoint sum sends a pair inside one copy to that component's own
 exchange query and asks every other copy for the part X - u + v has
 there, so each component's calls, evals and memo move exactly as under
-`value`.  The intersection constraint, the laminar penalty and the
-lifted laminar function depend only on how many copies pick each
-element; they keep those counts for the last base, and an exchange moves
-at most two of them.
+`value`.  The intersection constraint keeps, for the last base, how many
+copies pick each element; an exchange moves at most two of those counts.
+
+Laminar convex functions (convex tables of the member sums of a laminar
+family) are built by :func:`laminar_valuation` on subsets (the laminar
+penalty, the lifted laminar function, the 0/1 hyperplane restriction)
+and :func:`laminar_convex_function` on vectors, with witnesses from
+:func:`_laminar_point` instead of a scan.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import (
     INF,
@@ -64,9 +67,8 @@ from .matroid import MatroidOracle
 
 DEFAULT_DOMAIN_LIMIT = 200_000
 
-# A raw oracle value: an int in units of 1/D for a scaled oracle, the
-# rational value for an opaque one, None for +infinity.
-Raw = Union[int, Fraction, None]
+# A raw oracle value: an int in units of 1/D, None for +infinity.
+Raw = Optional[int]
 _MISSING = object()
 
 
@@ -76,14 +78,11 @@ class ValuationOracle:
     `value(X)` is finite only on rank-sized subsets; `witness_base` is one
     finite-valued subset, or None when the effective domain is empty.
 
-    `scale` is the oracle's denominator D, or None for an opaque value
-    function.  A scaled oracle's `value_fn` and `exchange_fn` return ints
-    in units of 1/D, with None for +infinity; an opaque oracle's return
-    `ExtValue`s.  The memo keeps raw values: those ints, or, for an opaque
-    oracle, the rational value itself (D = 1) or None.  `raw_value` and
-    `raw_exchange` hand out raw values; `value` and `exchange_value` hand
-    out the same answers as `ExtValue`s.  All four share the counters and
-    the memo.
+    `scale` is the oracle's denominator D.  Its `value_fn` and
+    `exchange_fn` return ints in units of 1/D, with None for +infinity,
+    and the memo keeps those raw values.  `raw_value` and `raw_exchange`
+    hand them out; `value` and `exchange_value` hand out the same answers
+    as `ExtValue`s.  All four share the counters and the memo.
     """
 
     def __init__(self, ground: GroundSet, rank: int,
@@ -92,7 +91,7 @@ class ValuationOracle:
                  name: str = "valuation",
                  exchange_fn: Optional[
                      Callable[[Subset, int, int], Raw]] = None,
-                 scale: Optional[int] = None):
+                 scale: int = 1):
         if not 0 <= rank <= ground.size:
             raise InvalidInputError(f"rank {rank} out of range 0..{ground.size}")
         self.ground = ground
@@ -108,8 +107,13 @@ class ValuationOracle:
         if witness_base is not None:
             if witness_base.cardinality() != rank:
                 raise InvalidInputError("witness base has the wrong cardinality")
-            if self.raw_value(witness_base) is None:
+            raw = self.raw_value(witness_base)
+            if raw is None:
                 raise InvalidInputError("witness base has infinite value")
+            if not isinstance(raw, int):
+                raise InvalidInputError(
+                    f"valuation {name!r} must return ints in units of "
+                    f"1/{scale}, not {type(raw).__name__}")
 
     def raw_value(self, subset: Subset) -> Raw:
         """The value of `subset` in units of 1/D, None for +infinity."""
@@ -121,7 +125,7 @@ class ValuationOracle:
             if subset.cardinality() != self.rank:
                 cached = None
             else:
-                cached = self._raw(self._value_fn(subset))
+                cached = self._value_fn(subset)
             self._memo[subset.mask] = cached
             self.evals += 1
         return cached
@@ -147,23 +151,18 @@ class ValuationOracle:
                 cached = None
             elif (self._exchange_fn is not None
                   and mask >> u & 1 and not mask >> v & 1):
-                cached = self._raw(self._exchange_fn(base, u, v))
+                cached = self._exchange_fn(base, u, v)
             else:
-                cached = self._raw(self._value_fn(Subset(self.ground, key)))
+                cached = self._value_fn(Subset(self.ground, key))
             self._memo[key] = cached
             self.evals += 1
         return cached
-
-    def _raw(self, answer):
-        if self.scale is not None:
-            return answer
-        return answer.finite if answer.is_finite else None
 
     def as_value(self, raw: Raw) -> ExtValue:
         """A raw value of this oracle as the exact `ExtValue` it stands for."""
         if raw is None:
             return INF
-        return ExtValue(raw if self.scale is None else Fraction(raw, self.scale))
+        return ExtValue(Fraction(raw, self.scale))
 
     def value(self, subset: Subset) -> ExtValue:
         return self.as_value(self.raw_value(subset))
@@ -500,10 +499,7 @@ def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
     witness = None
     if omega.witness_base is not None:
         witness = omega.witness_base.complement()
-    if omega.scale is None:
-        value, exchange = omega.value, omega.exchange_value
-    else:
-        value, exchange = omega.raw_value, omega.raw_exchange
+    value, exchange = omega.raw_value, omega.raw_exchange
     return ValuationOracle(omega.ground, omega.ground.size - omega.rank,
                            lambda x: value(x.complement()),
                            witness, f"dual({omega.name})",
@@ -552,19 +548,9 @@ class TupleGround:
             mask &= part.mask
         return Subset(self.base, mask)
 
-    def counts_of_mask(self, mask: int) -> list[int]:
-        """How many copies of a combined mask contain each base element."""
-        size = self.base.size
-        window = (1 << size) - 1
-        counts = [0] * size
-        while mask:
-            part = mask & window
-            while part:
-                low = part & -part
-                counts[low.bit_length() - 1] += 1
-                part ^= low
-            mask >>= size
-        return counts
+    def lift(self, mask: int) -> int:
+        """The combined mask of every copy of a mask of the base set."""
+        return sum(mask << (i * self.base.size) for i in range(self.n))
 
 
 def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, TupleGround]:
@@ -573,7 +559,7 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
     value(X_1, ..., X_n) = sum_i omega_i(X_i); the rank is the sum of the
     component ranks and the witness concatenates the component witnesses.
     The sum is scaled by the lcm S of the components' denominators and
-    adds their raw values times S / D_i; it is opaque when a component is.
+    adds their raw values times S / D_i.
 
     An exchange X - u + v asks the components what `value` asks them, in
     the same order and up to the same first +infinity: the copy holding
@@ -588,30 +574,23 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
         if om.ground != base:
             raise InvalidInputError("valuations live on different ground sets")
     tg = TupleGround(base, len(omegas))
-    scale = math.lcm(*(om.scale or 1 for om in omegas))
-    factors = [scale // (om.scale or 1) for om in omegas]
-    opaque = any(om.scale is None for om in omegas)
+    scale = math.lcm(*(om.scale for om in omegas))
+    factors = [scale // om.scale for om in omegas]
 
-    def answer(total: Raw):
-        # Opaque components give rational totals, handed out as ExtValues.
-        if not opaque:
-            return total
-        return INF if total is None else ExtValue(Fraction(total, scale))
-
-    def value(subset: Subset):
+    def value(subset: Subset) -> Raw:
         total = 0
         for om, factor, part in zip(omegas, factors, tg.to_parts(subset)):
             term = om.raw_value(part)
             if term is None:
-                return answer(None)
+                return None
             total += term * factor
-        return answer(total)
+        return total
 
     size = base.size
     window = (1 << size) - 1
     last: list = [None, ()]             # tuple mask, its parts
 
-    def exchange(subset: Subset, u: int, v: int):
+    def exchange(subset: Subset, u: int, v: int) -> Raw:
         if last[0] != subset.mask:
             last[:] = [subset.mask,
                        tuple(Subset(base, subset.mask >> (i * size) & window)
@@ -630,38 +609,16 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
             else:
                 term = om.raw_value(parts[i])
             if term is None:
-                return answer(None)
+                return None
             total += term * factors[i]
-        return answer(total)
+        return total
 
     witness = None
     if all(om.witness_base is not None for om in omegas):
         witness = tg.to_subset([om.witness_base for om in omegas])
     rank = sum(om.rank for om in omegas)
     return (ValuationOracle(tg.combined, rank, value, witness, "disjoint-sum",
-                            exchange, None if opaque else scale), tg)
-
-
-def _count_exchange(tg: TupleGround, state_of: Callable[[list[int]], object],
-                    step: Callable[[object, list[int], int, int], Raw],
-                    ) -> Callable[[Subset, int, int], Raw]:
-    """An `exchange_fn` for a valuation of the copy counts of a tuple.
-
-    X - u + v moves one pick from element a = u mod |V| to b = v mod |V|
-    (no count changes when a = b).  The counts of the last base asked
-    about, and `state_of(counts)`, are computed once per base;
-    `step(state, counts, a, b)` is the value after the move.
-    """
-    size = tg.base.size
-    last: list = [None, None, None]     # tuple mask, its counts, its state
-
-    def exchange(subset: Subset, u: int, v: int) -> Raw:
-        if last[0] != subset.mask:
-            counts = tg.counts_of_mask(subset.mask)
-            last[:] = [subset.mask, counts, state_of(counts)]
-        return step(last[2], last[1], u % size, v % size)
-
-    return exchange
+                            exchange, scale), tg)
 
 
 def scaled_tables(tables: Sequence[ConvexTable],
@@ -682,47 +639,130 @@ def scaled_tables(tables: Sequence[ConvexTable],
     return term, scale
 
 
-def lifted_laminar_exchange(tg: TupleGround, members: Sequence[Subset],
-                            term: Callable[[int, int], Optional[int]],
-                            ) -> Callable[[Subset, int, int], Optional[int]]:
-    """The `exchange_fn` of sum over members M of g_M(copy count of M),
-    with the tables given as the `term` of :func:`scaled_tables`.
+def _laminar_point(masks: Sequence[int], tables: Sequence[ConvexTable],
+                   lower: Sequence[int], upper: Sequence[int],
+                   total: Optional[int] = None, descending: bool = False,
+                   ) -> Optional[tuple[int, ...]]:
+    """The first point x of the box [lower, upper] at which every member
+    sum of the laminar family `masks` lies in its table's interval (and
+    the coordinate sum is `total`, if given), or None when there is none.
 
-    Per base it keeps each member's count, the scaled sum of the finite
-    terms and the number of infinite ones; a move from a to b changes only
-    the members holding exactly one of a and b.
+    "First" is lexicographic with coordinate 0 most significant (the
+    order of `MnatFunction.iter_box`), or, with `descending`, coordinate
+    n - 1 most significant (increasing masks, on a 0/1 box).  The sums a
+    member can reach form an integer interval: the sum of the intervals
+    of its maximal sub-members and of the box bounds of its other
+    elements, cut by its table's interval.  Members are visited by size,
+    so each one's parent is the first later member that contains it
+    (equal masks nest); the sum `total` is a root member.  Each
+    coordinate in turn is fixed at the smallest upper bound that leaves
+    the family feasible.
     """
-    elements = [m.members() for m in members]
-    holding = [sum(1 << m for m, member in enumerate(members)
-                   if member.mask >> e & 1) for e in tg.base.elements()]
+    members = [(mask, t.start, t.end) for mask, t in zip(masks, tables)]
+    if total is not None:
+        members.append(((1 << len(lower)) - 1, total, total))
+    order = sorted(range(len(members)), key=lambda m: members[m][0].bit_count())
+    children: list[list[int]] = [[] for _ in members]
+    for pos, m in enumerate(order):
+        parent = next((p for p in order[pos + 1:]
+                       if members[m][0] & ~members[p][0] == 0), None)
+        if parent is not None:
+            children[parent].append(m)
 
-    def shift(acc: int, infinite: int, m: int, count: int, sign: int):
-        finite = term(m, count)
-        if finite is None:
-            return acc, infinite + sign
-        return acc + sign * finite, infinite
+    def feasible() -> bool:
+        reach: list = [None] * len(members)
+        for m in order:
+            mask, lo, hi = members[m]
+            low = high = 0
+            for child in children[m]:
+                low += reach[child][0]
+                high += reach[child][1]
+                mask &= ~members[child][0]
+            while mask:
+                e = (mask & -mask).bit_length() - 1
+                low += lower[e]
+                high += upper[e]
+                mask &= mask - 1
+            reach[m] = (max(low, lo), min(high, hi))
+            if reach[m][0] > reach[m][1]:
+                return False
+        return True
 
-    def state_of(counts: list[int]):
-        member_counts = [sum(counts[e] for e in els) for els in elements]
-        acc, infinite = 0, 0
-        for m, count in enumerate(member_counts):
-            acc, infinite = shift(acc, infinite, m, count, 1)
-        return member_counts, acc, infinite
+    lower, upper = list(lower), list(upper)
+    if not feasible():
+        return None
+    n = len(lower)
+    for i in reversed(range(n)) if descending else range(n):
+        lo, hi = lower[i], upper[i]
+        while lo < hi:
+            upper[i] = (lo + hi) // 2
+            if feasible():
+                hi = upper[i]
+            else:
+                lo = upper[i] + 1
+        lower[i] = upper[i] = lo
+    return tuple(lower)
 
-    def step(state, counts: list[int], a: int, b: int) -> Optional[int]:
-        member_counts, acc, infinite = state
-        moved = holding[a] ^ holding[b]
+
+def laminar_valuation(ground: GroundSet, member_masks: Sequence[int],
+                      tables: Sequence[ConvexTable], rank: int,
+                      name: str) -> ValuationOracle:
+    """The valuation X -> sum over members M of g_M(|X & M|) on rank-sized X.
+
+    The masks form a laminar family on `ground`, with one convex table
+    g_M each; the oracle is scaled by the tables' common denominator.  An
+    exchange X - u + v is answered from the member counts of the last
+    base: only the members holding exactly one of u and v move.  The
+    witness is the smallest finite mask.  Raises
+    :class:`EmptyDomainError` when no rank-sized set is finite.
+    """
+    term, scale = scaled_tables(tables)
+    masks = tuple(member_masks)
+    point = _laminar_point(masks, tables, (0,) * ground.size,
+                           (1,) * ground.size, rank, descending=True)
+    if point is None:
+        raise EmptyDomainError(f"valuation {name!r} has an empty domain")
+
+    def value(subset: Subset) -> Raw:
+        total = 0
+        for m, mask in enumerate(masks):
+            finite = term(m, (subset.mask & mask).bit_count())
+            if finite is None:
+                return None
+            total += finite
+        return total
+
+    holding = [sum(1 << m for m, mask in enumerate(masks) if mask >> e & 1)
+               for e in ground.elements()]
+    # base mask, its member counts, the sum of its finite terms and the
+    # number of infinite ones
+    last: list = [None, [], 0, 0]
+
+    def exchange(base: Subset, u: int, v: int) -> Raw:
+        if last[0] != base.mask:
+            counts = [(base.mask & mask).bit_count() for mask in masks]
+            terms = [term(m, count) for m, count in enumerate(counts)]
+            last[:] = [base.mask, counts,
+                       sum(t for t in terms if t is not None),
+                       terms.count(None)]
+        _, counts, acc, infinite = last
+        moved = holding[u] ^ holding[v]
         while moved:
             low = moved & -moved
             m = low.bit_length() - 1
             moved ^= low
-            old = member_counts[m]
-            acc, infinite = shift(acc, infinite, m, old, -1)
-            acc, infinite = shift(acc, infinite, m,
-                                  old + 1 if holding[b] & low else old - 1, 1)
+            new = counts[m] + 1 if holding[v] & low else counts[m] - 1
+            for count, sign in ((counts[m], -1), (new, 1)):
+                finite = term(m, count)
+                if finite is None:
+                    infinite += sign
+                else:
+                    acc += sign * finite
         return None if infinite else acc
 
-    return _count_exchange(tg, state_of, step)
+    witness = Subset(ground, sum(bit << e for e, bit in enumerate(point)))
+    return ValuationOracle(ground, rank, value, witness, name, exchange,
+                           scale)
 
 
 def intersection_constraint_valuation(n: int, constraint: MatroidOracle,
@@ -735,25 +775,34 @@ def intersection_constraint_valuation(n: int, constraint: MatroidOracle,
     the greedy reaches r whenever any tuple of total size r exists, so an
     unfinished fill means the domain is empty (witness None).
 
-    An exchange moves at most one element out of and one into the common
-    intersection (those with all n copies picked); the verdict of each
-    distinct intersection is asked of `constraint` once.
+    An exchange moves one pick from element a = u mod |V| to b = v mod |V|,
+    so at most one element out of and one into the common intersection
+    (those with all n copies picked); the copy counts and the intersection
+    of the last base are kept, and the verdict of each distinct
+    intersection is asked of `constraint` once.
     """
     base = constraint.ground
     if not 0 <= r <= n * base.size:
         raise InvalidInputError(f"total rank {r} out of range 0..{n * base.size}")
     tg = TupleGround(base, n)
+    size = base.size
 
-    def value(subset: Subset) -> Optional[int]:
+    def value(subset: Subset) -> Raw:
         inter = tg.common_intersection(subset)
         return 0 if constraint.is_independent(inter) else None
 
     verdicts: dict[int, bool] = {}
+    copies = [tg.lift(1 << e) for e in base.elements()]
+    last: list = [None, [], 0]          # tuple mask, its counts, its intersection
 
-    def common(counts: list[int]) -> int:
-        return sum(1 << e for e, count in enumerate(counts) if count == n)
-
-    def step(inter: int, counts: list[int], a: int, b: int) -> Optional[int]:
+    def exchange(subset: Subset, u: int, v: int) -> Raw:
+        if last[0] != subset.mask:
+            counts = [(subset.mask & mask).bit_count() for mask in copies]
+            last[:] = [subset.mask, counts,
+                       sum(1 << e for e, count in enumerate(counts)
+                           if count == n)]
+        _, counts, inter = last
+        a, b = u % size, v % size
         if a != b:
             inter &= ~(1 << a)
             if counts[b] == n - 1:
@@ -766,8 +815,7 @@ def intersection_constraint_valuation(n: int, constraint: MatroidOracle,
 
     witness: Optional[Subset] = _greedy_tuple_fill(tg, constraint, r)
     return (ValuationOracle(tg.combined, r, value, witness,
-                            "intersection-constraint",
-                            _count_exchange(tg, common, step), 1), tg)
+                            "intersection-constraint", exchange), tg)
 
 
 def _greedy_tuple_fill(tg: TupleGround, constraint: MatroidOracle,
@@ -805,9 +853,8 @@ def laminar_penalty(weights: Sequence[Fraction], n: int, r: int,
     sum over v of g_v(count of copies containing v), where g_v is w(v) at
     count n and 0 below; off the hyperplane the value is +infinity.
     Nonnegative w makes each g_v convex, which is what turns this into a
-    valuated matroid; negative entries are rejected.  Exchanges are
-    answered as those of the lifted laminar function of the singletons
-    with the tables g_v, whose common denominator scales the oracle.
+    valuated matroid; negative entries are rejected.  It is the
+    :func:`laminar_valuation` of the lifted singletons with the tables g_v.
     """
     ws = tuple(Fraction(w) for w in weights)
     if len(ws) != ground.size:
@@ -817,28 +864,23 @@ def laminar_penalty(weights: Sequence[Fraction], n: int, r: int,
     if not 0 <= r <= n * ground.size:
         raise InvalidInputError(f"total rank {r} out of range 0..{n * ground.size}")
     tg = TupleGround(ground, n)
-    term, scale = scaled_tables(
-        [ConvexTable(0, (Fraction(0),) * n + (w,)) for w in ws])
-    scaled = [term(v, n) for v in ground.elements()]
-
-    def value(subset: Subset) -> int:
-        return scaled_sum(scaled, tg.common_intersection(subset).mask)
-
-    exchange = lifted_laminar_exchange(
-        tg, [ground.subset([v]) for v in ground.elements()], term)
-    witness = Subset(tg.combined, (1 << r) - 1)
-    return (ValuationOracle(tg.combined, r, value, witness, "laminar-penalty",
-                            exchange, scale), tg)
+    return (laminar_valuation(
+        tg.combined, [tg.lift(1 << v) for v in ground.elements()],
+        [ConvexTable(0, (Fraction(0),) * n + (w,)) for w in ws], r,
+        "laminar-penalty"), tg)
 
 
 def laminar_convex_function(spec: LaminarSpec,
                             box_lower: Optional[Sequence[int]] = None,
                             box_upper: Optional[Sequence[int]] = None,
-                            witness_limit: int = DEFAULT_DOMAIN_LIMIT) -> MnatFunction:
+                            ) -> MnatFunction:
     """The M-natural-convex function f(x) = sum over members X of g_X(sum x(v)).
 
     A bounding box may be passed explicitly; otherwise it is derived from
     the tables of singleton members, which must then cover every element.
+    The witness is the first finite point of the box in `iter_box` order.
+    The result exposes the spec as `laminar`, which
+    :func:`restrict_to_hyperplane` reads.
     """
     ground = spec.ground
     if box_lower is None or box_upper is None:
@@ -854,70 +896,70 @@ def laminar_convex_function(spec: LaminarSpec,
                 "cannot derive a box: pass box bounds or add singleton members")
         box_lower, box_upper = lower, upper  # type: ignore[assignment]
 
-    member_data = tuple((m.members(), t) for m, t in zip(spec.members, spec.tables))
+    term, scale = scaled_tables(spec.tables)
+    elements = tuple(member.members() for member in spec.members)
 
     def value(x: IntVector) -> ExtValue:
-        total = ZERO
-        for members, table in member_data:
-            term = table.at(sum(x[v] for v in members))
-            if not term.is_finite:
+        total = 0
+        for m, members in enumerate(elements):
+            finite = term(m, sum(x[v] for v in members))
+            if finite is None:
                 return INF
-            total = total + term
-        return total
+            total += finite
+        return ExtValue(Fraction(total, scale))
 
-    fn = MnatFunction(ground.size, value, box_lower, box_upper, None, "laminar")
-    fn.witness_point = _first_finite_point(fn, witness_limit)
-    if fn.witness_point is None:
+    fn = MnatFunction(ground.size, value, box_lower, box_upper, None,
+                      "laminar")
+    point = _laminar_point([m.mask for m in spec.members], spec.tables,
+                           fn.box_lower, fn.box_upper)
+    if point is None:
         raise EmptyDomainError("laminar convex function has an empty domain")
+    fn.witness_point = IntVector(point)
+    fn.laminar = spec
     return fn
 
 
-def _first_finite_point(fn: MnatFunction, limit: int) -> Optional[IntVector]:
-    for x in fn.iter_box(limit):
-        if fn.in_domain(x):
-            return x
-    return None
-
-
 def restrict_to_hyperplane(fn: MnatFunction, r: int,
-                           ground: Optional[GroundSet] = None,
-                           witness_limit: int = DEFAULT_DOMAIN_LIMIT):
-    """Restrict an M-natural-convex function to coordinate sum r.
+                           ground: Optional[GroundSet] = None):
+    """Restrict a :func:`laminar_convex_function` to coordinate sum r.
 
     Returns a :class:`ValuationOracle` when the box fits in {0,1}^V
-    (pass `ground` to label it), else an M-convex :class:`MnatFunction`.
-    Raises :class:`EmptyDomainError` when no point of the domain has sum r.
+    (pass `ground` to label it): the :func:`laminar_valuation` of the
+    spec, where a coordinate fixed by the box is a singleton with a
+    one-point table.  Otherwise returns an M-convex
+    :class:`MnatFunction`, whose witness is the first point of the box in
+    `iter_box` order.  Raises :class:`EmptyDomainError` when no point of
+    the domain has sum r.
     """
-    zero_one = all(lo >= 0 and hi <= 1 for lo, hi in
-                   zip(fn.box_lower, fn.box_upper))
-    if zero_one:
-        if ground is None:
-            ground = GroundSet(fn.dimension)
-        witness = None
+    spec = getattr(fn, "laminar", None)
+    if spec is None:
+        raise InvalidInputError(
+            f"cannot restrict {fn.name!r}: not a laminar convex function")
+    name = f"{fn.name}|sum={r}"
+    bounds = tuple(zip(fn.box_lower, fn.box_upper))
+    if all(lo >= 0 and hi <= 1 for lo, hi in bounds):
+        masks = [member.mask for member in spec.members]
+        tables = list(spec.tables)
+        for i, (lo, hi) in enumerate(bounds):
+            if lo == hi:
+                masks.append(1 << i)
+                tables.append(ConvexTable(lo, (Fraction(0),)))
+        return laminar_valuation(ground or GroundSet(fn.dimension), masks,
+                                 tables, r, name)
 
-        def subset_value(subset: Subset) -> ExtValue:
-            return fn.value(IntVector(tuple(
-                1 if subset.mask >> i & 1 else 0 for i in range(fn.dimension))))
-
-        for candidate in ground.subsets_of_size(r):
-            if subset_value(candidate).is_finite:
-                witness = candidate
-                break
-        if witness is None:
-            raise EmptyDomainError("hyperplane restriction has an empty domain")
-        return ValuationOracle(ground, r, subset_value, witness,
-                               f"{fn.name}|sum={r}")
+    point = _laminar_point([m.mask for m in spec.members], spec.tables,
+                           fn.box_lower, fn.box_upper, r)
+    if point is None:
+        raise EmptyDomainError("hyperplane restriction has an empty domain")
 
     def value(x: IntVector) -> ExtValue:
         if x.total() != r:
             return INF
         return fn.value(x)
 
-    restricted = MnatFunction(fn.dimension, value, fn.box_lower, fn.box_upper,
-                              None, f"{fn.name}|sum={r}")
-    restricted.witness_point = _first_finite_point(restricted, witness_limit)
-    if restricted.witness_point is None:
-        raise EmptyDomainError("hyperplane restriction has an empty domain")
+    restricted = MnatFunction(fn.dimension, value, fn.box_lower,
+                              fn.box_upper, None, name)
+    restricted.witness_point = IntVector(point)
     return restricted
 
 
@@ -1017,14 +1059,12 @@ def check_mnat_exchange(fn: MnatFunction,
 def valuation_from_explicit(ground: GroundSet, rank: int,
                             table: dict[int, Fraction],
                             name: str = "explicit") -> ValuationOracle:
-    """A valuation from an explicit mask -> value table (testing helper)."""
-    witness = None
-    for mask in sorted(table):
-        witness = Subset(ground, mask)
-        break
-
-    def value(subset: Subset) -> ExtValue:
-        stored = table.get(subset.mask)
-        return INF if stored is None else ExtValue(stored)
-
-    return ValuationOracle(ground, rank, value, witness, name)
+    """A valuation from an explicit mask -> value table (testing helper),
+    scaled by the lcm of its values' denominators; the witness is the
+    smallest mask in the table."""
+    masks = sorted(table)
+    scaled, scale = scaled_weights([table[mask] for mask in masks])
+    raw = dict(zip(masks, scaled))
+    witness = Subset(ground, masks[0]) if masks else None
+    return ValuationOracle(ground, rank, lambda x: raw.get(x.mask), witness,
+                           name, scale=scale)

@@ -20,8 +20,8 @@ ladder runs on integers: with oracle denominators D1 and D2 (see
 potential, arc length and distance lies in (1/S)Z for their lcm S, so
 they are all kept as ints in units of 1/S, which keeps every comparison
 and tie.  `Fraction` appears only where a `Witness`, a ladder value or an
-`AuxArc.length` is read.  An opaque oracle (no scale) feeds its rational
-values into the same expressions with D = 1.
+`AuxArc.length` is read, and where the rational potentials of a
+`Witness` from elsewhere are put in units (`in_units`).
 
 Checking: `_exchange_lengths`, the exchange-arc loop of
 `build_aux_digraph`, is the one place that rejects a negative reduced
@@ -43,7 +43,7 @@ import heapq
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .core import (
     INF,
@@ -56,10 +56,6 @@ from .core import (
 from .greedy import minimize_valuated
 from .valuated import ValuationOracle, dual_valuation
 
-# A potential, length or distance: an int in units of 1/S, or an exact
-# rational when an opaque oracle takes part (see the module docstring).
-Rational = Union[int, Fraction]
-
 ARC_EDGE = "E"          # v1 -> v2, length 0, matches v
 ARC_MATCHED = "F"       # v2 -> v1 for v in F, length 0, unmatches v
 ARC_EXCHANGE_1 = "A1"   # u1 -> v1, exchange X1 - u + v
@@ -68,11 +64,11 @@ ARC_SOURCE = "S"        # s -> v1 for v in X1 \ X2
 ARC_SINK = "T"          # v2 -> t for v in X2 \ X1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AuxArc:
     tail: int
     head: int
-    units: Rational         # the length in units of 1/scale
+    units: int              # the length in units of 1/scale
     kind: str
     element_out: int = -1   # u of an exchange arc, else -1
     element_in: int = -1    # v of an exchange arc / the element of E, F arcs
@@ -169,16 +165,15 @@ class ViapState:
     omega2: ValuationOracle
     x1: Subset
     x2: Subset
-    p1: tuple[Rational, ...]
-    p2: tuple[Rational, ...]
+    p1: tuple[int, ...]
+    p2: tuple[int, ...]
     matched: Subset
     stats: SolverStats = field(default_factory=SolverStats)
     check_invariants: bool = True
     scale: int = 1
 
     def __post_init__(self):
-        if self.scale % _denominator(self.omega1) \
-                or self.scale % _denominator(self.omega2):
+        if self.scale % self.omega1.scale or self.scale % self.omega2.scale:
             raise InvalidInputError(
                 f"potential scale {self.scale} is not a multiple of the "
                 "oracles' denominators")
@@ -190,23 +185,19 @@ class ViapState:
         return self.omega1.value(self.x1) + self.omega2.value(self.x2)
 
 
-def _denominator(omega: ValuationOracle) -> int:
-    return omega.scale or 1
-
-
-def _in_units(omega1: ValuationOracle, omega2: ValuationOracle,
-              p1: Sequence[Rational], p2: Sequence[Rational],
-              ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+def in_units(omega1: ValuationOracle, omega2: ValuationOracle,
+             p1: Sequence[Fraction], p2: Sequence[Fraction],
+             ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Rational potentials as ints in units of 1/S, and S: the lcm of both
     oracles' denominators and the potentials' denominators."""
-    scale = math.lcm(_denominator(omega1), _denominator(omega2),
+    scale = math.lcm(omega1.scale, omega2.scale,
                      *(p.denominator for p in p1), *(p.denominator for p in p2))
     return (tuple(p.numerator * (scale // p.denominator) for p in p1),
             tuple(p.numerator * (scale // p.denominator) for p in p2), scale)
 
 
 def _exchange_lengths(x1: Subset, x2: Subset,
-                      p1: Sequence[Rational], p2: Sequence[Rational],
+                      p1: Sequence[int], p2: Sequence[int],
                       scale: int,
                       omega1: ValuationOracle, omega2: ValuationOracle):
     """The exchange arcs of the auxiliary digraph, as (kind, u, v, length).
@@ -223,8 +214,8 @@ def _exchange_lengths(x1: Subset, x2: Subset,
     base2 = omega2.raw_value(x2)
     if base1 is None or base2 is None:
         raise InternalInvariantError("current sets left the effective domains")
-    factor1 = scale // _denominator(omega1)
-    factor2 = scale // _denominator(omega2)
+    factor1 = scale // omega1.scale
+    factor2 = scale // omega2.scale
     exchange1, exchange2 = omega1.raw_exchange, omega2.raw_exchange
     elements = omega1.ground.elements()
     outside1 = [v for v in elements if not x1.mask >> v & 1]
@@ -251,7 +242,7 @@ def _exchange_lengths(x1: Subset, x2: Subset,
                 yield ARC_EXCHANGE_2, u, v, length
 
 
-def _negative_length(length: Rational, scale: int,
+def _negative_length(length: int, scale: int,
                      kind: str) -> InternalInvariantError:
     return InternalInvariantError(
         f"negative arc length {Fraction(length, scale)} on {kind} arc; "
@@ -259,11 +250,11 @@ def _negative_length(length: Rational, scale: int,
 
 
 def build_aux_digraph(x1: Subset, x2: Subset,
-                      p1: Sequence[Rational], p2: Sequence[Rational],
+                      p1: Sequence[int], p2: Sequence[int],
                       matched: Subset,
                       omega1: ValuationOracle,
                       omega2: ValuationOracle,
-                      scale: Optional[int] = None) -> AuxDigraph:
+                      scale: int) -> AuxDigraph:
     """Construct the auxiliary digraph for the current solver state.
 
     Arc classes: one edge arc per element (copy 1 to copy 2), one reverse
@@ -273,19 +264,16 @@ def build_aux_digraph(x1: Subset, x2: Subset,
     into X1 \\ X2 and sink arcs out of X2 \\ X1.  Exchange arc lengths are
     nonnegative exactly when X1 and X2 minimize the shifted valuations.
 
-    The potentials are exact rationals, or, when `scale` is given, in
-    units of 1/scale as `ViapState` keeps them.  The graph's scale is
-    that scale, or the lcm of the oracles' and the potentials'
-    denominators.
+    The potentials are in units of 1/scale, a multiple of both oracles'
+    denominators, as `ViapState` keeps them (:func:`in_units` puts
+    rational potentials in units); so are the graph's arc lengths.
     """
-    if scale is None:
-        p1, p2, scale = _in_units(omega1, omega2, p1, p2)
     ground = omega1.ground
     n = ground.size
     graph = AuxDigraph(n, [[] for _ in range(2 * n + 2)], scale)
     node_v1, node_v2 = graph.node_v1, graph.node_v2
 
-    def add(tail: int, head: int, length: Rational, kind: str,
+    def add(tail: int, head: int, length: int, kind: str,
             element_out: int, element_in: int) -> None:
         graph.adjacency[tail].append(AuxArc(tail, head, length, kind,
                                             element_out, element_in, scale))
@@ -311,7 +299,7 @@ def build_aux_digraph(x1: Subset, x2: Subset,
 
 def shortest_path_with_hop_tiebreak(
         graph: AuxDigraph,
-) -> tuple[list[Optional[Rational]], list[Optional[AuxArc]],
+) -> tuple[list[Optional[int]], list[Optional[AuxArc]],
            Optional[list[AuxArc]]]:
     """Label-setting search on the lexicographic key (length, hop count).
 
@@ -326,12 +314,12 @@ def shortest_path_with_hop_tiebreak(
     """
     adjacency = graph.adjacency
     size = graph.node_count()
-    dist: list[Optional[Rational]] = [None] * size
+    dist: list[Optional[int]] = [None] * size
     hops: list[int] = [0] * size
     parent: list[Optional[AuxArc]] = [None] * size
     done = [False] * size
     dist[graph.source] = 0
-    heap: list[tuple[Rational, int, int]] = [(0, 0, graph.source)]
+    heap: list[tuple[int, int, int]] = [(0, 0, graph.source)]
     while heap:
         d, h, node = heapq.heappop(heap)
         if done[node]:
@@ -372,7 +360,7 @@ def augment_step(state: ViapState) -> Optional[ViapState]:
     """
     graph = build_aux_digraph(state.x1, state.x2, state.p1, state.p2,
                               state.matched, state.omega1, state.omega2,
-                              scale=state.scale)
+                              state.scale)
     dist, _parent, path = shortest_path_with_hop_tiebreak(graph)
     if path is None:
         return None
@@ -401,8 +389,7 @@ def augment_step(state: ViapState) -> Optional[ViapState]:
 
 
 def _potential_fault(x1: Subset, x2: Subset, matched: Subset,
-                     p1: Sequence[Rational],
-                     p2: Sequence[Rational]) -> Optional[str]:
+                     p1: Sequence, p2: Sequence) -> Optional[str]:
     """The first potential condition of the certificate that fails, or None.
 
     The conditions: p1 and p2 agree pointwise, X1 \\ F lies in argmin p1
@@ -464,7 +451,7 @@ def verify_witness(x1: Subset, x2: Subset, witness: Witness, k: int,
     if exhaustive:
         return (_is_shifted_minimizer_exhaustive(omega1, x1, p1, -1)
                 and _is_shifted_minimizer_exhaustive(omega2, x2, p2, +1))
-    q1, q2, scale = _in_units(omega1, omega2, p1, p2)
+    q1, q2, scale = in_units(omega1, omega2, p1, p2)
     try:
         for _ in _exchange_lengths(x1, x2, q1, q2, scale, omega1, omega2):
             pass
@@ -500,8 +487,8 @@ class LadderEntry:
     x1: Subset
     x2: Subset
     value: ExtValue
-    p1: tuple[Rational, ...]
-    p2: tuple[Rational, ...]
+    p1: tuple[int, ...]
+    p2: tuple[int, ...]
     matched: Subset
     scale: int
 
@@ -550,7 +537,7 @@ def run_ladder(omega1: ValuationOracle, omega2: ValuationOracle,
     zeros = (0,) * omega1.ground.size
     state = ViapState(omega1, omega2, x1, x2, zeros, zeros,
                       x1.intersection(x2), stats, check_invariants,
-                      math.lcm(_denominator(omega1), _denominator(omega2)))
+                      math.lcm(omega1.scale, omega2.scale))
     entries: list[LadderEntry] = []
     start = state.intersection_size()
     entries.append(_entry_from_state(state, start))

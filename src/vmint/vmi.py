@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import (
-    INF,
-    EmptyDomainError,
-    ExtValue,
-    InvalidInputError,
-    Subset,
-)
+from .core import INF, ExtValue, InvalidInputError, Subset
 from .matroid import MatroidOracle, make_uniform
 from .valuated import (
     LaminarSpec,
@@ -30,8 +24,7 @@ from .valuated import (
     dual_valuation,
     intersection_constraint_valuation,
     laminar_penalty,
-    lifted_laminar_exchange,
-    scaled_tables,
+    laminar_valuation,
 )
 from .viap import IntersectionSolution, solve_v_geq_k
 
@@ -185,37 +178,13 @@ def lift_laminar_to_copies(spec: LaminarSpec, tg: TupleGround,
 
     Each laminar member X lifts to the set of all copies of its elements;
     the member sums then count, per member, how many copies picked its
-    elements.  The hyperplane restriction of the lifted function is a
-    valuated matroid on the copies, scaled by the tables' common
-    denominator.  Exchanges are answered from the copy counts of the last
-    base (:func:`valuated.lifted_laminar_exchange`).
+    elements.  The hyperplane restriction of the lifted function is the
+    :func:`valuated.laminar_valuation` of the lifted members, a valuated
+    matroid on the copies.
     """
-    term, scale = scaled_tables(spec.tables)
-    member_masks = tuple(member.mask for member in spec.members)
-    base_size = tg.base.size
-
-    def value(subset: Subset) -> Optional[int]:
-        total = 0
-        for m, member_mask in enumerate(member_masks):
-            count = 0
-            for i in range(tg.n):
-                count += bin(subset.mask >> (i * base_size) & member_mask).count("1")
-            finite = term(m, count)
-            if finite is None:
-                return None
-            total += finite
-        return total
-
-    witness = None
-    for candidate in tg.combined.subsets_of_size(rank):
-        if value(candidate) is not None:
-            witness = candidate
-            break
-    if witness is None:
-        raise EmptyDomainError("lifted laminar valuation has an empty domain")
-    return ValuationOracle(tg.combined, rank, value, witness, "laminar-lift",
-                           lifted_laminar_exchange(tg, spec.members, term),
-                           scale)
+    return laminar_valuation(tg.combined,
+                             [tg.lift(member.mask) for member in spec.members],
+                             spec.tables, rank, "laminar-lift")
 
 
 def solve_sum_valuated_plus_laminar(omegas: Sequence[ValuationOracle],

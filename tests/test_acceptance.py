@@ -194,11 +194,11 @@ def test_criterion_4_penalty_valuation_exchange():
     # And the raw formula with a negative weight genuinely breaks exchange.
     g2 = GroundSet(2, ("a", "b"))
     tg = TupleGround(g2, 2)
-    ws = (Fraction(-4), Fraction(0))
+    ws = (-4, 0)
 
     def raw_value(subset):
         inter = tg.common_intersection(subset)
-        return ExtValue(sum(ws[v] for v in inter.members()))
+        return sum(ws[v] for v in inter.members())
 
     raw = ValuationOracle(tg.combined, 2, raw_value, Subset(tg.combined, 0b0011))
     assert not vm.check_valuated_exchange(raw)

@@ -4,6 +4,7 @@ import hashlib
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 import yaml
@@ -242,6 +243,66 @@ def test_k_is_rejected_where_there_is_no_k(ptype, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert ptype in captured.err and "--k" in captured.err
+
+
+def _rank2_m_geq_k_w(dimension, top):
+    """A `laminar_hyperplane` m_geq_k_w document of rank 2 on the box
+    [0, top]^dimension, with convex singleton tables, and its optimal
+    value found by enumerating both rank-2 domains directly."""
+    labels = [f"e{i}" for i in range(dimension)]
+
+    def table(i, shift):
+        slope = (5 * i + shift) % 7 - 3
+        return [Fraction(slope * t + t * (t - 1) // 2, 2)
+                for t in range(top + 1)]
+
+    tables = {"f1": [table(i, 0) for i in range(dimension)],
+              "f2": [table(i, 3) for i in range(dimension)]}
+    weights = [-Fraction(i % 3, 3) for i in range(dimension)]
+    document = {
+        "ground": {"size": dimension, "labels": labels},
+        "mconvex": {name: {
+            "kind": "laminar_hyperplane", "rank": 2,
+            "box": {"lower": [0] * dimension, "upper": [top] * dimension},
+            "terms": [{"members": [label], "start": 0,
+                       "values": [str(g) for g in values]}
+                      for label, values in zip(labels, per_element)]}
+            for name, per_element in tables.items()},
+        "problem": {"type": "m_geq_k_w", "functions": ["f1", "f2"], "k": 1,
+                    "w": [str(w) for w in weights]},
+    }
+    points = []
+    for i in range(dimension):
+        for j in range(i, dimension):
+            if i < j or top >= 2:
+                x = [0] * dimension
+                x[i] += 1
+                x[j] += 1
+                points.append(x)
+
+    def value(name, x):
+        return sum(tables[name][v][x[v]] for v in range(dimension))
+
+    best = min(value("f1", x) + value("f2", y)
+               + sum(w * min(a, b) for w, a, b in zip(weights, x, y))
+               for x in points for y in points
+               if sum(map(min, x, y)) >= 1)
+    return document, len(points), best
+
+
+@pytest.mark.parametrize("dimension, top, domain",
+                         [(9, 3, 45), (18, 1, 153)])
+def test_m_geq_k_w_solves_without_a_box_scan(dimension, top, domain,
+                                             tmp_path, capsys):
+    # Both boxes hold 262,144 points, more than a witness scan may visit.
+    document, points, best = _rank2_m_geq_k_w(dimension, top)
+    assert points == domain
+    path = tmp_path / "m_geq_k_w.yaml"
+    path.write_text(yaml.safe_dump(document, sort_keys=False))
+    assert main(["solve", "-i", str(path)]) == 0
+    report = yaml.safe_load(capsys.readouterr().out)
+    assert report["status"] == "optimal"
+    assert Fraction(report["value"]) == best
 
 
 def test_stock_instances(capsys):

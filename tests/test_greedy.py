@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from vmint.core import INF, EmptyDomainError, ExtValue, GroundSet
+from vmint.core import EmptyDomainError, ExtValue, GroundSet
 from vmint.greedy import minimize_valuated, minimizer_family
 from vmint.matroid import ExplicitBaseFamily, check_base_exchange, make_uniform
 from vmint.rand_instances import random_matroid, random_weights
@@ -78,6 +78,6 @@ def test_minimizer_family_is_base_family():
 
 def test_empty_domain_errors():
     g2 = GroundSet(2)
-    empty = ValuationOracle(g2, 1, lambda x: INF, None)
+    empty = ValuationOracle(g2, 1, lambda x: None, None)
     with pytest.raises(EmptyDomainError):
         minimize_valuated(empty)

@@ -1,5 +1,6 @@
 """Valuation oracles, their constructors, and the exchange checkers."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from vmint.rand_instances import (
 from vmint.valuated import (
     ConvexTable,
     LaminarSpec,
+    MnatFunction,
     TupleGround,
     ValuationOracle,
     check_mnat_exchange,
@@ -360,9 +362,9 @@ class TestModularOnDomainExchange:
 
 
 class TestScale:
-    """A scaled oracle keeps ints over its denominator in the memo and
-    hands out the same exact values; an opaque one keeps rationals, and
-    makes a disjoint sum that contains it opaque."""
+    """Every oracle keeps ints over its denominator in the memo and hands
+    out the same exact values; a disjoint sum is scaled by the lcm of its
+    components' denominators."""
 
     WEIGHTS = tuple(Fraction(w) for w in TestModularSum.WEIGHTS)   # D = 60
 
@@ -376,8 +378,8 @@ class TestScale:
                 assert value == INF
                 continue
             finite += 1
-            assert type(raw) is (int if scale is not None else Fraction)
-            assert value == ExtValue(Fraction(raw, scale or 1))
+            assert type(raw) is int
+            assert value == ExtValue(Fraction(raw, scale))
         assert finite > 0
 
     def test_constructors_and_their_denominators(self):
@@ -408,17 +410,29 @@ class TestScale:
         self._agrees(lift_laminar_to_copies(spec, tg, 3), 10)
         explicit = valuation_from_explicit(
             g6, 2, {x.mask: dot(ws, x) for x in g6.subsets_of_size(2)})
-        self._agrees(explicit, None)
-        self._agrees(dual_valuation(explicit), None)
+        self._agrees(explicit, 60)
+        self._agrees(dual_valuation(explicit), 60)
+        squares = LaminarSpec(g3, (g3.subset([0, 1]),),
+                              (ConvexTable(0, (Fraction(1, 6), Fraction(0),
+                                               Fraction(1, 4))),))
+        self._agrees(restrict_to_hyperplane(laminar_convex_function(
+            squares, (0, 0, 0), (1, 1, 1)), 2), 12)
 
-    def test_opaque_component_makes_the_sum_opaque(self):
+    def test_witness_value_must_be_an_int(self):
+        g2 = GroundSet(2)
+        with pytest.raises(InvalidInputError):
+            ValuationOracle(g2, 1, lambda x: Fraction(1, 2), g2.subset([0]))
+
+    def test_explicit_component_joins_the_lcm(self):
         g3 = GroundSet(3)
         ws = (Fraction(1, 3), Fraction(-5, 4), Fraction(2))
         explicit = valuation_from_explicit(
             g3, 1, {1 << v: ws[v] for v in range(3)})
-        scaled = from_matroid_and_weights(make_uniform(g3, 2), ws)
+        scaled = from_matroid_and_weights(make_uniform(g3, 2),
+                                          [Fraction(1, 7)] * 3)
         total, tg = disjoint_sum([explicit, scaled])
-        self._agrees(total, None)
+        self._agrees(explicit, 12)
+        self._agrees(total, 84)
         for x in total.ground.subsets_of_size(total.rank):
             first, second = tg.to_parts(x)
             assert total.value(x) == explicit.value(first) + scaled.value(second)
@@ -644,6 +658,192 @@ class TestRestrictToHyperplane:
         assert restricted.value(IntVector((2, 0))) == ExtValue(4)
         assert restricted.value(IntVector((1, 0))) == INF
 
+    def test_other_functions_rejected(self):
+        fn = MnatFunction(2, lambda x: ExtValue(0), (0, 0), (1, 1),
+                          IntVector((0, 0)))
+        with pytest.raises(InvalidInputError):
+            restrict_to_hyperplane(fn, 1)
+
+
+def _old_laminar_value(spec):
+    """The rational evaluator that `laminar_convex_function` used before
+    its values were summed as ints over one denominator."""
+    member_data = tuple((m.members(), t) for m, t in zip(spec.members,
+                                                          spec.tables))
+
+    def value(x: IntVector) -> ExtValue:
+        total = ExtValue(0)
+        for members, table in member_data:
+            term = table.at(sum(x[v] for v in members))
+            if not term.is_finite:
+                return INF
+            total = total + term
+        return total
+    return value
+
+
+def _box_scan(value, lower, upper):
+    """The `itertools.product` box scan that found the witnesses of
+    `laminar_convex_function` and `restrict_to_hyperplane` before
+    `_laminar_point`: the first finite point in `iter_box` order."""
+    ranges = [range(lo, hi + 1) for lo, hi in zip(lower, upper)]
+    for combo in itertools.product(*ranges):
+        x = IntVector(combo)
+        if value(x).is_finite:
+            return x
+    return None
+
+
+def _subset_scan(ground, r, value):
+    """The r-subset scan of the 0/1 hyperplane restriction, and the
+    combined-ground scan of the lifted laminar function: the first
+    finite r-subset in increasing mask order."""
+    for candidate in ground.subsets_of_size(r):
+        if value(candidate).is_finite:
+            return candidate
+    return None
+
+
+def _random_spec(rng, lower, upper):
+    """A random laminar spec with some duplicate members and some
+    elements in no member; each table's interval may miss the sums its
+    member reaches when element v ranges over [lower[v], upper[v]]."""
+    ground = GroundSet(len(lower))
+    blocks = _random_laminar_family(rng, list(ground.elements()))
+    blocks += [rng.choice(blocks) for _ in range(rng.randint(0, 2)) if blocks]
+    tables = []
+    for block in blocks:
+        low = sum(lower[v] for v in block)
+        high = sum(upper[v] for v in block)
+        start = rng.randint(low - 1, (low + high) // 2 + 1)
+        reach = high - start + 1
+        tables.append(random_convex_table(
+            rng, start, rng.randint(max(1, reach // 2), max(1, reach + 1))))
+    return LaminarSpec(ground, tuple(ground.subset(b) for b in blocks),
+                       tuple(tables))
+
+
+def _random_box(rng, zero_one):
+    """A box of volume at most 256, with negative lower bounds and fixed
+    coordinates, or a 0/1 box with fixed coordinates."""
+    lower, upper, volume = [], [], 1
+    for _ in range(rng.randint(1, 8 if zero_one else 5)):
+        if zero_one:
+            lo, hi = rng.choice([(0, 0), (0, 1), (0, 1), (1, 1)])
+        else:
+            lo = rng.randint(-2, 1)
+            hi = lo + rng.randint(0, min(3, 256 // volume - 1))
+        lower.append(lo)
+        upper.append(hi)
+        volume *= hi - lo + 1
+    return lower, upper
+
+
+class TestLaminarWitness:
+    """The witnesses of the laminar constructors equal the first finite
+    point of the scans they replaced, and their values equal the old
+    evaluators' on every point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.booleans())
+    def test_function_and_restriction_match_the_scans(self, seed, zero_one):
+        rng = random.Random(seed)
+        lower, upper = _random_box(rng, zero_one)
+        spec = _random_spec(rng, lower, upper)
+        old = _old_laminar_value(spec)
+        expected = _box_scan(old, lower, upper)
+        if expected is None:
+            with pytest.raises(EmptyDomainError):
+                laminar_convex_function(spec, lower, upper)
+            return
+        fn = laminar_convex_function(spec, lower, upper)
+        assert fn.witness_point == expected
+        points = [IntVector(c) for c in itertools.product(
+            *(range(lo, hi + 1) for lo, hi in zip(lower, upper)))]
+        for x in points:
+            assert fn.value(x) == old(x)
+        r = rng.randint(sum(lower) - 1, sum(upper) + 1)
+        if zero_one:
+            ground = spec.ground
+
+            def old_subset(subset):
+                x = IntVector(tuple(1 if subset.mask >> i & 1 else 0
+                                    for i in range(ground.size)))
+                return old(x) if fn.in_box(x) else INF
+            witness = _subset_scan(ground, r, old_subset)
+            if witness is None:
+                with pytest.raises(EmptyDomainError):
+                    restrict_to_hyperplane(fn, r)
+                return
+            oracle = restrict_to_hyperplane(fn, r)
+            assert oracle.witness_base == witness
+            for subset in ground.all_subsets():
+                assert oracle.value(subset) == (
+                    old_subset(subset) if subset.cardinality() == r else INF)
+            return
+
+        def old_restricted(x):
+            return INF if x.total() != r else old(x)
+        witness = _box_scan(old_restricted, lower, upper)
+        if witness is None:
+            with pytest.raises(EmptyDomainError):
+                restrict_to_hyperplane(fn, r)
+            return
+        restricted = restrict_to_hyperplane(fn, r)
+        if isinstance(restricted, ValuationOracle):
+            return          # the box happened to fit in {0,1}^V
+        assert restricted.witness_point == witness
+        for x in points:
+            assert restricted.value(x) == old_restricted(x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 3))
+    def test_lift_matches_the_combined_ground_scan(self, seed, size, copies):
+        rng = random.Random(seed)
+        size = min(size, 8 // copies)
+        spec = _random_spec(rng, [0] * size, [copies] * size)
+        ground = spec.ground
+        tg = TupleGround(ground, copies)
+        rank = rng.randint(-1, size * copies + 1)
+        masks = [m.mask for m in spec.members]
+
+        def old_value(subset):
+            total = Fraction(0)
+            for member_mask, table in zip(masks, spec.tables):
+                count = 0
+                for i in range(tg.n):
+                    count += bin(subset.mask >> (i * size)
+                                 & member_mask).count("1")
+                term = table.at(count)
+                if not term.is_finite:
+                    return INF
+                total += term.finite
+            return ExtValue(total)
+        witness = _subset_scan(tg.combined, rank, old_value)
+        if witness is None:
+            with pytest.raises(EmptyDomainError):
+                lift_laminar_to_copies(spec, tg, rank)
+            return
+        lifted = lift_laminar_to_copies(spec, tg, rank)
+        assert lifted.witness_base == witness
+        for subset in tg.combined.subsets_of_size(rank):
+            assert lifted.value(subset) == old_value(subset)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 3))
+    def test_penalty_matches_the_common_intersection(self, seed, size,
+                                                     copies):
+        rng = random.Random(seed)
+        ground = GroundSet(size)
+        weights = [abs(w) for w in random_weights(rng, size)]
+        rank = rng.randint(0, size * copies)
+        omega, tg = laminar_penalty(weights, copies, rank, ground)
+        assert omega.witness_base == _subset_scan(
+            tg.combined, rank, lambda x: ExtValue(0))
+        for subset in tg.combined.subsets_of_size(rank):
+            assert omega.value(subset) == ExtValue(
+                dot(weights, tg.common_intersection(subset)))
+
 
 class TestExchangeCheckers:
     def test_modular_on_matroid_passes(self):
@@ -717,11 +917,11 @@ class TestExchangeCheckers:
         # violates the exchange axiom.
         g2 = GroundSet(2, ("a", "b"))
         tg = TupleGround(g2, 2)
-        ws = (Fraction(-4), Fraction(0))
+        ws = (-4, 0)
 
         def value(subset):
             inter = tg.common_intersection(subset)
-            return ExtValue(sum(ws[v] for v in inter.members()))
+            return sum(ws[v] for v in inter.members())
 
         omega = ValuationOracle(tg.combined, 2, value,
                                 Subset(tg.combined, 0b0011))

@@ -76,7 +76,7 @@ class TestAuxDigraph:
         x1 = g3.subset([0, 1])
         x2 = g3.subset([1, 2])
         graph = build_aux_digraph(x1, x2, ZEROS3, ZEROS3, g3.empty(),
-                                  omega1, omega2)
+                                  omega1, omega2, 1)
         kinds = {}
         for arc in _arcs(graph):
             kinds.setdefault(arc.kind, []).append(arc)
@@ -87,7 +87,7 @@ class TestAuxDigraph:
         omega1, _ = _modular_pair(g3)
         omega2 = from_matroid_and_weights(make_uniform(g3, 2), [1, 2, 4])
         x = g3.subset([0, 1])
-        graph = build_aux_digraph(x, x, ZEROS3, ZEROS3, x, omega1, omega2)
+        graph = build_aux_digraph(x, x, ZEROS3, ZEROS3, x, omega1, omega2, 1)
         kinds = {arc.kind for arc in _arcs(graph)}
         assert ARC_SOURCE not in kinds and ARC_SINK not in kinds
 
@@ -95,7 +95,7 @@ class TestAuxDigraph:
         omega1 = from_matroid_and_weights(make_uniform(g3, 2), [1, 2, 4])
         omega2 = from_matroid_and_weights(make_uniform(g3, 2), [1, 2, 4])
         x = g3.subset([0, 1])
-        graph = build_aux_digraph(x, x, ZEROS3, ZEROS3, x, omega1, omega2)
+        graph = build_aux_digraph(x, x, ZEROS3, ZEROS3, x, omega1, omega2, 1)
         a1 = {(arc.element_out, arc.element_in): arc.length
               for arc in _arcs(graph) if arc.kind == ARC_EXCHANGE_1}
         assert a1 == {(0, 2): Fraction(3), (1, 2): Fraction(2)}
@@ -107,7 +107,7 @@ class TestAuxDigraph:
         x2 = g3.subset([1, 2])
         with pytest.raises(InternalInvariantError):
             build_aux_digraph(x1, x2, ZEROS3, ZEROS3, g3.subset([1, 2]),
-                              omega1, omega2)
+                              omega1, omega2, 1)
 
 
 class TestShortestPath:
@@ -140,7 +140,7 @@ class TestShortestPath:
         omega2 = from_matroid_and_weights(make_uniform(g3, 1), [0, 0, 0])
         x = g3.subset([0])
         # X1 == X2: no source arcs at all, sink unreachable.
-        graph = build_aux_digraph(x, x, ZEROS3, ZEROS3, x, omega1, omega2)
+        graph = build_aux_digraph(x, x, ZEROS3, ZEROS3, x, omega1, omega2, 1)
         _, _, path = shortest_path_with_hop_tiebreak(graph)
         assert path is None
 
@@ -150,7 +150,7 @@ class TestShortestPath:
         x1 = g3.subset([0, 1])
         x2 = g3.subset([1, 2])
         graph = build_aux_digraph(x1, x2, ZEROS3, ZEROS3, x1.intersection(x2),
-                                  omega1, omega2)
+                                  omega1, omega2, 1)
         dist, _, path = shortest_path_with_hop_tiebreak(graph)
         assert dist[graph.sink] == 0
         # Shortest possible: s -> a1 -> a2 ... no: a not in X2; the 4-arc
@@ -566,8 +566,8 @@ def _pinned_makers(seed):
     """Two oracle makers on one random ground set, and a level k.
 
     Each side is a modular valuation on a uniform, partition, graphic or
-    linear matroid, or the same valuation given as an explicit table (an
-    opaque oracle); weights have denominators 1 to 12.
+    linear matroid, or the same valuation given as an explicit table;
+    weights have denominators 1 to 12.
     """
     rng = random.Random(seed)
     ground = random_ground(rng, 2, 7)
@@ -672,11 +672,10 @@ def _check_length(length: Fraction, kind: str) -> None:
 
 def _unit_exchange_lengths(x1, x2, p1, p2, omega1, omega2):
     """The integer loop on rational potentials, lengths read as Fractions."""
-    q1, q2, scale = viap._in_units(omega1, omega2, p1, p2)
+    q1, q2, scale = viap.in_units(omega1, omega2, p1, p2)
     for kind, u, v, length in viap._exchange_lengths(x1, x2, q1, q2, scale,
                                                      omega1, omega2):
-        assert type(length) is int or omega1.scale is None \
-            or omega2.scale is None
+        assert type(length) is int
         yield kind, u, v, Fraction(length, scale)
 
 
@@ -696,12 +695,12 @@ EXCHANGE_KINDS = (ARC_EXCHANGE_1, ARC_EXCHANGE_2)
 
 
 def _differential_side(rng, ground, kind):
-    """A maker of one side: scaled with mixed denominators, opaque (an
-    explicit table), or the dual of a scaled one."""
+    """A maker of one side: a modular valuation with mixed denominators,
+    the same values as an explicit table, or the dual of the first."""
     matroid = random_matroid(rng, ground)
     weights = tuple(random_rational(rng, denominators=DENOMINATORS)
                     for _ in ground.elements())
-    if kind == "opaque":
+    if kind == "explicit":
         table = {x.mask: dot(weights, x)
                  for x in ground.subsets_of_size(matroid.rank)
                  if matroid.is_independent(x)}
@@ -719,8 +718,8 @@ class TestIntegerExchangeLengths:
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32),
-           st.sampled_from(["scaled", "opaque", "dual"]),
-           st.sampled_from(["scaled", "opaque", "dual"]),
+           st.sampled_from(["scaled", "explicit", "dual"]),
+           st.sampled_from(["scaled", "explicit", "dual"]),
            st.sampled_from(["solved", "planted", "foreign", "rank_sized"]))
     def test_matches_fraction_loop(self, seed, kind1, kind2, potentials):
         rng = random.Random(seed)
@@ -783,8 +782,10 @@ class TestIntegerExchangeLengths:
             if not out.optimal:
                 continue
             q = list(out.witness.p1)
-            graph = build_aux_digraph(out.x1, out.x2, q, q, out.witness.matched,
-                                      omega1, omega2)
+            units, _, scale = viap.in_units(omega1, omega2, q, q)
+            graph = build_aux_digraph(out.x1, out.x2, units, units,
+                                      out.witness.matched, omega1, omega2,
+                                      scale)
             reference = list(_fraction_exchange_lengths(
                 out.x1, out.x2, q, q, omega1, omega2))
             arcs = _arcs(graph)

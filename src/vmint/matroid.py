@@ -21,7 +21,9 @@ class MatroidOracle:
     """A matroid given by its ground set and an independence query.
 
     The rank is computed once by greedy augmentation from the empty set
-    and cached; every downstream algorithm needs it repeatedly.
+    and cached; every downstream algorithm needs it repeatedly.  A
+    construction that knows its rank passes `rank` and skips that pass,
+    which asks one independence query per element.
 
     A construction that knows its structure may also pass `circuits`, a
     map from the mask of a base X to its fundamental-circuit table: a
@@ -34,14 +36,16 @@ class MatroidOracle:
 
     def __init__(self, ground: GroundSet, independent: Callable[[Subset], bool],
                  name: str = "matroid",
-                 circuits: Optional[Callable[[int], tuple[int, ...]]] = None):
+                 circuits: Optional[Callable[[int], tuple[int, ...]]] = None,
+                 rank: Optional[int] = None):
         self.ground = ground
         self._independent = independent
         self._circuits = circuits
         self.name = name
         if not independent(ground.empty()):
             raise InvalidInputError("the empty set must be independent")
-        self._rank = len(self._greedy_extend(ground.empty(), ground.full()))
+        self._rank = len(self._greedy_extend(ground.empty(), ground.full())) \
+            if rank is None else rank
 
     def is_independent(self, subset: Subset) -> bool:
         if subset.ground is not self.ground and subset.ground != self.ground:
@@ -105,7 +109,7 @@ def make_uniform(ground: GroundSet, r: int) -> MatroidOracle:
     if not 0 <= r <= ground.size:
         raise InvalidInputError(f"uniform rank {r} out of range 0..{ground.size}")
     return MatroidOracle(ground, lambda x: x.cardinality() <= r, f"uniform(r={r})",
-                         lambda base: (base,) * ground.size)
+                         lambda base: (base,) * ground.size, rank=r)
 
 
 def make_free(ground: GroundSet) -> MatroidOracle:
@@ -143,7 +147,8 @@ def make_partition(ground: GroundSet,
         # replace a member of its own block.
         return tuple(base & m for m in block_of)
 
-    return MatroidOracle(ground, independent, "partition", circuits)
+    rank = sum(min(block.cardinality(), cap) for block, cap in blocks)
+    return MatroidOracle(ground, independent, "partition", circuits, rank)
 
 
 def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],

@@ -13,20 +13,28 @@ cycle cost.  The true objective is re-evaluated after every cancellation
 and must strictly decrease, so termination follows from integrality and
 boundedness.
 
-The cycle search is exact integer arithmetic: each search scales its arc
-costs once by the lcm of their denominators, a positive factor that keeps
-every comparison and so every choice of the rational search.  A
-Bellman-Ford pass from a virtual source settles in O(N*M) steps exactly
-when there is no negative cycle, so the final optimality proof skips the
-fewest-arcs walk DP; when it does not settle, the DP picks the cycle.
+Each iteration builds its arcs once, residual arcs then exchange arcs,
+with int costs over one scale S per build: the lcm of the network's
+weight denominator (`FlowNetwork.weight_units`, computed once per
+network) and the denominators of the values of h asked.  S is a positive
+factor, so every comparison, tie and choice is that of the rational
+costs.  The cycle search runs on one list of (tail, head, cost, index)
+tuples.  A Bellman-Ford pass from a virtual source settles in O(N*M)
+steps exactly when there is no negative cycle, so the final optimality
+proof skips the fewest-arcs walk DP; the pass stops as soon as its parent
+links close a cycle, which is then negative.  When it does not settle,
+the DP relaxes the same list once per source and walk length and picks
+the cycle.  The objective sums the weights in units and builds one `Fraction`.
 
 Exchange arcs of a direct sum h(z) = sum of part_B(z_B) (see
-`valuated.direct_sum`) are read block by block.  A pair (x, y) inside one
-block costs part_B(z_B + e_x - e_y) - part_B(z_B), one evaluation of that
-part; a pair across blocks costs up[x] + down[y], where up and down are the
-unit-move deltas of the two blocks, looked up once per build.  The arc list
-is the one the whole-h scan gives, in the same order, so the canceled
-cycles do not depend on it; an h without blocks is scanned as one block.
+`valuated.direct_sum`) are read block by block through the parts'
+`moved(z_B, up, down)` query, which builds no vector on a memo hit.  A
+pair (x, y) inside one block costs part_B(z_B + e_x - e_y) - part_B(z_B),
+one query of that part; a pair across blocks costs up[x] + down[y], where
+up and down are the unit-move deltas of the two blocks, looked up once per
+build.  The arc list is the one the whole-h scan gives, in the same order,
+so the canceled cycles do not depend on it; an h without blocks is scanned
+as one block.
 
 The cardinality-coupled minimization over two M-convex functions reduces
 to this flow problem on a bipartite network between two copies of the
@@ -40,6 +48,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -88,6 +97,14 @@ class FlowNetwork:
                     and 0 <= arc.head < self.num_nodes):
                 raise InvalidInputError("arc endpoint out of range")
 
+    @cached_property
+    def weight_units(self) -> tuple[tuple[int, ...], int]:
+        """The arc weights as ints over the lcm D of their denominators,
+        and D."""
+        scale = math.lcm(*(arc.weight.denominator for arc in self.arcs))
+        return tuple(arc.weight.numerator * (scale // arc.weight.denominator)
+                     for arc in self.arcs), scale
+
 
 @dataclass
 class FlowSolution:
@@ -114,138 +131,178 @@ def boundary(flow: Sequence[int], network: FlowNetwork) -> IntVector:
 
 def flow_objective(h: MnatFunction, network: FlowNetwork,
                    flow: Sequence[int]) -> ExtValue:
-    linear = Fraction(0)
-    for xi, arc in zip(flow, network.arcs):
-        linear += arc.weight * xi
-    return h.value(boundary(flow, network)) + linear
+    weights, scale = network.weight_units
+    linear = sum(w * xi for w, xi in zip(weights, flow))
+    return h.value(boundary(flow, network)) + Fraction(linear, scale)
 
 
 # ---------------------------------------------------------------------------
 # Negative-cycle canceling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _AuxArc:
     tail: int
     head: int
-    cost: Fraction
+    cost: int           # in units of 1/S, S the scale of its build
     arc_index: int      # network arc for residual moves, -1 for exchanges
     direction: int      # +1 push, -1 retract, 0 exchange
 
 
-def _residual_arcs(network: FlowNetwork, flow: Sequence[int]) -> list[_AuxArc]:
-    arcs = []
-    for i, arc in enumerate(network.arcs):
-        xi = flow[i]
-        if arc.upper is None or xi < arc.upper:
-            arcs.append(_AuxArc(arc.tail, arc.head, arc.weight, i, +1))
-        if arc.lower is None or xi > arc.lower:
-            arcs.append(_AuxArc(arc.head, arc.tail, -arc.weight, i, -1))
-    return arcs
+def _aux_arcs(h: MnatFunction, network: FlowNetwork, flow: Sequence[int],
+              current: IntVector,
+              base_value: Fraction) -> tuple[list[_AuxArc], int]:
+    """The residual arcs of `flow`, then the exchange arcs of h at its
+    boundary `current` (where h is finite), with int costs over one scale
+    S, and S.
 
-
-def _exchange_arcs(h: MnatFunction, current: IntVector,
-                   base_value: Fraction) -> list[_AuxArc]:
-    """Exchange arcs at a point of the box where h is finite, block by block.
-
-    A move that leaves the box has infinite cost and is skipped without
-    asking h.  A pair inside one block costs part(z_B + e_x - e_y) -
-    part(z_B); a pair across blocks costs up[x] + down[y], the unit-move
-    deltas of the two blocks, and is skipped when either is infinite.  An
-    h without `blocks` is its own single block at base value `base_value`.
+    S is the lcm of the network's weight denominator and the denominators
+    of the values asked.  An exchange move that leaves the box has
+    infinite cost and is skipped without asking h.  A pair inside one
+    block costs part(z_B + e_x - e_y) - part(z_B); a pair across blocks
+    costs up[x] + down[y], the unit-move deltas of the two blocks, and is
+    skipped when either is infinite.  An h without `blocks` is its own
+    single block at base value `base_value`.  Every query goes through
+    the parts' `moved`.
     """
     z = current.entries
+    dimension = h.dimension
     lower, upper = h.box_lower, h.box_upper
     blocks = getattr(h, "blocks", None)
     if blocks:
-        block_points = [IntVector(z[off:off + part.dimension])
-                        for off, part in blocks]
-        bases = [part.value(point).finite
-                 for (_, part), point in zip(blocks, block_points)]
+        points = [z[off:off + part.dimension] for off, part in blocks]
+        bases = [part.moved(point, -1, -1).finite
+                 for (_, part), point in zip(blocks, points)]
     else:
-        blocks, block_points, bases = ((0, h),), [current], [base_value]
+        blocks, points, bases = ((0, h),), [z], [base_value]
     block_of = [b for b, (_, part) in enumerate(blocks)
                 for _ in range(part.dimension)]
-
-    def unit_delta(v: int, step: int) -> Optional[Fraction]:
-        b = block_of[v]
-        off, part = blocks[b]
-        moved = part.value(block_points[b].add_unit(v - off, step))
-        return moved.finite - bases[b] if moved.is_finite else None
-
-    up: list[Optional[Fraction]] = [None] * h.dimension
-    down: list[Optional[Fraction]] = [None] * h.dimension
+    asked = list(bases)   # the finite values asked, for the scale
+    up: list[Optional[Fraction]] = [None] * dimension
+    down: list[Optional[Fraction]] = [None] * dimension
     if len(blocks) > 1:
-        for v in range(h.dimension):
+        for v in range(dimension):
+            b = block_of[v]
+            off, part = blocks[b]
             if z[v] != upper[v]:
-                up[v] = unit_delta(v, +1)
+                moved = part.moved(points[b], v - off, -1)
+                if moved.is_finite:
+                    up[v] = moved.finite
+                    asked.append(up[v])
             if z[v] != lower[v]:
-                down[v] = unit_delta(v, -1)
-    arcs = []
-    for x in range(h.dimension):
+                moved = part.moved(points[b], -1, v - off)
+                if moved.is_finite:
+                    down[v] = moved.finite
+                    asked.append(down[v])
+    # (x, y, value of the moved block) inside a block, (x, y, None) across.
+    pairs: list[tuple[int, int, Optional[Fraction]]] = []
+    for x in range(dimension):
         if z[x] == upper[x]:
             continue
         bx = block_of[x]
         off, part = blocks[bx]
-        raised = block_points[bx].add_unit(x - off, +1)
-        for y in range(h.dimension):
+        point = points[bx]
+        for y in range(dimension):
             if y == x or z[y] == lower[y]:
                 continue
             if block_of[y] == bx:
-                moved = part.value(raised.add_unit(y - off, -1))
+                moved = part.moved(point, x - off, y - off)
                 if moved.is_finite:
-                    arcs.append(_AuxArc(x, y, moved.finite - bases[bx], -1, 0))
+                    value = moved.finite
+                    asked.append(value)
+                    pairs.append((x, y, value))
             elif up[x] is not None and down[y] is not None:
-                arcs.append(_AuxArc(x, y, up[x] + down[y], -1, 0))
-    return arcs
+                pairs.append((x, y, None))
+
+    weights, weight_scale = network.weight_units
+    scale = math.lcm(weight_scale, *{value.denominator for value in asked})
+
+    def units(value: Fraction) -> int:
+        return value.numerator * (scale // value.denominator)
+
+    factor = scale // weight_scale
+    arcs = []
+    for i, arc in enumerate(network.arcs):
+        xi = flow[i]
+        if arc.upper is None or xi < arc.upper:
+            arcs.append(_AuxArc(arc.tail, arc.head, weights[i] * factor, i, +1))
+        if arc.lower is None or xi > arc.lower:
+            arcs.append(_AuxArc(arc.head, arc.tail, -weights[i] * factor, i,
+                                -1))
+    base_units = [units(base) for base in bases]
+    up_units = [None if value is None else units(value) - base_units[b]
+                for value, b in zip(up, block_of)]
+    down_units = [None if value is None else units(value) - base_units[b]
+                  for value, b in zip(down, block_of)]
+    for x, y, value in pairs:
+        cost = up_units[x] + down_units[y] if value is None \
+            else units(value) - base_units[block_of[x]]
+        arcs.append(_AuxArc(x, y, cost, -1, 0))
+    return arcs, scale
 
 
-def _scaled_costs(aux_arcs: list[_AuxArc]) -> list[int]:
-    """Arc costs times the lcm of their denominators, as ints."""
-    scale = math.lcm(*(arc.cost.denominator for arc in aux_arcs))
-    return [arc.cost.numerator * (scale // arc.cost.denominator)
-            for arc in aux_arcs]
-
-
-def _has_negative_cycle(num_nodes: int, aux_arcs: list[_AuxArc],
-                        costs: list[int]) -> bool:
-    """Bellman-Ford from a virtual source joined to every node at cost 0.
+def _has_negative_cycle(num_nodes: int,
+                        edges: list[tuple[int, int, int, int]]) -> bool:
+    """Bellman-Ford from a virtual source joined to every node at cost 0,
+    over `(tail, head, cost, index)` edges.
 
     Without a negative cycle every shortest path has at most N - 1 arcs,
-    so some round among the first N changes nothing; with one, no round
-    ever settles.
+    so some round among the first N changes nothing, and the settled
+    `dist` is a potential under which every edge has a nonnegative reduced
+    cost.  With one, no round settles, and the search ends at the first
+    round after which the parent links (the tail of the edge that last
+    lowered each node) close a cycle.  Such a cycle is negative: when its
+    last link was set, that edge strictly lowered its head, and every
+    other link's head was at least its tail plus the edge cost, so the
+    costs around the cycle sum below zero.
     """
     dist = [0] * num_nodes
-    arcs = [(arc.tail, arc.head, cost) for arc, cost in zip(aux_arcs, costs)]
+    parent = [-1] * num_nodes
     for _ in range(num_nodes):
         changed = False
-        for tail, head, cost in arcs:
+        for tail, head, cost, _index in edges:
             reached = dist[tail] + cost
             if reached < dist[head]:
                 dist[head] = reached
+                parent[head] = tail
                 changed = True
         if not changed:
             return False
+        if _closes_cycle(parent):
+            return True
     return num_nodes > 0
+
+
+def _closes_cycle(parent: list[int]) -> bool:
+    """Whether following the links (-1: none) from some node comes back
+    to a node of the same walk."""
+    walk_of = [-1] * len(parent)
+    for start in range(len(parent)):
+        node = start
+        while node >= 0 and walk_of[node] < 0:
+            walk_of[node] = start
+            node = parent[node]
+        if node >= 0 and walk_of[node] == start:
+            return True
+    return False
 
 
 def _find_negative_cycles(num_nodes: int, aux_arcs: list[_AuxArc]):
     """Yield negative cycles ordered by (arc count, cost, anchor node).
 
-    Costs are scaled to ints once (see `_scaled_costs`), which keeps every
-    comparison, tie and sort position of the rational search.  If the
-    Bellman-Ford gate settles there is no negative cycle and nothing is
-    yielded.  Otherwise dynamic programming over walk length: the first
-    length at which a negative closed walk appears yields a simple cycle
-    (a shorter negative closed walk would exist otherwise).  Longer
-    candidates may repeat arcs and are validated by the caller before use.
+    If the Bellman-Ford gate settles there is no negative cycle and
+    nothing is yielded.  Otherwise dynamic programming over walk length:
+    the first length at which a negative closed walk appears yields a
+    simple cycle (a shorter negative closed walk would exist otherwise).
+    Longer candidates may repeat arcs and are validated by the caller
+    before use.  Each length relaxes the arc list once per source, in
+    index order and on strict improvement, so among walks of equal cost
+    the last arc is the lowest-index one.
     """
-    costs = _scaled_costs(aux_arcs)
-    if not _has_negative_cycle(num_nodes, aux_arcs, costs):
+    edges = [(arc.tail, arc.head, arc.cost, idx)
+             for idx, arc in enumerate(aux_arcs)]
+    if not _has_negative_cycle(num_nodes, edges):
         return
-    incoming: list[list[tuple[int, int, int]]] = [[] for _ in range(num_nodes)]
-    for idx, (arc, cost) in enumerate(zip(aux_arcs, costs)):
-        incoming[arc.head].append((arc.tail, cost, idx))
     nodes = range(num_nodes)
     # best[u][v]: cheapest walk u -> v with exactly k arcs (None: no walk);
     # parent[u][k-1][v]: the last arc of that walk.
@@ -258,17 +315,15 @@ def _find_negative_cycles(num_nodes: int, aux_arcs: list[_AuxArc]):
             reach = best[u]
             new_reach: list[Optional[int]] = [None] * num_nodes
             new_parent = [-1] * num_nodes
-            for v in nodes:
-                chosen_cost = None
-                for tail, cost, idx in incoming[v]:
-                    prev = reach[tail]
-                    if prev is None:
-                        continue
-                    walk = prev + cost
-                    if chosen_cost is None or walk < chosen_cost:
-                        chosen_cost = walk
-                        new_parent[v] = idx
-                new_reach[v] = chosen_cost
+            for tail, head, cost, idx in edges:
+                prev = reach[tail]
+                if prev is None:
+                    continue
+                walk = prev + cost
+                held = new_reach[head]
+                if held is None or walk < held:
+                    new_reach[head] = walk
+                    new_parent[head] = idx
             best[u] = new_reach
             parent[u].append(new_parent)
         negatives = sorted((best[u][u], u) for u in nodes
@@ -341,9 +396,8 @@ def _cancel_negative_cycles(
         if stop is not None and stop(current):
             return current, "stopped"
         bnd = boundary(current, network)
-        base = h.value(bnd)
-        aux = _residual_arcs(network, current) + _exchange_arcs(
-            h, bnd, base.finite)
+        aux, _scale = _aux_arcs(h, network, current, bnd,
+                                h.value(bnd).finite)
         improved = False
         had_candidate = False
         for cycle in _find_negative_cycles(network.num_nodes, aux):

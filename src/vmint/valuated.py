@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional, Sequence
@@ -237,9 +238,31 @@ class MnatFunction:
             self.evals += 1
         return cached
 
+    def moved(self, entries: tuple[int, ...], up: int, down: int) -> ExtValue:
+        """`value(z + e_up - e_down)` for z given by its entries, where -1
+        means no move; the same memo, box test and counters as `value`,
+        and a memo hit builds no vector.  Exchange arcs ask through this.
+        """
+        if len(entries) != self.dimension:
+            raise InvalidInputError("vector length mismatch")
+        key = list(entries)
+        if up >= 0:
+            key[up] += 1
+        if down >= 0:
+            key[down] -= 1
+        key = tuple(key)
+        self.calls += 1
+        cached = self._memo.get(key)
+        if cached is None:
+            point = IntVector(key)
+            cached = self._value_fn(point) if self.in_box(point) else INF
+            self._memo[key] = cached
+            self.evals += 1
+        return cached
+
     def in_box(self, x: IntVector) -> bool:
-        return all(lo <= v <= hi for v, lo, hi in
-                   zip(x.entries, self.box_lower, self.box_upper))
+        return all(map(operator.le, self.box_lower, x.entries)) \
+            and all(map(operator.le, x.entries, self.box_upper))
 
     def in_domain(self, x: IntVector) -> bool:
         return self.value(x).is_finite
@@ -292,9 +315,19 @@ class NegatedMnat:
         self.box_upper = tuple(-lo for lo in fn.box_lower)
         self.witness_point = None if fn.witness_point is None \
             else -fn.witness_point
+        self._point: Optional[tuple[int, ...]] = None
+        self._negated: tuple[int, ...] = ()
 
     def value(self, x: IntVector) -> ExtValue:
         return self.fn.value(-x)
+
+    def moved(self, entries: tuple[int, ...], up: int, down: int) -> ExtValue:
+        """f at -(z + e_up - e_down) = -z + e_down - e_up; -z is negated
+        once per block point, not once per move."""
+        if entries != self._point:
+            self._point = entries
+            self._negated = tuple(-v for v in entries)
+        return self.fn.moved(self._negated, down, up)
 
 
 class _FiniteIndicator:
@@ -310,6 +343,9 @@ class _FiniteIndicator:
     def value(self, x: IntVector) -> ExtValue:
         return ZERO if self.part.value(x).is_finite else INF
 
+    def moved(self, entries: tuple[int, ...], up: int, down: int) -> ExtValue:
+        return ZERO if self.part.moved(entries, up, down).is_finite else INF
+
 
 def interval_indicator(lower: int, upper: int, witness: int) -> MnatFunction:
     """The 1-dimensional indicator of the integer interval [lower, upper]."""
@@ -322,8 +358,9 @@ def direct_sum(parts: Sequence, name: str,
     """The function z -> sum of part_i(z_i) over consecutive blocks z_i.
 
     A part is an :class:`MnatFunction` or any object with `dimension`,
-    `box_lower`, `box_upper`, `witness_point` and `value(IntVector)`, which
-    is +infinity outside its box.  The box and witness are the parts'
+    `box_lower`, `box_upper`, `witness_point`, `value(IntVector)` and
+    `moved(entries, up, down)` (see `MnatFunction.moved`), which is
+    +infinity outside its box.  The box and witness are the parts'
     joined end to end (no witness if a part has none).  With `indicator`
     the value is 0 wherever every part is finite.
 

@@ -12,6 +12,7 @@ import yaml
 from vmint import cli
 from vmint.cli import main
 from vmint.instances import PROBLEM_TYPES, ParseError, dump_report, load_yaml
+from vmint.matroid import MatroidOracle
 
 BASIC = """\
 ground: {size: 3, labels: [a, b, c]}
@@ -64,6 +65,25 @@ def test_invalid_instance_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text("ground: {size: 3}\nproblem: {type: nonsense}\n")
     assert main(["solve", "-i", str(path)]) == 3
+
+
+def test_table_length_checked_before_quadratic_work(tmp_path, capsys,
+                                                   monkeypatch):
+    # A uniform matroid knows its rank: building it on a million elements
+    # asks no independence query, so the weight count is checked at once.
+    def greedy(*_args):
+        raise AssertionError("greedy rank pass on the whole ground set")
+
+    monkeypatch.setattr(MatroidOracle, "_greedy_extend", greedy)
+    path = tmp_path / "huge.yaml"
+    path.write_text(
+        "ground: {size: 1000000}\n"
+        "matroids:\n  M: {kind: uniform, rank: 2}\n"
+        "valuations:\n  v: {kind: modular_on_matroid, matroid: M,"
+        " weights: ['1', '2', '3']}\n"
+        "problem: {type: v_geq_k, oracles: [v, v], k: 1}\n")
+    assert main(["solve", "-i", str(path)]) == 3
+    assert "expected 1000000 rationals" in capsys.readouterr().err
 
 
 def test_parse_error_names_field(tmp_path, capsys):

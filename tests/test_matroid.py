@@ -239,6 +239,18 @@ class TestCheckers:
             assert not spec.get("blocks", spec.get("edges",
                                                    spec.get("columns")))
 
+    @pytest.mark.parametrize("kind", ["uniform", "partition"])
+    def test_declared_rank_is_the_greedy_rank(self, kind):
+        rng = random.Random(13)
+        for _ in range(25):
+            ground = GroundSet(rng.randint(1, 8))
+            m = random_matroid(rng, ground, kinds=(kind,))
+            greedy = m._greedy_extend(ground.empty(), ground.full())
+            assert m.rank == greedy.cardinality() == len(m.some_base())
+        g = GroundSet(3)
+        over = make_partition(g, [(g.subset([0]), 3), (g.subset([1, 2]), 1)])
+        assert over.rank == 2
+
     def test_bases_equicardinal_at_rank(self):
         rng = random.Random(11)
         for _ in range(10):

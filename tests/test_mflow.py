@@ -1,7 +1,10 @@
 """Submodular flow at desk scale and the coupled >= k reduction."""
 
+import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,11 +23,11 @@ from vmint.mflow import (
     FlowArc,
     FlowNetwork,
     _AuxArc,
+    _aux_arcs,
     _cancel_negative_cycles,
-    _exchange_arcs,
+    _closes_cycle,
     _find_negative_cycles,
     _has_negative_cycle,
-    _scaled_costs,
     boundary,
     build_mgeqk_instance,
     coupled_objective,
@@ -276,6 +279,17 @@ class TestCoupledSolve:
 # The integer cycle search against the rational one it replaced
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _OracleArc:
+    """An auxiliary arc with its rational cost, as the Fraction build and
+    search used it."""
+    tail: int
+    head: int
+    cost: Fraction
+    arc_index: int
+    direction: int
+
+
 def _oracle_find_negative_cycles(num_nodes, aux_arcs):
     """The Fraction walk DP the integer search replaced, kept verbatim."""
     incoming = [[] for _ in range(num_nodes)]
@@ -351,36 +365,110 @@ def _aux_graphs(draw):
                                  Fraction(5, 2)])
         costs = [potential[head] - potential[tail] + draw(slack)
                  for tail, head in ends]
-    arcs = [_AuxArc(tail, head, cost, i, +1)
-            for i, ((tail, head), cost) in enumerate(zip(ends, costs))]
-    return n, arcs
+    return n, [_OracleArc(tail, head, cost, i, +1)
+               for i, ((tail, head), cost) in enumerate(zip(ends, costs))]
+
+
+@st.composite
+def _tied_aux_graphs(draw):
+    """Arc lists full of ties: potential differences over a few values,
+    mostly with zero slack, some arcs repeated in parallel at equal cost
+    later in the list, and a few arcs a third below zero slack, so that
+    negative cycles of equal cost and equal-cost walks abound."""
+    n = draw(st.integers(2, 7))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda pair: pair[0] != pair[1])
+    ends = draw(st.lists(pairs, min_size=n, max_size=2 * n))
+    potential = draw(st.lists(st.sampled_from([Fraction(0), Fraction(1, 3),
+                                               Fraction(-1)]),
+                              min_size=n, max_size=n))
+    slack = st.sampled_from([Fraction(0)] * 4 + [Fraction(-1, 3),
+                                                 Fraction(1, 2)])
+    arcs = [(tail, head, potential[head] - potential[tail] + draw(slack))
+            for tail, head in ends]
+    for arc in draw(st.lists(st.sampled_from(arcs), max_size=n)):
+        arcs.insert(draw(st.integers(arcs.index(arc) + 1, len(arcs))), arc)
+    return n, [_OracleArc(tail, head, cost, i, +1)
+               for i, (tail, head, cost) in enumerate(arcs)]
+
+
+def _in_units(arcs):
+    """The arcs with their costs as ints over the lcm of the denominators."""
+    scale = math.lcm(*(arc.cost.denominator for arc in arcs))
+    return [_AuxArc(arc.tail, arc.head,
+                    arc.cost.numerator * (scale // arc.cost.denominator),
+                    arc.arc_index, arc.direction) for arc in arcs]
+
+
+def _edges(arcs):
+    return [(arc.tail, arc.head, arc.cost, i) for i, arc in enumerate(arcs)]
+
+
+def _rational(arcs, scale):
+    """Arcs of one integer build with their costs read as rationals."""
+    return [_OracleArc(arc.tail, arc.head, Fraction(arc.cost, scale),
+                       arc.arc_index, arc.direction) for arc in arcs]
 
 
 class TestIntegerCycleSearch:
+    @staticmethod
+    def _same_cycles(n, arcs):
+        """The flat integer search yields the Fraction DP's cycles, as arc
+        index lists, in the same order; the gate agrees."""
+        expected = [[arc.arc_index for arc in cycle]
+                    for cycle in _oracle_find_negative_cycles(n, arcs)]
+        scaled = _in_units(arcs)
+        assert [[arc.arc_index for arc in cycle]
+                for cycle in _find_negative_cycles(n, scaled)] == expected
+        assert _has_negative_cycle(n, _edges(scaled)) == bool(expected)
+        return expected
+
     @settings(max_examples=300, deadline=None)
     @given(_aux_graphs())
     def test_same_cycles_in_same_order_as_fraction_dp(self, graph):
-        n, arcs = graph
-        position = {id(arc): i for i, arc in enumerate(arcs)}
+        self._same_cycles(*graph)
 
-        def indices(cycles):
-            return [[position[id(arc)] for arc in cycle] for cycle in cycles]
+    @settings(max_examples=300, deadline=None)
+    @given(_tied_aux_graphs())
+    def test_ties_break_as_in_the_fraction_dp(self, graph):
+        self._same_cycles(*graph)
 
-        expected = indices(_oracle_find_negative_cycles(n, arcs))
-        assert indices(_find_negative_cycles(n, arcs)) == expected
-        assert _has_negative_cycle(n, arcs, _scaled_costs(arcs)) \
-            == bool(expected)
+    def test_parallel_arc_of_equal_cost_loses_the_tie(self):
+        arcs = [_OracleArc(0, 1, Fraction(-1, 2), 0, +1),
+                _OracleArc(1, 0, Fraction(0), 1, +1),
+                _OracleArc(0, 1, Fraction(-1, 2), 2, +1),
+                _OracleArc(1, 0, Fraction(0), 3, +1)]
+        assert self._same_cycles(2, arcs) == [[0, 1], [1, 0]]
 
-    def test_scaled_costs_share_one_denominator(self):
-        arcs = [_AuxArc(0, 1, Fraction(1, 4), 0, +1),
-                _AuxArc(1, 0, Fraction(-5, 6), 1, +1),
-                _AuxArc(1, 0, Fraction(3), 2, +1)]
-        assert _scaled_costs(arcs) == [3, -10, 36]
+    def test_build_scale_is_the_lcm_of_weights_and_values(self):
+        # Weights over 12, values of h over 5: one build over 60.
+        net = FlowNetwork(2, (FlowArc(0, 1, 0, 5, Fraction(1, 4)),
+                              FlowArc(1, 0, 0, 5, Fraction(-5, 6)),
+                              FlowArc(1, 0, 0, 5, Fraction(3))))
+        assert net.weight_units == ((3, -10, 36), 12)
+
+        def value(x):
+            return ExtValue(Fraction(2 * x[0], 5) + x[1] * x[1])
+
+        h = MnatFunction(2, value, (-1, -1), (1, 1), IntVector((0, 0)))
+        arcs, scale = _aux_arcs(h, net, [0, 0, 0], IntVector((0, 0)),
+                                Fraction(0))
+        assert scale == 60
+        assert [(arc.tail, arc.head, arc.cost, arc.arc_index, arc.direction)
+                for arc in arcs] == [(0, 1, 15, 0, +1), (1, 0, -50, 1, +1),
+                                     (1, 0, 180, 2, +1), (0, 1, 84, -1, 0),
+                                     (1, 0, 36, -1, 0)]
+
+    def test_parent_links_closing_a_cycle(self):
+        assert not _closes_cycle([-1, 0, 1, 1])
+        assert not _closes_cycle([])
+        assert _closes_cycle([-1, 2, 3, 1])
+        assert _closes_cycle([1, 0])
 
     def test_zero_cost_cycle_is_not_negative(self):
-        arcs = [_AuxArc(0, 1, Fraction(1, 3), 0, +1),
-                _AuxArc(1, 0, Fraction(-1, 3), 1, +1)]
-        assert not _has_negative_cycle(2, arcs, _scaled_costs(arcs))
+        arcs = _in_units([_OracleArc(0, 1, Fraction(1, 3), 0, +1),
+                          _OracleArc(1, 0, Fraction(-1, 3), 1, +1)])
+        assert not _has_negative_cycle(2, _edges(arcs))
         assert list(_find_negative_cycles(2, arcs)) == []
 
 
@@ -394,8 +482,16 @@ def _unpruned_exchange_arcs(h, current, base_value):
                 continue
             moved = h.value(up.add_unit(y, -1))
             if moved.is_finite:
-                arcs.append(_AuxArc(x, y, moved.finite - base_value, -1, 0))
+                arcs.append(_OracleArc(x, y, moved.finite - base_value, -1, 0))
     return arcs
+
+
+def _exchange_arcs(h, current, base_value):
+    """The exchange arcs of one integer build (a network without arcs
+    adds no residual arcs), with their costs read as rationals."""
+    arcs, scale = _aux_arcs(h, FlowNetwork(h.dimension, ()), [], current,
+                            base_value)
+    return _rational(arcs, scale)
 
 
 def _exchange_scans(h, point):
@@ -452,6 +548,171 @@ class TestExchangePruning:
         # scan's unit-move lookups can outnumber the few in-box pairs at a
         # point of dimension 1.
         assert block_calls < generic_calls
+
+
+# ---------------------------------------------------------------------------
+# The integer build against the Fraction build it replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_residual_arcs(network, flow):
+    """`_residual_arcs` of the Fraction build, kept verbatim."""
+    arcs = []
+    for i, arc in enumerate(network.arcs):
+        xi = flow[i]
+        if arc.upper is None or xi < arc.upper:
+            arcs.append(_OracleArc(arc.tail, arc.head, arc.weight, i, +1))
+        if arc.lower is None or xi > arc.lower:
+            arcs.append(_OracleArc(arc.head, arc.tail, -arc.weight, i, -1))
+    return arcs
+
+
+def _oracle_exchange_arcs(h, current, base_value):
+    """`_exchange_arcs` of the Fraction build, kept verbatim."""
+    z = current.entries
+    lower, upper = h.box_lower, h.box_upper
+    blocks = getattr(h, "blocks", None)
+    if blocks:
+        block_points = [IntVector(z[off:off + part.dimension])
+                        for off, part in blocks]
+        bases = [part.value(point).finite
+                 for (_, part), point in zip(blocks, block_points)]
+    else:
+        blocks, block_points, bases = ((0, h),), [current], [base_value]
+    block_of = [b for b, (_, part) in enumerate(blocks)
+                for _ in range(part.dimension)]
+
+    def unit_delta(v: int, step: int) -> Optional[Fraction]:
+        b = block_of[v]
+        off, part = blocks[b]
+        moved = part.value(block_points[b].add_unit(v - off, step))
+        return moved.finite - bases[b] if moved.is_finite else None
+
+    up: list[Optional[Fraction]] = [None] * h.dimension
+    down: list[Optional[Fraction]] = [None] * h.dimension
+    if len(blocks) > 1:
+        for v in range(h.dimension):
+            if z[v] != upper[v]:
+                up[v] = unit_delta(v, +1)
+            if z[v] != lower[v]:
+                down[v] = unit_delta(v, -1)
+    arcs = []
+    for x in range(h.dimension):
+        if z[x] == upper[x]:
+            continue
+        bx = block_of[x]
+        off, part = blocks[bx]
+        raised = block_points[bx].add_unit(x - off, +1)
+        for y in range(h.dimension):
+            if y == x or z[y] == lower[y]:
+                continue
+            if block_of[y] == bx:
+                moved = part.value(raised.add_unit(y - off, -1))
+                if moved.is_finite:
+                    arcs.append(_OracleArc(x, y, moved.finite - bases[bx], -1,
+                                           0))
+            elif up[x] is not None and down[y] is not None:
+                arcs.append(_OracleArc(x, y, up[x] + down[y], -1, 0))
+    return arcs
+
+
+def _same_build(h_old, h_new, network, flow, point):
+    """One Fraction build on h_old and one integer build on h_new give
+    the same arcs in the same order and the same rational costs."""
+    expected = _oracle_residual_arcs(network, flow) + _oracle_exchange_arcs(
+        h_old, point, h_old.value(point).finite)
+    arcs, scale = _aux_arcs(h_new, network, flow, point,
+                            h_new.value(point).finite)
+    assert _rational(arcs, scale) == expected
+    assert all(type(arc.cost) is int for arc in arcs)
+    assert scale % network.weight_units[1] == 0
+
+
+def _same_queries(a, b):
+    assert (a.calls, a.evals) == (b.calls, b.evals)
+    assert list(a._memo) == list(b._memo)
+
+
+def _canceling_flows(inst):
+    """(phase, network, flow) before every build of the two phases of
+    `solve_m_geq_k_w` on `inst`: phase 0 raises the identity mass on
+    h_feasibility, phase 1 descends on h."""
+    n = inst.n
+    feas_net = FlowNetwork(inst.network.num_nodes, tuple(
+        FlowArc(arc.tail, arc.head, arc.lower, arc.upper,
+                Fraction(-1) if i < n else Fraction(0))
+        for i, arc in enumerate(inst.network.arcs)))
+    visited = []
+
+    def record(phase, network, stop):
+        def visit(flow):
+            visited.append((phase, network, list(flow)))
+            return stop(flow)
+        return visit
+
+    def mass(flow):
+        return sum(flow[inst.identity_arc(v)] for v in range(n))
+
+    flow = solution_to_flow(inst.f1.require_witness(),
+                            inst.f2.require_witness(), inst)
+    flow, _ = _cancel_negative_cycles(
+        inst.h_feasibility, feas_net, flow,
+        stop=record(0, feas_net, lambda fl: mass(fl) >= inst.k))
+    if mass(flow) >= inst.k:
+        _cancel_negative_cycles(inst.h, inst.network, flow,
+                                stop=record(1, inst.network, lambda fl: False))
+    return visited
+
+
+class TestIntegerBuild:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dimension=st.integers(1, 4),
+           data=st.data())
+    def test_coupled_builds_equal_the_fraction_build(self, seed, dimension,
+                                                     data):
+        # Three twins of one instance: one is solved to record the flows
+        # of both phases, the other two are asked the builds.
+        twins = []
+        for _ in range(3):
+            rng = random.Random(seed)
+            f1, f2 = random_mconvex_pair(rng, dimension)
+            w = [-abs(random_rational(rng, 0, 5)) for _ in range(dimension)]
+            twins.append((f1, f2, w))
+        k = data.draw(st.integers(0, min(twins[0][0].rank_total(),
+                                         twins[0][1].rank_total())))
+        solved, old, new = (build_mgeqk_instance(f1, f2, k, w)
+                            for f1, f2, w in twins)
+        visited = _canceling_flows(solved)
+        for phase, network, flow in visited:
+            h_old = (old.h_feasibility, old.h)[phase]
+            h_new = (new.h_feasibility, new.h)[phase]
+            _same_build(h_old, h_new, network, flow,
+                        boundary(flow, network))
+        assert visited
+        for a, b in ((old.f1, new.f1), (old.f2, new.f2),
+                     (old.h, new.h), (old.h_feasibility, new.h_feasibility)):
+            _same_queries(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_blockless_builds_equal_the_fraction_build(self, data):
+        n = data.draw(st.integers(2, 4))
+        radius = data.draw(st.integers(1, 3))
+        ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda pair: pair[0] != pair[1])
+        arcs, flow = [], []
+        for tail, head in data.draw(st.lists(ends, max_size=2 * n)):
+            lower = data.draw(st.sampled_from((None, -1, 0)))
+            upper = data.draw(st.sampled_from((None, 0, 2)))
+            xi = data.draw(st.integers(-2 if lower is None else lower,
+                                       2 if upper is None else upper))
+            arcs.append(FlowArc(tail, head, lower, upper, data.draw(_COSTS)))
+            flow.append(xi)
+        network = FlowNetwork(n, tuple(arcs))
+        point = IntVector(tuple(data.draw(st.integers(-radius, radius))
+                                for _ in range(n)))
+        h_old, h_new = _quadratic_h(n, radius), _quadratic_h(n, radius)
+        _same_build(h_old, h_new, network, flow, point)
+        _same_queries(h_old, h_new)
 
 
 # ---------------------------------------------------------------------------
@@ -557,29 +818,8 @@ class TestDirectSumH:
         inst = build_mgeqk_instance(f1, f2, k, w)
         n = inst.n
         # Points the cycle canceling reaches, in both phases.
-        points = []
-
-        def record(stop):
-            def visit(flow):
-                points.append(boundary(flow, inst.network))
-                return stop(flow)
-            return visit
-
-        def mass(flow):
-            return sum(flow[inst.identity_arc(v)] for v in range(n))
-
-        flow = solution_to_flow(f1.require_witness(), f2.require_witness(),
-                                inst)
-        feas_net = FlowNetwork(inst.network.num_nodes, tuple(
-            FlowArc(arc.tail, arc.head, arc.lower, arc.upper,
-                    Fraction(-1) if i < n else Fraction(0))
-            for i, arc in enumerate(inst.network.arcs)))
-        flow, _ = _cancel_negative_cycles(
-            inst.h_feasibility, feas_net, flow,
-            stop=record(lambda fl: mass(fl) >= k))
-        if mass(flow) >= k:
-            _cancel_negative_cycles(inst.h, inst.network, flow,
-                                    stop=record(lambda fl: False))
+        points = [boundary(flow, network)
+                  for _, network, flow in _canceling_flows(inst)]
         # Box-edge points: domain points of f1 and f2, s and t at the ends
         # of their intervals.
         for _ in range(3):

@@ -22,6 +22,7 @@ from vmint.matroid import make_free, make_graphic, make_partition, make_uniform
 from vmint.rand_instances import (
     MATROID_KINDS,
     random_convex_table,
+    random_mconvex_function,
     random_matroid,
     random_rational,
     random_weights,
@@ -30,8 +31,10 @@ from vmint.valuated import (
     ConvexTable,
     LaminarSpec,
     MnatFunction,
+    NegatedMnat,
     TupleGround,
     ValuationOracle,
+    _FiniteIndicator,
     check_mnat_exchange,
     check_valuated_exchange,
     disjoint_sum,
@@ -208,6 +211,56 @@ class TestExchangeValue:
             dot(ws, not_a_base.exchange(0, 3)))
         with pytest.raises(InvalidInputError):
             omega.exchange_value(GroundSet(7).subset([0, 1, 3]), 0, 4)
+
+
+class TestMoved:
+    """`moved(z, up, down)` is `value(z + e_up - e_down)` in every
+    observable way, on an M-natural function, the part x -> f(-x) and the
+    finiteness indicator: the result, and the `calls`, `evals` and memo of
+    the function that memoizes."""
+
+    WRAPPERS = {
+        "plain": lambda fn: fn,
+        "negated": NegatedMnat,
+        "indicator": _FiniteIndicator,
+        "negated indicator": lambda fn: _FiniteIndicator(NegatedMnat(fn)),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 3),
+           st.sampled_from(sorted(WRAPPERS)))
+    def test_equals_value_inside_on_and_outside_the_box(self, seed, n, kind):
+        wrap = self.WRAPPERS[kind]
+        by_value = random_mconvex_function(random.Random(seed), n, 2)
+        by_moved = random_mconvex_function(random.Random(seed), n, 2)
+        value_part, moved_part = wrap(by_value), wrap(by_moved)
+        # Every box point and its neighbours one step outside, so moves
+        # start inside, on the edge and outside the box, and leave it.
+        ranges = [range(lo - 1, hi + 2) for lo, hi in
+                  zip(value_part.box_lower, value_part.box_upper)]
+        moves = [(up, down) for up in range(-1, n) for down in range(-1, n)]
+        finite = 0
+        for entries in itertools.product(*ranges):
+            for up, down in moves:
+                point = IntVector(entries)
+                if up >= 0:
+                    point = point.add_unit(up, +1)
+                if down >= 0:
+                    point = point.add_unit(down, -1)
+                expected = value_part.value(point)
+                assert moved_part.moved(entries, up, down) == expected, (
+                    entries, up, down)
+                finite += expected.is_finite
+                assert (by_value.calls, by_value.evals) == \
+                    (by_moved.calls, by_moved.evals)
+        assert finite > 0
+        assert list(by_value._memo.items()) == list(by_moved._memo.items())
+
+    def test_length_checked(self):
+        fn = MnatFunction(2, lambda x: ExtValue(0), (0, 0), (1, 1),
+                          IntVector((0, 0)))
+        with pytest.raises(InvalidInputError):
+            fn.moved((0, 0, 0), 0, 1)
 
 
 class TestCopyReductionExchange:

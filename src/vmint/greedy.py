@@ -3,7 +3,9 @@
 For valuated matroids, a point admitting no improving single exchange is a
 global minimizer, so steepest descent from the witness base terminates with
 a global certificate.  Each step strictly decreases an exact value and the
-domain is finite, so termination is guaranteed.
+domain is finite, so termination is guaranteed.  A step asks the oracle
+every single exchange of the current base in one block query, so an
+oracle with a `block_fn` answers a whole step at once.
 """
 
 from __future__ import annotations
@@ -17,28 +19,26 @@ def minimize_valuated(omega: ValuationOracle) -> tuple[Subset, ExtValue]:
 
     Steepest single-exchange descent from the witness base; among equally
     improving exchanges the lexicographically smallest (u, v) index pair is
-    taken, for reproducibility.  The descent compares the oracle's raw
-    values (ints in units of 1/D for a scaled oracle).
+    taken, for reproducibility.  Each step asks the oracle one block of
+    exchanges, every member u against every non-member v (see
+    `ValuationOracle.raw_exchanges`), u-major, so the first occurrence of
+    the best value is that smallest pair.  The descent compares the
+    oracle's raw values (ints in units of 1/D for a scaled oracle).
     """
     current = omega.require_witness()
     current_value = omega.raw_value(current)
-    exchange = omega.raw_exchange
     elements = range(omega.ground.size)
     while True:
-        best_value = current_value
-        best_exchange = None
         mask = current.mask
+        members = current.members()
         outside = [v for v in elements if not mask >> v & 1]
-        for u in current.members():
-            for v in outside:
-                candidate = exchange(current, u, v)
-                if candidate is not None and candidate < best_value:
-                    best_value = candidate
-                    best_exchange = (u, v)
-        if best_exchange is None:
+        values = omega.raw_exchanges(current, members, outside)
+        best = min([x for x in values if x is not None], default=None)
+        if best is None or best >= current_value:
             return current, omega.as_value(current_value)
-        current = current.exchange(*best_exchange)
-        current_value = best_value
+        i, j = divmod(values.index(best), len(outside))
+        current = current.exchange(members[i], outside[j])
+        current_value = best
 
 
 def minimizer_family(omega: ValuationOracle,

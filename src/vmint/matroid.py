@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     GroundSet,
@@ -20,10 +20,12 @@ DEFAULT_ENUMERATION_LIMIT = 1 << 22
 class MatroidOracle:
     """A matroid given by its ground set and an independence query.
 
-    The rank is computed once by greedy augmentation from the empty set
-    and cached; every downstream algorithm needs it repeatedly.  A
-    construction that knows its rank passes `rank` and skips that pass,
-    which asks one independence query per element.
+    A base is computed once by greedy augmentation from the empty set, in
+    index order, and cached with its size, the rank; every downstream
+    algorithm needs them repeatedly.  A construction that knows its
+    structure passes that same greedy base as `base` and skips the pass,
+    which asks one independence query per element.  `some_base` returns
+    it.
 
     A construction that knows its structure may also pass `circuits`, a
     map from the mask of a base X to its fundamental-circuit table: a
@@ -37,15 +39,17 @@ class MatroidOracle:
     def __init__(self, ground: GroundSet, independent: Callable[[Subset], bool],
                  name: str = "matroid",
                  circuits: Optional[Callable[[int], tuple[int, ...]]] = None,
-                 rank: Optional[int] = None):
+                 base: Optional[Subset] = None):
         self.ground = ground
         self._independent = independent
         self._circuits = circuits
         self.name = name
         if not independent(ground.empty()):
             raise InvalidInputError("the empty set must be independent")
-        self._rank = len(self._greedy_extend(ground.empty(), ground.full())) \
-            if rank is None else rank
+        if base is None:
+            base = self._greedy_extend(ground.empty(), ground.full())
+        self._base = base
+        self._rank = base.cardinality()
 
     def is_independent(self, subset: Subset) -> bool:
         if subset.ground is not self.ground and subset.ground != self.ground:
@@ -77,7 +81,9 @@ class MatroidOracle:
         return self._circuits(base_mask)
 
     def some_base(self) -> Subset:
-        return self._greedy_extend(self.ground.empty(), self.ground.full())
+        """The greedy base: each element in index order joins when it keeps
+        the set independent."""
+        return self._base
 
     def _greedy_extend(self, start: Subset, within: Subset) -> Subset:
         current = start
@@ -109,7 +115,8 @@ def make_uniform(ground: GroundSet, r: int) -> MatroidOracle:
     if not 0 <= r <= ground.size:
         raise InvalidInputError(f"uniform rank {r} out of range 0..{ground.size}")
     return MatroidOracle(ground, lambda x: x.cardinality() <= r, f"uniform(r={r})",
-                         lambda base: (base,) * ground.size, rank=r)
+                         lambda base: (base,) * ground.size,
+                         Subset(ground, (1 << r) - 1))
 
 
 def make_free(ground: GroundSet) -> MatroidOracle:
@@ -147,8 +154,17 @@ def make_partition(ground: GroundSet,
         # replace a member of its own block.
         return tuple(base & m for m in block_of)
 
-    rank = sum(min(block.cardinality(), cap) for block, cap in blocks)
-    return MatroidOracle(ground, independent, "partition", circuits, rank)
+    # The greedy base: the first `cap` members of each block.
+    base = 0
+    for m, cap in masks_caps:
+        for _ in range(cap):
+            if not m:
+                break
+            low = m & -m
+            base |= low
+            m ^= low
+    return MatroidOracle(ground, independent, "partition", circuits,
+                         Subset(ground, base))
 
 
 def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],
@@ -171,21 +187,7 @@ def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],
     vertices = len(ends)
 
     def independent(x: Subset) -> bool:
-        parent = list(range(vertices))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in x.members():
-            u, v = edge_list[i]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+        return all(_joins_two_trees(edge_list, vertices, x.members()))
 
     def circuits(base: int) -> tuple[int, ...]:
         # Root every tree of the spanning forest, then walk the tree path
@@ -223,7 +225,32 @@ def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],
             table[i] = path
         return tuple(table)
 
-    return MatroidOracle(ground, independent, "graphic", circuits)
+    # The greedy base is Kruskal's forest in index order, read off one
+    # union-find pass; the mask is built from a bit string in linear time.
+    joins = _joins_two_trees(edge_list, vertices, range(len(edge_list)))
+    bits = "".join("1" if joined else "0" for joined in joins)
+    return MatroidOracle(ground, independent, "graphic", circuits,
+                         Subset(ground, int(bits[::-1] or "0", 2)))
+
+
+def _joins_two_trees(edge_list: Sequence[tuple[int, int]], vertices: int,
+                     indices: Iterable[int]) -> Iterator[bool]:
+    """For each edge index in turn, whether that edge joins two trees of
+    the forest of the edges before it that joined two trees (union-find)."""
+    parent = list(range(vertices))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in indices:
+        u, v = edge_list[i]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+        yield ru != rv
 
 
 def make_linear(ground: GroundSet,

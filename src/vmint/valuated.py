@@ -19,15 +19,21 @@ Every constructor here scales its oracle by the lcm of the denominators
 of its weights or tables (a disjoint sum by the lcm of its parts').
 
 The descent and the auxiliary digraph ask only single-exchange queries
-omega(X - u + v), through `ValuationOracle.raw_exchange` (or its
-`ExtValue` form `exchange_value`).  It keeps the calls, evals and memo
-exactly as `value(X.exchange(u, v))` does; only a memo miss may be
-computed differently.  A modular valuation on a matroid
-with fundamental-circuit tables answers the misses around a base X from
-one circuit table per base (X - u + v is a base exactly when u lies on the
-circuit C(X, v)) and the integer sum w(X) - w_u + w_v, with no
-independence test; the dual of any oracle passes its queries on as
-exchanges of the complement.
+omega(X - u + v), a block at a time: `ValuationOracle.raw_exchanges(X,
+outs, ins)` answers every pair of u in `outs` (inside X) and v in `ins`
+(outside X) with one call, one per descent step and one per copy of each
+aux build.  It keeps the calls, evals and memo exactly as asking
+`raw_exchange` (or its `ExtValue` form `exchange_value`) pair by pair
+does, and that keeps them exactly as `value(X.exchange(u, v))` does; only
+a memo miss may be computed differently.  A leaf oracle may be built with
+a `block_fn` that answers the whole block at once: a modular valuation
+on a matroid with fundamental-circuit tables answers it from one circuit
+table per base (X - u + v is a base exactly when u lies on the circuit
+C(X, v)) and the integer sums w(X) - w_u + w_v, with no independence
+test, in one list comprehension and one memo update; `raw_exchange`
+asks a block oracle's misses as 1 x 1 blocks.  Other oracles answer a
+block pair by pair, with one memo lookup each.  The dual of any oracle
+passes its queries on as exchanges of the complement.
 
 The oracles of the copy reductions answer exchanges block by block.
 A disjoint sum sends a pair inside one copy to that component's own
@@ -79,11 +85,16 @@ class ValuationOracle:
     `value(X)` is finite only on rank-sized subsets; `witness_base` is one
     finite-valued subset, or None when the effective domain is empty.
 
-    `scale` is the oracle's denominator D.  Its `value_fn` and
-    `exchange_fn` return ints in units of 1/D, with None for +infinity,
-    and the memo keeps those raw values.  `raw_value` and `raw_exchange`
-    hand them out; `value` and `exchange_value` hand out the same answers
-    as `ExtValue`s.  All four share the counters and the memo.
+    `scale` is the oracle's denominator D.  Its `value_fn`,
+    `exchange_fn` and `block_fn` return ints in units of 1/D, with None
+    for +infinity, and the memo keeps those raw values.  `raw_value`,
+    `raw_exchange` and `raw_exchanges` hand them out; `value` and
+    `exchange_value` hand out the same answers as `ExtValue`s.  All of
+    them share the counters and the memo.
+
+    `block_fn(base, outs, ins)`, for a leaf oracle that asks no other
+    oracle, answers a whole block of exchanges at once: the list of the
+    values of base - u + v for u in `outs` and v in `ins`, u-major.
     """
 
     def __init__(self, ground: GroundSet, rank: int,
@@ -92,7 +103,10 @@ class ValuationOracle:
                  name: str = "valuation",
                  exchange_fn: Optional[
                      Callable[[Subset, int, int], Raw]] = None,
-                 scale: int = 1):
+                 scale: int = 1,
+                 block_fn: Optional[Callable[
+                     [Subset, Sequence[int], Sequence[int]],
+                     list[Raw]]] = None):
         if not 0 <= rank <= ground.size:
             raise InvalidInputError(f"rank {rank} out of range 0..{ground.size}")
         self.ground = ground
@@ -100,6 +114,7 @@ class ValuationOracle:
         self.scale = scale
         self._value_fn = value_fn
         self._exchange_fn = exchange_fn
+        self._block_fn = block_fn
         self.witness_base = witness_base
         self.name = name
         self._memo: dict[int, Raw] = {}
@@ -136,8 +151,9 @@ class ValuationOracle:
         and memo; a hit builds no subset.
 
         A miss that is a proper exchange (u in base, v not) of a rank-sized
-        base goes to the oracle's `exchange_fn(base, u, v)` when it has
-        one, and to the value function otherwise.
+        base goes to the oracle's `block_fn` as a 1 x 1 block when it has
+        one, else to its `exchange_fn(base, u, v)`, and to the value
+        function otherwise.
         """
         mask = base.mask
         key = mask & ~(1 << u) | (1 << v)
@@ -148,16 +164,66 @@ class ValuationOracle:
         self.calls += 1
         cached = self._memo.get(key, _MISSING)
         if cached is _MISSING:
+            proper = mask >> u & 1 and not mask >> v & 1
             if key.bit_count() != self.rank:
                 cached = None
-            elif (self._exchange_fn is not None
-                  and mask >> u & 1 and not mask >> v & 1):
+            elif proper and self._block_fn is not None:
+                cached = self._block_fn(base, (u,), (v,))[0]
+            elif proper and self._exchange_fn is not None:
                 cached = self._exchange_fn(base, u, v)
             else:
                 cached = self._value_fn(Subset(self.ground, key))
             self._memo[key] = cached
             self.evals += 1
         return cached
+
+    def raw_exchanges(self, base: Subset, outs: Sequence[int],
+                      ins: Sequence[int]) -> list[Raw]:
+        """`[raw_exchange(base, u, v) for u in outs for v in ins]`, with
+        the same values, `calls`, `evals` and memo, in that order.
+
+        `base` must be rank-sized, `outs` inside it and `ins` outside it.
+        An oracle with a `block_fn` asks it for the whole block and counts
+        as evals what the memo grows by; a memo hit gets the same value,
+        since a value depends only on the set.  Otherwise each pair is
+        looked up in the memo and each miss goes to `exchange_fn` or the
+        value function, so that the oracles a composite asks move exactly
+        as under `raw_exchange`.
+        """
+        if base.ground is not self.ground and base.ground != self.ground:
+            raise InvalidInputError("subset is on a different ground set")
+        mask = base.mask
+        if mask.bit_count() != self.rank:
+            raise InvalidInputError("a block of exchanges needs a rank-sized base")
+        if (self.ground.subset(outs).mask & ~mask
+                or self.ground.subset(ins).mask & mask):
+            raise InvalidInputError(
+                "a block exchanges members of the base for non-members")
+        memo = self._memo
+        self.calls += len(outs) * len(ins)
+        if self._block_fn is not None:
+            values = self._block_fn(base, outs, ins)
+            before = len(memo)
+            bits = [1 << v for v in ins]
+            memo.update(zip([drop | bit for drop in
+                             [mask ^ (1 << u) for u in outs]
+                             for bit in bits], values))
+            self.evals += len(memo) - before
+            return values
+        exchange, value = self._exchange_fn, self._value_fn
+        values = []
+        for u in outs:
+            drop = mask ^ (1 << u)
+            for v in ins:
+                key = drop | 1 << v
+                cached = memo.get(key, _MISSING)
+                if cached is _MISSING:
+                    cached = exchange(base, u, v) if exchange is not None \
+                        else value(Subset(self.ground, key))
+                    memo[key] = cached
+                    self.evals += 1
+                values.append(cached)
+        return values
 
     def as_value(self, raw: Raw) -> ExtValue:
         """A raw value of this oracle as the exact `ExtValue` it stands for."""
@@ -476,37 +542,43 @@ def from_matroid_and_weights(matroid: MatroidOracle,
     """Modular weights restricted to a base family: w(X) on bases, else +inf.
 
     The oracle is scaled by the lcm D of the weights' denominators.  When
-    the matroid has circuit tables, exchange queries are answered from the
-    table of the last base asked about and its scaled sum w(X): X - u + v
-    is a base exactly when u is in the table's entry for v, and then its
-    value is w(X) - w_u + w_v.
+    the matroid has circuit tables, it answers blocks of exchanges (see
+    `ValuationOracle.raw_exchanges`) from the table of the last base asked
+    about and its scaled sum w(X): X - u + v is a base exactly when u is
+    in the table's entry for v, and then its value is w(X) - w_u + w_v.
     """
     if len(weights) != matroid.ground.size:
         raise InvalidInputError("need one weight per ground element")
     scaled, scale = scaled_weights(weights)
+    ground = matroid.ground
 
     def value(subset: Subset) -> Optional[int]:
         if not matroid.is_independent(subset):
             return None
         return scaled_sum(scaled, subset.mask)
 
-    exchange = None
+    block = None
     if matroid.has_circuits:
         last: list = [None, None, 0]     # base mask, its table, scaled w(X)
 
-        def exchange(base: Subset, u: int, v: int) -> Optional[int]:
-            if last[0] != base.mask:
-                last[:] = [base.mask, matroid.circuits(base.mask),
-                           scaled_sum(scaled, base.mask)]
-            table = last[1]
+        def block(base: Subset, outs: Sequence[int],
+                  ins: Sequence[int]) -> list[Raw]:
+            mask = base.mask
+            if last[0] != mask:
+                last[:] = [mask, matroid.circuits(mask),
+                           scaled_sum(scaled, mask)]
+            _, table, total = last
             if table is None:
-                return value(base.exchange(u, v))
-            if not table[v] >> u & 1:
-                return None
-            return last[2] - scaled[u] + scaled[v]
+                return [value(Subset(ground, mask ^ (1 << u) | 1 << v))
+                        for u in outs for v in ins]
+            columns = [(table[v], scaled[v]) for v in ins]
+            return [left + w if entry & bit else None
+                    for left, bit in [(total - scaled[u], 1 << u)
+                                      for u in outs]
+                    for entry, w in columns]
 
-    return ValuationOracle(matroid.ground, matroid.rank, value,
-                           matroid.some_base(), name, exchange, scale)
+    return ValuationOracle(ground, matroid.rank, value, matroid.some_base(),
+                           name, scale=scale, block_fn=block)
 
 
 def indicator_of_matroid(matroid: MatroidOracle) -> ValuationOracle:
@@ -517,14 +589,25 @@ def indicator_of_matroid(matroid: MatroidOracle) -> ValuationOracle:
 
 def size_constrained_modular(ground: GroundSet, weights: Sequence[Fraction],
                              r: int) -> ValuationOracle:
-    """Modular weights on all r-subsets (the uniform-matroid special case)."""
+    """Modular weights on all r-subsets (the uniform-matroid special case).
+
+    Every exchange of an r-subset X is finite, w(X) - w_u + w_v, so blocks
+    of exchanges are answered from the sum w(X) alone.
+    """
     if not 0 <= r <= ground.size:
         raise InvalidInputError(f"rank {r} out of range 0..{ground.size}")
     scaled, scale = scaled_weights(weights)
     witness = ground.subset(range(r))
+
+    def block(base: Subset, outs: Sequence[int],
+              ins: Sequence[int]) -> list[Raw]:
+        total = scaled_sum(scaled, base.mask)
+        ws = [scaled[v] for v in ins]
+        return [total - scaled[u] + w for u in outs for w in ws]
+
     return ValuationOracle(ground, r,
                            lambda x: scaled_sum(scaled, x.mask),
-                           witness, f"size={r}", scale=scale)
+                           witness, f"size={r}", scale=scale, block_fn=block)
 
 
 def dual_valuation(omega: ValuationOracle) -> ValuationOracle:

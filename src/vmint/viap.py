@@ -25,13 +25,16 @@ and tie.  `Fraction` appears only where a `Witness`, a ladder value or an
 
 Checking: `_exchange_lengths`, the exchange-arc loop of
 `build_aux_digraph`, is the one place that rejects a negative reduced
-cost.  An exchange arc's length is exactly the local exchange inequality
-of the certificate for its (u, v) pair, so an aux build that raises no
-error proves that X1 and X2 minimize the shifted valuations.  After every
-step the structural invariants (intersection grown by one, matched set
-equal to the intersection, potential conditions) are checked; the aux
-build of a level and those checks together check that level's full
-certificate.  Every level but the last gets an aux build; the last is
+cost.  It asks each copy's exchanges as one block of the oracle (see
+`ValuationOracle.raw_exchanges`), in full before it checks that copy's
+lengths, so a scan that raises has still asked every pair of each block
+it reached.  An exchange arc's length is exactly the local exchange
+inequality of the certificate for its (u, v) pair, so an aux build that
+raises no error proves that X1 and X2 minimize the shifted valuations.
+After every step the structural invariants (intersection grown by one,
+matched set equal to the intersection, potential conditions) are
+checked; the aux build of a level and those checks together check that
+level's full certificate.  Every level but the last gets an aux build; the last is
 certified by `verify_witness`, which runs the same loop once more, at the
 end of the ladder and without building arcs, unless the run stopped
 because the sink was unreachable, whose aux build already checked it.
@@ -209,6 +212,12 @@ def _exchange_lengths(x1: Subset, x2: Subset,
     is the one place that rejects a negative reduced cost: it raises as
     soon as it meets one, and when the current sets leave the effective
     domains.
+
+    Each copy's exchanges are asked in one block query (see
+    `ValuationOracle.raw_exchanges`), X1's before its first arc and X2's
+    after the last A1 arc, so a copy's block is asked in full before any
+    of its lengths is checked.  The A2 block is asked u-major, like every
+    block, and read v-major by stride.
     """
     base1 = omega1.raw_value(x1)
     base2 = omega2.raw_value(x2)
@@ -216,25 +225,26 @@ def _exchange_lengths(x1: Subset, x2: Subset,
         raise InternalInvariantError("current sets left the effective domains")
     factor1 = scale // omega1.scale
     factor2 = scale // omega2.scale
-    exchange1, exchange2 = omega1.raw_exchange, omega2.raw_exchange
     elements = omega1.ground.elements()
+    members1 = x1.members()
     outside1 = [v for v in elements if not x1.mask >> v & 1]
-    for u in x1.members():
+    block1 = omega1.raw_exchanges(x1, members1, outside1)
+    width = len(outside1)
+    for i, u in enumerate(members1):
         pu = p1[u]
-        for v in outside1:
-            moved = exchange1(x1, u, v)
+        for v, moved in zip(outside1, block1[i * width:(i + 1) * width]):
             if moved is not None:
                 length = (moved - base1) * factor1 - p1[v] + pu
                 if length < 0:
                     raise _negative_length(length, scale, ARC_EXCHANGE_1)
                 yield ARC_EXCHANGE_1, u, v, length
     members2 = x2.members()
-    for v in elements:
-        if x2.mask >> v & 1:
-            continue
+    outside2 = [v for v in elements if not x2.mask >> v & 1]
+    block2 = omega2.raw_exchanges(x2, members2, outside2)
+    width = len(outside2)
+    for j, v in enumerate(outside2):
         pv = p2[v]
-        for u in members2:
-            moved = exchange2(x2, u, v)
+        for u, moved in zip(members2, block2[j::width]):
             if moved is not None:
                 length = (moved - base2) * factor2 + pv - p2[u]
                 if length < 0:

@@ -86,6 +86,28 @@ def test_table_length_checked_before_quadratic_work(tmp_path, capsys,
     assert "expected 1000000 rationals" in capsys.readouterr().err
 
 
+def test_graphic_base_is_one_pass(tmp_path, capsys, monkeypatch):
+    # A graphic matroid finds its greedy base in one union-find pass, so a
+    # path graph on 100,000 edges is built without one independence query
+    # per edge before the weight count is checked.
+    def greedy(*_args):
+        raise AssertionError("greedy rank pass on the whole ground set")
+
+    monkeypatch.setattr(MatroidOracle, "_greedy_extend", greedy)
+    n = 100_000
+    edges = ", ".join(f"[{i}, {i + 1}]" for i in range(n))
+    path = tmp_path / "path.yaml"
+    path.write_text(
+        f"ground: {{size: {n}}}\n"
+        f"matroids:\n  M: {{kind: graphic, vertices: {n + 1},"
+        f" edges: [{edges}]}}\n"
+        "valuations:\n  v: {kind: modular_on_matroid, matroid: M,"
+        " weights: ['1', '2', '3']}\n"
+        "problem: {type: v_geq_k, oracles: [v, v], k: 1}\n")
+    assert main(["solve", "-i", str(path)]) == 3
+    assert f"expected {n} rationals" in capsys.readouterr().err
+
+
 def test_parse_error_names_field(tmp_path, capsys):
     path = tmp_path / "broken.yaml"
     path.write_text(

@@ -239,17 +239,50 @@ class TestCheckers:
             assert not spec.get("blocks", spec.get("edges",
                                                    spec.get("columns")))
 
-    @pytest.mark.parametrize("kind", ["uniform", "partition"])
+    @staticmethod
+    def _assert_declared_base_is_greedy(m):
+        ground = m.ground
+        greedy = m._greedy_extend(ground.empty(), ground.full())
+        assert m.some_base() == greedy, m.name
+        assert m.rank == greedy.cardinality()
+
+    @pytest.mark.parametrize("kind", ["uniform", "partition", "graphic"])
     def test_declared_rank_is_the_greedy_rank(self, kind):
         rng = random.Random(13)
         for _ in range(25):
             ground = GroundSet(rng.randint(1, 8))
-            m = random_matroid(rng, ground, kinds=(kind,))
-            greedy = m._greedy_extend(ground.empty(), ground.full())
-            assert m.rank == greedy.cardinality() == len(m.some_base())
+            for max_rank in (0, 4):
+                self._assert_declared_base_is_greedy(random_matroid(
+                    rng, ground, max_rank=max_rank, kinds=(kind,)))
         g = GroundSet(3)
         over = make_partition(g, [(g.subset([0]), 3), (g.subset([1, 2]), 1)])
         assert over.rank == 2
+
+    def test_declared_bases_on_loops_parallels_and_empty_blocks(self):
+        g6 = GroundSet(6)
+        cases = [
+            # Self-loops first and last, parallel edges, two components.
+            make_graphic(6, [(2, 2), (0, 1), (1, 0), (3, 4), (4, 5), (5, 3)]),
+            make_graphic(9, [(0, 1), (7, 8), (1, 0), (8, 7), (0, 0), (1, 2)]),
+            make_graphic(1, [(0, 0)] * 6),
+            make_partition(g6, [(g6.subset([0, 3]), 0), (g6.subset([1, 5]), 1),
+                                (g6.subset([2, 4]), 2)]),
+            make_partition(g6, [(g6.subset([5, 1, 4]), 2),
+                                (g6.subset([0, 2, 3]), 0)]),
+            make_uniform(g6, 0),
+            make_uniform(g6, 6),
+        ]
+        for m in cases:
+            self._assert_declared_base_is_greedy(m)
+        assert [m.some_base().mask for m in cases] == [
+            0b011010, 0b100011, 0, 0b010110, 0b000010 | 0b010000, 0, 0b111111]
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            vertices = rng.randint(1, 12)
+            edges = [(rng.randrange(vertices), rng.randrange(vertices))
+                     for _ in range(n)]
+            self._assert_declared_base_is_greedy(make_graphic(vertices, edges))
 
     def test_bases_equicardinal_at_rank(self):
         rng = random.Random(11)

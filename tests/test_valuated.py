@@ -414,6 +414,168 @@ class TestModularOnDomainExchange:
         TestCopyReductionExchange._same_answers(make, queries)
 
 
+class TestBlockExchanges:
+    """`raw_exchanges(X, outs, ins)` is `raw_exchange(X, u, v)` asked for
+    u in `outs` and v in `ins`, u-major, in every observable way: the
+    values, and the `calls`, `evals` and memo of the oracle and of every
+    oracle it asks.  The values also equal those of a twin whose
+    exchanges all go to its value function.  The memos are warmed first,
+    so that hits mix with misses."""
+
+    KINDS = MATROID_KINDS + ("explicit", "size", "dual", "domain", "sum",
+                             "constraint", "penalty", "lifted")
+
+    @staticmethod
+    def _maker(rng, kind, size, copies):
+        """A maker of [oracle, the oracles it asks], or None when the
+        drawn oracle has an empty domain."""
+        ground = GroundSet(size)
+        weights = tuple(random_rational(rng, denominators=range(1, 13))
+                        for _ in range(size))
+        component = TestCopyReductionExchange._component
+        if kind in MATROID_KINDS:
+            matroid = random_matroid(rng, ground, kinds=(kind,))
+            return lambda: [from_matroid_and_weights(matroid, weights)]
+        if kind == "explicit":
+            build = component(rng, ground, "explicit")
+            return lambda: [build()]
+        if kind == "size":
+            r = rng.randint(0, size)
+            return lambda: [size_constrained_modular(ground, weights, r)]
+        if kind in ("dual", "domain"):
+            build = component(rng, ground,
+                              rng.choice(MATROID_KINDS + ("explicit",)))
+
+            def make():
+                omega = build()
+                if kind == "dual":
+                    return [dual_valuation(omega), omega]
+                return [modular_on_domain(omega, weights), omega]
+            return make
+        tg = TupleGround(ground, copies)
+        rank = rng.randint(0, copies * size)
+        if kind == "sum":
+            makers = [component(rng, ground, rng.choice(
+                MATROID_KINDS + ("explicit", "dual"))) for _ in range(copies)]
+
+            def make():
+                parts = [build() for build in makers]
+                return [disjoint_sum(parts)[0]] + parts
+            return make
+        if kind == "constraint":
+            constraint = random_matroid(rng, ground, rng.randint(0, 3))
+
+            def make():
+                return [intersection_constraint_valuation(
+                    copies, constraint, rank)[0]]
+            return make if make()[0].witness_base is not None else None
+        if kind == "penalty":
+            penalties = [abs(w) for w in weights]
+            return lambda: [laminar_penalty(penalties, copies, rank,
+                                            ground)[0]]
+        spec = TestCopyReductionExchange._laminar(rng, ground, copies)
+        try:
+            lift_laminar_to_copies(spec, tg, rank)
+        except EmptyDomainError:
+            return None
+        return lambda: [lift_laminar_to_copies(spec, tg, rank)]
+
+    @staticmethod
+    def _bases(rng, scout):
+        """Finite bases from random walks of finite exchanges from the
+        witness, asked of a scout twin, and one rank-sized set."""
+        ground = scout.ground
+        bases = []
+        for _ in range(4):
+            x = scout.witness_base
+            for _ in range(rng.randint(0, 8)):
+                inside, outside = x.members(), [
+                    v for v in ground.elements() if not x.contains(v)]
+                if not inside or not outside:
+                    break
+                u, v = rng.choice(inside), rng.choice(outside)
+                if scout.raw_exchange(x, u, v) is not None:
+                    x = x.exchange(u, v)
+            bases.append(x)
+        bases.append(ground.subset(rng.sample(range(ground.size),
+                                              scout.rank)))
+        return bases
+
+    @staticmethod
+    def _sublist(rng, elements):
+        picked = [e for e in elements if rng.random() < 0.7]
+        if rng.random() < 0.5:
+            rng.shuffle(picked)
+        return picked
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 6), st.integers(1, 3))
+    def test_block_equals_pair_by_pair(self, kind, seed, size, copies):
+        rng = random.Random(seed)
+        if kind in ("sum", "constraint", "penalty", "lifted"):
+            size = min(size, 4)
+        make = self._maker(rng, kind, size, copies)
+        if make is None:
+            return
+        ours, twin, by_value = make(), make(), make()
+        by_value[0]._exchange_fn = by_value[0]._block_fn = None
+        ground = ours[0].ground
+        bases = self._bases(rng, make()[0])
+        # Warm the memos alike with exchanges and values near the bases.
+        for x in bases:
+            for _ in range(6):
+                u, v = rng.randrange(ground.size), rng.randrange(ground.size)
+                for oracles in (ours, twin):
+                    oracles[0].raw_exchange(x, u, v)
+                    oracles[0].raw_value(x.exchange(u, v))
+        blocks = 0
+        for x in bases:
+            inside = list(x.members())
+            outside = [v for v in ground.elements() if not x.contains(v)]
+            for _ in range(3):
+                outs = self._sublist(rng, inside)
+                ins = self._sublist(rng, outside)
+                values = ours[0].raw_exchanges(x, outs, ins)
+                pairs = [(u, v) for u in outs for v in ins]
+                assert values == [twin[0].raw_exchange(x, u, v)
+                                  for u, v in pairs], (x.mask, outs, ins)
+                assert values == [by_value[0].raw_value(x.exchange(u, v))
+                                  for u, v in pairs]
+                for a, b in zip(ours, twin):
+                    assert (a.calls, a.evals) == (b.calls, b.evals), a.name
+                    assert list(a._memo.items()) == list(b._memo.items())
+                blocks += bool(pairs)
+        assert blocks > 0 or ours[0].rank in (0, ground.size)
+
+    @pytest.mark.parametrize("kind", ["graphic", "explicit", "sum"])
+    def test_improper_blocks_raise(self, kind):
+        rng = random.Random(3)
+        for _ in range(30):
+            make = self._maker(rng, kind, 4, 2)
+            oracle = make()[0]
+            ground, x = oracle.ground, oracle.witness_base
+            if oracle.rank in (0, ground.size):
+                continue
+            inside = list(x.members())
+            outside = [v for v in ground.elements() if not x.contains(v)]
+            memo, calls = dict(oracle._memo), (oracle.calls, oracle.evals)
+            for outs, ins, base in (
+                    (outside[:1], outside[1:], x),       # u outside X
+                    (inside, inside[:1], x),             # v inside X
+                    (inside, [ground.size], x),          # v off the ground
+                    (inside, [-1], x),
+                    ([-1], outside, x),
+                    (inside[1:], outside, x.remove(inside[0])),   # off rank
+                    ([], outside, x.add(outside[0])),
+                    (inside, outside, GroundSet(ground.size + 1).subset(
+                        inside))):
+                with pytest.raises(InvalidInputError):
+                    oracle.raw_exchanges(base, outs, ins)
+            assert oracle._memo == memo
+            assert (oracle.calls, oracle.evals) == calls
+
+
 class TestScale:
     """Every oracle keeps ints over its denominator in the memo and hands
     out the same exact values; a disjoint sum is scaled by the lcm of its

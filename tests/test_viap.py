@@ -711,10 +711,33 @@ def _differential_side(rng, ground, kind):
     return omega
 
 
+def _ask_reached_blocks(x1, x2, message, omega1, omega2):
+    """Ask pair by pair, in the reference loop's order, what the block
+    scan asks before it raises `message`: the values of X1 and X2, then
+    every pair of each copy's block it reached (X1's once a length is
+    checked, X2's too once an A2 length is)."""
+    omega1.raw_value(x1)
+    omega2.raw_value(x2)
+    ground = omega1.ground
+    if f"on {ARC_EXCHANGE_1} arc" in message \
+            or f"on {ARC_EXCHANGE_2} arc" in message:
+        for u in x1.members():
+            for v in ground.elements():
+                if not x1.contains(v):
+                    omega1.raw_exchange(x1, u, v)
+    if f"on {ARC_EXCHANGE_2} arc" in message:
+        for v in ground.elements():
+            if not x2.contains(v):
+                for u in x2.members():
+                    omega2.raw_exchange(x2, u, v)
+
+
 class TestIntegerExchangeLengths:
     """The integer exchange loop against the rational one it replaced:
     the same arcs in the same order with the same exact lengths, the same
-    first negative arc and message, and the same oracle counters."""
+    first negative arc and message, and the same oracle counters.  A scan
+    that raises asks each copy's block in full before checking it, so its
+    counters are those of `_ask_reached_blocks`."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32),
@@ -755,6 +778,10 @@ class TestIntegerExchangeLengths:
                                                    theirs1, theirs2))
         assert ours == theirs
         assert all(type(length) is Fraction for *_, length in ours[0])
+        message = theirs[1]
+        if message is not None:
+            theirs1, theirs2 = make1(), make2()
+            _ask_reached_blocks(x1, x2, message, theirs1, theirs2)
         for a, b in ((ours1, theirs1), (ours2, theirs2)):
             assert (a.calls, a.evals) == (b.calls, b.evals)
 

@@ -45,7 +45,6 @@ coupling lower bound.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -421,155 +420,15 @@ def _cancel_negative_cycles(
     raise ResourceLimitError("cycle canceling exceeded the iteration cap")
 
 
-# ---------------------------------------------------------------------------
-# Feasible starting flows
-# ---------------------------------------------------------------------------
-
-def _max_flow(num_nodes: int, capacities: dict[tuple[int, int], int],
-              source: int, sink: int) -> dict[tuple[int, int], int]:
-    """Integral max flow by BFS augmentation (desk scale)."""
-    flow: dict[tuple[int, int], int] = {key: 0 for key in capacities}
-    adjacency: list[set[int]] = [set() for _ in range(num_nodes)]
-    for (u, v) in capacities:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    while True:
-        parent: dict[int, tuple[int, int, bool]] = {}
-        queue = deque([source])
-        seen = {source}
-        while queue:
-            node = queue.popleft()
-            if node == sink:
-                break
-            for nxt in adjacency[node]:
-                if nxt in seen:
-                    continue
-                forward = capacities.get((node, nxt), 0) - flow.get((node, nxt), 0)
-                if forward > 0:
-                    parent[nxt] = (node, nxt, True)
-                    seen.add(nxt)
-                    queue.append(nxt)
-                    continue
-                backward = flow.get((nxt, node), 0)
-                if backward > 0:
-                    parent[nxt] = (node, nxt, False)
-                    seen.add(nxt)
-                    queue.append(nxt)
-        if sink not in seen:
-            return flow
-        # Find the bottleneck along the path, then push it.
-        path = []
-        node = sink
-        while node != source:
-            prev, nxt, forward = parent[node]
-            path.append((prev, nxt, forward))
-            node = prev
-        bottleneck = None
-        for prev, nxt, forward in path:
-            room = (capacities[(prev, nxt)] - flow[(prev, nxt)]) if forward \
-                else flow[(nxt, prev)]
-            bottleneck = room if bottleneck is None else min(bottleneck, room)
-        for prev, nxt, forward in path:
-            if forward:
-                flow[(prev, nxt)] += bottleneck
-            else:
-                flow[(nxt, prev)] -= bottleneck
-
-
-def _flow_with_boundary(network: FlowNetwork,
-                        target: IntVector) -> Optional[list[int]]:
-    """An integral flow within capacities with the given boundary, if any.
-
-    Infinite capacities are tightened exactly: after removing circulations
-    a flow decomposes into at most demand-many unit paths, so no arc needs
-    more than the total demand beyond its finite reference level.
-    """
-    if target.total() != 0:
-        return None
-    reference = []
-    for arc in network.arcs:
-        if arc.lower is not None:
-            reference.append(arc.lower)
-        elif arc.upper is not None and arc.upper < 0:
-            reference.append(arc.upper)
-        else:
-            reference.append(0)
-    residual_demand = IntVector(tuple(
-        target[v] - b for v, b in enumerate(boundary(reference, network))))
-    demand_total = sum(d for d in residual_demand if d > 0)
-    # Pseudo-network for max flow: node count + super source and sink.
-    source = network.num_nodes
-    sink = network.num_nodes + 1
-    capacities: dict[tuple[int, int], int] = {}
-    arc_keys: list[tuple[int, int]] = []
-    for i, arc in enumerate(network.arcs):
-        room_up = demand_total if arc.upper is None \
-            else min(arc.upper - reference[i], demand_total)
-        room_down = demand_total if arc.lower is None \
-            else min(reference[i] - arc.lower, demand_total)
-        # Deviation from the reference level, split into two directed parts.
-        key_fwd = (arc.tail, arc.head)
-        key_bwd = (arc.head, arc.tail)
-        capacities[key_fwd] = capacities.get(key_fwd, 0) + max(room_up, 0)
-        capacities[key_bwd] = capacities.get(key_bwd, 0) + max(room_down, 0)
-        arc_keys.append((i, max(room_up, 0), max(room_down, 0)))
-    # A node needing net inflow drains into the super sink; a node needing
-    # net outflow is fed from the super source.
-    for v in range(network.num_nodes):
-        d = residual_demand[v]
-        if d > 0:
-            capacities[(v, sink)] = d
-        elif d < 0:
-            capacities[(source, v)] = -d
-    flow = _max_flow(network.num_nodes + 2, capacities, source, sink)
-    drained = sum(flow.get((v, sink), 0) for v in range(network.num_nodes))
-    if drained != demand_total:
-        return None
-    # Distribute the aggregated pair flows back to individual arcs.
-    result = list(reference)
-    for (i, room_up, room_down) in arc_keys:
-        arc = network.arcs[i]
-        key_fwd = (arc.tail, arc.head)
-        key_bwd = (arc.head, arc.tail)
-        take_up = min(room_up, max(flow.get(key_fwd, 0), 0))
-        if take_up > 0:
-            result[i] += take_up
-            flow[key_fwd] -= take_up
-        take_down = min(room_down, max(flow.get(key_bwd, 0), 0))
-        if take_down > 0:
-            result[i] -= take_down
-            flow[key_bwd] -= take_down
-    if boundary(result, network).entries != target.entries:
-        return None
-    return result
-
-
 def solve_mnat_flow(h: MnatFunction, network: FlowNetwork,
-                    start: Optional[Sequence[int]] = None,
-                    domain_limit: int = 100_000) -> FlowSolution:
-    """Minimize h(boundary) + weighted flow over integer feasible flows.
-
-    When no starting flow is given, one is found by scanning the finite
-    points of h inside its box and asking, per candidate boundary, for an
-    integral flow realizing it (a max-flow subproblem); the box must be
-    finite and small enough to scan.
-    """
+                    start: Sequence[int]) -> FlowSolution:
+    """Minimize h(boundary) + weighted flow over integer feasible flows,
+    by canceling negative cycles from the feasible flow `start`."""
     if h.dimension != network.num_nodes:
         raise InvalidInputError("h dimension must equal the node count")
-    flow = list(start) if start is not None else None
-    if flow is not None:
-        if not flow_objective(h, network, flow).is_finite:
-            raise InvalidInputError("provided starting flow is infeasible")
-    else:
-        for candidate in h.iter_box(domain_limit):
-            if not h.value(candidate).is_finite:
-                continue
-            found = _flow_with_boundary(network, candidate)
-            if found is not None:
-                flow = found
-                break
-        if flow is None:
-            return FlowSolution("infeasible")
+    flow = list(start)
+    if not flow_objective(h, network, flow).is_finite:
+        raise InvalidInputError("provided starting flow is infeasible")
     final, status = _cancel_negative_cycles(h, network, flow)
     if status == "unbounded":
         return FlowSolution("unbounded")

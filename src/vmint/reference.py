@@ -12,7 +12,6 @@ three independently-coded routes can be compared value-for-value.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -158,7 +157,7 @@ def _lpt_case1(matroid1: MatroidOracle, matroid2: MatroidOracle,
         reachable = {node for node in range(graph.node_count())
                      if dist[node] is not None and dist[node] == 0}
         delta = None
-        for arc in itertools.chain.from_iterable(graph.adjacency):
+        for arc in graph.arcs():
             if arc.kind not in (ARC_EXCHANGE_1, ARC_EXCHANGE_2):
                 continue
             if arc.tail in reachable and arc.head not in reachable:

@@ -30,17 +30,20 @@ a `block_fn` that answers the whole block at once: a modular valuation
 on a matroid with fundamental-circuit tables answers it from one circuit
 table per base (X - u + v is a base exactly when u lies on the circuit
 C(X, v)) and the integer sums w(X) - w_u + w_v, with no independence
-test, in one list comprehension and one memo update; `raw_exchange`
-asks a block oracle's misses as 1 x 1 blocks.  Other oracles answer a
-block pair by pair, with one memo lookup each.  The dual of any oracle
-passes its queries on as exchanges of the complement.
+test, in one list comprehension and one memo update; it answers a
+single exchange from the same table.  Other oracles take a block
+through the memo pair by pair and answer its misses in pair order as
+one batch: the dual of any oracle passes that batch on to its base as
+exchanges of the complement, one call per block.
 
 The oracles of the copy reductions answer exchanges block by block.
 A disjoint sum sends a pair inside one copy to that component's own
 exchange query and asks every other copy for the part X - u + v has
 there, so each component's calls, evals and memo move exactly as under
-`value`.  The intersection constraint keeps, for the last base, how many
-copies pick each element; an exchange moves at most two of those counts.
+`value`.  The intersection constraint and the laminar valuations are
+leaves with a `block_fn`: the constraint keeps, for the last base, how
+many copies pick each element (an exchange moves at most two of those
+counts), and a laminar valuation its member counts.
 
 Laminar convex functions (convex tables of the member sums of a laminar
 family) are built by :func:`laminar_valuation` on subsets (the laminar
@@ -95,6 +98,9 @@ class ValuationOracle:
     `block_fn(base, outs, ins)`, for a leaf oracle that asks no other
     oracle, answers a whole block of exchanges at once: the list of the
     values of base - u + v for u in `outs` and v in `ins`, u-major.
+    `exchange_fn(base, u, v)` answers one exchange.  A dual oracle
+    answers a list of exchanges as one batch of its base (see
+    `dual_valuation`).
     """
 
     def __init__(self, ground: GroundSet, rank: int,
@@ -115,6 +121,8 @@ class ValuationOracle:
         self._value_fn = value_fn
         self._exchange_fn = exchange_fn
         self._block_fn = block_fn
+        self._batch_fn: Optional[Callable[
+            [Subset, list[tuple[int, int]]], list[Raw]]] = None
         self.witness_base = witness_base
         self.name = name
         self._memo: dict[int, Raw] = {}
@@ -151,9 +159,8 @@ class ValuationOracle:
         and memo; a hit builds no subset.
 
         A miss that is a proper exchange (u in base, v not) of a rank-sized
-        base goes to the oracle's `block_fn` as a 1 x 1 block when it has
-        one, else to its `exchange_fn(base, u, v)`, and to the value
-        function otherwise.
+        base is answered as a batch of one pair (see `_answer`), and any
+        other miss by the value function.
         """
         mask = base.mask
         key = mask & ~(1 << u) | (1 << v)
@@ -164,13 +171,10 @@ class ValuationOracle:
         self.calls += 1
         cached = self._memo.get(key, _MISSING)
         if cached is _MISSING:
-            proper = mask >> u & 1 and not mask >> v & 1
             if key.bit_count() != self.rank:
                 cached = None
-            elif proper and self._block_fn is not None:
-                cached = self._block_fn(base, (u,), (v,))[0]
-            elif proper and self._exchange_fn is not None:
-                cached = self._exchange_fn(base, u, v)
+            elif mask >> u & 1 and not mask >> v & 1:
+                cached = self._answer(base, [(u, v)])[0]
             else:
                 cached = self._value_fn(Subset(self.ground, key))
             self._memo[key] = cached
@@ -182,48 +186,81 @@ class ValuationOracle:
         """`[raw_exchange(base, u, v) for u in outs for v in ins]`, with
         the same values, `calls`, `evals` and memo, in that order.
 
-        `base` must be rank-sized, `outs` inside it and `ins` outside it.
-        An oracle with a `block_fn` asks it for the whole block and counts
-        as evals what the memo grows by; a memo hit gets the same value,
-        since a value depends only on the set.  Otherwise each pair is
-        looked up in the memo and each miss goes to `exchange_fn` or the
-        value function, so that the oracles a composite asks move exactly
-        as under `raw_exchange`.
+        `base` must be rank-sized, `outs` inside it and `ins` outside it;
+        both lists are checked in one pass.  An oracle with a `block_fn`
+        asks it for the whole block and counts as evals what the memo
+        grows by; a memo hit gets the same value, since a value depends
+        only on the set.  Otherwise the block goes through the memo pair
+        by pair, and its misses are answered in pair order as one batch
+        (see `_exchange_pairs`), so that the oracles a composite asks
+        move exactly as under `raw_exchange`.
         """
         if base.ground is not self.ground and base.ground != self.ground:
             raise InvalidInputError("subset is on a different ground set")
         mask = base.mask
         if mask.bit_count() != self.rank:
             raise InvalidInputError("a block of exchanges needs a rank-sized base")
-        if (self.ground.subset(outs).mask & ~mask
-                or self.ground.subset(ins).mask & mask):
-            raise InvalidInputError(
-                "a block exchanges members of the base for non-members")
+        size = self.ground.size
+        for elements, inside in ((outs, 1), (ins, 0)):
+            improper = False
+            for e in elements:
+                if not 0 <= e < size:
+                    raise InvalidInputError(f"element index {e} out of range")
+                if mask >> e & 1 != inside:
+                    improper = True
+            if improper:
+                raise InvalidInputError(
+                    "a block exchanges members of the base for non-members")
+        if self._block_fn is None:
+            return self._exchange_pairs(base, [(u, v) for u in outs
+                                               for v in ins])
         memo = self._memo
         self.calls += len(outs) * len(ins)
-        if self._block_fn is not None:
-            values = self._block_fn(base, outs, ins)
-            before = len(memo)
-            bits = [1 << v for v in ins]
-            memo.update(zip([drop | bit for drop in
-                             [mask ^ (1 << u) for u in outs]
-                             for bit in bits], values))
-            self.evals += len(memo) - before
-            return values
-        exchange, value = self._exchange_fn, self._value_fn
-        values = []
-        for u in outs:
-            drop = mask ^ (1 << u)
-            for v in ins:
-                key = drop | 1 << v
-                cached = memo.get(key, _MISSING)
-                if cached is _MISSING:
-                    cached = exchange(base, u, v) if exchange is not None \
-                        else value(Subset(self.ground, key))
-                    memo[key] = cached
-                    self.evals += 1
-                values.append(cached)
+        values = self._block_fn(base, outs, ins)
+        before = len(memo)
+        bits = [1 << v for v in ins]
+        memo.update(zip([drop | bit for drop in
+                         [mask ^ (1 << u) for u in outs]
+                         for bit in bits], values))
+        self.evals += len(memo) - before
         return values
+
+    def _exchange_pairs(self, base: Subset,
+                        pairs: list[tuple[int, int]]) -> list[Raw]:
+        """`[raw_exchange(base, u, v) for u, v in pairs]` for proper
+        exchanges of a rank-sized base, with the same values, `calls`,
+        `evals` and memo: every pair is looked up in the memo, and the
+        misses go to `_answer` as one batch, in pair order."""
+        mask = base.mask
+        memo = self._memo
+        self.calls += len(pairs)
+        keys = [mask ^ (1 << u) | 1 << v for u, v in pairs]
+        values = [memo.get(key, _MISSING) for key in keys]
+        missed = {key: pair for key, pair, value in zip(keys, pairs, values)
+                  if value is _MISSING}
+        if not missed:
+            return values
+        memo.update(zip(missed, self._answer(base, list(missed.values()))))
+        self.evals += len(missed)
+        return [memo[key] for key in keys]
+
+    def _answer(self, base: Subset,
+                pairs: list[tuple[int, int]]) -> list[Raw]:
+        """Compute, memo aside, the values of the proper exchanges `pairs`
+        of a rank-sized base: all at once by a dual's batch, else one by
+        one by `exchange_fn`, by `block_fn` as 1 x 1 blocks, or by the
+        value function."""
+        if self._batch_fn is not None:
+            return self._batch_fn(base, pairs)
+        if self._exchange_fn is not None:
+            exchange = self._exchange_fn
+            return [exchange(base, u, v) for u, v in pairs]
+        if self._block_fn is not None:
+            block = self._block_fn
+            return [block(base, (u,), (v,))[0] for u, v in pairs]
+        mask = base.mask
+        return [self._value_fn(Subset(self.ground, mask ^ (1 << u) | 1 << v))
+                for u, v in pairs]
 
     def as_value(self, raw: Raw) -> ExtValue:
         """A raw value of this oracle as the exact `ExtValue` it stands for."""
@@ -543,9 +580,10 @@ def from_matroid_and_weights(matroid: MatroidOracle,
 
     The oracle is scaled by the lcm D of the weights' denominators.  When
     the matroid has circuit tables, it answers blocks of exchanges (see
-    `ValuationOracle.raw_exchanges`) from the table of the last base asked
-    about and its scaled sum w(X): X - u + v is a base exactly when u is
-    in the table's entry for v, and then its value is w(X) - w_u + w_v.
+    `ValuationOracle.raw_exchanges`), and single exchanges, from the table
+    of the last base asked about and its scaled sum w(X): X - u + v is a
+    base exactly when u is in the table's entry for v, and then its value
+    is w(X) - w_u + w_v.
     """
     if len(weights) != matroid.ground.size:
         raise InvalidInputError("need one weight per ground element")
@@ -557,17 +595,28 @@ def from_matroid_and_weights(matroid: MatroidOracle,
             return None
         return scaled_sum(scaled, subset.mask)
 
-    block = None
+    exchange = block = None
     if matroid.has_circuits:
         last: list = [None, None, 0]     # base mask, its table, scaled w(X)
+
+        def table_of(mask: int) -> list:
+            if last[0] != mask:
+                last[:] = [mask, matroid.circuits(mask),
+                           scaled_sum(scaled, mask)]
+            return last
+
+        def exchange(base: Subset, u: int, v: int) -> Raw:
+            mask = base.mask
+            _, table, total = table_of(mask)
+            if table is None:
+                return value(Subset(ground, mask ^ (1 << u) | 1 << v))
+            return total - scaled[u] + scaled[v] if table[v] >> u & 1 \
+                else None
 
         def block(base: Subset, outs: Sequence[int],
                   ins: Sequence[int]) -> list[Raw]:
             mask = base.mask
-            if last[0] != mask:
-                last[:] = [mask, matroid.circuits(mask),
-                           scaled_sum(scaled, mask)]
-            _, table, total = last
+            _, table, total = table_of(mask)
             if table is None:
                 return [value(Subset(ground, mask ^ (1 << u) | 1 << v))
                         for u in outs for v in ins]
@@ -578,7 +627,7 @@ def from_matroid_and_weights(matroid: MatroidOracle,
                     for entry, w in columns]
 
     return ValuationOracle(ground, matroid.rank, value, matroid.some_base(),
-                           name, scale=scale, block_fn=block)
+                           name, exchange, scale, block)
 
 
 def indicator_of_matroid(matroid: MatroidOracle) -> ValuationOracle:
@@ -614,17 +663,28 @@ def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
     """The dual valuated matroid: value(X) = omega(V \\ X).
 
     It has omega's scale, and passes its queries on to omega, exchanges
-    as exchanges of the complement.
+    as exchanges of the complement: X - u + v is (V \\ X) - v + u.  The
+    misses of a block (or of one exchange) reach omega as one batch, in
+    pair order, through the memo of omega, whose `calls`, `evals` and
+    memo move exactly as under one `raw_exchange` per pair.  The
+    complement of the last base is kept.
     """
     witness = None
     if omega.witness_base is not None:
         witness = omega.witness_base.complement()
-    value, exchange = omega.raw_value, omega.raw_exchange
-    return ValuationOracle(omega.ground, omega.ground.size - omega.rank,
+    value = omega.raw_value
+    last: list = [None, None]           # base mask, its complement
+
+    def batch(x: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
+        if last[0] != x.mask:
+            last[:] = [x.mask, x.complement()]
+        return omega._exchange_pairs(last[1], [(v, u) for u, v in pairs])
+
+    dual = ValuationOracle(omega.ground, omega.ground.size - omega.rank,
                            lambda x: value(x.complement()),
-                           witness, f"dual({omega.name})",
-                           lambda x, u, v: exchange(x.complement(), v, u),
-                           omega.scale)
+                           witness, f"dual({omega.name})", scale=omega.scale)
+    dual._batch_fn = batch
+    return dual
 
 
 class TupleGround:
@@ -830,11 +890,14 @@ def laminar_valuation(ground: GroundSet, member_masks: Sequence[int],
     """The valuation X -> sum over members M of g_M(|X & M|) on rank-sized X.
 
     The masks form a laminar family on `ground`, with one convex table
-    g_M each; the oracle is scaled by the tables' common denominator.  An
-    exchange X - u + v is answered from the member counts of the last
-    base: only the members holding exactly one of u and v move.  The
-    witness is the smallest finite mask.  Raises
-    :class:`EmptyDomainError` when no rank-sized set is finite.
+    g_M each; the oracle is scaled by the tables' common denominator.
+    Blocks of exchanges are answered from the member counts of the last
+    base (see `ValuationOracle.raw_exchanges`): only the members holding
+    exactly one of u and v move, each by one, so the change of each
+    member's term going down or up one is kept per base, with the
+    infinite terms counted apart from the finite sum.  The witness is the
+    smallest finite mask.  Raises :class:`EmptyDomainError` when no
+    rank-sized set is finite.
     """
     term, scale = scaled_tables(tables)
     masks = tuple(member_masks)
@@ -854,35 +917,70 @@ def laminar_valuation(ground: GroundSet, member_masks: Sequence[int],
 
     holding = [sum(1 << m for m, mask in enumerate(masks) if mask >> e & 1)
                for e in ground.elements()]
-    # base mask, its member counts, the sum of its finite terms and the
-    # number of infinite ones
-    last: list = [None, [], 0, 0]
+    # base mask, the sum of its finite terms, the number of its infinite
+    # ones, and per member the change of both when its count moves down,
+    # up, and down and then up again
+    last: list = [None, 0, 0, [], [], []]
 
-    def exchange(base: Subset, u: int, v: int) -> Raw:
-        if last[0] != base.mask:
-            counts = [(base.mask & mask).bit_count() for mask in masks]
+    def shifts(mask: int) -> list:
+        if last[0] != mask:
+            counts = [(mask & member).bit_count() for member in masks]
             terms = [term(m, count) for m, count in enumerate(counts)]
-            last[:] = [base.mask, counts,
-                       sum(t for t in terms if t is not None),
-                       terms.count(None)]
-        _, counts, acc, infinite = last
-        moved = holding[u] ^ holding[v]
-        while moved:
-            low = moved & -moved
-            m = low.bit_length() - 1
-            moved ^= low
-            new = counts[m] + 1 if holding[v] & low else counts[m] - 1
-            for count, sign in ((counts[m], -1), (new, 1)):
-                finite = term(m, count)
-                if finite is None:
-                    infinite += sign
+            down = [_term_change(t, term(m, count - 1))
+                    for m, (count, t) in enumerate(zip(counts, terms))]
+            up = [_term_change(t, term(m, count + 1))
+                  for m, (count, t) in enumerate(zip(counts, terms))]
+            last[:] = [mask, sum(t for t in terms if t is not None),
+                       terms.count(None), down, up,
+                       [(a + b, c + d) for (a, c), (b, d) in zip(down, up)]]
+        return last
+
+    def block(base: Subset, outs: Sequence[int],
+              ins: Sequence[int]) -> list[Raw]:
+        # A member holding u and not v loses one; one holding v and not u
+        # gains one; one holding both keeps its count.
+        _, acc, infinite, down, up, both = shifts(base.mask)
+        columns = [(holding[v], *_summed(holding[v], up)) for v in ins]
+        values: list[Raw] = []
+        for u in outs:
+            held = holding[u]
+            finite, infinite_u = _summed(held, down)
+            finite += acc
+            infinite_u += infinite
+            for other, gain, infinite_v in columns:
+                common = held & other
+                if common:
+                    kept, kept_infinite = _summed(common, both)
+                    values.append(
+                        None if infinite_u + infinite_v - kept_infinite
+                        else finite + gain - kept)
                 else:
-                    acc += sign * finite
-        return None if infinite else acc
+                    values.append(None if infinite_u + infinite_v
+                                  else finite + gain)
+        return values
 
     witness = Subset(ground, sum(bit << e for e, bit in enumerate(point)))
-    return ValuationOracle(ground, rank, value, witness, name, exchange,
-                           scale)
+    return ValuationOracle(ground, rank, value, witness, name, scale=scale,
+                           block_fn=block)
+
+
+def _term_change(old: Optional[int], new: Optional[int]) -> tuple[int, int]:
+    """How a term moving from `old` to `new` changes the sum of the finite
+    terms and the number of infinite ones (None is +infinity)."""
+    return ((0 if new is None else new) - (0 if old is None else old),
+            (new is None) - (old is None))
+
+
+def _summed(bits: int, changes: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the changes of the members in `bits`."""
+    finite = infinite = 0
+    while bits:
+        low = bits & -bits
+        change = changes[low.bit_length() - 1]
+        finite += change[0]
+        infinite += change[1]
+        bits ^= low
+    return finite, infinite
 
 
 def intersection_constraint_valuation(n: int, constraint: MatroidOracle,
@@ -897,9 +995,10 @@ def intersection_constraint_valuation(n: int, constraint: MatroidOracle,
 
     An exchange moves one pick from element a = u mod |V| to b = v mod |V|,
     so at most one element out of and one into the common intersection
-    (those with all n copies picked); the copy counts and the intersection
-    of the last base are kept, and the verdict of each distinct
-    intersection is asked of `constraint` once.
+    (those with all n copies picked).  Blocks of exchanges (see
+    `ValuationOracle.raw_exchanges`) are answered from the copy counts and
+    the intersection of the last base, which are kept, and the verdict of
+    each distinct intersection is asked of `constraint` once.
     """
     base = constraint.ground
     if not 0 <= r <= n * base.size:
@@ -915,27 +1014,32 @@ def intersection_constraint_valuation(n: int, constraint: MatroidOracle,
     copies = [tg.lift(1 << e) for e in base.elements()]
     last: list = [None, [], 0]          # tuple mask, its counts, its intersection
 
-    def exchange(subset: Subset, u: int, v: int) -> Raw:
+    def block(subset: Subset, outs: Sequence[int],
+              ins: Sequence[int]) -> list[Raw]:
         if last[0] != subset.mask:
             counts = [(subset.mask & mask).bit_count() for mask in copies]
             last[:] = [subset.mask, counts,
                        sum(1 << e for e, count in enumerate(counts)
                            if count == n)]
         _, counts, inter = last
-        a, b = u % size, v % size
-        if a != b:
-            inter &= ~(1 << a)
-            if counts[b] == n - 1:
-                inter |= 1 << b
-        independent = verdicts.get(inter)
-        if independent is None:
-            independent = constraint.is_independent(Subset(base, inter))
-            verdicts[inter] = independent
-        return 0 if independent else None
+        # Moving a pick from a to b != a drops a from the intersection and
+        # adds b when b was picked by all other copies.
+        columns = [(v % size, 1 << v % size if counts[v % size] == n - 1
+                    else 0) for v in ins]
+        keys = []
+        for u in outs:
+            a = u % size
+            dropped = inter & ~(1 << a)
+            keys += [inter if b == a else dropped | gain
+                     for b, gain in columns]
+        for key in keys:
+            if key not in verdicts:
+                verdicts[key] = constraint.is_independent(Subset(base, key))
+        return [0 if verdicts[key] else None for key in keys]
 
     witness: Optional[Subset] = _greedy_tuple_fill(tg, constraint, r)
     return (ValuationOracle(tg.combined, r, value, witness,
-                            "intersection-constraint", exchange), tg)
+                            "intersection-constraint", block_fn=block), tg)
 
 
 def _greedy_tuple_fill(tg: TupleGround, constraint: MatroidOracle,

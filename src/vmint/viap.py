@@ -23,7 +23,12 @@ and tie.  `Fraction` appears only where a `Witness`, a ladder value or an
 `AuxArc.length` is read, and where the rational potentials of a
 `Witness` from elsewhere are put in units (`in_units`).
 
-Checking: `_exchange_lengths`, the exchange-arc loop of
+The aux digraph is kept as rows: one list of `(head, length)` pairs per
+node, which the search relaxes directly.  An arc is known by its end
+nodes, so `AuxArc` objects are built only for the path the search returns
+and for callers that list every arc (`AuxDigraph.arcs`).
+
+Checking: `_exchange_lengths`, which computes the exchange rows of
 `build_aux_digraph`, is the one place that rejects a negative reduced
 cost.  It asks each copy's exchanges as one block of the oracle (see
 `ValuationOracle.raw_exchanges`), in full before it checks that copy's
@@ -35,8 +40,8 @@ After every step the structural invariants (intersection grown by one,
 matched set equal to the intersection, potential conditions) are
 checked; the aux build of a level and those checks together check that
 level's full certificate.  Every level but the last gets an aux build; the last is
-certified by `verify_witness`, which runs the same loop once more, at the
-end of the ladder and without building arcs, unless the run stopped
+certified by `verify_witness`, which runs the same rows once more, at the
+end of the ladder and without building the graph, unless the run stopped
 because the sink was unreachable, whose aux build already checked it.
 """
 
@@ -44,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -87,11 +93,15 @@ class AuxArc:
 class AuxDigraph:
     """Auxiliary digraph on V1 + V2 + {s, t} with nonnegative arc lengths.
 
-    Every arc's length is in units of 1/scale.
+    `adjacency[node]` is the node's row: its arcs as `(head, length)`
+    pairs, every length in units of 1/scale.  An arc of the aux build is
+    known by its tail and head alone (see `arc`), so rows keep no
+    `AuxArc`s; `arc` and `arcs` build them for the callers that read
+    kinds and elements.
     """
 
     n: int
-    adjacency: list[list[AuxArc]]
+    adjacency: list[list[tuple[int, int]]]
     scale: int = 1
 
     @property
@@ -110,6 +120,30 @@ class AuxDigraph:
 
     def node_v2(self, v: int) -> int:
         return 1 + self.n + v
+
+    def arc(self, tail: int, position: int) -> AuxArc:
+        """The arc at `position` in the row of `tail`, with its kind and
+        elements read off its end nodes."""
+        head, units = self.adjacency[tail][position]
+        n = self.n
+        if tail == 0:
+            kind, out, into = ARC_SOURCE, -1, head - 1
+        elif head == 2 * n + 1:
+            kind, out, into = ARC_SINK, -1, tail - 1 - n
+        elif tail <= n:
+            kind, out, into = ((ARC_EXCHANGE_1, tail - 1, head - 1)
+                               if head <= n else (ARC_EDGE, -1, tail - 1))
+        else:
+            kind, out, into = ((ARC_MATCHED, -1, head - 1) if head <= n
+                               else (ARC_EXCHANGE_2, head - 1 - n,
+                                     tail - 1 - n))
+        return AuxArc(tail, head, units, kind, out, into, self.scale)
+
+    def arcs(self) -> list[AuxArc]:
+        """Every arc, row by row."""
+        return [self.arc(tail, position)
+                for tail, row in enumerate(self.adjacency)
+                for position in range(len(row))]
 
 
 @dataclass(frozen=True)
@@ -199,61 +233,86 @@ def in_units(omega1: ValuationOracle, omega2: ValuationOracle,
             tuple(p.numerator * (scale // p.denominator) for p in p2), scale)
 
 
+_LENGTH = operator.itemgetter(1)
+
+
 def _exchange_lengths(x1: Subset, x2: Subset,
                       p1: Sequence[int], p2: Sequence[int],
                       scale: int,
-                      omega1: ValuationOracle, omega2: ValuationOracle):
-    """The exchange arcs of the auxiliary digraph, as (kind, u, v, length).
+                      omega1: ValuationOracle, omega2: ValuationOracle,
+                      ) -> tuple[list, list]:
+    """The exchange arcs of the auxiliary digraph, as rows.
 
-    The potentials and the lengths are in units of 1/scale, a multiple of
-    both oracles' denominators.  A1 arcs come first, by u in X1 then v
-    outside X1, and then A2 arcs, by v outside X2 then u in X2; each
-    length is the reduced-cost change of its single exchange.  This loop
-    is the one place that rejects a negative reduced cost: it raises as
-    soon as it meets one, and when the current sets leave the effective
-    domains.
+    Returns `(rows1, rows2)`, two lists indexed by element: `rows1[u]` is
+    the A1 row of node u1 for u in X1, its arcs to v1 for v outside X1,
+    and `rows2[v]` the A2 row of node v2 for v outside X2, its arcs to u2
+    for u in X2; each arc is a `(head node, length)` pair, in that element
+    order, and every other entry is an empty tuple.  The potentials and
+    the lengths are in units of 1/scale, a multiple of both oracles'
+    denominators; each length is the reduced-cost change of its single
+    exchange.  This routine is the one place that rejects a negative
+    reduced cost: it raises on the first one, A1 rows by u and then A2
+    rows by v, and when the current sets leave the effective domains.
 
     Each copy's exchanges are asked in one block query (see
-    `ValuationOracle.raw_exchanges`), X1's before its first arc and X2's
-    after the last A1 arc, so a copy's block is asked in full before any
-    of its lengths is checked.  The A2 block is asked u-major, like every
-    block, and read v-major by stride.
+    `ValuationOracle.raw_exchanges`), X1's before any length is checked
+    and X2's after every A1 row has passed, so a copy's block is asked in
+    full before any of its lengths is checked.  The A2 block is asked
+    u-major, like every block, and read v-major by stride.
     """
     base1 = omega1.raw_value(x1)
     base2 = omega2.raw_value(x2)
     if base1 is None or base2 is None:
         raise InternalInvariantError("current sets left the effective domains")
-    factor1 = scale // omega1.scale
-    factor2 = scale // omega2.scale
-    elements = omega1.ground.elements()
+    n = omega1.ground.size
+    rows1: list = [()] * n
+    rows2: list = [()] * n
     members1 = x1.members()
-    outside1 = [v for v in elements if not x1.mask >> v & 1]
-    block1 = omega1.raw_exchanges(x1, members1, outside1)
+    outside1 = [v for v in range(n) if not x1.mask >> v & 1]
+    block1 = _in_units(omega1.raw_exchanges(x1, members1, outside1),
+                       scale // omega1.scale)
+    heads = [1 + v for v in outside1]
+    offsets = [p1[v] for v in outside1]
     width = len(outside1)
+    shift = base1 * (scale // omega1.scale)
     for i, u in enumerate(members1):
-        pu = p1[u]
-        for v, moved in zip(outside1, block1[i * width:(i + 1) * width]):
-            if moved is not None:
-                length = (moved - base1) * factor1 - p1[v] + pu
-                if length < 0:
-                    raise _negative_length(length, scale, ARC_EXCHANGE_1)
-                yield ARC_EXCHANGE_1, u, v, length
+        pu = p1[u] - shift
+        row = [(head, moved + pu - pv) for head, pv, moved
+               in zip(heads, offsets, block1[i * width:(i + 1) * width])
+               if moved is not None]
+        if row and min(row, key=_LENGTH)[1] < 0:
+            raise _negative_length(row, scale, ARC_EXCHANGE_1)
+        rows1[u] = row
     members2 = x2.members()
-    outside2 = [v for v in elements if not x2.mask >> v & 1]
-    block2 = omega2.raw_exchanges(x2, members2, outside2)
+    outside2 = [v for v in range(n) if not x2.mask >> v & 1]
+    block2 = _in_units(omega2.raw_exchanges(x2, members2, outside2),
+                       scale // omega2.scale)
+    heads = [1 + n + u for u in members2]
+    offsets = [p2[u] for u in members2]
     width = len(outside2)
+    shift = base2 * (scale // omega2.scale)
     for j, v in enumerate(outside2):
-        pv = p2[v]
-        for u, moved in zip(members2, block2[j::width]):
-            if moved is not None:
-                length = (moved - base2) * factor2 + pv - p2[u]
-                if length < 0:
-                    raise _negative_length(length, scale, ARC_EXCHANGE_2)
-                yield ARC_EXCHANGE_2, u, v, length
+        pv = p2[v] - shift
+        row = [(head, moved + pv - pu) for head, pu, moved
+               in zip(heads, offsets, block2[j::width])
+               if moved is not None]
+        if row and min(row, key=_LENGTH)[1] < 0:
+            raise _negative_length(row, scale, ARC_EXCHANGE_2)
+        rows2[v] = row
+    return rows1, rows2
 
 
-def _negative_length(length: int, scale: int,
+def _in_units(block: list, factor: int) -> list:
+    """Raw oracle values times `factor`, None kept."""
+    if factor == 1:
+        return block
+    return [None if value is None else value * factor for value in block]
+
+
+def _negative_length(row: list, scale: int,
                      kind: str) -> InternalInvariantError:
+    """The error for the first negative length of a row."""
+    length = next(length for _, length in row if length < 0)
     return InternalInvariantError(
         f"negative arc length {Fraction(length, scale)} on {kind} arc; "
         "current sets are not minimizers of the shifted valuations")
@@ -274,86 +333,79 @@ def build_aux_digraph(x1: Subset, x2: Subset,
     into X1 \\ X2 and sink arcs out of X2 \\ X1.  Exchange arc lengths are
     nonnegative exactly when X1 and X2 minimize the shifted valuations.
 
-    The potentials are in units of 1/scale, a multiple of both oracles'
-    denominators, as `ViapState` keeps them (:func:`in_units` puts
-    rational potentials in units); so are the graph's arc lengths.
+    The graph keeps one row per node, its arcs as `(head, length)` pairs
+    (see `AuxDigraph`): the source's arcs by element; a copy-1 node's
+    edge arc, then its A1 arcs; a copy-2 node's matched arc, then its A2
+    arcs, then its sink arc.  The potentials are in units of 1/scale, a
+    multiple of both oracles' denominators, as `ViapState` keeps them
+    (:func:`in_units` puts rational potentials in units); so are the
+    graph's arc lengths.
     """
-    ground = omega1.ground
-    n = ground.size
-    graph = AuxDigraph(n, [[] for _ in range(2 * n + 2)], scale)
-    node_v1, node_v2 = graph.node_v1, graph.node_v2
-
-    def add(tail: int, head: int, length: int, kind: str,
-            element_out: int, element_in: int) -> None:
-        graph.adjacency[tail].append(AuxArc(tail, head, length, kind,
-                                            element_out, element_in, scale))
-
-    for v in ground.elements():
-        if x1.contains(v) and not x2.contains(v):
-            add(graph.source, node_v1(v), 0, ARC_SOURCE, -1, v)
-    for v in ground.elements():
-        add(node_v1(v), node_v2(v), 0, ARC_EDGE, -1, v)
-    for v in matched.members():
-        add(node_v2(v), node_v1(v), 0, ARC_MATCHED, -1, v)
-    for kind, u, v, length in _exchange_lengths(x1, x2, p1, p2, scale,
-                                                omega1, omega2):
-        if kind == ARC_EXCHANGE_1:
-            add(node_v1(u), node_v1(v), length, kind, u, v)
-        else:
-            add(node_v2(v), node_v2(u), length, kind, u, v)
-    for v in ground.elements():
-        if x2.contains(v) and not x1.contains(v):
-            add(node_v2(v), graph.sink, 0, ARC_SINK, -1, v)
-    return graph
+    n = omega1.ground.size
+    rows1, rows2 = _exchange_lengths(x1, x2, p1, p2, scale, omega1, omega2)
+    mask1, mask2, mask_f = x1.mask, x2.mask, matched.mask
+    only1, only2 = mask1 & ~mask2, mask2 & ~mask1
+    sink = 2 * n + 1
+    adjacency = [[(1 + v, 0) for v in range(n) if only1 >> v & 1]]
+    adjacency += [[(1 + n + u, 0), *row] for u, row in enumerate(rows1)]
+    for v, row in enumerate(rows2):
+        out = [(1 + v, 0), *row] if mask_f >> v & 1 else list(row)
+        if only2 >> v & 1:
+            out.append((sink, 0))
+        adjacency.append(out)
+    adjacency.append([])
+    return AuxDigraph(n, adjacency, scale)
 
 
 def shortest_path_with_hop_tiebreak(
         graph: AuxDigraph,
-) -> tuple[list[Optional[int]], list[Optional[AuxArc]],
-           Optional[list[AuxArc]]]:
+) -> tuple[list[Optional[int]], list[int], Optional[list[AuxArc]]]:
     """Label-setting search on the lexicographic key (length, hop count).
 
     Returns per-node distances (None for unreachable) in the graph's
-    units of 1/scale, the parent arc of each node on its shortest path,
-    and the arc sequence of a shortest source-sink path with the fewest
-    arcs among the shortest, or None when the sink is unreachable.
+    units of 1/scale, the parent of each node on its shortest path as the
+    tail of its last arc (-1 for the source and unreachable nodes), and
+    the arcs of a shortest source-sink path with the fewest arcs among
+    the shortest, as `AuxArc`s, or None when the sink is unreachable.
 
-    The search runs on (length, hops, node) keys over the arcs' `units`,
-    all in units of the graph's 1/scale: ints for a graph that the aux
-    build made from scaled oracles.
+    The search relaxes the rows on (length, hops, node) heap keys, all in
+    units of the graph's 1/scale: ints for a graph that the aux build
+    made from scaled oracles.  A label moves only on a strict
+    improvement, so a node's last arc is the first arc in its parent's
+    row that reaches it at its distance; the path reads that position.
     """
     adjacency = graph.adjacency
-    size = graph.node_count()
+    size = len(adjacency)
     dist: list[Optional[int]] = [None] * size
     hops: list[int] = [0] * size
-    parent: list[Optional[AuxArc]] = [None] * size
+    parent: list[int] = [-1] * size
     done = [False] * size
     dist[graph.source] = 0
     heap: list[tuple[int, int, int]] = [(0, 0, graph.source)]
+    push, pop = heapq.heappush, heapq.heappop
     while heap:
-        d, h, node = heapq.heappop(heap)
+        d, h, node = pop(heap)
         if done[node]:
             continue
         done[node] = True
         nh = h + 1
-        for arc in adjacency[node]:
-            nd = d + arc.units
-            head = arc.head
+        for head, length in adjacency[node]:
+            nd = d + length
             old = dist[head]
             if old is None or nd < old or (nd == old and nh < hops[head]):
                 dist[head] = nd
                 hops[head] = nh
-                parent[head] = arc
-                heapq.heappush(heap, (nd, nh, head))
+                parent[head] = node
+                push(heap, (nd, nh, head))
     if dist[graph.sink] is None:
         return dist, parent, None
     path: list[AuxArc] = []
     node = graph.sink
     while node != graph.source:
-        arc = parent[node]
-        assert arc is not None
-        path.append(arc)
-        node = arc.tail
+        tail = parent[node]
+        step = (node, dist[node] - dist[tail])
+        path.append(graph.arc(tail, adjacency[tail].index(step)))
+        node = tail
     path.reverse()
     return dist, parent, path
 
@@ -447,8 +499,8 @@ def verify_witness(x1: Subset, x2: Subset, witness: Witness, k: int,
     that X1 and X2 minimize the shifted valuations omega_1 - p1 and
     omega_2 + p2.  Minimality is checked by the local exchange criterion,
     which is equivalent to global minimality for valuated matroids: the
-    exchange-arc scan of the aux build, run without building arcs,
-    rejects exactly a negative exchange.  `exhaustive` checks
+    exchange rows of the aux build, computed without building the graph,
+    reject exactly a negative exchange.  `exhaustive` checks
     it against every set of each domain instead.
     """
     p1, p2, matched = witness.p1, witness.p2, witness.matched
@@ -463,8 +515,7 @@ def verify_witness(x1: Subset, x2: Subset, witness: Witness, k: int,
                 and _is_shifted_minimizer_exhaustive(omega2, x2, p2, +1))
     q1, q2, scale = in_units(omega1, omega2, p1, p2)
     try:
-        for _ in _exchange_lengths(x1, x2, q1, q2, scale, omega1, omega2):
-            pass
+        _exchange_lengths(x1, x2, q1, q2, scale, omega1, omega2)
     except InternalInvariantError:
         return False
     return True

@@ -74,20 +74,20 @@ class TestGenericFlow:
     def test_zero_flow_optimal(self):
         h = _quadratic_h(2)
         net = FlowNetwork(2, (FlowArc(0, 1, 0, 5, Fraction(0)),))
-        out = solve_mnat_flow(h, net)
+        out = solve_mnat_flow(h, net, start=[3])
         assert out.optimal and out.objective == ExtValue(0)
         assert out.flow == (0,)
 
     def test_forced_arc(self):
         h = _quadratic_h(2)
         net = FlowNetwork(2, (FlowArc(0, 1, 2, 2, Fraction(1)),))
-        out = solve_mnat_flow(h, net)
+        out = solve_mnat_flow(h, net, start=[2])
         assert out.objective == ExtValue(10)  # 4 + 4 + 1*2
 
     def test_profitable_arc_saturates(self):
         h = _quadratic_h(2)
         net = FlowNetwork(2, (FlowArc(0, 1, 0, 2, Fraction(-10)),))
-        out = solve_mnat_flow(h, net)
+        out = solve_mnat_flow(h, net, start=[2])
         assert out.flow == (2,)
         assert out.objective == ExtValue(-12)
 
@@ -98,7 +98,7 @@ class TestGenericFlow:
         h = MnatFunction(2, flat, (-2, -2), (2, 2), IntVector((0, 0)))
         net = FlowNetwork(2, (FlowArc(0, 1, 0, None, Fraction(-1)),
                               FlowArc(1, 0, 0, None, Fraction(0))))
-        out = solve_mnat_flow(h, net)
+        out = solve_mnat_flow(h, net, start=[2, 0])
         assert out.status == "unbounded"
 
     def test_infeasible_when_no_boundary_realizable(self):
@@ -109,8 +109,11 @@ class TestGenericFlow:
 
         h = MnatFunction(2, pinned, (-3, -3), (3, 3), None)
         net = FlowNetwork(2, (FlowArc(0, 1, 0, 1, Fraction(0)),))
-        out = solve_mnat_flow(h, net)
-        assert out.status == "infeasible"
+        # Every flow within the capacity has boundary (-f, f) with f <= 1,
+        # so no start is feasible, and each is rejected.
+        for flow in (0, 1):
+            with pytest.raises(InvalidInputError):
+                solve_mnat_flow(h, net, start=[flow])
 
     def test_negative_flow_through_infinite_lower_bound(self):
         # The cheapest boundary needs one unit moved against the arc.
@@ -119,7 +122,7 @@ class TestGenericFlow:
 
         h = MnatFunction(2, target, (-2, -2), (2, 2), None)
         net = FlowNetwork(2, (FlowArc(0, 1, None, 4, Fraction(0)),))
-        out = solve_mnat_flow(h, net)
+        out = solve_mnat_flow(h, net, start=[2])
         assert out.optimal
         assert out.flow == (-1,)
         assert out.objective == ExtValue(0)
@@ -131,7 +134,7 @@ class TestGenericFlow:
         h = MnatFunction(2, target, (-3, -3), (3, 3), None)
         net = FlowNetwork(2, (FlowArc(0, 1, 0, 1, Fraction(0)),
                               FlowArc(0, 1, 0, 1, Fraction(0))))
-        out = solve_mnat_flow(h, net)
+        out = solve_mnat_flow(h, net, start=[1, 1])
         assert out.optimal
         assert out.objective == ExtValue(0)
         assert out.flow == (1, 1)

@@ -677,6 +677,62 @@ class TestDualValuation:
             assert check_valuated_exchange(dual_valuation(omega))
 
 
+    @pytest.mark.parametrize("kind", ["graphic", "uniform"])
+    def test_block_misses_reach_the_base_as_one_batch(self, kind,
+                                                      monkeypatch):
+        rng = random.Random(17)
+        ground = GroundSet(8)
+        make = (lambda: from_matroid_and_weights(
+            random_matroid(random.Random(5), ground, kinds=(kind,)),
+            [Fraction(w, 3) for w in range(8)]))
+        omega, twin = make(), make()
+        dual, twin_dual = dual_valuation(omega), dual_valuation(twin)
+        x = dual.witness_base
+        inside = list(x.members())
+        outside = [v for v in ground.elements() if not x.contains(v)]
+        warm = [(rng.choice(inside), rng.choice(outside)) for _ in range(4)]
+        for u, v in warm:
+            dual.raw_exchange(x, u, v)
+            twin_dual.raw_exchange(x, u, v)
+        entries = []
+        real = omega._exchange_pairs
+
+        def counted(base, pairs):
+            entries.append((base.mask, list(pairs)))
+            return real(base, pairs)
+
+        def per_pair(*args):
+            raise AssertionError("the dual asked its base pair by pair")
+
+        monkeypatch.setattr(omega, "_exchange_pairs", counted)
+        monkeypatch.setattr(omega, "raw_exchange", per_pair)
+        values = dual.raw_exchanges(x, inside, outside)
+        misses = [(v, u) for u in inside for v in outside
+                  if (u, v) not in warm]
+        assert entries == [(x.complement().mask, misses)]
+        assert values == [twin_dual.raw_exchange(x, u, v)
+                          for u in inside for v in outside]
+        for a, b in ((dual, twin_dual), (omega, twin)):
+            assert (a.calls, a.evals) == (b.calls, b.evals)
+            assert list(a._memo.items()) == list(b._memo.items())
+        # Every pair is now a hit of the dual: nothing reaches the base.
+        dual.raw_exchanges(x, inside, outside)
+        assert len(entries) == 1
+
+    def test_modular_single_exchange_reads_the_table(self, monkeypatch):
+        ground = GroundSet(6)
+        matroid = make_uniform(ground, 3)
+        omega = from_matroid_and_weights(matroid, [1, 2, 4, 8, 16, 32])
+
+        def block(*args):
+            raise AssertionError("a single exchange went to the block")
+
+        monkeypatch.setattr(omega, "_block_fn", block)
+        x = omega.witness_base
+        assert omega.raw_exchange(x, 0, 5) == 2 + 4 + 32
+        assert omega.raw_exchange(x, 1, 3) == 1 + 4 + 8
+
+
 class TestDisjointSum:
     def test_values_add(self):
         g2 = GroundSet(2, ("a", "b"))

@@ -4,7 +4,7 @@ import hashlib
 import heapq
 import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -26,6 +26,7 @@ from vmint.valuated import (
     check_valuated_exchange,
     dual_valuation,
     from_matroid_and_weights,
+    size_constrained_modular,
     valuation_from_explicit,
 )
 from vmint.viap import (
@@ -67,7 +68,7 @@ ZEROS3 = (Fraction(0),) * 3
 
 
 def _arcs(graph):
-    return [arc for out in graph.adjacency for arc in out]
+    return graph.arcs()
 
 
 class TestAuxDigraph:
@@ -117,8 +118,7 @@ class TestShortestPath:
         s, t = 0, 7
 
         def arc(tail, head, length):
-            graph.adjacency[tail].append(
-                AuxArc(tail, head, Fraction(length), "E"))
+            graph.adjacency[tail].append((head, Fraction(length)))
 
         arc(s, 1, 1)
         arc(1, t, 1)
@@ -158,8 +158,35 @@ class TestShortestPath:
         assert len(path) == 4
 
 
+@dataclass
+class _ArcDigraph:
+    """The aux digraph as it was before rows: one list of `AuxArc`s per
+    node, kept with the build and the searches below as their reference."""
+
+    n: int
+    adjacency: list
+    scale: int = 1
+
+    @property
+    def source(self) -> int:
+        return 0
+
+    @property
+    def sink(self) -> int:
+        return 2 * self.n + 1
+
+    def node_count(self) -> int:
+        return 2 * self.n + 2
+
+    def node_v1(self, v: int) -> int:
+        return 1 + v
+
+    def node_v2(self, v: int) -> int:
+        return 1 + self.n + v
+
+
 def _fraction_shortest_path(
-        graph: AuxDigraph,
+        graph: _ArcDigraph,
 ) -> tuple[list[Optional[Fraction]], list[Optional[AuxArc]],
            Optional[list[AuxArc]]]:
     """Label-setting search on the lexicographic key (length, hop count).
@@ -206,6 +233,134 @@ def _fraction_shortest_path(
     return dist, parent, path
 
 
+def _arc_shortest_path(
+        graph: _ArcDigraph,
+) -> tuple[list[Optional[int]], list[Optional[AuxArc]],
+           Optional[list[AuxArc]]]:
+    """Verbatim copy of the integer search over `AuxArc` lists that the
+    row-based `shortest_path_with_hop_tiebreak` replaced."""
+    adjacency = graph.adjacency
+    size = graph.node_count()
+    dist: list[Optional[int]] = [None] * size
+    hops: list[int] = [0] * size
+    parent: list[Optional[AuxArc]] = [None] * size
+    done = [False] * size
+    dist[graph.source] = 0
+    heap: list[tuple[int, int, int]] = [(0, 0, graph.source)]
+    while heap:
+        d, h, node = heapq.heappop(heap)
+        if done[node]:
+            continue
+        done[node] = True
+        nh = h + 1
+        for arc in adjacency[node]:
+            nd = d + arc.units
+            head = arc.head
+            old = dist[head]
+            if old is None or nd < old or (nd == old and nh < hops[head]):
+                dist[head] = nd
+                hops[head] = nh
+                parent[head] = arc
+                heapq.heappush(heap, (nd, nh, head))
+    if dist[graph.sink] is None:
+        return dist, parent, None
+    path: list[AuxArc] = []
+    node = graph.sink
+    while node != graph.source:
+        arc = parent[node]
+        assert arc is not None
+        path.append(arc)
+        node = arc.tail
+    path.reverse()
+    return dist, parent, path
+
+
+def _arc_exchange_lengths(x1, x2, p1, p2, scale, omega1, omega2):
+    """Verbatim copy of the integer exchange loop that yielded one arc at
+    a time, as (kind, u, v, length), before the rows."""
+    base1 = omega1.raw_value(x1)
+    base2 = omega2.raw_value(x2)
+    if base1 is None or base2 is None:
+        raise InternalInvariantError("current sets left the effective domains")
+    factor1 = scale // omega1.scale
+    factor2 = scale // omega2.scale
+    elements = omega1.ground.elements()
+    members1 = x1.members()
+    outside1 = [v for v in elements if not x1.mask >> v & 1]
+    block1 = omega1.raw_exchanges(x1, members1, outside1)
+    width = len(outside1)
+    for i, u in enumerate(members1):
+        pu = p1[u]
+        for v, moved in zip(outside1, block1[i * width:(i + 1) * width]):
+            if moved is not None:
+                length = (moved - base1) * factor1 - p1[v] + pu
+                if length < 0:
+                    raise _arc_negative_length(length, scale, ARC_EXCHANGE_1)
+                yield ARC_EXCHANGE_1, u, v, length
+    members2 = x2.members()
+    outside2 = [v for v in elements if not x2.mask >> v & 1]
+    block2 = omega2.raw_exchanges(x2, members2, outside2)
+    width = len(outside2)
+    for j, v in enumerate(outside2):
+        pv = p2[v]
+        for u, moved in zip(members2, block2[j::width]):
+            if moved is not None:
+                length = (moved - base2) * factor2 + pv - p2[u]
+                if length < 0:
+                    raise _arc_negative_length(length, scale, ARC_EXCHANGE_2)
+                yield ARC_EXCHANGE_2, u, v, length
+
+
+def _arc_negative_length(length, scale, kind):
+    return InternalInvariantError(
+        f"negative arc length {Fraction(length, scale)} on {kind} arc; "
+        "current sets are not minimizers of the shifted valuations")
+
+
+def _arc_build_aux_digraph(x1, x2, p1, p2, matched, omega1, omega2, scale):
+    """Verbatim copy of the aux build that made one `AuxArc` per arc."""
+    ground = omega1.ground
+    n = ground.size
+    graph = _ArcDigraph(n, [[] for _ in range(2 * n + 2)], scale)
+    node_v1, node_v2 = graph.node_v1, graph.node_v2
+
+    def add(tail: int, head: int, length: int, kind: str,
+            element_out: int, element_in: int) -> None:
+        graph.adjacency[tail].append(AuxArc(tail, head, length, kind,
+                                            element_out, element_in, scale))
+
+    for v in ground.elements():
+        if x1.contains(v) and not x2.contains(v):
+            add(graph.source, node_v1(v), 0, ARC_SOURCE, -1, v)
+    for v in ground.elements():
+        add(node_v1(v), node_v2(v), 0, ARC_EDGE, -1, v)
+    for v in matched.members():
+        add(node_v2(v), node_v1(v), 0, ARC_MATCHED, -1, v)
+    for kind, u, v, length in _arc_exchange_lengths(x1, x2, p1, p2, scale,
+                                                    omega1, omega2):
+        if kind == ARC_EXCHANGE_1:
+            add(node_v1(u), node_v1(v), length, kind, u, v)
+        else:
+            add(node_v2(v), node_v2(u), length, kind, u, v)
+    for v in ground.elements():
+        if x2.contains(v) and not x1.contains(v):
+            add(node_v2(v), graph.sink, 0, ARC_SINK, -1, v)
+    return graph
+
+
+def _position(graph: _ArcDigraph, arc: Optional[AuxArc]):
+    """An arc of an arc graph as (tail, its position in the tail's list)."""
+    if arc is None:
+        return None
+    row = graph.adjacency[arc.tail]
+    return arc.tail, next(i for i, other in enumerate(row) if other is arc)
+
+
+def _fields(arc: AuxArc):
+    return (arc.tail, arc.head, arc.units, arc.kind, arc.element_out,
+            arc.element_in, arc.scale)
+
+
 _LENGTHS = st.builds(Fraction, st.integers(0, 6),
                      st.sampled_from([1, 2, 3, 4, 6]))
 
@@ -213,7 +368,8 @@ _LENGTHS = st.builds(Fraction, st.integers(0, 6),
 @st.composite
 def _aux_graphs(draw):
     """Digraphs on 2n + 2 nodes with nonnegative mixed-denominator lengths,
-    stored as ints in units of 1/S for the lcm S of their denominators.
+    stored as ints in units of 1/S for the lcm S of their denominators,
+    as rows and, with the same arcs in the same order, as an arc graph.
 
     Small lengths give many zero-length and equal-length ties; an arc may
     come with an equal-length two-arc detour, and the sink may be cut off.
@@ -234,27 +390,34 @@ def _aux_graphs(draw):
             arcs.append((tail, middle, first))
             arcs.append((middle, head, length - first))
     scale = math.lcm(*(length.denominator for _, _, length in arcs))
-    graph = AuxDigraph(n, [[] for _ in range(2 * n + 2)], scale)
+    rows = AuxDigraph(n, [[] for _ in range(2 * n + 2)], scale)
+    graph = _ArcDigraph(n, [[] for _ in range(2 * n + 2)], scale)
     for tail, head, length in arcs:
+        rows.adjacency[tail].append((head, int(length * scale)))
         graph.adjacency[tail].append(AuxArc(
             tail, head, int(length * scale), ARC_EDGE, scale=scale))
-    return graph
+    return rows, graph
 
 
 class TestIntegerDijkstra:
     @settings(max_examples=300)
     @given(_aux_graphs())
-    def test_matches_fraction_search(self, graph):
-        dist, parent, path = shortest_path_with_hop_tiebreak(graph)
+    def test_matches_fraction_search(self, graphs):
+        rows, graph = graphs
+        dist, parent, path = shortest_path_with_hop_tiebreak(rows)
         ref_dist, ref_parent, ref_path = _fraction_shortest_path(graph)
         assert [None if d is None else Fraction(d, graph.scale)
                 for d in dist] == ref_dist
         assert all(d is None or type(d) is int for d in dist)
-        assert [id(a) for a in parent] == [id(a) for a in ref_parent]
+        assert parent == [-1 if arc is None else arc.tail
+                          for arc in ref_parent]
         if ref_path is None:
             assert path is None
         else:
-            assert [id(a) for a in path] == [id(a) for a in ref_path]
+            # The reference's path arcs, each read from the rows at its
+            # (tail, position).
+            assert [_fields(a) for a in path] == [
+                _fields(rows.arc(*_position(graph, a))) for a in ref_path]
 
 
 class TestAugmentStep:
@@ -671,11 +834,19 @@ def _check_length(length: Fraction, kind: str) -> None:
 
 
 def _unit_exchange_lengths(x1, x2, p1, p2, omega1, omega2):
-    """The integer loop on rational potentials, lengths read as Fractions."""
+    """The integer rows on rational potentials, yielded as the loop's
+    arcs: (kind, u, v, length) with the length as a Fraction, A1 arcs by
+    u and then A2 arcs by v.  The rows raise before any arc is yielded."""
     q1, q2, scale = viap.in_units(omega1, omega2, p1, p2)
-    for kind, u, v, length in viap._exchange_lengths(x1, x2, q1, q2, scale,
-                                                     omega1, omega2):
-        assert type(length) is int
+    rows1, rows2 = viap._exchange_lengths(x1, x2, q1, q2, scale,
+                                          omega1, omega2)
+    n = omega1.ground.size
+    arcs = [(ARC_EXCHANGE_1, u, head - 1, length)
+            for u, row in enumerate(rows1) for head, length in row]
+    arcs += [(ARC_EXCHANGE_2, head - 1 - n, v, length)
+             for v, row in enumerate(rows2) for head, length in row]
+    assert all(type(length) is int for *_, length in arcs)
+    for kind, u, v, length in arcs:
         yield kind, u, v, Fraction(length, scale)
 
 
@@ -696,10 +867,14 @@ EXCHANGE_KINDS = (ARC_EXCHANGE_1, ARC_EXCHANGE_2)
 
 def _differential_side(rng, ground, kind):
     """A maker of one side: a modular valuation with mixed denominators,
-    the same values as an explicit table, or the dual of the first."""
+    the same values as an explicit table, the dual of the first, or
+    ("size") the same weights on every set of the matroid's rank."""
     matroid = random_matroid(rng, ground)
     weights = tuple(random_rational(rng, denominators=DENOMINATORS)
                     for _ in ground.elements())
+    if kind == "size":
+        return lambda: size_constrained_modular(ground, weights,
+                                                matroid.rank)
     if kind == "explicit":
         table = {x.mask: dot(weights, x)
                  for x in ground.subsets_of_size(matroid.rank)
@@ -776,9 +951,12 @@ class TestIntegerExchangeLengths:
         ours = _drain(_unit_exchange_lengths(x1, x2, p, p, ours1, ours2))
         theirs = _drain(_fraction_exchange_lengths(x1, x2, p, p,
                                                    theirs1, theirs2))
-        assert ours == theirs
-        assert all(type(length) is Fraction for *_, length in ours[0])
+        # The rows raise before any arc is read; the loop yielded the
+        # arcs before its first negative one.
         message = theirs[1]
+        assert ours[1] == message
+        assert ours[0] == ([] if message is not None else theirs[0])
+        assert all(type(length) is Fraction for *_, length in ours[0])
         if message is not None:
             theirs1, theirs2 = make1(), make2()
             _ask_reached_blocks(x1, x2, message, theirs1, theirs2)
@@ -824,3 +1002,72 @@ class TestIntegerExchangeLengths:
                        if arc.kind not in EXCHANGE_KINDS)
             checked += len(exchange)
         assert checked > 0
+
+
+def _build_outcome(build, *args):
+    """The graph a build returns and None, or None and its message."""
+    try:
+        return build(*args), None
+    except InternalInvariantError as exc:
+        return None, str(exc)
+
+
+class TestRowsAgainstArcs:
+    """The row-based aux build and search against the `AuxArc` build and
+    search they replaced (kept verbatim above), on solved potentials and
+    planted faults: the same arcs in the same row order, the same first
+    negative message, the same oracle counters, the same distances and
+    parents, and the same path arcs in order."""
+
+    SIDES = ("scaled", "dual", "explicit", "size")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.sampled_from(SIDES),
+           st.sampled_from(SIDES), st.sampled_from(["solved", "planted"]))
+    def test_matches_arc_build_and_search(self, seed, kind1, kind2,
+                                          potentials):
+        rng = random.Random(seed)
+        ground = random_ground(rng, 2, 7)
+        make1 = _differential_side(rng, ground, kind1)
+        make2 = _differential_side(rng, ground, kind2)
+        omega1, omega2 = make1(), make2()
+        # Below the top level, so that the sink is mostly reachable.
+        out = solve_v_geq_k(omega1, omega2, rng.randint(
+            0, max(0, min(omega1.rank, omega2.rank) - 1)))
+        if not out.optimal:
+            return
+        p = out.witness.p1
+        if potentials == "planted":
+            den = rng.choice(DENOMINATORS)
+            delta = Fraction(rng.choice([-1, 1]) * rng.randint(1, 3 * den),
+                             den)
+            v = rng.randrange(ground.size)
+            p = tuple(pv + delta if i == v else pv for i, pv in enumerate(p))
+        q, _, scale = viap.in_units(omega1, omega2, p, p)
+        state = (out.x1, out.x2, q, q, out.witness.matched)
+        ours1, ours2 = make1(), make2()
+        theirs1, theirs2 = make1(), make2()
+        rows, message = _build_outcome(build_aux_digraph, *state,
+                                       ours1, ours2, scale)
+        graph, reference = _build_outcome(_arc_build_aux_digraph, *state,
+                                          theirs1, theirs2, scale)
+        assert message == reference
+        for a, b in ((ours1, theirs1), (ours2, theirs2)):
+            assert (a.calls, a.evals) == (b.calls, b.evals)
+        if graph is None:
+            return
+        assert [_fields(arc) for arc in rows.arcs()] \
+            == [_fields(arc) for out_arcs in graph.adjacency
+                for arc in out_arcs]
+        assert [len(row) for row in rows.adjacency] \
+            == [len(out_arcs) for out_arcs in graph.adjacency]
+        dist, parent, path = shortest_path_with_hop_tiebreak(rows)
+        ref_dist, ref_parent, ref_path = _arc_shortest_path(graph)
+        assert dist == ref_dist
+        assert parent == [-1 if arc is None else arc.tail
+                          for arc in ref_parent]
+        if ref_path is None:
+            assert path is None
+        else:
+            assert [_fields(arc) for arc in path] \
+                == [_fields(arc) for arc in ref_path]

@@ -7,6 +7,7 @@ core solves.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -60,9 +61,9 @@ def modular_on_domain(omega: ValuationOracle,
                       weights: Sequence[Fraction]) -> ValuationOracle:
     """Modular weights carried by the domain of an existing valuation.
 
-    Scaled by the weights' denominator; an exchange miss asks `omega` the
-    same exchange (the memo key of `value` on the exchanged set) and adds
-    the weights to the scaled sum of the last base.
+    Scaled by the weights' denominator.  A batch of exchange misses asks
+    `omega` the same exchanges as one `exchange_pairs` call, and adds the
+    weights to the scaled sum of the last base where omega is finite.
     """
     scaled, scale = scaled_weights(weights)
 
@@ -71,14 +72,16 @@ def modular_on_domain(omega: ValuationOracle,
             return None
         return scaled_sum(scaled, subset.mask)
 
-    last: list = [None, 0]              # base mask, its scaled sum
+    @functools.lru_cache(maxsize=1)
+    def total_of(mask: int) -> int:
+        return scaled_sum(scaled, mask)
 
-    def exchange(base: Subset, u: int, v: int) -> Optional[int]:
-        if omega.raw_exchange(base, u, v) is None:
-            return None
-        if last[0] != base.mask:
-            last[:] = [base.mask, scaled_sum(scaled, base.mask)]
-        return last[1] - scaled[u] + scaled[v]
+    def exchange(base: Subset, pairs: list[tuple[int, int]],
+                 ) -> list[Optional[int]]:
+        found = omega.exchange_pairs(base, pairs)
+        total = total_of(base.mask)
+        return [None if raw is None else total - scaled[u] + scaled[v]
+                for (u, v), raw in zip(pairs, found)]
 
     return ValuationOracle(omega.ground, omega.rank, value,
                            omega.witness_base, f"modular-on-dom({omega.name})",

@@ -25,25 +25,24 @@ outs, ins)` answers every pair of u in `outs` (inside X) and v in `ins`
 aux build.  It keeps the calls, evals and memo exactly as asking
 `raw_exchange` (or its `ExtValue` form `exchange_value`) pair by pair
 does, and that keeps them exactly as `value(X.exchange(u, v))` does; only
-a memo miss may be computed differently.  A leaf oracle may be built with
-a `block_fn` that answers the whole block at once: a modular valuation
-on a matroid with fundamental-circuit tables answers it from one circuit
+a memo miss may be computed differently, by the oracle's hooks (see
+`ValuationOracle`).  A modular valuation on a matroid with
+fundamental-circuit tables answers blocks and batches from one circuit
 table per base (X - u + v is a base exactly when u lies on the circuit
 C(X, v)) and the integer sums w(X) - w_u + w_v, with no independence
-test, in one list comprehension and one memo update; it answers a
-single exchange from the same table.  Other oracles take a block
-through the memo pair by pair and answer its misses in pair order as
-one batch: the dual of any oracle passes that batch on to its base as
-exchanges of the complement, one call per block.
+test.  The dual of any oracle and `apps.modular_on_domain` pass each
+batch on to the oracle they ask as one `exchange_pairs` call, the dual
+as exchanges of the complement.
 
-The oracles of the copy reductions answer exchanges block by block.
-A disjoint sum sends a pair inside one copy to that component's own
-exchange query and asks every other copy for the part X - u + v has
-there, so each component's calls, evals and memo move exactly as under
-`value`.  The intersection constraint and the laminar valuations are
-leaves with a `block_fn`: the constraint keeps, for the last base, how
-many copies pick each element (an exchange moves at most two of those
-counts), and a laminar valuation its member counts.
+The oracles of the copy reductions answer exchanges block by block.  A
+disjoint sum walks its batch pair by pair, sending a pair inside one
+copy to that component's own exchange query and asking every other copy
+for the part X - u + v has there, so each component's calls, evals and
+memo move exactly as under `value`.  The intersection constraint and the
+laminar valuations are leaves with a `block_fn`: the constraint keeps,
+for the last base, how many copies pick each element (an exchange moves
+at most two of those counts), and a laminar valuation its member counts.
+Each such per-base state is a one-entry `functools.lru_cache` of the mask.
 
 Laminar convex functions (convex tables of the member sums of a laminar
 family) are built by :func:`laminar_valuation` on subsets (the laminar
@@ -54,6 +53,7 @@ and :func:`laminar_convex_function` on vectors, with witnesses from
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -88,41 +88,47 @@ class ValuationOracle:
     `value(X)` is finite only on rank-sized subsets; `witness_base` is one
     finite-valued subset, or None when the effective domain is empty.
 
-    `scale` is the oracle's denominator D.  Its `value_fn`,
-    `exchange_fn` and `block_fn` return ints in units of 1/D, with None
-    for +infinity, and the memo keeps those raw values.  `raw_value`,
-    `raw_exchange` and `raw_exchanges` hand them out; `value` and
+    `scale` is the oracle's denominator D.  Its hooks return ints in units
+    of 1/D, with None for +infinity, and the memo keeps those raw values.
+    The `raw_*` queries and `exchange_pairs` hand them out; `value` and
     `exchange_value` hand out the same answers as `ExtValue`s.  All of
     them share the counters and the memo.
 
+    Three hooks, all given here, compute memo misses: `value_fn(X)` any
+    set; `exchange_fn(base, pairs)` the proper exchanges `pairs` (u in
+    base, v not) of a rank-sized base, in pair order, by default as 1 x 1
+    blocks if there is a `block_fn`, else by `value_fn`; and
     `block_fn(base, outs, ins)`, for a leaf oracle that asks no other
-    oracle, answers a whole block of exchanges at once: the list of the
-    values of base - u + v for u in `outs` and v in `ins`, u-major.
-    `exchange_fn(base, u, v)` answers one exchange.  A dual oracle
-    answers a list of exchanges as one batch of its base (see
-    `dual_valuation`).
+    oracle, a whole block at once: base - u + v for u in `outs` and v in
+    `ins`, u-major.
     """
 
     def __init__(self, ground: GroundSet, rank: int,
                  value_fn: Callable[[Subset], Raw],
                  witness_base: Optional[Subset],
                  name: str = "valuation",
-                 exchange_fn: Optional[
-                     Callable[[Subset, int, int], Raw]] = None,
+                 exchange_fn: Optional[Callable[
+                     [Subset, list[tuple[int, int]]], list[Raw]]] = None,
                  scale: int = 1,
                  block_fn: Optional[Callable[
                      [Subset, Sequence[int], Sequence[int]],
                      list[Raw]]] = None):
         if not 0 <= rank <= ground.size:
             raise InvalidInputError(f"rank {rank} out of range 0..{ground.size}")
+        if exchange_fn is None and block_fn is not None:
+            def exchange_fn(base, pairs):
+                return [block_fn(base, (u,), (v,))[0] for u, v in pairs]
+        elif exchange_fn is None:
+            def exchange_fn(base, pairs):
+                mask = base.mask
+                return [value_fn(Subset(ground, mask ^ (1 << u) | 1 << v))
+                        for u, v in pairs]
         self.ground = ground
         self.rank = rank
         self.scale = scale
         self._value_fn = value_fn
         self._exchange_fn = exchange_fn
         self._block_fn = block_fn
-        self._batch_fn: Optional[Callable[
-            [Subset, list[tuple[int, int]]], list[Raw]]] = None
         self.witness_base = witness_base
         self.name = name
         self._memo: dict[int, Raw] = {}
@@ -155,26 +161,28 @@ class ValuationOracle:
         return cached
 
     def raw_exchange(self, base: Subset, u: int, v: int) -> Raw:
-        """`raw_value(base.exchange(u, v))`, with the same checks, counters
-        and memo; a hit builds no subset.
+        """`raw_value(base.exchange(u, v))`, with the same counters and
+        memo; a hit builds no subset.  `u` and `v` must be elements.
 
         A miss that is a proper exchange (u in base, v not) of a rank-sized
-        base is answered as a batch of one pair (see `_answer`), and any
-        other miss by the value function.
+        base goes to `exchange_fn` as a batch of one pair, and any other
+        miss to the value function.
         """
-        mask = base.mask
-        key = mask & ~(1 << u) | (1 << v)
-        if key >> base.ground.size:
-            raise InvalidInputError("subset mask out of range for ground set")
         if base.ground is not self.ground and base.ground != self.ground:
             raise InvalidInputError("subset is on a different ground set")
+        size = self.ground.size
+        if not (0 <= u < size and 0 <= v < size):
+            raise InvalidInputError(
+                f"element index {v if 0 <= u < size else u} out of range")
+        mask = base.mask
+        key = mask & ~(1 << u) | (1 << v)
         self.calls += 1
         cached = self._memo.get(key, _MISSING)
         if cached is _MISSING:
             if key.bit_count() != self.rank:
                 cached = None
             elif mask >> u & 1 and not mask >> v & 1:
-                cached = self._answer(base, [(u, v)])[0]
+                cached = self._exchange_fn(base, [(u, v)])[0]
             else:
                 cached = self._value_fn(Subset(self.ground, key))
             self._memo[key] = cached
@@ -190,10 +198,8 @@ class ValuationOracle:
         both lists are checked in one pass.  An oracle with a `block_fn`
         asks it for the whole block and counts as evals what the memo
         grows by; a memo hit gets the same value, since a value depends
-        only on the set.  Otherwise the block goes through the memo pair
-        by pair, and its misses are answered in pair order as one batch
-        (see `_exchange_pairs`), so that the oracles a composite asks
-        move exactly as under `raw_exchange`.
+        only on the set.  Otherwise the block goes through
+        `exchange_pairs`.
         """
         if base.ground is not self.ground and base.ground != self.ground:
             raise InvalidInputError("subset is on a different ground set")
@@ -212,8 +218,8 @@ class ValuationOracle:
                 raise InvalidInputError(
                     "a block exchanges members of the base for non-members")
         if self._block_fn is None:
-            return self._exchange_pairs(base, [(u, v) for u in outs
-                                               for v in ins])
+            return self.exchange_pairs(base, [(u, v) for u in outs
+                                              for v in ins])
         memo = self._memo
         self.calls += len(outs) * len(ins)
         values = self._block_fn(base, outs, ins)
@@ -225,12 +231,13 @@ class ValuationOracle:
         self.evals += len(memo) - before
         return values
 
-    def _exchange_pairs(self, base: Subset,
-                        pairs: list[tuple[int, int]]) -> list[Raw]:
+    def exchange_pairs(self, base: Subset,
+                       pairs: list[tuple[int, int]]) -> list[Raw]:
         """`[raw_exchange(base, u, v) for u, v in pairs]` for proper
         exchanges of a rank-sized base, with the same values, `calls`,
         `evals` and memo: every pair is looked up in the memo, and the
-        misses go to `_answer` as one batch, in pair order."""
+        misses go to `exchange_fn` as one batch, in pair order.  Neither
+        the base nor the pairs are checked here."""
         mask = base.mask
         memo = self._memo
         self.calls += len(pairs)
@@ -240,27 +247,10 @@ class ValuationOracle:
                   if value is _MISSING}
         if not missed:
             return values
-        memo.update(zip(missed, self._answer(base, list(missed.values()))))
+        memo.update(zip(missed,
+                        self._exchange_fn(base, list(missed.values()))))
         self.evals += len(missed)
         return [memo[key] for key in keys]
-
-    def _answer(self, base: Subset,
-                pairs: list[tuple[int, int]]) -> list[Raw]:
-        """Compute, memo aside, the values of the proper exchanges `pairs`
-        of a rank-sized base: all at once by a dual's batch, else one by
-        one by `exchange_fn`, by `block_fn` as 1 x 1 blocks, or by the
-        value function."""
-        if self._batch_fn is not None:
-            return self._batch_fn(base, pairs)
-        if self._exchange_fn is not None:
-            exchange = self._exchange_fn
-            return [exchange(base, u, v) for u, v in pairs]
-        if self._block_fn is not None:
-            block = self._block_fn
-            return [block(base, (u,), (v,))[0] for u, v in pairs]
-        mask = base.mask
-        return [self._value_fn(Subset(self.ground, mask ^ (1 << u) | 1 << v))
-                for u, v in pairs]
 
     def as_value(self, raw: Raw) -> ExtValue:
         """A raw value of this oracle as the exact `ExtValue` it stands for."""
@@ -580,7 +570,7 @@ def from_matroid_and_weights(matroid: MatroidOracle,
 
     The oracle is scaled by the lcm D of the weights' denominators.  When
     the matroid has circuit tables, it answers blocks of exchanges (see
-    `ValuationOracle.raw_exchanges`), and single exchanges, from the table
+    `ValuationOracle.raw_exchanges`), and batches of them, from the table
     of the last base asked about and its scaled sum w(X): X - u + v is a
     base exactly when u is in the table's entry for v, and then its value
     is w(X) - w_u + w_v.
@@ -597,26 +587,23 @@ def from_matroid_and_weights(matroid: MatroidOracle,
 
     exchange = block = None
     if matroid.has_circuits:
-        last: list = [None, None, 0]     # base mask, its table, scaled w(X)
+        @functools.lru_cache(maxsize=1)
+        def table_of(mask: int) -> tuple:
+            return matroid.circuits(mask), scaled_sum(scaled, mask)
 
-        def table_of(mask: int) -> list:
-            if last[0] != mask:
-                last[:] = [mask, matroid.circuits(mask),
-                           scaled_sum(scaled, mask)]
-            return last
-
-        def exchange(base: Subset, u: int, v: int) -> Raw:
+        def exchange(base: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
             mask = base.mask
-            _, table, total = table_of(mask)
+            table, total = table_of(mask)
             if table is None:
-                return value(Subset(ground, mask ^ (1 << u) | 1 << v))
-            return total - scaled[u] + scaled[v] if table[v] >> u & 1 \
-                else None
+                return [value(Subset(ground, mask ^ (1 << u) | 1 << v))
+                        for u, v in pairs]
+            return [total - scaled[u] + scaled[v] if table[v] >> u & 1
+                    else None for u, v in pairs]
 
         def block(base: Subset, outs: Sequence[int],
                   ins: Sequence[int]) -> list[Raw]:
             mask = base.mask
-            _, table, total = table_of(mask)
+            table, total = table_of(mask)
             if table is None:
                 return [value(Subset(ground, mask ^ (1 << u) | 1 << v))
                         for u in outs for v in ins]
@@ -664,27 +651,27 @@ def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
 
     It has omega's scale, and passes its queries on to omega, exchanges
     as exchanges of the complement: X - u + v is (V \\ X) - v + u.  The
-    misses of a block (or of one exchange) reach omega as one batch, in
-    pair order, through the memo of omega, whose `calls`, `evals` and
-    memo move exactly as under one `raw_exchange` per pair.  The
+    misses of a block (or of one exchange) reach omega as one
+    `exchange_pairs` batch, in pair order, so omega's `calls`, `evals`
+    and memo move exactly as under one `raw_exchange` per pair.  The
     complement of the last base is kept.
     """
     witness = None
     if omega.witness_base is not None:
         witness = omega.witness_base.complement()
-    value = omega.raw_value
-    last: list = [None, None]           # base mask, its complement
+    ground = omega.ground
 
-    def batch(x: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
-        if last[0] != x.mask:
-            last[:] = [x.mask, x.complement()]
-        return omega._exchange_pairs(last[1], [(v, u) for u, v in pairs])
+    @functools.lru_cache(maxsize=1)
+    def complement(mask: int) -> Subset:
+        return Subset(ground, mask ^ (1 << ground.size) - 1)
 
-    dual = ValuationOracle(omega.ground, omega.ground.size - omega.rank,
-                           lambda x: value(x.complement()),
-                           witness, f"dual({omega.name})", scale=omega.scale)
-    dual._batch_fn = batch
-    return dual
+    def exchange(x: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
+        return omega.exchange_pairs(complement(x.mask),
+                                    [(v, u) for u, v in pairs])
+
+    return ValuationOracle(ground, ground.size - omega.rank,
+                           lambda x: omega.raw_value(x.complement()), witness,
+                           f"dual({omega.name})", exchange, omega.scale)
 
 
 class TupleGround:
@@ -741,11 +728,12 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
     The sum is scaled by the lcm S of the components' denominators and
     adds their raw values times S / D_i.
 
-    An exchange X - u + v asks the components what `value` asks them, in
-    the same order and up to the same first +infinity: the copy holding
-    both u and v gets `raw_exchange` of its part (so its circuit table
-    answers), and every other copy `value` of the part X - u + v has
-    there, off-rank parts of a cross-copy pair included.
+    A batch of exchanges is walked pair by pair.  An exchange X - u + v
+    asks the components what `value` asks them, in the same order and up
+    to the same first +infinity: the copy holding both u and v gets
+    `raw_exchange` of its part (so its circuit table answers), and every
+    other copy `value` of the part X - u + v has there, off-rank parts of
+    a cross-copy pair included.  The parts of the last base are kept.
     """
     if not omegas:
         raise InvalidInputError("need at least one valuation")
@@ -768,14 +756,13 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
 
     size = base.size
     window = (1 << size) - 1
-    last: list = [None, ()]             # tuple mask, its parts
 
-    def exchange(subset: Subset, u: int, v: int) -> Raw:
-        if last[0] != subset.mask:
-            last[:] = [subset.mask,
-                       tuple(Subset(base, subset.mask >> (i * size) & window)
-                             for i in range(tg.n))]
-        parts = last[1]
+    @functools.lru_cache(maxsize=1)
+    def parts_of(mask: int) -> tuple[Subset, ...]:
+        return tuple(Subset(base, mask >> (i * size) & window)
+                     for i in range(tg.n))
+
+    def pair_value(parts: tuple[Subset, ...], u: int, v: int) -> Raw:
         copy_u, a = divmod(u, size)
         copy_v, b = divmod(v, size)
         total = 0
@@ -792,6 +779,10 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
                 return None
             total += term * factors[i]
         return total
+
+    def exchange(subset: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
+        parts = parts_of(subset.mask)
+        return [pair_value(parts, u, v) for u, v in pairs]
 
     witness = None
     if all(om.witness_base is not None for om in omegas):
@@ -917,29 +908,26 @@ def laminar_valuation(ground: GroundSet, member_masks: Sequence[int],
 
     holding = [sum(1 << m for m, mask in enumerate(masks) if mask >> e & 1)
                for e in ground.elements()]
-    # base mask, the sum of its finite terms, the number of its infinite
-    # ones, and per member the change of both when its count moves down,
-    # up, and down and then up again
-    last: list = [None, 0, 0, [], [], []]
 
-    def shifts(mask: int) -> list:
-        if last[0] != mask:
-            counts = [(mask & member).bit_count() for member in masks]
-            terms = [term(m, count) for m, count in enumerate(counts)]
-            down = [_term_change(t, term(m, count - 1))
-                    for m, (count, t) in enumerate(zip(counts, terms))]
-            up = [_term_change(t, term(m, count + 1))
-                  for m, (count, t) in enumerate(zip(counts, terms))]
-            last[:] = [mask, sum(t for t in terms if t is not None),
-                       terms.count(None), down, up,
-                       [(a + b, c + d) for (a, c), (b, d) in zip(down, up)]]
-        return last
+    @functools.lru_cache(maxsize=1)
+    def shifts(mask: int) -> tuple:
+        """The sum of the finite terms of a base, the number of its
+        infinite ones, and per member the change of both when its count
+        moves down, up, and down and then up again."""
+        counts = [(mask & member).bit_count() for member in masks]
+        terms = [term(m, count) for m, count in enumerate(counts)]
+        down = [_term_change(t, term(m, count - 1))
+                for m, (count, t) in enumerate(zip(counts, terms))]
+        up = [_term_change(t, term(m, count + 1))
+              for m, (count, t) in enumerate(zip(counts, terms))]
+        return (sum(t for t in terms if t is not None), terms.count(None),
+                down, up, [(a + b, c + d) for (a, c), (b, d) in zip(down, up)])
 
     def block(base: Subset, outs: Sequence[int],
               ins: Sequence[int]) -> list[Raw]:
         # A member holding u and not v loses one; one holding v and not u
         # gains one; one holding both keeps its count.
-        _, acc, infinite, down, up, both = shifts(base.mask)
+        acc, infinite, down, up, both = shifts(base.mask)
         columns = [(holding[v], *_summed(holding[v], up)) for v in ins]
         values: list[Raw] = []
         for u in outs:
@@ -1012,16 +1000,18 @@ def intersection_constraint_valuation(n: int, constraint: MatroidOracle,
 
     verdicts: dict[int, bool] = {}
     copies = [tg.lift(1 << e) for e in base.elements()]
-    last: list = [None, [], 0]          # tuple mask, its counts, its intersection
+
+    @functools.lru_cache(maxsize=1)
+    def picks(mask: int) -> tuple[list[int], int]:
+        """How many copies of a tuple pick each element, and the mask of
+        the elements all n copies pick."""
+        counts = [(mask & lifted).bit_count() for lifted in copies]
+        return counts, sum(1 << e for e, count in enumerate(counts)
+                           if count == n)
 
     def block(subset: Subset, outs: Sequence[int],
               ins: Sequence[int]) -> list[Raw]:
-        if last[0] != subset.mask:
-            counts = [(subset.mask & mask).bit_count() for mask in copies]
-            last[:] = [subset.mask, counts,
-                       sum(1 << e for e, count in enumerate(counts)
-                           if count == n)]
-        _, counts, inter = last
+        counts, inter = picks(subset.mask)
         # Moving a pick from a to b != a drops a from the intersection and
         # adds b when b was picked by all other copies.
         columns = [(v % size, 1 << v % size if counts[v % size] == n - 1

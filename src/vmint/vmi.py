@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import INF, ExtValue, InvalidInputError, Subset
 from .matroid import MatroidOracle, make_uniform
@@ -92,12 +92,25 @@ def solve_v_In(omegas: Sequence[ValuationOracle], constraint: MatroidOracle,
     """
     if not omegas:
         raise InvalidInputError("need at least one valuation")
+    return _solve_on_copies(
+        omegas, lambda tg, rank: intersection_constraint_valuation(
+            tg.n, constraint, rank)[0], check_invariants)
+
+
+def _solve_on_copies(omegas: Sequence[ValuationOracle],
+                     coupling: Callable[[TupleGround, int], ValuationOracle],
+                     check_invariants: bool) -> TupleSolution:
+    """Minimize the disjoint sum of the valuations plus the coupling
+    valuation that `coupling(tg, rank)` builds on their copies, by
+    valuated matroid intersection; infeasible when the coupling's domain
+    is empty."""
     for om in omegas:
         om.require_witness()
-    sum_oracle, delta, tg = v_in_pair(omegas, constraint)
-    if delta.witness_base is None:
+    sum_oracle, tg = disjoint_sum(omegas)
+    coupled = coupling(tg, sum_oracle.rank)
+    if coupled.witness_base is None:
         return TupleSolution("infeasible")
-    inner = solve_vmi(sum_oracle, delta, check_invariants)
+    inner = solve_vmi(sum_oracle, coupled, check_invariants)
     if not inner.optimal:
         return TupleSolution("infeasible", inner=inner)
     return TupleSolution("optimal", tg.to_parts(inner.x1), inner.value, inner)
@@ -161,15 +174,9 @@ def solve_v_n_w(omegas: Sequence[ValuationOracle], weights: Sequence[Fraction],
         raise InvalidInputError(
             "negative penalty weights: use the submodular-flow solver for "
             "w <= 0, or brute force for mixed signs")
-    for om in omegas:
-        om.require_witness()
-    sum_oracle, tg = disjoint_sum(omegas)
-    penalty, _ = laminar_penalty(ws, len(omegas), sum_oracle.rank,
-                                 omegas[0].ground)
-    inner = solve_vmi(sum_oracle, penalty, check_invariants)
-    if not inner.optimal:
-        return TupleSolution("infeasible", inner=inner)
-    return TupleSolution("optimal", tg.to_parts(inner.x1), inner.value, inner)
+    return _solve_on_copies(
+        omegas, lambda tg, rank: laminar_penalty(ws, tg.n, rank, tg.base)[0],
+        check_invariants)
 
 
 def lift_laminar_to_copies(spec: LaminarSpec, tg: TupleGround,
@@ -205,11 +212,6 @@ def solve_sum_valuated_plus_laminar(omegas: Sequence[ValuationOracle],
     ground = omegas[0].ground
     if phi.ground != ground:
         raise InvalidInputError("laminar spec is on a different ground set")
-    for om in omegas:
-        om.require_witness()
-    sum_oracle, tg = disjoint_sum(omegas)
-    lifted = lift_laminar_to_copies(phi, tg, sum_oracle.rank)
-    inner = solve_vmi(sum_oracle, lifted, check_invariants)
-    if not inner.optimal:
-        return TupleSolution("infeasible", inner=inner)
-    return TupleSolution("optimal", tg.to_parts(inner.x1), inner.value, inner)
+    return _solve_on_copies(
+        omegas, lambda tg, rank: lift_laminar_to_copies(phi, tg, rank),
+        check_invariants)

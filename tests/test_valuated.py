@@ -58,6 +58,13 @@ def g3():
     return GroundSet(3, ("a", "b", "c"))
 
 
+def value_only(oracle):
+    """A twin of `oracle` with no exchange or block hook: every miss goes
+    to its value function, the reference every hook must agree with."""
+    return ValuationOracle(oracle.ground, oracle.rank, oracle._value_fn,
+                           oracle.witness_base, scale=oracle.scale)
+
+
 class TestModularConstructors:
     def test_from_matroid_and_weights(self, g3):
         omega = from_matroid_and_weights(make_uniform(g3, 2), [1, 2, 4])
@@ -265,9 +272,9 @@ class TestMoved:
 
 class TestCopyReductionExchange:
     """The four oracles of the copy reductions answer `exchange_value`
-    exactly like a twin built from the same value function with no
-    `exchange_fn`: the same values, and the same `calls`, `evals` and
-    memo, on the reduction oracle and on every component of a sum."""
+    exactly like a value-only twin asked `value`: the same values, and
+    the same `calls`, `evals` and memo, on the reduction oracle and on
+    every component of a sum."""
 
     @staticmethod
     def _component(rng, ground, kind):
@@ -336,7 +343,9 @@ class TestCopyReductionExchange:
     @staticmethod
     def _same_answers(make, queries):
         ours, twin = make(), make()
-        twin[0]._exchange_fn = None
+        twin[0] = value_only(twin[0])
+        for oracle in ours + twin:
+            oracle.reset_counters()
         for x, u, v in queries:
             assert ours[0].exchange_value(x, u, v) == twin[0].value(
                 x.exchange(u, v)), (x.mask, u, v)
@@ -390,9 +399,9 @@ class TestCopyReductionExchange:
 
 
 class TestModularOnDomainExchange:
-    """`modular_on_domain` answers exchanges like a twin with no
-    `exchange_fn`, asking its base valuation the same queries: the same
-    values, and the same `calls`, `evals` and memo on both oracles."""
+    """`modular_on_domain` answers exchanges like a value-only twin,
+    asking its base valuation the same queries: the same values, and the
+    same `calls`, `evals` and memo on both oracles."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(1, 6),
@@ -518,8 +527,7 @@ class TestBlockExchanges:
         make = self._maker(rng, kind, size, copies)
         if make is None:
             return
-        ours, twin, by_value = make(), make(), make()
-        by_value[0]._exchange_fn = by_value[0]._block_fn = None
+        ours, twin, by_value = make(), make(), value_only(make()[0])
         ground = ours[0].ground
         bases = self._bases(rng, make()[0])
         # Warm the memos alike with exchanges and values near the bases.
@@ -540,7 +548,7 @@ class TestBlockExchanges:
                 pairs = [(u, v) for u in outs for v in ins]
                 assert values == [twin[0].raw_exchange(x, u, v)
                                   for u, v in pairs], (x.mask, outs, ins)
-                assert values == [by_value[0].raw_value(x.exchange(u, v))
+                assert values == [by_value.raw_value(x.exchange(u, v))
                                   for u, v in pairs]
                 for a, b in zip(ours, twin):
                     assert (a.calls, a.evals) == (b.calls, b.evals), a.name
@@ -572,6 +580,10 @@ class TestBlockExchanges:
                         inside))):
                 with pytest.raises(InvalidInputError):
                     oracle.raw_exchanges(base, outs, ins)
+            for u, v in ((ground.size + 3, outside[0]), (-1, outside[0]),
+                         (inside[0], ground.size), (inside[0], -1)):
+                with pytest.raises(InvalidInputError, match="out of range"):
+                    oracle.raw_exchange(x, u, v)
             assert oracle._memo == memo
             assert (oracle.calls, oracle.evals) == calls
 
@@ -680,57 +692,74 @@ class TestDualValuation:
     @pytest.mark.parametrize("kind", ["graphic", "uniform"])
     def test_block_misses_reach_the_base_as_one_batch(self, kind,
                                                       monkeypatch):
-        rng = random.Random(17)
+        """A block of the dual, or of `modular_on_domain`, sends its misses
+        to the oracle it asks as one `exchange_pairs` call: the dual's
+        swapped, on the complement, and `modular_on_domain`'s as they
+        are, on the same base."""
         ground = GroundSet(8)
         make = (lambda: from_matroid_and_weights(
             random_matroid(random.Random(5), ground, kinds=(kind,)),
             [Fraction(w, 3) for w in range(8)]))
-        omega, twin = make(), make()
-        dual, twin_dual = dual_valuation(omega), dual_valuation(twin)
-        x = dual.witness_base
-        inside = list(x.members())
-        outside = [v for v in ground.elements() if not x.contains(v)]
-        warm = [(rng.choice(inside), rng.choice(outside)) for _ in range(4)]
-        for u, v in warm:
-            dual.raw_exchange(x, u, v)
-            twin_dual.raw_exchange(x, u, v)
-        entries = []
-        real = omega._exchange_pairs
+        on_domain = (lambda omega: modular_on_domain(
+            omega, [Fraction(1, 1 + w) for w in range(8)]))
+        for outer in (dual_valuation, on_domain):
+            rng = random.Random(17)
+            omega, twin = make(), make()
+            composite, twin_composite = outer(omega), outer(twin)
+            x = composite.witness_base
+            inside = list(x.members())
+            outside = [v for v in ground.elements() if not x.contains(v)]
+            warm = [(rng.choice(inside), rng.choice(outside))
+                    for _ in range(4)]
+            for u, v in warm:
+                composite.raw_exchange(x, u, v)
+                twin_composite.raw_exchange(x, u, v)
+            entries = []
+            real = omega.exchange_pairs
 
-        def counted(base, pairs):
-            entries.append((base.mask, list(pairs)))
-            return real(base, pairs)
+            def counted(base, pairs):
+                entries.append((base.mask, list(pairs)))
+                return real(base, pairs)
 
-        def per_pair(*args):
-            raise AssertionError("the dual asked its base pair by pair")
+            def per_pair(*args):
+                raise AssertionError("a block asked its base pair by pair")
 
-        monkeypatch.setattr(omega, "_exchange_pairs", counted)
-        monkeypatch.setattr(omega, "raw_exchange", per_pair)
-        values = dual.raw_exchanges(x, inside, outside)
-        misses = [(v, u) for u in inside for v in outside
-                  if (u, v) not in warm]
-        assert entries == [(x.complement().mask, misses)]
-        assert values == [twin_dual.raw_exchange(x, u, v)
-                          for u in inside for v in outside]
-        for a, b in ((dual, twin_dual), (omega, twin)):
-            assert (a.calls, a.evals) == (b.calls, b.evals)
-            assert list(a._memo.items()) == list(b._memo.items())
-        # Every pair is now a hit of the dual: nothing reaches the base.
-        dual.raw_exchanges(x, inside, outside)
-        assert len(entries) == 1
+            monkeypatch.setattr(omega, "exchange_pairs", counted)
+            monkeypatch.setattr(omega, "raw_exchange", per_pair)
+            values = composite.raw_exchanges(x, inside, outside)
+            misses = [(u, v) for u in inside for v in outside
+                      if (u, v) not in warm]
+            if outer is dual_valuation:
+                expected = (x.complement().mask, [(v, u) for u, v in misses])
+            else:
+                expected = (x.mask, misses)
+            assert entries == [expected]
+            assert values == [twin_composite.raw_exchange(x, u, v)
+                              for u in inside for v in outside]
+            for a, b in ((composite, twin_composite), (omega, twin)):
+                assert (a.calls, a.evals) == (b.calls, b.evals)
+                assert list(a._memo.items()) == list(b._memo.items())
+            # Every pair is now a hit: nothing reaches the base.
+            composite.raw_exchanges(x, inside, outside)
+            assert len(entries) == 1
 
     def test_modular_single_exchange_reads_the_table(self, monkeypatch):
         ground = GroundSet(6)
         matroid = make_uniform(ground, 3)
         omega = from_matroid_and_weights(matroid, [1, 2, 4, 8, 16, 32])
+        reference = value_only(omega)
 
-        def block(*args):
-            raise AssertionError("a single exchange went to the block")
+        def independence(*args):
+            raise AssertionError("a single exchange tested independence")
 
-        monkeypatch.setattr(omega, "_block_fn", block)
+        monkeypatch.setattr(matroid, "is_independent", independence)
         x = omega.witness_base
         assert omega.raw_exchange(x, 0, 5) == 2 + 4 + 32
         assert omega.raw_exchange(x, 1, 3) == 1 + 4 + 8
+        monkeypatch.undo()
+        for u, v in ((0, 5), (1, 3), (2, 4)):
+            assert omega.raw_exchange(x, u, v) == reference.raw_value(
+                x.exchange(u, v))
 
 
 class TestDisjointSum:

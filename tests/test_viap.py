@@ -642,14 +642,23 @@ class TestWitnessAgainstExchangeReference:
 
 class TestLadderCertificate:
     def test_verified_once_per_ladder(self, monkeypatch):
+        """Besides the aux builds, the ladder asks for exchange rows once,
+        at the top entry, unless no step was taken or the sink was
+        unreachable."""
         calls = []
-        real = viap.verify_witness
+        real_lengths, real_build = viap._exchange_lengths, \
+            viap.build_aux_digraph
 
-        def counted(*args, **kwargs):
-            calls.append(args[3])
-            return real(*args, **kwargs)
+        def lengths(*args):
+            calls.append(args[:4])
+            return real_lengths(*args)
 
-        monkeypatch.setattr(viap, "verify_witness", counted)
+        def build(*args, **kwargs):
+            calls.append("aux")
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(viap, "_exchange_lengths", lengths)
+        monkeypatch.setattr(viap, "build_aux_digraph", build)
         rng = random.Random(83)
         deep = 0
         for _ in range(20):
@@ -659,19 +668,32 @@ class TestLadderCertificate:
             calls.clear()
             ladder = run_ladder(omega1, omega2,
                                 min(omega1.rank, omega2.rank))
+            checks = [call for before, call in zip([None] + calls, calls)
+                      if "aux" not in (before, call)]
             steps = len(ladder.entries) - 1
             if steps and not ladder.infeasible_beyond:
-                assert calls == [ladder.entries[-1].level]
+                top = ladder.entries[-1]
+                assert checks == [(top.x1, top.x2, top.p1, top.p2)]
                 deep += steps > 1
             else:
-                assert calls == []
+                assert checks == []
         assert deep > 0
 
     def test_top_level_failure_raises(self, g3, monkeypatch):
         omega1, omega2 = _modular_pair(g3)
-        assert len(run_ladder(omega1, omega2, 2).entries) == 2
-        monkeypatch.setattr(viap, "verify_witness", lambda *a, **k: False)
-        with pytest.raises(InternalInvariantError):
+        entries = run_ladder(omega1, omega2, 2).entries
+        assert len(entries) == 2
+        top = entries[-1]
+        real = viap._exchange_lengths
+
+        def failing(x1, x2, p1, p2, *rest):
+            if (x1, x2, p1, p2) == (top.x1, top.x2, top.p1, top.p2):
+                raise InternalInvariantError("planted")
+            return real(x1, x2, p1, p2, *rest)
+
+        monkeypatch.setattr(viap, "_exchange_lengths", failing)
+        with pytest.raises(InternalInvariantError,
+                           match="optimality witness failed at the top level"):
             run_ladder(omega1, omega2, 2)
         assert run_ladder(omega1, omega2, 2,
                           check_invariants=False).reached == 2

@@ -72,9 +72,8 @@ def modular_on_domain(omega: ValuationOracle,
             return None
         return scaled_sum(scaled, subset.mask)
 
-    @functools.lru_cache(maxsize=1)
-    def total_of(mask: int) -> int:
-        return scaled_sum(scaled, mask)
+    total_of = functools.lru_cache(maxsize=1)(
+        functools.partial(scaled_sum, scaled))
 
     def exchange(base: Subset, pairs: list[tuple[int, int]],
                  ) -> list[Optional[int]]:

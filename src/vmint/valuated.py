@@ -18,31 +18,26 @@ values, and `value` turns them into exact `ExtValue`s for everyone else.
 Every constructor here scales its oracle by the lcm of the denominators
 of its weights or tables (a disjoint sum by the lcm of its parts').
 
-The descent and the auxiliary digraph ask only single-exchange queries
+The descent and the auxiliary digraph ask only single exchanges
 omega(X - u + v), a block at a time: `ValuationOracle.raw_exchanges(X,
-outs, ins)` answers every pair of u in `outs` (inside X) and v in `ins`
-(outside X) with one call, one per descent step and one per copy of each
-aux build.  It keeps the calls, evals and memo exactly as asking
-`raw_exchange` (or its `ExtValue` form `exchange_value`) pair by pair
-does, and that keeps them exactly as `value(X.exchange(u, v))` does; only
-a memo miss may be computed differently, by the oracle's hooks (see
-`ValuationOracle`).  A modular valuation on a matroid with
-fundamental-circuit tables answers blocks and batches from one circuit
-table per base (X - u + v is a base exactly when u lies on the circuit
-C(X, v)) and the integer sums w(X) - w_u + w_v, with no independence
-test.  The dual of any oracle and `apps.modular_on_domain` pass each
-batch on to the oracle they ask as one `exchange_pairs` call, the dual
-as exchanges of the complement.
+outs, ins)` answers every u in `outs` (inside X) against every v in
+`ins` (outside X) in one call, one per descent step and one per copy of
+each aux build.  It keeps the calls, evals and memo exactly as
+`raw_exchange` (or `exchange_value`) pair by pair, and so as
+`value(X.exchange(u, v))`, does; only a memo miss may be computed
+differently, by the oracle's hooks (see `ValuationOracle`).
 
-The oracles of the copy reductions answer exchanges block by block.  A
-disjoint sum walks its batch pair by pair, sending a pair inside one
-copy to that component's own exchange query and asking every other copy
-for the part X - u + v has there, so each component's calls, evals and
-memo move exactly as under `value`.  The intersection constraint and the
-laminar valuations are leaves with a `block_fn`: the constraint keeps,
-for the last base, how many copies pick each element (an exchange moves
-at most two of those counts), and a laminar valuation its member counts.
-Each such per-base state is a one-entry `functools.lru_cache` of the mask.
+A modular valuation on a matroid with fundamental-circuit tables answers
+its misses from one circuit table per base (X - u + v is a base exactly
+when u lies on the circuit C(X, v)) and the integer sums w(X) - w_u +
+w_v, with no independence test.  The dual and `apps.modular_on_domain`
+hand each batch of misses to the oracle they ask as one `exchange_pairs`
+call, the dual as exchanges of the complement.  A disjoint sum walks its
+batch, asking each component what `value` asks it, so each component's
+calls, evals and memo move exactly as under `value`.  The intersection
+constraint and the laminar valuations are leaves with a `block_fn` that
+reads the copy or member counts of the base.  Each per-base state is a
+one-entry `functools.lru_cache` of the mask.
 
 Laminar convex functions (convex tables of the member sums of a laminar
 family) are built by :func:`laminar_valuation` on subsets (the laminar
@@ -198,9 +193,37 @@ class ValuationOracle:
         both lists are checked in one pass.  An oracle with a `block_fn`
         asks it for the whole block and counts as evals what the memo
         grows by; a memo hit gets the same value, since a value depends
-        only on the set.  Otherwise the block goes through
+        only on the set.  Otherwise the block goes the way of
         `exchange_pairs`.
         """
+        mask = self._checked_mask(base, outs, ins)
+        if self._block_fn is None:
+            return self._pairs(base, [(u, v) for u in outs for v in ins])
+        memo = self._memo
+        self.calls += len(outs) * len(ins)
+        values = self._block_fn(base, outs, ins)
+        before = len(memo)
+        bits = [1 << v for v in ins]
+        memo.update(zip([drop | bit for drop in
+                         [mask ^ (1 << u) for u in outs]
+                         for bit in bits], values))
+        self.evals += len(memo) - before
+        return values
+
+    def exchange_pairs(self, base: Subset,
+                       pairs: list[tuple[int, int]]) -> list[Raw]:
+        """`[raw_exchange(base, u, v) for u, v in pairs]`, with the same
+        values, `calls`, `evals` and memo, for a rank-sized base and
+        proper exchanges (u in base, v an element outside it), checked
+        as in `raw_exchanges`.  Every pair is looked up in the memo, and
+        the misses go to `exchange_fn` as one batch, in pair order."""
+        self._checked_mask(base, [u for u, _ in pairs], [v for _, v in pairs])
+        return self._pairs(base, pairs)
+
+    def _checked_mask(self, base: Subset, outs: Sequence[int],
+                      ins: Sequence[int]) -> int:
+        """The mask of `base`, once `base` is a rank-sized set on the
+        ground, `outs` are elements inside it and `ins` elements outside."""
         if base.ground is not self.ground and base.ground != self.ground:
             raise InvalidInputError("subset is on a different ground set")
         mask = base.mask
@@ -217,27 +240,10 @@ class ValuationOracle:
             if improper:
                 raise InvalidInputError(
                     "a block exchanges members of the base for non-members")
-        if self._block_fn is None:
-            return self.exchange_pairs(base, [(u, v) for u in outs
-                                              for v in ins])
-        memo = self._memo
-        self.calls += len(outs) * len(ins)
-        values = self._block_fn(base, outs, ins)
-        before = len(memo)
-        bits = [1 << v for v in ins]
-        memo.update(zip([drop | bit for drop in
-                         [mask ^ (1 << u) for u in outs]
-                         for bit in bits], values))
-        self.evals += len(memo) - before
-        return values
+        return mask
 
-    def exchange_pairs(self, base: Subset,
-                       pairs: list[tuple[int, int]]) -> list[Raw]:
-        """`[raw_exchange(base, u, v) for u, v in pairs]` for proper
-        exchanges of a rank-sized base, with the same values, `calls`,
-        `evals` and memo: every pair is looked up in the memo, and the
-        misses go to `exchange_fn` as one batch, in pair order.  Neither
-        the base nor the pairs are checked here."""
+    def _pairs(self, base: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
+        """`exchange_pairs` for pairs already checked."""
         mask = base.mask
         memo = self._memo
         self.calls += len(pairs)
@@ -323,10 +329,7 @@ class MnatFunction:
         key = x.entries
         cached = self._memo.get(key)
         if cached is None:
-            if self.in_box(x):
-                cached = self._value_fn(x)
-            else:
-                cached = INF
+            cached = self._value_fn(x) if self.in_box(x) else INF
             self._memo[key] = cached
             self.evals += 1
         return cached
@@ -361,10 +364,8 @@ class MnatFunction:
         return self.value(x).is_finite
 
     def box_volume(self) -> int:
-        vol = 1
-        for lo, hi in zip(self.box_lower, self.box_upper):
-            vol *= hi - lo + 1
-        return vol
+        return math.prod(hi - lo + 1
+                         for lo, hi in zip(self.box_lower, self.box_upper))
 
     def reset_counters(self) -> None:
         self.calls = 0
@@ -709,11 +710,9 @@ class TupleGround:
                      for i in range(self.n))
 
     def common_intersection(self, subset: Subset) -> Subset:
-        parts = self.to_parts(subset)
-        mask = (1 << self.base.size) - 1
-        for part in parts:
-            mask &= part.mask
-        return Subset(self.base, mask)
+        return Subset(self.base, functools.reduce(
+            operator.and_, (part.mask for part in self.to_parts(subset)),
+            (1 << self.base.size) - 1))
 
     def lift(self, mask: int) -> int:
         """The combined mask of every copy of a mask of the base set."""
@@ -755,12 +754,8 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
         return total
 
     size = base.size
-    window = (1 << size) - 1
-
-    @functools.lru_cache(maxsize=1)
-    def parts_of(mask: int) -> tuple[Subset, ...]:
-        return tuple(Subset(base, mask >> (i * size) & window)
-                     for i in range(tg.n))
+    parts_of = functools.lru_cache(maxsize=1)(
+        lambda mask: tg.to_parts(Subset(tg.combined, mask)))
 
     def pair_value(parts: tuple[Subset, ...], u: int, v: int) -> Raw:
         copy_u, a = divmod(u, size)
@@ -1034,29 +1029,24 @@ def intersection_constraint_valuation(n: int, constraint: MatroidOracle,
 
 def _greedy_tuple_fill(tg: TupleGround, constraint: MatroidOracle,
                        r: int) -> Optional[Subset]:
-    parts = [tg.base.empty() for _ in range(tg.n)]
-    total = 0
-    while total < r:
-        extended = False
-        for i in range(tg.n):
-            for v in tg.base.elements():
-                if parts[i].contains(v):
-                    continue
-                candidate = parts[i].add(v)
-                inter_mask = candidate.mask
-                for j in range(tg.n):
-                    if j != i:
-                        inter_mask &= parts[j].mask
-                if constraint.is_independent(Subset(tg.base, inter_mask)):
-                    parts[i] = candidate
-                    total += 1
-                    extended = True
-                    break
-            if extended:
+    """The tuple of r picks made one at a time, each the first (copy i,
+    element v) that keeps the common intersection independent; None when
+    no pick does."""
+    full = (1 << tg.base.size) - 1
+    parts = [0] * tg.n
+    for _ in range(r):
+        for i, v in itertools.product(range(tg.n), tg.base.elements()):
+            if parts[i] >> v & 1:
+                continue
+            others = functools.reduce(operator.and_,
+                                      parts[:i] + parts[i + 1:], full)
+            if constraint.is_independent(
+                    Subset(tg.base, (parts[i] | 1 << v) & others)):
+                parts[i] |= 1 << v
                 break
-        if not extended:
+        else:
             return None
-    return tg.to_subset(parts)
+    return tg.to_subset([Subset(tg.base, part) for part in parts])
 
 
 def laminar_penalty(weights: Sequence[Fraction], n: int, r: int,

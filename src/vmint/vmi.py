@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import INF, ExtValue, InvalidInputError, Subset
+from .core import INF, ExtValue, GroundSet, InvalidInputError, Subset
 from .matroid import MatroidOracle, make_uniform
 from .valuated import (
     LaminarSpec,
@@ -65,10 +65,22 @@ def v_in_pair(omegas: Sequence[ValuationOracle], constraint: MatroidOracle,
     and the copies they both live on.  Its witnesses certify the
     reduction's optima.
     """
+    return _on_copies(omegas, _intersection_coupling(constraint))
+
+
+def _intersection_coupling(constraint: MatroidOracle) -> Callable:
+    """The coupling of :func:`v_in_pair`, as :func:`_on_copies` takes it."""
+    return lambda tg, rank: intersection_constraint_valuation(
+        tg.n, constraint, rank)[0]
+
+
+def _on_copies(omegas: Sequence[ValuationOracle],
+               coupling: Callable[[TupleGround, int], ValuationOracle],
+               ) -> tuple[ValuationOracle, ValuationOracle, TupleGround]:
+    """The disjoint sum of the valuations, the coupling valuation that
+    `coupling(tg, rank)` builds on their copies, and the copies."""
     sum_oracle, tg = disjoint_sum(omegas)
-    delta, _ = intersection_constraint_valuation(len(omegas), constraint,
-                                                 sum_oracle.rank)
-    return sum_oracle, delta, tg
+    return sum_oracle, coupling(tg, sum_oracle.rank), tg
 
 
 def v_leq_k_pair(omega1: ValuationOracle, omega2: ValuationOracle, k: int,
@@ -78,8 +90,12 @@ def v_leq_k_pair(omega1: ValuationOracle, omega2: ValuationOracle, k: int,
     min(k, |V|).  A solution pair lifts to one set on the copies, and its
     witness certifies it at the full rank of the disjoint sum.
     """
-    ground = omega1.ground
-    return v_in_pair([omega1, omega2], make_uniform(ground, min(k, ground.size)))
+    return v_in_pair([omega1, omega2], _at_most(k, omega1.ground))
+
+
+def _at_most(k: int, ground: GroundSet) -> MatroidOracle:
+    """The constraint |X_1 intersect X_2| <= k as a matroid on `ground`."""
+    return make_uniform(ground, min(k, ground.size))
 
 
 def solve_v_In(omegas: Sequence[ValuationOracle], constraint: MatroidOracle,
@@ -92,22 +108,18 @@ def solve_v_In(omegas: Sequence[ValuationOracle], constraint: MatroidOracle,
     """
     if not omegas:
         raise InvalidInputError("need at least one valuation")
-    return _solve_on_copies(
-        omegas, lambda tg, rank: intersection_constraint_valuation(
-            tg.n, constraint, rank)[0], check_invariants)
+    return _solve_on_copies(omegas, _intersection_coupling(constraint),
+                            check_invariants)
 
 
 def _solve_on_copies(omegas: Sequence[ValuationOracle],
                      coupling: Callable[[TupleGround, int], ValuationOracle],
                      check_invariants: bool) -> TupleSolution:
-    """Minimize the disjoint sum of the valuations plus the coupling
-    valuation that `coupling(tg, rank)` builds on their copies, by
-    valuated matroid intersection; infeasible when the coupling's domain
-    is empty."""
+    """Minimize the sum of the :func:`_on_copies` pair by valuated matroid
+    intersection; infeasible when the coupling's domain is empty."""
     for om in omegas:
         om.require_witness()
-    sum_oracle, tg = disjoint_sum(omegas)
-    coupled = coupling(tg, sum_oracle.rank)
+    sum_oracle, coupled, tg = _on_copies(omegas, coupling)
     if coupled.witness_base is None:
         return TupleSolution("infeasible")
     inner = solve_vmi(sum_oracle, coupled, check_invariants)
@@ -125,9 +137,8 @@ def solve_v_leq_k(omega1: ValuationOracle, omega2: ValuationOracle, k: int,
     """
     if k < 0:
         raise InvalidInputError("k must be nonnegative")
-    ground = omega1.ground
-    constraint = make_uniform(ground, min(k, ground.size))
-    outcome = solve_v_In([omega1, omega2], constraint, check_invariants)
+    outcome = solve_v_In([omega1, omega2], _at_most(k, omega1.ground),
+                         check_invariants)
     if not outcome.optimal:
         return IntersectionSolution("infeasible", k=k, mode="leq")
     x1, x2 = outcome.parts

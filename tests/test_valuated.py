@@ -580,10 +580,19 @@ class TestBlockExchanges:
                         inside))):
                 with pytest.raises(InvalidInputError):
                     oracle.raw_exchanges(base, outs, ins)
+                with pytest.raises(InvalidInputError):
+                    oracle.exchange_pairs(base, [(u, v) for u in outs
+                                                 for v in ins] or [(0, 0)])
             for u, v in ((ground.size + 3, outside[0]), (-1, outside[0]),
                          (inside[0], ground.size), (inside[0], -1)):
                 with pytest.raises(InvalidInputError, match="out of range"):
                     oracle.raw_exchange(x, u, v)
+                with pytest.raises(InvalidInputError, match="out of range"):
+                    oracle.exchange_pairs(x, [(inside[0], outside[0]),
+                                              (u, v)])
+            with pytest.raises(InvalidInputError, match="non-members"):
+                oracle.exchange_pairs(x, [(inside[0], outside[0]),
+                                          (inside[0], inside[0])])
             assert oracle._memo == memo
             assert (oracle.calls, oracle.evals) == calls
 
@@ -756,8 +765,13 @@ class TestDualValuation:
         x = omega.witness_base
         assert omega.raw_exchange(x, 0, 5) == 2 + 4 + 32
         assert omega.raw_exchange(x, 1, 3) == 1 + 4 + 8
+        assert omega.exchange_pairs(x, [(2, 4), (0, 3)]) == [1 + 2 + 16,
+                                                             2 + 4 + 8]
         monkeypatch.undo()
-        for u, v in ((0, 5), (1, 3), (2, 4)):
+        # Its misses go to the leaf's own batch hook, not 1 x 1 blocks.
+        assert omega._exchange_fn.__qualname__ == \
+            "from_matroid_and_weights.<locals>.exchange"
+        for u, v in ((0, 5), (1, 3), (2, 4), (0, 3)):
             assert omega.raw_exchange(x, u, v) == reference.raw_value(
                 x.exchange(u, v))
 

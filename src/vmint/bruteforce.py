@@ -210,17 +210,12 @@ def brute_copic(matroid1: MatroidOracle, matroid2: MatroidOracle,
     return BruteResult("optimal", chosen[1], None, ExtValue(chosen[0][0]))
 
 
-def brute_congestion(omegas, delays: Optional[Sequence[Sequence[Fraction]]] = None,
+def brute_congestion(omegas: Sequence[ValuationOracle],
+                     delays: Sequence[Sequence[Fraction]],
                      limit: int = DEFAULT_PAIR_LIMIT) -> BruteResult:
     """Minimum total cost over all states: sum of the player valuations
     plus, per resource, (number of users) times the delay at that load.
-
-    Accepts either (omegas, delays) or a single congestion instance object
-    exposing `.omegas` and `.delays`.
     """
-    if delays is None:
-        delays = omegas.delays
-        omegas = omegas.omegas
     domains = [om.enumerate_domain() for om in omegas]
     _check_pair_limit([len(d) for d in domains], limit)
     ground = omegas[0].ground

@@ -69,10 +69,6 @@ class ExtValue:
         return ExtValue(None)
 
     @staticmethod
-    def of(value: RationalLike) -> "ExtValue":
-        return ExtValue(value)
-
-    @staticmethod
     def parse(text: str) -> "ExtValue":
         if text.strip() in ("inf", "+inf", "infinity"):
             return ExtValue(None)
@@ -327,14 +323,6 @@ class IntVector:
     """An integer vector with one entry per element of a ground set."""
 
     entries: tuple[int, ...]
-
-    @staticmethod
-    def of(values: Sequence[int]) -> "IntVector":
-        return IntVector(tuple(int(v) for v in values))
-
-    @staticmethod
-    def zeros(n: int) -> "IntVector":
-        return IntVector((0,) * n)
 
     def __len__(self) -> int:
         return len(self.entries)

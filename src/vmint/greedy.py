@@ -11,7 +11,7 @@ oracle with a `block_fn` answers a whole step at once.
 from __future__ import annotations
 
 from .core import EmptyDomainError, ExtValue, Subset
-from .valuated import DEFAULT_DOMAIN_LIMIT, ValuationOracle
+from .valuated import ValuationOracle
 
 
 def minimize_valuated(omega: ValuationOracle) -> tuple[Subset, ExtValue]:
@@ -41,14 +41,13 @@ def minimize_valuated(omega: ValuationOracle) -> tuple[Subset, ExtValue]:
         current_value = best
 
 
-def minimizer_family(omega: ValuationOracle,
-                     limit: int = DEFAULT_DOMAIN_LIMIT) -> list[Subset]:
+def minimizer_family(omega: ValuationOracle) -> list[Subset]:
     """All global minimizers, by exhaustive domain enumeration.
 
     The result is a base family of a matroid; tests verify the exchange
     axiom on it.
     """
-    domain = omega.enumerate_domain(limit)
+    domain = omega.enumerate_domain()
     if not domain:
         raise EmptyDomainError("empty domain has no minimizers")
     best = min(omega.value(x) for x in domain)

@@ -379,7 +379,6 @@ def _infinitely_repeatable(network: FlowNetwork, cycle: list[_AuxArc]) -> bool:
 def _cancel_negative_cycles(
         h: MnatFunction, network: FlowNetwork, flow: list[int],
         stop: Optional[Callable[[Sequence[int]], bool]] = None,
-        max_iterations: int = MAX_CANCEL_ITERATIONS,
 ) -> tuple[list[int], str]:
     """Descend to a negative-cycle-free (hence optimal) flow.
 
@@ -391,7 +390,7 @@ def _cancel_negative_cycles(
     current_obj = flow_objective(h, network, current)
     if not current_obj.is_finite:
         raise InternalInvariantError("cycle canceling started infeasible")
-    for _ in range(max_iterations):
+    for _ in range(MAX_CANCEL_ITERATIONS):
         if stop is not None and stop(current):
             return current, "stopped"
         bnd = boundary(current, network)
@@ -459,8 +458,6 @@ class CoupledInstance:
     h: MnatFunction
     h_feasibility: MnatFunction
     network: FlowNetwork
-    r1: int
-    r2: int
 
     @property
     def n(self) -> int:
@@ -529,7 +526,7 @@ def build_mgeqk_instance(f1: MnatFunction, f2: MnatFunction, k: int,
     for v in range(n):
         arcs.append(FlowArc(n, n + 1 + v, 0, f2.box_upper[v], Fraction(0)))
     network = FlowNetwork(2 * n + 2, tuple(arcs))
-    return CoupledInstance(f1, f2, k, ws, h, h_feas, network, r1, r2)
+    return CoupledInstance(f1, f2, k, ws, h, h_feas, network)
 
 
 def solution_to_flow(x1: IntVector, x2: IntVector,

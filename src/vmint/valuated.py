@@ -1123,16 +1123,14 @@ def laminar_convex_function(spec: LaminarSpec,
     return fn
 
 
-def restrict_to_hyperplane(fn: MnatFunction, r: int,
-                           ground: Optional[GroundSet] = None):
+def restrict_to_hyperplane(fn: MnatFunction, r: int):
     """Restrict a :func:`laminar_convex_function` to coordinate sum r.
 
-    Returns a :class:`ValuationOracle` when the box fits in {0,1}^V
-    (pass `ground` to label it): the :func:`laminar_valuation` of the
-    spec, where a coordinate fixed by the box is a singleton with a
-    one-point table.  Otherwise returns an M-convex
-    :class:`MnatFunction`, whose witness is the first point of the box in
-    `iter_box` order.  Raises :class:`EmptyDomainError` when no point of
+    Returns a :class:`ValuationOracle` when the box fits in {0,1}^V: the
+    :func:`laminar_valuation` of the spec, where a coordinate fixed by the
+    box is a singleton with a one-point table.  Otherwise returns an
+    M-convex :class:`MnatFunction`, whose witness is the first point of
+    the box in `iter_box` order.  Raises :class:`EmptyDomainError` when no point of
     the domain has sum r.
     """
     spec = getattr(fn, "laminar", None)
@@ -1148,8 +1146,8 @@ def restrict_to_hyperplane(fn: MnatFunction, r: int,
             if lo == hi:
                 masks.append(1 << i)
                 tables.append(ConvexTable(lo, (Fraction(0),)))
-        return laminar_valuation(ground or GroundSet(fn.dimension), masks,
-                                 tables, r, name)
+        return laminar_valuation(GroundSet(fn.dimension), masks, tables, r,
+                                 name)
 
     point = _laminar_point([m.mask for m in spec.members], spec.tables,
                            fn.box_lower, fn.box_upper, r)

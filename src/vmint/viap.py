@@ -50,7 +50,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -182,15 +182,6 @@ class IntersectionSolution:
 
 
 @dataclass
-class SolverStats:
-    """Per-run counters backing the complexity and invariant checks."""
-
-    iterations: int = 0
-    oracle_calls: int = 0
-    invariant_checks: int = 0
-
-
-@dataclass
 class ViapState:
     """The solver's pair, matched set and potentials.
 
@@ -205,8 +196,6 @@ class ViapState:
     p1: tuple[int, ...]
     p2: tuple[int, ...]
     matched: Subset
-    stats: SolverStats = field(default_factory=SolverStats)
-    check_invariants: bool = True
     scale: int = 1
 
     def __post_init__(self):
@@ -443,10 +432,8 @@ def augment_step(state: ViapState) -> Optional[ViapState]:
     p1 = tuple(p + d for p, d in zip(state.p1, capped[1:n + 1]))
     p2 = tuple(p + d for p, d in zip(state.p2, capped[n + 1:2 * n + 1]))
     new_state = ViapState(state.omega1, state.omega2, x1, x2, p1, p2, matched,
-                          state.stats, state.check_invariants, state.scale)
-    new_state.stats.iterations += 1
-    if state.check_invariants:
-        _check_state(new_state, expected_intersection=state.intersection_size() + 1)
+                          state.scale)
+    _check_state(new_state, expected_intersection=state.intersection_size() + 1)
     return new_state
 
 
@@ -475,7 +462,6 @@ def _check_state(state: ViapState, expected_intersection: int) -> None:
     the next aux build rejects any that fail, and `run_ladder` verifies
     the top level, which has no next aux build.
     """
-    state.stats.invariant_checks += 1
     inter = state.x1.intersection(state.x2)
     if inter.cardinality() != expected_intersection:
         raise InternalInvariantError("intersection did not grow by exactly 1")
@@ -494,16 +480,19 @@ def verify_witness(x1: Subset, x2: Subset, witness: Witness, k: int,
                    exhaustive: bool = False) -> bool:
     """Check the optimality certificate for a pair feasible at level k.
 
-    Verifies that the witness's matched set F has size k and lies inside
-    the intersection, the potential conditions of `_potential_fault`, and
-    that X1 and X2 minimize the shifted valuations omega_1 - p1 and
-    omega_2 + p2.  Minimality is checked by the local exchange criterion,
-    which is equivalent to global minimality for valuated matroids: the
-    exchange rows of the aux build, computed without building the graph,
-    reject exactly a negative exchange.  `exhaustive` checks
-    it against every set of each domain instead.
+    Verifies that the witness has one potential per element on each copy,
+    that its matched set F has size k and lies inside the intersection,
+    the potential conditions of `_potential_fault`, and that X1 and X2
+    minimize the shifted valuations omega_1 - p1 and omega_2 + p2.
+    Minimality is checked by the local exchange criterion, which is
+    equivalent to global minimality for valuated matroids: the exchange
+    rows of the aux build, computed without building the graph, reject
+    exactly a negative exchange.  `exhaustive` checks it against every set
+    of each domain instead.
     """
     p1, p2, matched = witness.p1, witness.p2, witness.matched
+    if not len(p1) == len(p2) == omega1.ground.size:
+        return False
     if matched.cardinality() != k:
         return False
     if not matched.is_subset_of(x1.intersection(x2)):
@@ -563,13 +552,11 @@ class LadderEntry:
 @dataclass
 class LadderResult:
     entries: list[LadderEntry]
-    reached: int           # largest feasible level visited
     infeasible_beyond: bool
-    stats: SolverStats
+    oracle_calls: int
 
 
-def run_ladder(omega1: ValuationOracle, omega2: ValuationOracle,
-               k_max: int, check_invariants: bool = True,
+def run_ladder(omega1: ValuationOracle, omega2: ValuationOracle, k_max: int,
                start: Optional[tuple[Subset, Subset]] = None) -> LadderResult:
     """Augment from unconstrained minimizers up to intersection k_max.
 
@@ -582,12 +569,11 @@ def run_ladder(omega1: ValuationOracle, omega2: ValuationOracle,
     equality solver passes the complemented pair here so that the dualized
     run begins strictly below its target level.
 
-    With `check_invariants`, the top entry's exchange rows are checked
-    once after the last augmentation, whose structural checks covered the
-    rest of its certificate; every lower level was checked by the aux
-    build that left it (see the module docstring).
+    The top entry's exchange rows are checked once after the last
+    augmentation, whose structural checks covered the rest of its
+    certificate; every lower level was checked by the aux build that left
+    it (see the module docstring).
     """
-    stats = SolverStats()
     calls_before = omega1.calls + omega2.calls
     if omega2.ground != omega1.ground:
         raise InvalidInputError("valuations live on different ground sets")
@@ -598,8 +584,7 @@ def run_ladder(omega1: ValuationOracle, omega2: ValuationOracle,
         x1, x2 = start
     zeros = (0,) * omega1.ground.size
     state = ViapState(omega1, omega2, x1, x2, zeros, zeros,
-                      x1.intersection(x2), stats, check_invariants,
-                      math.lcm(omega1.scale, omega2.scale))
+                      x1.intersection(x2), math.lcm(omega1.scale, omega2.scale))
     entries: list[LadderEntry] = []
     start = state.intersection_size()
     entries.append(_entry_from_state(state, start))
@@ -612,16 +597,15 @@ def run_ladder(omega1: ValuationOracle, omega2: ValuationOracle,
         state = next_state
         entries.append(_entry_from_state(state, state.intersection_size()))
     top = entries[-1]
-    if check_invariants and len(entries) > 1 and not infeasible_beyond:
+    if len(entries) > 1 and not infeasible_beyond:
         try:
             _exchange_lengths(top.x1, top.x2, top.p1, top.p2, top.scale,
                               omega1, omega2)
         except InternalInvariantError:
             raise InternalInvariantError(
                 "optimality witness failed at the top level") from None
-    stats.oracle_calls = omega1.calls + omega2.calls - calls_before
-    return LadderResult(entries, state.intersection_size(), infeasible_beyond,
-                        stats)
+    return LadderResult(entries, infeasible_beyond,
+                        omega1.calls + omega2.calls - calls_before)
 
 
 def _entry_from_state(state: ViapState, level: int) -> LadderEntry:
@@ -640,7 +624,6 @@ def _k_subset(subset: Subset, k: int) -> Subset:
 
 
 def solve_v_geq_k(omega1: ValuationOracle, omega2: ValuationOracle, k: int,
-                  check_invariants: bool = True,
                   start: Optional[tuple[Subset, Subset]] = None,
                   ) -> IntersectionSolution:
     """Minimize omega_1(X_1) + omega_2(X_2) with |X_1 intersect X_2| >= k.
@@ -656,7 +639,7 @@ def solve_v_geq_k(omega1: ValuationOracle, omega2: ValuationOracle, k: int,
         raise InvalidInputError("k must be nonnegative")
     omega1.require_witness()
     omega2.require_witness()
-    ladder = run_ladder(omega1, omega2, k, check_invariants, start)
+    ladder = run_ladder(omega1, omega2, k, start)
     top = ladder.entries[-1]
     if top.level >= k:
         if ladder.entries[0].level >= k:
@@ -665,20 +648,20 @@ def solve_v_geq_k(omega1: ValuationOracle, omega2: ValuationOracle, k: int,
                 first.x1.intersection(first.x2), k))
             return IntersectionSolution("optimal", first.x1, first.x2,
                                         first.value, witness, k, "geq",
-                                        ladder.stats.oracle_calls)
+                                        ladder.oracle_calls)
         return IntersectionSolution("optimal", top.x1, top.x2, top.value,
                                     top.witness, k, "geq",
-                                    ladder.stats.oracle_calls)
+                                    ladder.oracle_calls)
     last = IntersectionSolution("optimal", top.x1, top.x2, top.value,
                                 top.witness, top.level, "geq",
-                                ladder.stats.oracle_calls)
+                                ladder.oracle_calls)
     return IntersectionSolution("infeasible", k=k, mode="geq",
-                                oracle_calls=ladder.stats.oracle_calls,
+                                oracle_calls=ladder.oracle_calls,
                                 last_feasible=last)
 
 
 def solve_v_eq_k(omega1: ValuationOracle, omega2: ValuationOracle, k: int,
-                 check_invariants: bool = True) -> IntersectionSolution:
+                 ) -> IntersectionSolution:
     """Minimize omega_1(X_1) + omega_2(X_2) with |X_1 intersect X_2| = k.
 
     When the unconstrained minimizers intersect in at most k elements the
@@ -694,18 +677,14 @@ def solve_v_eq_k(omega1: ValuationOracle, omega2: ValuationOracle, k: int,
     x1, _ = minimize_valuated(omega1)
     x2, _ = minimize_valuated(omega2)
     if intersection_cardinality(x1, x2) <= k:
-        solution = solve_v_geq_k(omega1, omega2, k, check_invariants,
-                                 start=(x1, x2))
+        solution = solve_v_geq_k(omega1, omega2, k, start=(x1, x2))
         solution.mode = "eq-direct"
         return solution
     # Dualizing the second valuation turns the > k start into a strictly
-    # below-target start, so the augmenting run ends exactly on target.
-    dual2 = dual_valuation(omega2)
-    target = omega1.rank - k
-    if target < 0:
-        return IntersectionSolution("infeasible", k=k, mode="eq-dual")
-    dual_solution = solve_v_geq_k(omega1, dual2, target, check_invariants,
-                                  start=(x1, x2.complement()))
+    # below-target start, so the augmenting run ends exactly on target,
+    # rank_1 - k >= 1 since k < |X1 intersect X2| <= rank_1.
+    dual_solution = solve_v_geq_k(omega1, dual_valuation(omega2),
+                                  omega1.rank - k, start=(x1, x2.complement()))
     if not dual_solution.optimal:
         diagnostics = dual_solution.last_feasible
         if diagnostics is not None:

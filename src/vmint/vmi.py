@@ -44,7 +44,7 @@ class TupleSolution:
 
 
 def solve_vmi(omega: ValuationOracle, omega2: ValuationOracle,
-              check_invariants: bool = True) -> IntersectionSolution:
+              ) -> IntersectionSolution:
     """Minimize omega(X) + omega2(X) over a common set X.
 
     Realized as the >= rank intersection problem, which forces X1 = X2.
@@ -53,8 +53,7 @@ def solve_vmi(omega: ValuationOracle, omega2: ValuationOracle,
     """
     if omega.rank != omega2.rank:
         return IntersectionSolution("infeasible", k=omega.rank, mode="geq")
-    solution = solve_v_geq_k(omega, omega2, omega.rank, check_invariants)
-    return solution
+    return solve_v_geq_k(omega, omega2, omega.rank)
 
 
 def v_in_pair(omegas: Sequence[ValuationOracle], constraint: MatroidOracle,
@@ -99,7 +98,7 @@ def _at_most(k: int, ground: GroundSet) -> MatroidOracle:
 
 
 def solve_v_In(omegas: Sequence[ValuationOracle], constraint: MatroidOracle,
-               check_invariants: bool = True) -> TupleSolution:
+               ) -> TupleSolution:
     """Minimize the sum of the valuations with the common intersection
     independent in `constraint`.
 
@@ -108,13 +107,12 @@ def solve_v_In(omegas: Sequence[ValuationOracle], constraint: MatroidOracle,
     """
     if not omegas:
         raise InvalidInputError("need at least one valuation")
-    return _solve_on_copies(omegas, _intersection_coupling(constraint),
-                            check_invariants)
+    return _solve_on_copies(omegas, _intersection_coupling(constraint))
 
 
 def _solve_on_copies(omegas: Sequence[ValuationOracle],
                      coupling: Callable[[TupleGround, int], ValuationOracle],
-                     check_invariants: bool) -> TupleSolution:
+                     ) -> TupleSolution:
     """Minimize the sum of the :func:`_on_copies` pair by valuated matroid
     intersection; infeasible when the coupling's domain is empty."""
     for om in omegas:
@@ -122,14 +120,14 @@ def _solve_on_copies(omegas: Sequence[ValuationOracle],
     sum_oracle, coupled, tg = _on_copies(omegas, coupling)
     if coupled.witness_base is None:
         return TupleSolution("infeasible")
-    inner = solve_vmi(sum_oracle, coupled, check_invariants)
+    inner = solve_vmi(sum_oracle, coupled)
     if not inner.optimal:
         return TupleSolution("infeasible", inner=inner)
     return TupleSolution("optimal", tg.to_parts(inner.x1), inner.value, inner)
 
 
 def solve_v_leq_k(omega1: ValuationOracle, omega2: ValuationOracle, k: int,
-                  check_invariants: bool = True) -> IntersectionSolution:
+                  ) -> IntersectionSolution:
     """Minimize omega_1(X_1) + omega_2(X_2) with |X_1 intersect X_2| <= k.
 
     The <= k constraint is intersection membership in a uniform matroid,
@@ -137,8 +135,7 @@ def solve_v_leq_k(omega1: ValuationOracle, omega2: ValuationOracle, k: int,
     """
     if k < 0:
         raise InvalidInputError("k must be nonnegative")
-    outcome = solve_v_In([omega1, omega2], _at_most(k, omega1.ground),
-                         check_invariants)
+    outcome = solve_v_In([omega1, omega2], _at_most(k, omega1.ground))
     if not outcome.optimal:
         return IntersectionSolution("infeasible", k=k, mode="leq")
     x1, x2 = outcome.parts
@@ -148,8 +145,7 @@ def solve_v_leq_k(omega1: ValuationOracle, omega2: ValuationOracle, k: int,
 
 
 def solve_v_geq_k_via_dual(omega1: ValuationOracle, omega2: ValuationOracle,
-                           k: int,
-                           check_invariants: bool = True) -> IntersectionSolution:
+                           k: int) -> IntersectionSolution:
     """Alternative route for the >= k problem, used for cross-checking.
 
     |X_1 intersect X_2| >= k is |X_1 intersect (V \\ X_2)| <= rank_1 - k
@@ -161,7 +157,7 @@ def solve_v_geq_k_via_dual(omega1: ValuationOracle, omega2: ValuationOracle,
     if target < 0:
         return IntersectionSolution("infeasible", k=k, mode="geq")
     dual2 = dual_valuation(omega2)
-    solved = solve_v_leq_k(omega1, dual2, target, check_invariants)
+    solved = solve_v_leq_k(omega1, dual2, target)
     if not solved.optimal:
         return IntersectionSolution("infeasible", k=k, mode="geq")
     x2 = solved.x2.complement()
@@ -171,7 +167,7 @@ def solve_v_geq_k_via_dual(omega1: ValuationOracle, omega2: ValuationOracle,
 
 
 def solve_v_n_w(omegas: Sequence[ValuationOracle], weights: Sequence[Fraction],
-                check_invariants: bool = True) -> TupleSolution:
+                ) -> TupleSolution:
     """Minimize sum of the valuations plus w(common intersection), w >= 0.
 
     The penalty lifts to a laminar convex valuation over the copies
@@ -186,8 +182,7 @@ def solve_v_n_w(omegas: Sequence[ValuationOracle], weights: Sequence[Fraction],
             "negative penalty weights: use the submodular-flow solver for "
             "w <= 0, or brute force for mixed signs")
     return _solve_on_copies(
-        omegas, lambda tg, rank: laminar_penalty(ws, tg.n, rank, tg.base)[0],
-        check_invariants)
+        omegas, lambda tg, rank: laminar_penalty(ws, tg.n, rank, tg.base)[0])
 
 
 def lift_laminar_to_copies(spec: LaminarSpec, tg: TupleGround,
@@ -206,9 +201,7 @@ def lift_laminar_to_copies(spec: LaminarSpec, tg: TupleGround,
 
 
 def solve_sum_valuated_plus_laminar(omegas: Sequence[ValuationOracle],
-                                    phi: LaminarSpec,
-                                    check_invariants: bool = True,
-                                    ) -> TupleSolution:
+                                    phi: LaminarSpec) -> TupleSolution:
     """Minimize sum of the valuations plus a laminar convex function of the
     copy counts (how many of the n sets picked each element).
 
@@ -224,5 +217,4 @@ def solve_sum_valuated_plus_laminar(omegas: Sequence[ValuationOracle],
     if phi.ground != ground:
         raise InvalidInputError("laminar spec is on a different ground set")
     return _solve_on_copies(
-        omegas, lambda tg, rank: lift_laminar_to_copies(phi, tg, rank),
-        check_invariants)
+        omegas, lambda tg, rank: lift_laminar_to_copies(phi, tg, rank))

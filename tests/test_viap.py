@@ -11,7 +11,9 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vmint.apps as apps
 import vmint.viap as viap
+import vmint.vmi as vmi
 from vmint.core import ExtValue, GroundSet, InternalInvariantError, dot
 from vmint.bruteforce import brute_v_eq_k, brute_v_geq_k
 from vmint.matroid import make_uniform
@@ -23,6 +25,8 @@ from vmint.rand_instances import (
     random_rational,
 )
 from vmint.valuated import (
+    ConvexTable,
+    LaminarSpec,
     check_valuated_exchange,
     dual_valuation,
     from_matroid_and_weights,
@@ -38,7 +42,6 @@ from vmint.viap import (
     ARC_SOURCE,
     AuxArc,
     AuxDigraph,
-    SolverStats,
     ViapState,
     Witness,
     augment_step,
@@ -65,6 +68,15 @@ def _modular_pair(g3):
 
 
 ZEROS3 = (Fraction(0),) * 3
+
+
+def _pair4():
+    """Modular valuations on the 2-subsets of a 4-set whose minimizers
+    {0, 1} and {1, 2} meet in one element, so every solver below takes
+    at least one augmenting step."""
+    u24 = make_uniform(GroundSet(4), 2)
+    return (from_matroid_and_weights(u24, [1, 2, 4, 8]),
+            from_matroid_and_weights(u24, [8, 2, 1, 4]))
 
 
 def _arcs(graph):
@@ -426,7 +438,7 @@ class TestAugmentStep:
         x1 = g3.subset([0, 1])
         x2 = g3.subset([1, 2])
         state = ViapState(omega1, omega2, x1, x2, ZEROS3, ZEROS3,
-                          x1.intersection(x2), SolverStats())
+                          x1.intersection(x2))
         new = augment_step(state)
         assert new.intersection_size() == 2
         assert new.objective() == ExtValue(9)
@@ -437,7 +449,7 @@ class TestAugmentStep:
         x1 = g3.subset([0, 1])
         x2 = g3.subset([1, 2])
         state = ViapState(omega1, omega2, x1, x2, ZEROS3, ZEROS3,
-                          x1.intersection(x2), SolverStats())
+                          x1.intersection(x2))
         new = augment_step(state)
         assert new.p1 == ZEROS3 and new.p2 == ZEROS3
 
@@ -446,7 +458,7 @@ class TestAugmentStep:
         omega2 = valuation_from_explicit(g3, 1, {0b010: 0})
         x1, x2 = g3.subset([0]), g3.subset([1])
         state = ViapState(omega1, omega2, x1, x2, ZEROS3, ZEROS3,
-                          g3.empty(), SolverStats())
+                          g3.empty())
         assert augment_step(state) is None
 
 
@@ -541,6 +553,25 @@ class TestWitness:
         witness = Witness(ZEROS3, ZEROS3, g3.subset([1]), 1)
         x_bad = g3.subset([1, 2])  # not a minimizer of omega1
         assert not verify_witness(x_bad, x_bad, witness, 1, omega1, omega2)
+
+    @pytest.mark.parametrize("solve, mode", [
+        (lambda o1, o2: solve_v_geq_k(o1, o2, 2), "geq"),
+        (lambda o1, o2: solve_v_eq_k(o1, o2, 0), "eq-dual"),
+        (lambda o1, o2: vmi.solve_v_leq_k(o1, o2, 0), "leq"),
+    ], ids=["geq", "eq-dual", "leq"])
+    def test_potentials_of_the_wrong_length_rejected(self, solve, mode):
+        omega1, omega2 = _pair4()
+        out = solve(omega1, omega2)
+        assert out.mode == mode and verify_solution(out, omega1, omega2)
+        p1, p2 = out.witness.p1, out.witness.p2
+        for cut in ((p1[:1], p2[:1]), (p1 + (Fraction(0),),
+                                       p2 + (Fraction(0),))):
+            bad = replace(out, witness=replace(out.witness, p1=cut[0],
+                                               p2=cut[1]))
+            assert not verify_solution(bad, omega1, omega2)
+            if mode == "geq":
+                assert not verify_witness(out.x1, out.x2, bad.witness, 2,
+                                          omega1, omega2)
 
     def test_builds_no_arcs(self, g3, monkeypatch):
         def no_arcs(*args, **kwargs):
@@ -695,8 +726,74 @@ class TestLadderCertificate:
         with pytest.raises(InternalInvariantError,
                            match="optimality witness failed at the top level"):
             run_ladder(omega1, omega2, 2)
-        assert run_ladder(omega1, omega2, 2,
-                          check_invariants=False).reached == 2
+
+    @pytest.mark.parametrize("solve, mode", [
+        (lambda o1, o2: solve_v_geq_k(o1, o2, 2), "geq"),
+        (lambda o1, o2: solve_v_eq_k(o1, o2, 2), "eq-direct"),
+        (lambda o1, o2: solve_v_eq_k(o1, o2, 0), "eq-dual"),
+        (lambda o1, o2: vmi.solve_vmi(o1, o2), "geq"),
+        (lambda o1, o2: vmi.solve_v_In([o1, o2],
+                                       make_uniform(o1.ground, 1)), None),
+        (lambda o1, o2: vmi.solve_v_leq_k(o1, o2, 0), "leq"),
+        (lambda o1, o2: vmi.solve_v_n_w([o1, o2], [1, 1, 1, 1]), None),
+        (lambda o1, o2: vmi.solve_sum_valuated_plus_laminar(
+            [o1, o2], LaminarSpec(o1.ground, tuple(
+                o1.ground.subset([v]) for v in range(4)), (ConvexTable(
+                    0, (Fraction(0), Fraction(1), Fraction(4))),) * 4)),
+         None),
+        (lambda o1, o2: vmi.solve_v_geq_k_via_dual(o1, o2, 2), "geq"),
+        (lambda o1, o2: apps.solve_v_c(o1, o2, [0] * 5), None),
+        (lambda o1, o2: apps.solve_recoverable_robust_interval(
+            o1, apps.IntervalUncertainty.of([0] * 4, [8, 2, 1, 4]), 2),
+         "geq"),
+    ], ids=["v_geq_k", "v_eq_k-direct", "v_eq_k-dual", "vmi", "v_In",
+            "v_leq_k", "v_n_w", "laminar", "v_geq_k_via_dual", "v_c",
+            "recoverable_robust"])
+    def test_no_public_solver_skips_the_checks(self, solve, mode,
+                                               monkeypatch):
+        """Every entry point that runs a ladder checks the structural
+        invariants once per augmentation and the top level once: a fault
+        planted in the `_exchange_lengths` call made outside
+        `build_aux_digraph` raises."""
+        inside_build, steps, checks = [0], [0], [0]
+        real_build, real_step = viap.build_aux_digraph, viap.augment_step
+        real_lengths, real_check = viap._exchange_lengths, viap._check_state
+        planted = [False]
+
+        def build(*args):
+            inside_build[0] += 1
+            try:
+                return real_build(*args)
+            finally:
+                inside_build[0] -= 1
+
+        def lengths(*args):
+            if planted[0] and not inside_build[0]:
+                raise InternalInvariantError("planted")
+            return real_lengths(*args)
+
+        def step(state):
+            new = real_step(state)
+            steps[0] += new is not None
+            return new
+
+        def check(*args, **kwargs):
+            checks[0] += 1
+            return real_check(*args, **kwargs)
+
+        for attr, fn in (("build_aux_digraph", build),
+                         ("_exchange_lengths", lengths),
+                         ("augment_step", step), ("_check_state", check)):
+            monkeypatch.setattr(viap, attr, fn)
+        out = solve(*_pair4())
+        assert out.optimal and (mode is None or out.mode == mode)
+        assert steps[0] > 0 and checks[0] == steps[0]
+        planted[0] = True
+        steps[0] = checks[0] = 0
+        with pytest.raises(InternalInvariantError,
+                           match="optimality witness failed at the top level"):
+            solve(*_pair4())
+        assert steps[0] > 0 and checks[0] == steps[0]
 
     # Both tables fail the exchange axiom; they were found by a seeded
     # search (random.Random(2024), values in -3..3 on the 2-subsets of a

@@ -95,12 +95,23 @@ def _named_oracles(instance: Instance, count: Optional[int] = None):
     return [instance.named_valuation("problem.oracles", n) for n in names]
 
 
+def _text(value) -> str:
+    """`str(value)`; a rational with more digits than Python converts
+    (4300 by default, see `sys.get_int_max_str_digits`) is a resource
+    limit."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ResourceLimitError(
+            "a reported rational has too many digits to write") from None
+
+
 def _witness_out(witness: Optional[Witness], mode: str) -> Optional[dict]:
     if witness is None:
         return None
     return {
-        "p1": [str(v) for v in witness.p1],
-        "p2": [str(v) for v in witness.p2],
+        "p1": [_text(v) for v in witness.p1],
+        "p2": [_text(v) for v in witness.p2],
         "matched": subset_out(witness.matched),
         "k": witness.k,
         "mode": mode,
@@ -271,7 +282,7 @@ def _solve(instance: Instance, args) -> tuple[dict, int]:
         raise InvalidInputError(f"--k: problem type {ptype!r} takes no k")
     status, value, fields, brute = PROBLEMS[ptype](instance, args.k)
     report = {"problem": ptype, "status": status,
-              "value": str(value) if status == "optimal" else None,
+              "value": _text(value) if status == "optimal" else None,
               **fields}
     if args.verify and status == "optimal" and ptype in CERTIFIED:
         if not _certify(instance, report, args.k):

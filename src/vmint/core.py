@@ -11,6 +11,7 @@ instead of silently wrapping.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -34,15 +35,33 @@ class InternalInvariantError(RuntimeError):
     """An algorithm invariant failed; indicates a bug, not bad input."""
 
 
+# The largest decimal exponent |e| that a rational string may carry:
+# "1e999999999" would otherwise make Fraction compute 10**999999999.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?0*([0-9_]*)$")
+
+
 def parse_rational(text: RationalLike) -> Fraction:
-    """Parse an exact rational from an int, Fraction, or "p/q" string."""
+    """Parse an exact rational from an int, Fraction, or "p/q" string.
+
+    A decimal string may carry an exponent of at most
+    `MAX_DECIMAL_EXPONENT` in absolute value."""
     if isinstance(text, bool):
         raise InvalidInputError("booleans are not rationals")
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
     if isinstance(text, str):
+        text = text.strip()
+        exponent = _EXPONENT.search(text)
+        if exponent is not None:
+            digits = exponent.group(1).replace("_", "")
+            if (len(digits) > len(str(MAX_DECIMAL_EXPONENT))
+                    or int(digits or 0) > MAX_DECIMAL_EXPONENT):
+                raise InvalidInputError(
+                    f"exponent of {text[:40]!r} exceeds "
+                    f"{MAX_DECIMAL_EXPONENT} in absolute value")
         try:
-            return Fraction(text.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"not a rational: {text!r}") from exc
     raise InvalidInputError(f"not a rational: {text!r}")

@@ -41,6 +41,7 @@ import yaml
 from .core import (
     GroundSet,
     InvalidInputError,
+    ResourceLimitError,
     Subset,
     parse_rational,
 )
@@ -72,6 +73,10 @@ PROBLEM_TYPES = (
     "v_geq_k", "v_eq_k", "v_leq_k", "v_in", "v_n_w", "m_geq_k_w",
     "w_eq_k_lpt", "v_c", "copic", "recoverable_robust", "congestion",
 )
+
+# The largest ground set an instance may declare.  A subset is a bit mask
+# of the ground, so a larger one costs memory before any oracle is built.
+MAX_GROUND_SIZE = 1_000_000
 
 
 class ParseError(InvalidInputError):
@@ -193,10 +198,13 @@ class Instance:
     def _parse_ground(self, spec) -> GroundSet:
         if not isinstance(spec, dict) or "size" not in spec:
             raise ParseError("ground: mapping with a size field is required")
+        size = parse_int(spec["size"], "ground.size")
+        if size > MAX_GROUND_SIZE:
+            raise ResourceLimitError(
+                f"ground.size {size} exceeds the limit {MAX_GROUND_SIZE}")
         labels = spec.get("labels")
         if labels is not None:
             labels = tuple(str(lbl) for lbl in _list(labels, "ground.labels"))
-        size = parse_int(spec["size"], "ground.size")
         try:
             return GroundSet(size, labels)
         except InvalidInputError as exc:
@@ -314,7 +322,9 @@ def _libyaml(fast: str, pure: str):
 
 
 def load_yaml(path: str):
-    """The document in a YAML file; a syntax error is a ParseError."""
+    """The document in a YAML file; a syntax error, or a scalar that
+    cannot be built (an integer past Python's digit limit), is a
+    ParseError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return yaml.load(handle,
@@ -323,6 +333,8 @@ def load_yaml(path: str):
             mark = getattr(exc, "problem_mark", None)
             location = f" at line {mark.line + 1}" if mark else ""
             raise ParseError(f"YAML parse error{location}: {exc}") from exc
+        except ValueError as exc:
+            raise ParseError(f"YAML value error: {exc}") from exc
 
 
 def load_instance(path: str) -> Instance:

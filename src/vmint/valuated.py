@@ -7,10 +7,14 @@ starting point.  An :class:`MnatFunction` is the integer-vector analogue,
 with a bounding box enclosing its effective domain.
 
 Domain membership is value finiteness; there is no separate domain oracle.
-All value queries are memoized per oracle and counted, which feeds the
-oracle-complexity checks in the test suite.  Oracles are logically
-immutable, but the memo and counters mutate on query: confine an oracle to
-one solver run at a time (or guard it) when sharing across threads.
+All value queries are counted, which feeds the oracle-complexity checks
+in the test suite.  A composite oracle (one that asks other oracles, or
+has no cheaper way to answer than its value function) memoizes its
+answers; a leaf answers every query from its own tables and keeps no
+memo, so each of its calls is an eval.  Oracles are logically immutable,
+but the memo, the per-base caches and the counters mutate on query:
+confine an oracle to one solver run at a time (or guard it) when sharing
+across threads.
 
 A valuation oracle has a `scale` D: its value function returns ints in
 units of 1/D, +infinity as None.  The solvers compare and add those raw
@@ -24,20 +28,25 @@ outs, ins)` answers every u in `outs` (inside X) against every v in
 `ins` (outside X) in one call, one per descent step and one per copy of
 each aux build.  It keeps the calls, evals and memo exactly as
 `raw_exchange` (or `exchange_value`) pair by pair, and so as
-`value(X.exchange(u, v))`, does; only a memo miss may be computed
+`value(X.exchange(u, v))`, does; only an evaluation may be computed
 differently, by the oracle's hooks (see `ValuationOracle`).
 
-A modular valuation on a matroid with fundamental-circuit tables answers
-its misses from one circuit table per base (X - u + v is a base exactly
+The leaves are the oracles with a `block_fn`: a modular valuation on a
+matroid with fundamental-circuit tables, `size_constrained_modular`, the
+intersection constraint and the laminar valuations.  The first answers
+exchanges from one circuit table per base (X - u + v is a base exactly
 when u lies on the circuit C(X, v)) and the integer sums w(X) - w_u +
-w_v, with no independence test.  The dual and `apps.modular_on_domain`
+w_v, with no independence test; the others read the sum, copy counts or
+member counts of the base.  A memo would cost them more than it saves.
+The composites memoize: the dual and `apps.modular_on_domain`
 hand each batch of misses to the oracle they ask as one `exchange_pairs`
-call, the dual as exchanges of the complement.  A disjoint sum walks its
-batch, asking each component what `value` asks it, so each component's
-calls, evals and memo move exactly as under `value`.  The intersection
-constraint and the laminar valuations are leaves with a `block_fn` that
-reads the copy or member counts of the base.  Each per-base state is a
-one-entry `functools.lru_cache` of the mask.
+call, the dual as exchanges of the complement; a disjoint sum walks its
+batch, asking each component what `value` asks it (an unchanged part
+once per base, its repeats only counted), so each component's calls,
+evals and memo move exactly as under `value`; explicit tables and
+modular valuations on linear or explicit matroids answer by their value
+function.  Each per-base state is a one-entry `functools.lru_cache` of
+the mask.
 
 Laminar convex functions (convex tables of the member sums of a laminar
 family) are built by :func:`laminar_valuation` on subsets (the laminar
@@ -89,13 +98,18 @@ class ValuationOracle:
     `exchange_value` hand out the same answers as `ExtValue`s.  All of
     them share the counters and the memo.
 
-    Three hooks, all given here, compute memo misses: `value_fn(X)` any
+    Three hooks, all given here, evaluate: `value_fn(X)` a rank-sized
     set; `exchange_fn(base, pairs)` the proper exchanges `pairs` (u in
     base, v not) of a rank-sized base, in pair order, by default as 1 x 1
     blocks if there is a `block_fn`, else by `value_fn`; and
     `block_fn(base, outs, ins)`, for a leaf oracle that asks no other
     oracle, a whole block at once: base - u + v for u in `outs` and v in
     `ins`, u-major.
+
+    A leaf (an oracle with a `block_fn`) keeps no memo: every query goes
+    to the hooks and counts as one eval, so `evals == calls`.  Any other
+    oracle looks each query up in its memo first, and counts only its
+    misses as evals.
     """
 
     def __init__(self, ground: GroundSet, rank: int,
@@ -145,13 +159,15 @@ class ValuationOracle:
         if subset.ground is not self.ground and subset.ground != self.ground:
             raise InvalidInputError("subset is on a different ground set")
         self.calls += 1
-        cached = self._memo.get(subset.mask, _MISSING)
+        mask = subset.mask
+        cached = self._memo.get(mask, _MISSING)
         if cached is _MISSING:
-            if subset.cardinality() != self.rank:
+            if mask.bit_count() != self.rank:
                 cached = None
             else:
                 cached = self._value_fn(subset)
-            self._memo[subset.mask] = cached
+            if self._block_fn is None:
+                self._memo[mask] = cached
             self.evals += 1
         return cached
 
@@ -180,9 +196,18 @@ class ValuationOracle:
                 cached = self._exchange_fn(base, [(u, v)])[0]
             else:
                 cached = self._value_fn(Subset(self.ground, key))
-            self._memo[key] = cached
+            if self._block_fn is None:
+                self._memo[key] = cached
             self.evals += 1
         return cached
+
+    def count_asks(self, count: int) -> None:
+        """Count `count` more `raw_value` queries of a set whose answer
+        the caller holds from an earlier one, as `raw_value` counts them:
+        memo hits, or for a leaf, evals."""
+        self.calls += count
+        if self._block_fn is not None:
+            self.evals += count
 
     def raw_exchanges(self, base: Subset, outs: Sequence[int],
                       ins: Sequence[int]) -> list[Raw]:
@@ -190,40 +215,33 @@ class ValuationOracle:
         the same values, `calls`, `evals` and memo, in that order.
 
         `base` must be rank-sized, `outs` inside it and `ins` outside it;
-        both lists are checked in one pass.  An oracle with a `block_fn`
-        asks it for the whole block and counts as evals what the memo
-        grows by; a memo hit gets the same value, since a value depends
-        only on the set.  Otherwise the block goes the way of
+        both lists are checked in one pass.  A leaf asks its `block_fn`
+        for the whole block, and every other oracle goes the way of
         `exchange_pairs`.
         """
-        mask = self._checked_mask(base, outs, ins)
+        self._check_block(base, outs, ins)
         if self._block_fn is None:
             return self._pairs(base, [(u, v) for u in outs for v in ins])
-        memo = self._memo
-        self.calls += len(outs) * len(ins)
-        values = self._block_fn(base, outs, ins)
-        before = len(memo)
-        bits = [1 << v for v in ins]
-        memo.update(zip([drop | bit for drop in
-                         [mask ^ (1 << u) for u in outs]
-                         for bit in bits], values))
-        self.evals += len(memo) - before
-        return values
+        count = len(outs) * len(ins)
+        self.calls += count
+        self.evals += count
+        return self._block_fn(base, outs, ins)
 
     def exchange_pairs(self, base: Subset,
                        pairs: list[tuple[int, int]]) -> list[Raw]:
         """`[raw_exchange(base, u, v) for u, v in pairs]`, with the same
         values, `calls`, `evals` and memo, for a rank-sized base and
         proper exchanges (u in base, v an element outside it), checked
-        as in `raw_exchanges`.  Every pair is looked up in the memo, and
-        the misses go to `exchange_fn` as one batch, in pair order."""
-        self._checked_mask(base, [u for u, _ in pairs], [v for _, v in pairs])
+        as in `raw_exchanges`.  A leaf hands the pairs to `exchange_fn`;
+        any other oracle looks every pair up in its memo and hands the
+        misses to `exchange_fn` as one batch, in pair order."""
+        self._check_block(base, [u for u, _ in pairs], [v for _, v in pairs])
         return self._pairs(base, pairs)
 
-    def _checked_mask(self, base: Subset, outs: Sequence[int],
-                      ins: Sequence[int]) -> int:
-        """The mask of `base`, once `base` is a rank-sized set on the
-        ground, `outs` are elements inside it and `ins` elements outside."""
+    def _check_block(self, base: Subset, outs: Sequence[int],
+                     ins: Sequence[int]) -> None:
+        """Check that `base` is a rank-sized set on the ground, `outs`
+        are elements inside it and `ins` elements outside."""
         if base.ground is not self.ground and base.ground != self.ground:
             raise InvalidInputError("subset is on a different ground set")
         mask = base.mask
@@ -240,13 +258,15 @@ class ValuationOracle:
             if improper:
                 raise InvalidInputError(
                     "a block exchanges members of the base for non-members")
-        return mask
 
     def _pairs(self, base: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
         """`exchange_pairs` for pairs already checked."""
+        self.calls += len(pairs)
+        if self._block_fn is not None:
+            self.evals += len(pairs)
+            return self._exchange_fn(base, pairs)
         mask = base.mask
         memo = self._memo
-        self.calls += len(pairs)
         keys = [mask ^ (1 << u) | 1 << v for u, v in pairs]
         values = [memo.get(key, _MISSING) for key in keys]
         missed = {key: pair for key, pair, value in zip(keys, pairs, values)
@@ -574,17 +594,23 @@ def from_matroid_and_weights(matroid: MatroidOracle,
     `ValuationOracle.raw_exchanges`), and batches of them, from the table
     of the last base asked about and its scaled sum w(X): X - u + v is a
     base exactly when u is in the table's entry for v, and then its value
-    is w(X) - w_u + w_v.
+    is w(X) - w_u + w_v.  Such an oracle is a leaf and keeps no memo, so
+    its value function keeps the value of the last set it was asked
+    about: the current base of a solver step, or a part that a disjoint
+    sum asks about on every exchange.  That value and the table have
+    separate one-entry caches, so an oracle asked about two bases in turn
+    (one valuation on both sides, or on several copies) rebuilds no table.
     """
     if len(weights) != matroid.ground.size:
         raise InvalidInputError("need one weight per ground element")
     scaled, scale = scaled_weights(weights)
     ground = matroid.ground
 
-    def value(subset: Subset) -> Optional[int]:
-        if not matroid.is_independent(subset):
+    @functools.lru_cache(maxsize=1)
+    def value_of(mask: int) -> Optional[int]:
+        if not matroid.is_independent(Subset(ground, mask)):
             return None
-        return scaled_sum(scaled, subset.mask)
+        return scaled_sum(scaled, mask)
 
     exchange = block = None
     if matroid.has_circuits:
@@ -596,8 +622,7 @@ def from_matroid_and_weights(matroid: MatroidOracle,
             mask = base.mask
             table, total = table_of(mask)
             if table is None:
-                return [value(Subset(ground, mask ^ (1 << u) | 1 << v))
-                        for u, v in pairs]
+                return [value_of(mask ^ (1 << u) | 1 << v) for u, v in pairs]
             return [total - scaled[u] + scaled[v] if table[v] >> u & 1
                     else None for u, v in pairs]
 
@@ -606,7 +631,7 @@ def from_matroid_and_weights(matroid: MatroidOracle,
             mask = base.mask
             table, total = table_of(mask)
             if table is None:
-                return [value(Subset(ground, mask ^ (1 << u) | 1 << v))
+                return [value_of(mask ^ (1 << u) | 1 << v)
                         for u in outs for v in ins]
             columns = [(table[v], scaled[v]) for v in ins]
             return [left + w if entry & bit else None
@@ -614,8 +639,9 @@ def from_matroid_and_weights(matroid: MatroidOracle,
                                       for u in outs]
                     for entry, w in columns]
 
-    return ValuationOracle(ground, matroid.rank, value, matroid.some_base(),
-                           name, exchange, scale, block)
+    return ValuationOracle(ground, matroid.rank,
+                           lambda subset: value_of(subset.mask),
+                           matroid.some_base(), name, exchange, scale, block)
 
 
 def indicator_of_matroid(matroid: MatroidOracle) -> ValuationOracle:
@@ -732,7 +758,9 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
     to the same first +infinity: the copy holding both u and v gets
     `raw_exchange` of its part (so its circuit table answers), and every
     other copy `value` of the part X - u + v has there, off-rank parts of
-    a cross-copy pair included.  The parts of the last base are kept.
+    a cross-copy pair included.  The parts of the last base are kept, and
+    so is the value of each of them once asked: a copy asked again about
+    its unchanged part is not asked, only counted (`count_asks`).
     """
     if not omegas:
         raise InvalidInputError("need at least one valuation")
@@ -754,10 +782,14 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
         return total
 
     size = base.size
-    parts_of = functools.lru_cache(maxsize=1)(
-        lambda mask: tg.to_parts(Subset(tg.combined, mask)))
+    count = len(omegas)
 
-    def pair_value(parts: tuple[Subset, ...], u: int, v: int) -> Raw:
+    @functools.lru_cache(maxsize=1)
+    def state_of(mask: int) -> tuple[tuple[Subset, ...], list]:
+        return tg.to_parts(Subset(tg.combined, mask)), [_MISSING] * count
+
+    def pair_value(parts: tuple[Subset, ...], held: list, repeats: list[int],
+                   u: int, v: int) -> Raw:
         copy_u, a = divmod(u, size)
         copy_v, b = divmod(v, size)
         total = 0
@@ -768,16 +800,23 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
                 term = om.raw_value(Subset(base, parts[i].mask & ~(1 << a)))
             elif i == copy_v:
                 term = om.raw_value(Subset(base, parts[i].mask | 1 << b))
+            elif held[i] is _MISSING:
+                term = held[i] = om.raw_value(parts[i])
             else:
-                term = om.raw_value(parts[i])
+                term = held[i]
+                repeats[i] += 1
             if term is None:
                 return None
             total += term * factors[i]
         return total
 
     def exchange(subset: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
-        parts = parts_of(subset.mask)
-        return [pair_value(parts, u, v) for u, v in pairs]
+        parts, held = state_of(subset.mask)
+        repeats = [0] * count
+        values = [pair_value(parts, held, repeats, u, v) for u, v in pairs]
+        for om, repeat in zip(omegas, repeats):
+            om.count_asks(repeat)
+        return values
 
     witness = None
     if all(om.witness_base is not None for om in omegas):
@@ -1190,6 +1229,8 @@ def check_valuated_exchange(omega: ValuationOracle,
 
     For all X, Y in dom and v in X \\ Y there must be u in Y \\ X with
     omega(X) + omega(Y) >= omega(X - v + u) + omega(Y + v - u).
+    Both exchanges are rank-sized, so the values of the domain answer
+    them, and the loop asks omega nothing, even a leaf with no memo.
     """
     domain = omega.enumerate_domain(limit)
     values = {x.mask: omega.value(x) for x in domain}
@@ -1202,16 +1243,13 @@ def check_valuated_exchange(omega: ValuationOracle,
             v = diff
             while v:
                 vbit = v & -v
-                vi = vbit.bit_length() - 1
                 ok = False
                 u = candidates_mask
                 while u:
                     ubit = u & -u
-                    ui = ubit.bit_length() - 1
-                    first = omega.value(Subset(omega.ground, x.mask ^ vbit | ubit))
+                    first = values.get(x.mask ^ vbit | ubit, INF)
                     if first.is_finite:
-                        second = omega.value(
-                            Subset(omega.ground, y.mask ^ ubit | vbit))
+                        second = values.get(y.mask ^ ubit | vbit, INF)
                         if second.is_finite and lhs >= first + second:
                             ok = True
                             break

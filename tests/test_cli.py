@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 import yaml
 
-from vmint import cli
+from vmint import cli, instances
 from vmint.cli import main
 from vmint.instances import PROBLEM_TYPES, ParseError, dump_report, load_yaml
 from vmint.matroid import MatroidOracle
@@ -106,6 +106,51 @@ def test_graphic_base_is_one_pass(tmp_path, capsys, monkeypatch):
         "problem: {type: v_geq_k, oracles: [v, v], k: 1}\n")
     assert main(["solve", "-i", str(path)]) == 3
     assert f"expected {n} rationals" in capsys.readouterr().err
+
+
+def test_huge_ground_is_a_resource_limit(tmp_path, capsys, monkeypatch):
+    # The size is refused before any matroid or subset mask is built.
+    def uniform(*_args):
+        raise AssertionError("a matroid was built")
+
+    monkeypatch.setattr(instances, "make_uniform", uniform)
+    path = tmp_path / "huge.yaml"
+    for size in (100_000_000_000, instances.MAX_GROUND_SIZE + 1):
+        path.write_text(
+            f"ground: {{size: {size}}}\n"
+            "matroids:\n  M: {kind: uniform, rank: 1}\n"
+            "valuations:\n  v: {kind: modular_on_matroid, matroid: M,"
+            " weights: ['1', '2', '3']}\n"
+            "problem: {type: v_geq_k, oracles: [v, v], k: 1}\n")
+        assert main(["solve", "-i", str(path)]) == 4
+        assert f"ground.size {size} exceeds the limit " \
+            f"{instances.MAX_GROUND_SIZE}" in capsys.readouterr().err
+
+
+def test_huge_exponent_is_invalid(tmp_path, capsys):
+    path = tmp_path / "exponent.yaml"
+    path.write_text(BASIC.replace('"2", "4"]', '"1e999999999", "4"]', 1))
+    assert main(["solve", "-i", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "valuations.v1.weights: exponent of '1e999999999'" in err
+
+
+def test_overlong_reported_value_is_a_resource_limit(tmp_path, capsys):
+    # 2e4300 parses, but the value, with 4301 digits, cannot be written.
+    path = tmp_path / "long.yaml"
+    path.write_text(BASIC.replace('"2", "4"]', '"-2e4300", "4"]', 1))
+    assert main(["solve", "-i", str(path)]) == 4
+    assert "resource limit: a reported rational has too many digits" \
+        in capsys.readouterr().err
+
+
+def test_overlong_yaml_integer_is_invalid(tmp_path, capsys):
+    path = tmp_path / "digits.yaml"
+    path.write_text(BASIC.replace("size: 3", "size: " + "9" * 5001, 1))
+    with pytest.raises(ParseError, match="YAML value error"):
+        load_yaml(str(path))
+    assert main(["solve", "-i", str(path)]) == 3
+    assert "invalid instance: YAML value error" in capsys.readouterr().err
 
 
 def test_parse_error_names_field(tmp_path, capsys):

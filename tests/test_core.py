@@ -58,6 +58,15 @@ class TestExtValue:
         with pytest.raises(InvalidInputError):
             parse_rational("abc")
 
+    def test_decimal_exponent_is_capped(self):
+        assert parse_rational(" 1.5e-3 ") == Fraction(3, 2000)
+        assert parse_rational("1E+04300") == 10 ** 4300
+        assert parse_rational("-2e-4300") == Fraction(-2, 10 ** 4300)
+        for text in ("1e999999999", "1e-4301", "1E+0004301", "1e4_301",
+                     "1e" + "9" * 5000):
+            with pytest.raises(InvalidInputError, match="exponent"):
+                parse_rational(text)
+
 
 @pytest.fixture
 def ground():

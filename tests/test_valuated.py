@@ -1,6 +1,7 @@
 """Valuation oracles, their constructors, and the exchange checkers."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -85,14 +86,22 @@ class TestModularConstructors:
             size_constrained_modular(g3, [1, 2, 4], 5)
 
     def test_memoization_is_transparent_and_counted(self, g3):
+        # The dual keeps a memo: the repeated query is a hit.
         omega = from_matroid_and_weights(make_uniform(g3, 2), [1, 2, 4])
+        dual = dual_valuation(omega)
+        dual.reset_counters()
+        x = g3.subset([1])
+        first = dual.value(x)
+        again = dual.value(x)
+        assert first == again == ExtValue(5)
+        assert dual.calls == 2
+        assert dual.evals == 1
+        # The leaf answers the repeated query again and keeps no memo.
         omega.reset_counters()
-        x = g3.subset([0, 2])
-        first = omega.value(x)
-        again = omega.value(x)
-        assert first == again
-        assert omega.calls == 2
-        assert omega.evals == 1
+        y = g3.subset([0, 2])
+        assert omega.value(y) == omega.value(y) == ExtValue(5)
+        assert omega.calls == omega.evals == 2
+        assert omega._memo == {}
 
 
 class TestModularSum:
@@ -342,18 +351,30 @@ class TestCopyReductionExchange:
 
     @staticmethod
     def _same_answers(make, queries):
+        """The same values and `calls` on every oracle.  A leaf (an
+        oracle with a `block_fn`) evaluates every call and keeps no memo;
+        an oracle of the twin's kind also has the twin's `evals` and
+        memo, so only a leaf against its value-only twin differs there."""
         ours, twin = make(), make()
         twin[0] = value_only(twin[0])
         for oracle in ours + twin:
             oracle.reset_counters()
+        alike = [(a._block_fn is None) == (b._block_fn is None)
+                 for a, b in zip(ours, twin)]
         for x, u, v in queries:
             assert ours[0].exchange_value(x, u, v) == twin[0].value(
                 x.exchange(u, v)), (x.mask, u, v)
-            for a, b in zip(ours, twin):
-                assert (a.calls, a.evals) == (b.calls, b.evals), (
-                    a.name, x.mask, u, v)
-        for a, b in zip(ours, twin):
-            assert a._memo == b._memo, a.name
+            for a, b, same_kind in zip(ours, twin, alike):
+                assert a.calls == b.calls, (a.name, x.mask, u, v)
+                if a._block_fn is not None:
+                    assert a.evals == a.calls, (a.name, x.mask, u, v)
+                if same_kind:
+                    assert a.evals == b.evals, (a.name, x.mask, u, v)
+        for a, b, same_kind in zip(ours, twin, alike):
+            if a._block_fn is not None:
+                assert a._memo == {}, a.name
+            if same_kind:
+                assert a._memo == b._memo, a.name
 
     @pytest.mark.parametrize("kind",
                              ["sum", "constraint", "penalty", "lifted"])
@@ -597,6 +618,51 @@ class TestBlockExchanges:
             assert (oracle.calls, oracle.evals) == calls
 
 
+class TestLeavesKeepNoMemo:
+    """A leaf (an oracle with a `block_fn`) answers every public query
+    from its hooks: each call is one eval, and the memo stays empty."""
+
+    LEAVES = ("uniform", "partition", "graphic", "size", "constraint",
+              "penalty", "lifted")
+
+    @pytest.mark.parametrize("kind", LEAVES)
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 3))
+    def test_every_query_is_an_eval(self, kind, seed, size, copies):
+        make = TestBlockExchanges._maker(random.Random(seed), kind, size,
+                                         copies)
+        if make is None:
+            return
+        (oracle,) = make()
+        assert oracle._block_fn is not None
+        ground, x = oracle.ground, oracle.witness_base
+        inside = list(x.members())
+        outside = [v for v in ground.elements() if not x.contains(v)]
+        pairs = [(u, v) for u in inside for v in outside]
+        u, v = (inside or outside)[0], (outside or inside)[-1]
+        domain = math.comb(ground.size, oracle.rank)
+        queries = [
+            (1, lambda: oracle.value(x)),
+            (1, lambda: oracle.raw_value(x)),
+            (1, lambda: oracle.in_domain(x)),
+            (1, lambda: oracle.raw_value(ground.full())),
+            (1, lambda: oracle.exchange_value(x, u, v)),
+            (1, lambda: oracle.raw_exchange(x, u, v)),
+            (1, lambda: oracle.raw_exchange(x, v, u)),
+            (1, lambda: oracle.raw_exchange(x, u, u)),
+            (len(pairs), lambda: oracle.exchange_pairs(x, pairs)),
+            (len(pairs), lambda: oracle.raw_exchanges(x, inside, outside)),
+            (domain, lambda: oracle.enumerate_domain()),
+        ]
+        oracle.reset_counters()
+        for calls, query in queries + queries:
+            before = oracle.calls
+            query()
+            assert oracle.calls == before + calls
+            assert oracle.evals == oracle.calls
+            assert oracle._memo == {}
+
+
 class TestScale:
     """Every oracle keeps ints over its denominator in the memo and hands
     out the same exact values; a disjoint sum is scaled by the lcm of its
@@ -794,6 +860,38 @@ class TestDisjointSum:
         total, tg = disjoint_sum([omega])
         for subset in omega.enumerate_domain():
             assert total.value(tg.to_subset([subset])) == omega.value(subset)
+
+    def test_unchanged_parts_are_evaluated_once_per_base(self):
+        """Three copies share one leaf: a batch of exchanges evaluates
+        each copy's unchanged part once and only counts its repeats, with
+        the calls of a sum over a value-only twin."""
+        ground = GroundSet(4)
+        leaf = from_matroid_and_weights(make_uniform(ground, 2), [1, 2, 4, 8])
+        asked = []
+
+        def value_fn(subset):
+            asked.append(subset.mask)
+            return leaf._value_fn(subset)
+
+        counted = ValuationOracle(ground, 2, value_fn, leaf.witness_base,
+                                  "counted", leaf._exchange_fn, leaf.scale,
+                                  leaf._block_fn)
+        twin = value_only(leaf)
+        ours, tg = disjoint_sum([counted] * 3)
+        theirs, _ = disjoint_sum([twin] * 3)
+        parts = [ground.subset(p) for p in ([0, 1], [1, 2], [2, 3])]
+        base = tg.to_subset(parts)
+        outs = list(base.members())
+        ins = [v for v in tg.combined.elements() if not base.contains(v)]
+        counted.reset_counters()
+        twin.reset_counters()
+        asked.clear()
+        assert ours.raw_exchanges(base, outs, ins) \
+            == theirs.raw_exchanges(base, outs, ins)
+        assert sorted(asked) == sorted(p.mask for p in parts)
+        assert counted.calls == twin.calls > len(parts)
+        assert counted.evals == counted.calls
+        assert counted._memo == {}
 
 
 class TestIntersectionConstraint:

@@ -16,7 +16,7 @@ import vmint.viap as viap
 import vmint.vmi as vmi
 from vmint.core import ExtValue, GroundSet, InternalInvariantError, dot
 from vmint.bruteforce import brute_v_eq_k, brute_v_geq_k
-from vmint.matroid import make_uniform
+from vmint.matroid import make_graphic, make_uniform
 from vmint.rand_instances import (
     MATROID_KINDS,
     random_ground,
@@ -27,6 +27,7 @@ from vmint.rand_instances import (
 from vmint.valuated import (
     ConvexTable,
     LaminarSpec,
+    ValuationOracle,
     check_valuated_exchange,
     dual_valuation,
     from_matroid_and_weights,
@@ -906,6 +907,37 @@ class TestPinnedLadderOutputs:
                 digest.update(_solution_text(solve(make1(), make2(), k))
                               .encode() + b"\n")
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestLeafSolves:
+    """A solve at k = rank on leaves, which keep no memo, has every output
+    of the same solve on value-only twins, which memoize, down to the
+    oracle calls."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "graphic"])
+    def test_same_outputs_as_value_only_twins(self, kind):
+        rng = random.Random(40)
+        n = 40
+        if kind == "uniform":
+            matroid = make_uniform(GroundSet(n), n // 2)
+        else:
+            # A path through 21 vertices and 20 random chords.
+            edges = [(i, i + 1) for i in range(20)]
+            edges += [tuple(rng.sample(range(21), 2)) for _ in range(20)]
+            matroid = make_graphic(21, edges)
+        leaves = [from_matroid_and_weights(matroid, tuple(
+            random_rational(rng, denominators=range(1, 13))
+            for _ in range(n))) for _ in range(2)]
+        twins = [ValuationOracle(leaf.ground, leaf.rank, leaf._value_fn,
+                                 leaf.witness_base, scale=leaf.scale)
+                 for leaf in leaves]
+        ours = solve_v_geq_k(*leaves, matroid.rank)
+        theirs = solve_v_geq_k(*twins, matroid.rank)
+        assert ours.optimal and ours.witness is not None
+        assert _solution_text(ours) == _solution_text(theirs)
+        for leaf in leaves:
+            assert leaf._memo == {}
+            assert leaf.evals == leaf.calls > 0
 
 
 def _fraction_exchange_lengths(x1, x2, p1, p2, omega1, omega2):

@@ -23,8 +23,13 @@ tuples.  A Bellman-Ford pass from a virtual source settles in O(N*M)
 steps exactly when there is no negative cycle, so the final optimality
 proof skips the fewest-arcs walk DP; the pass stops as soon as its parent
 links close a cycle, which is then negative.  When it does not settle,
-the DP relaxes the same list once per source and walk length and picks
-the cycle.  The objective sums the weights in units and builds one `Fraction`.
+the DP keeps one row of cheapest walks per source.  At each walk length
+it first closes every row through its source's in-arcs and yields the
+negative closed walks; it extends the rows by one arc, from their reached
+tails along per-tail out-lists, only when the caller asks for more.  The
+first improving cycle usually comes at the first negative length, so the
+rows of that length are never built.  The objective sums the weights in
+units and builds one `Fraction`.
 
 Exchange arcs of a direct sum h(z) = sum of part_B(z_B) (see
 `valuated.direct_sum`) are read block by block through the parts'
@@ -294,53 +299,79 @@ def _find_negative_cycles(num_nodes: int, aux_arcs: list[_AuxArc]):
     the first length at which a negative closed walk appears yields a
     simple cycle (a shorter negative closed walk would exist otherwise).
     Longer candidates may repeat arcs and are validated by the caller
-    before use.  Each length relaxes the arc list once per source, in
-    index order and on strict improvement, so among walks of equal cost
-    the last arc is the lowest-index one.
+    before use.
+
+    Each source u keeps a row of its cheapest walks of L - 1 arcs.  At
+    length L the closed walk at u is first taken over u's in-arcs, in
+    index order and on strict improvement, and the negative ones are
+    yielded; only a caller that asks for more pays for extending every
+    row by one arc, from the tails the row has reached along their
+    out-arcs.  A walk of equal cost keeps the lower last-arc index, so
+    every parent is the lowest-index arc among the cheapest, whatever the
+    order of the tails.
     """
     edges = [(arc.tail, arc.head, arc.cost, idx)
              for idx, arc in enumerate(aux_arcs)]
     if not _has_negative_cycle(num_nodes, edges):
         return
     nodes = range(num_nodes)
-    # best[u][v]: cheapest walk u -> v with exactly k arcs (None: no walk);
-    # parent[u][k-1][v]: the last arc of that walk.
+    in_arcs: list[list[tuple[int, int, int]]] = [[] for _ in nodes]
+    out_arcs: list[list[tuple[int, int, int]]] = [[] for _ in nodes]
+    for tail, head, cost, idx in edges:
+        in_arcs[head].append((tail, cost, idx))
+        out_arcs[tail].append((head, cost, idx))
+    # best[u][v]: cheapest walk u -> v with exactly L - 1 arcs (None: no
+    # walk); parent[u][k-1][v]: the last arc of that walk with k arcs.
     best: list[list[Optional[int]]] = [[None] * num_nodes for _ in nodes]
     parent: list[list[list[int]]] = [[] for _ in nodes]
     for u in nodes:
         best[u][u] = 0
     for length in range(1, num_nodes + 1):
+        negatives = []
         for u in nodes:
             reach = best[u]
+            closed = None
+            closing = -1
+            for tail, cost, idx in in_arcs[u]:
+                prev = reach[tail]
+                if prev is not None:
+                    walk = prev + cost
+                    if closed is None or walk < closed:
+                        closed = walk
+                        closing = idx
+            if closed is not None and closed < 0:
+                negatives.append((closed, u, closing))
+        negatives.sort()
+        for _cost, anchor, closing in negatives:
+            yield _reconstruct_cycle(aux_arcs, parent[anchor], closing)
+        if length == num_nodes:
+            return
+        for u in nodes:
             new_reach: list[Optional[int]] = [None] * num_nodes
             new_parent = [-1] * num_nodes
-            for tail, head, cost, idx in edges:
-                prev = reach[tail]
+            for tail, prev in enumerate(best[u]):
                 if prev is None:
                     continue
-                walk = prev + cost
-                held = new_reach[head]
-                if held is None or walk < held:
-                    new_reach[head] = walk
-                    new_parent[head] = idx
+                for head, cost, idx in out_arcs[tail]:
+                    walk = prev + cost
+                    held = new_reach[head]
+                    if held is None or walk < held \
+                            or walk == held and idx < new_parent[head]:
+                        new_reach[head] = walk
+                        new_parent[head] = idx
             best[u] = new_reach
             parent[u].append(new_parent)
-        negatives = sorted((best[u][u], u) for u in nodes
-                           if best[u][u] is not None and best[u][u] < 0)
-        for _cost, anchor in negatives:
-            yield _reconstruct_cycle(aux_arcs, parent, anchor, length)
 
 
-def _reconstruct_cycle(aux_arcs: list[_AuxArc],
-                       parent: list[list[list[int]]],
-                       anchor: int, length: int) -> list[_AuxArc]:
-    arcs: list[_AuxArc] = []
-    node = anchor
-    for k in range(length, 0, -1):
-        idx = parent[anchor][k - 1][node]
-        arc = aux_arcs[idx]
+def _reconstruct_cycle(aux_arcs: list[_AuxArc], rows: list[list[int]],
+                       closing: int) -> list[_AuxArc]:
+    """The cycle closed by arc `closing` into its anchor, whose earlier
+    arcs are read back through the anchor's parent rows."""
+    arc = aux_arcs[closing]
+    arcs = [arc]
+    for row in reversed(rows):
+        arc = aux_arcs[row[arc.tail]]
         arcs.append(arc)
-        node = arc.tail
     arcs.reverse()
     return arcs
 
@@ -485,6 +516,22 @@ class CoupledSolution:
         return self.status == "optimal"
 
 
+def _coupling_weights(f1: MnatFunction, f2: MnatFunction,
+                      weights: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The weights as Fractions, once the pair and the weights are checked
+    to be an input of the coupled problem."""
+    if f2.dimension != f1.dimension:
+        raise InvalidInputError("functions have different dimensions")
+    ws = tuple(Fraction(w) for w in weights)
+    if len(ws) != f1.dimension:
+        raise InvalidInputError("need one weight per element")
+    if any(w > 0 for w in ws):
+        raise InvalidInputError("coupling weights must be nonpositive")
+    if any(lo < 0 for lo in f1.box_lower) or any(lo < 0 for lo in f2.box_lower):
+        raise InvalidInputError("domains must lie in the nonnegative orthant")
+    return ws
+
+
 def build_mgeqk_instance(f1: MnatFunction, f2: MnatFunction, k: int,
                          weights: Sequence[Fraction]) -> CoupledInstance:
     """Build the flow instance for the coupled problem with w <= 0.
@@ -498,15 +545,7 @@ def build_mgeqk_instance(f1: MnatFunction, f2: MnatFunction, k: int,
     bounds, which no flow with finite h can exceed.
     """
     n = f1.dimension
-    if f2.dimension != n:
-        raise InvalidInputError("functions have different dimensions")
-    ws = tuple(Fraction(w) for w in weights)
-    if len(ws) != n:
-        raise InvalidInputError("need one weight per element")
-    if any(w > 0 for w in ws):
-        raise InvalidInputError("coupling weights must be nonpositive")
-    if any(lo < 0 for lo in f1.box_lower) or any(lo < 0 for lo in f2.box_lower):
-        raise InvalidInputError("domains must lie in the nonnegative orthant")
+    ws = _coupling_weights(f1, f2, weights)
     r1 = f1.rank_total()
     r2 = f2.rank_total()
     if not 0 <= k <= min(r1, r2):
@@ -594,9 +633,8 @@ def solve_m_geq_k_w(f1: MnatFunction, f2: MnatFunction, k: int,
     feasibility, and exhausting improvements below k proves infeasibility.
     Phase 2 descends on the true objective from the phase-1 flow.
     """
-    r1 = f1.rank_total()
-    r2 = f2.rank_total()
-    if k > min(r1, r2):
+    _coupling_weights(f1, f2, weights)
+    if k > min(f1.rank_total(), f2.rank_total()):
         return CoupledSolution("infeasible")
     instance = build_mgeqk_instance(f1, f2, k, weights)
     start = solution_to_flow(f1.require_witness(), f2.require_witness(),

@@ -476,7 +476,8 @@ def direct_sum(parts: Sequence, name: str,
     `moved(entries, up, down)` (see `MnatFunction.moved`), which is
     +infinity outside its box.  The box and witness are the parts'
     joined end to end (no witness if a part has none).  With `indicator`
-    the value is 0 wherever every part is finite.
+    the value is 0 wherever every part is finite.  The value asks each
+    part `moved(z_B, -1, -1)`, so a memo hit builds no vector.
 
     The result exposes `blocks`, a tuple of `(offset, part)` pairs that
     tile the coordinates in order and satisfy, at every point z,
@@ -496,8 +497,7 @@ def direct_sum(parts: Sequence, name: str,
     def value(z: IntVector) -> ExtValue:
         total = ZERO
         for start, part in blocks:
-            term = part.value(
-                IntVector(z.entries[start:start + part.dimension]))
+            term = part.moved(z.entries[start:start + part.dimension], -1, -1)
             if not term.is_finite:
                 return INF
             total = total + term

@@ -392,6 +392,19 @@ def test_m_geq_k_w_solves_without_a_box_scan(dimension, top, domain,
     assert Fraction(report["value"]) == best
 
 
+@pytest.mark.parametrize("k", [2, 9])
+def test_m_geq_k_w_positive_weight_is_invalid_at_any_k(k, tmp_path, capsys):
+    path = tmp_path / "m_geq_k_w.yaml"
+    assert main(["generate", "--problem", "m_geq_k_w", "--seed", "0",
+                 "--out", str(path)]) == 0
+    document = yaml.safe_load(path.read_text())
+    document["problem"]["w"] = ["3", "-5"]
+    document["problem"]["k"] = k
+    path.write_text(yaml.safe_dump(document, sort_keys=False))
+    assert main(["solve", "-i", str(path)]) == 3
+    assert "nonpositive" in capsys.readouterr().err
+
+
 def test_stock_instances(capsys):
     import pathlib
 

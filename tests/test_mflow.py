@@ -248,6 +248,18 @@ class TestCoupledSolve:
         k = min(f1.rank_total(), f2.rank_total()) + 1
         assert solve_m_geq_k_w(f1, f2, k, [0, 0]).status == "infeasible"
 
+    def test_input_checked_before_k_too_large(self):
+        rng = random.Random(9)
+        f1, f2 = random_mconvex_pair(rng, 2)
+        g1, _ = random_mconvex_pair(rng, 3)
+        k = min(f1.rank_total(), f2.rank_total()) + 1
+        for a, b, w in ((f1, g1, [0, 0]), (f1, f2, [0, 0, 0]),
+                        (f1, f2, [3, -5]), (_quadratic_h(2), f2, [0, 0])):
+            with pytest.raises(InvalidInputError):
+                build_mgeqk_instance(a, b, 0, w)
+            with pytest.raises(InvalidInputError):
+                solve_m_geq_k_w(a, b, k, w)
+
     def test_zero_one_case_matches_viap(self):
         g3 = GroundSet(3, ("a", "b", "c"))
         u23 = make_uniform(g3, 2)
@@ -395,6 +407,34 @@ def _tied_aux_graphs(draw):
                for i, (tail, head, cost) in enumerate(arcs)]
 
 
+def _workload_aux_graph(rng, tied):
+    """An arc list the size of a `coupled_flow` aux graph, 14-20 nodes and
+    60-130 arcs: free costs, or (`tied`) potential differences over a few
+    values with mostly zero slack and n arcs repeated later in the list,
+    as in `_tied_aux_graphs`."""
+    n, m = rng.randint(14, 20), rng.randint(60, 130)
+    ends = []
+    while len(ends) < m - (n if tied else 0):
+        tail, head = rng.randrange(n), rng.randrange(n)
+        if tail != head:
+            ends.append((tail, head))
+    if not tied:
+        arcs = [(tail, head, Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+                for tail, head in ends]
+    else:
+        potential = [rng.choice((Fraction(0), Fraction(1, 3), Fraction(-1)))
+                     for _ in range(n)]
+        slacks = [Fraction(0)] * 8 + [Fraction(-1, 3), Fraction(1, 2)]
+        arcs = [(tail, head,
+                 potential[head] - potential[tail] + rng.choice(slacks))
+                for tail, head in ends]
+        for _ in range(n):
+            arc = rng.choice(arcs)
+            arcs.insert(rng.randint(arcs.index(arc) + 1, len(arcs)), arc)
+    return n, [_OracleArc(tail, head, cost, i, +1)
+               for i, (tail, head, cost) in enumerate(arcs)]
+
+
 def _in_units(arcs):
     """The arcs with their costs as ints over the lcm of the denominators."""
     scale = math.lcm(*(arc.cost.denominator for arc in arcs))
@@ -435,6 +475,15 @@ class TestIntegerCycleSearch:
     @given(_tied_aux_graphs())
     def test_ties_break_as_in_the_fraction_dp(self, graph):
         self._same_cycles(*graph)
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["free", "tied"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_workload_sized_graphs_yield_every_length(self, seed, tied):
+        # The whole generator output, so the rows extended after the first
+        # negative length are compared too.
+        n, arcs = _workload_aux_graph(random.Random(seed), tied)
+        cycles = self._same_cycles(n, arcs)
+        assert len({len(cycle) for cycle in cycles}) > 1
 
     def test_parallel_arc_of_equal_cost_loses_the_tie(self):
         arcs = [_OracleArc(0, 1, Fraction(-1, 2), 0, +1),

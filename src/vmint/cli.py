@@ -57,17 +57,14 @@ from .instances import (
 from .mflow import solve_m_geq_k_w
 from .rand_instances import random_instance_document
 from .reference import lpt_solve_w_eq_k
-from .valuated import (
-    TupleGround,
-    check_mnat_exchange,
-    check_valuated_exchange,
-)
+from .valuated import check_mnat_exchange, check_valuated_exchange
 from .viap import (
     IntersectionSolution,
     Witness,
     solve_v_eq_k,
     solve_v_geq_k,
     verify_solution,
+    witness_problem,
 )
 from .vmi import solve_v_In, solve_v_leq_k, solve_v_n_w
 
@@ -135,17 +132,22 @@ def _two_names(instance: Instance, key: str, what: str) -> list:
     return names
 
 
-# Each problem type maps to a function (instance, k override) returning
-# (status, value, the report fields after problem/status/value, and a
-# brute-force thunk of the enumeration limit, or None when there is no
-# brute-force oracle).  Solvers are looked up as module globals at call
-# time, so wrapping them on `vmint.cli` takes effect.
+# A handler takes (instance, k override) and returns (status, value, the
+# report fields after problem/status/value, and a brute-force thunk of the
+# enumeration limit, or None when there is no brute-force oracle).
+# Solvers are looked up as module globals at call time, so wrapping them
+# on `vmint.cli` takes effect.
+
+def _pair_problem(instance: Instance, k_override: Optional[int]):
+    """The two valuations and the k of a pair problem."""
+    omega1, omega2 = _named_oracles(instance, 2)
+    return omega1, omega2, _problem_k(instance, k_override)
+
 
 def _pair(instance: Instance, k_override: Optional[int]):
     ptype = instance.problem["type"]
-    omega1, omega2 = _named_oracles(instance, 2)
+    omega1, omega2, k = _pair_problem(instance, k_override)
     names = instance.problem["oracles"]
-    k = _problem_k(instance, k_override)
     solver, brute = {"v_geq_k": (solve_v_geq_k, brute_v_geq_k),
                      "v_eq_k": (solve_v_eq_k, brute_v_eq_k),
                      "v_leq_k": (solve_v_leq_k, brute_v_leq_k)}[ptype]
@@ -260,32 +262,44 @@ def _congestion(instance: Instance, k_override: Optional[int]):
             lambda limit: brute_congestion(omegas, delays, limit))
 
 
+# The problem types: each maps to (handler, whether `--k` applies, the
+# witness modes of its reports).  `_certify` checks a report of a type
+# with witness modes; the first mode is the default.
 PROBLEMS = {
-    "v_geq_k": _pair, "v_eq_k": _pair, "v_leq_k": _pair,
-    "v_in": _copies, "v_n_w": _copies, "m_geq_k_w": _m_geq_k_w,
-    "w_eq_k_lpt": _w_eq_k_lpt, "v_c": _v_c, "copic": _copic,
-    "recoverable_robust": _recoverable_robust,
-    "congestion": _congestion,
+    "v_geq_k": (_pair, True, ("geq",)),
+    "v_eq_k": (_pair, True, ("eq-direct", "eq-dual")),
+    "v_leq_k": (_pair, True, ("leq",)),
+    "v_in": (_copies, False, ()),
+    "v_n_w": (_copies, False, ()),
+    "m_geq_k_w": (_m_geq_k_w, True, ()),
+    "w_eq_k_lpt": (_w_eq_k_lpt, True, ()),
+    "v_c": (_v_c, False, ()),
+    "copic": (_copic, False, ()),
+    "recoverable_robust": (_recoverable_robust, True, ()),
+    "congestion": (_congestion, False, ()),
 }
 
-# The types whose reports carry a witness that `_certify` checks.
-CERTIFIED = ("v_geq_k", "v_eq_k", "v_leq_k")
 
-# The types whose problem has a k, which `--k` overrides.
-TAKES_K = ("v_geq_k", "v_eq_k", "v_leq_k", "m_geq_k_w", "w_eq_k_lpt",
-           "recoverable_robust")
-
-
-def _solve(instance: Instance, args) -> tuple[dict, int]:
+def _load(path: str) -> tuple[Instance, str, tuple]:
+    """The instance at `path`, its type and the type's `PROBLEMS` row;
+    a type outside the table is invalid."""
+    instance = load_instance(path)
     ptype = instance.problem["type"]
-    if args.k is not None and ptype not in TAKES_K:
+    if not isinstance(ptype, str) or ptype not in PROBLEMS:
+        raise ParseError(f"problem.type: unknown type {ptype!r}")
+    return instance, ptype, PROBLEMS[ptype]
+
+
+def _solve(args) -> tuple[dict, int]:
+    instance, ptype, (handler, takes_k, modes) = _load(args.instance)
+    if args.k is not None and not takes_k:
         raise InvalidInputError(f"--k: problem type {ptype!r} takes no k")
-    status, value, fields, brute = PROBLEMS[ptype](instance, args.k)
+    status, value, fields, brute = handler(instance, args.k)
     report = {"problem": ptype, "status": status,
               "value": _text(value) if status == "optimal" else None,
               **fields}
-    if args.verify and status == "optimal" and ptype in CERTIFIED:
-        if not _certify(instance, report, args.k):
+    if args.verify and status == "optimal" and modes:
+        if not _certify(instance, ptype, modes, report, args.k):
             raise InvalidInputError("witness failed verification")
         report["verified"] = True
     if args.brute and brute is not None:
@@ -312,35 +326,32 @@ def _rationals(values, field: str, size: int) -> tuple[Fraction, ...]:
     return tuple(parse_rational(v) for v in values)
 
 
-def _certify(instance: Instance, report: dict,
+def _certify(instance: Instance, ptype: str, modes: tuple, report: dict,
              k_override: Optional[int] = None) -> bool:
-    """Check the optimality witness of an optimal report on its instance.
+    """Check the optimality witness of an optimal report on its instance,
+    whose type `ptype` has the witness modes `modes`.
 
-    Everything is read back from the report as emitted.  The reported
-    value must be the objective of the reported pair, and
-    :func:`viap.verify_solution` must accept the pair and its witness at
-    the instance's k.  A `v_eq_k` report is checked on the dual only when
-    its witness says "eq-dual".
+    The type, valuations and k are the instance's; a report of another
+    type is invalid.  The rest is read back from the report as emitted:
+    the reported value must be the objective of the reported pair, and
+    :func:`viap.verify_solution` must accept the pair and its witness,
+    read in the mode it names if that is one of `modes`, else the first.
     """
-    ptype = report.get("problem")
-    if ptype not in CERTIFIED:
+    if report.get("problem") != ptype:
+        raise ParseError(f"verify: a {report.get('problem')!r} report on a"
+                         f" {ptype!r} instance")
+    if not modes:
         raise ParseError(f"verify: unsupported problem type {ptype!r}")
     spec = report.get("witness")
     if not isinstance(spec, dict):
         raise ParseError("verify: report carries no witness")
-    omega1, omega2 = _named_oracles(instance, 2)
+    omega1, omega2, k = _pair_problem(instance, k_override)
     ground = instance.ground
     x1 = _labelled_subset(ground, report.get("x1"), "x1")
     x2 = _labelled_subset(ground, report.get("x2"), "x2")
     value = parse_rational(report.get("value"))
-    k = _problem_k(instance, k_override)
-    if ptype == "v_geq_k":
-        mode, inner = "geq", ground
-    elif ptype == "v_leq_k":
-        mode, inner = "leq", TupleGround(ground, 2).combined
-    else:
-        mode = "eq-dual" if spec.get("mode") == "eq-dual" else "eq-direct"
-        inner = ground
+    mode = spec.get("mode") if spec.get("mode") in modes else modes[0]
+    inner = witness_problem(mode, omega1, omega2, x1, x2, k)[0].ground
     witness = Witness(
         _rationals(spec.get("p1"), "witness.p1", inner.size),
         _rationals(spec.get("p2"), "witness.p2", inner.size),
@@ -364,8 +375,7 @@ def _check_brute_match(status: str, value, brute_status: str, brute_value):
 
 def _cmd_solve(args) -> int:
     started = time.monotonic()
-    instance = load_instance(args.instance)
-    report, code = _solve(instance, args)
+    report, code = _solve(args)
     text = dump_report(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -379,7 +389,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    instance = load_instance(args.instance)
+    instance = _load(args.instance)[0]
     if args.valuation is not None:
         oracle = instance.named_valuation("check", args.valuation)
         ok = check_valuated_exchange(oracle, args.limit)
@@ -396,14 +406,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_verify(args) -> int:
     """Re-validate an emitted solution file without re-running the solver."""
-    instance = load_instance(args.instance)
+    instance, ptype, (_, _, modes) = _load(args.instance)
     report = load_yaml(args.solution)
     if not isinstance(report, dict):
         raise ParseError("verify: the solution file is not a report")
     if report.get("status") != "optimal":
         print("nothing to verify: solution is not optimal", file=sys.stderr)
         return EXIT_INFEASIBLE
-    ok = _certify(instance, report)
+    ok = _certify(instance, ptype, modes, report)
     print(f"witness: {'valid' if ok else 'INVALID'}")
     return EXIT_OPTIMAL if ok else EXIT_CHECK_FAILED
 

@@ -303,10 +303,6 @@ class Subset:
     def remove(self, index: int) -> "Subset":
         return Subset(self.ground, self.mask & ~(1 << index))
 
-    def union(self, other: "Subset") -> "Subset":
-        self._check_ground(other)
-        return Subset(self.ground, self.mask | other.mask)
-
     def intersection(self, other: "Subset") -> "Subset":
         self._check_ground(other)
         return Subset(self.ground, self.mask & other.mask)

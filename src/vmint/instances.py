@@ -69,11 +69,6 @@ from .valuated import (
     size_constrained_modular,
 )
 
-PROBLEM_TYPES = (
-    "v_geq_k", "v_eq_k", "v_leq_k", "v_in", "v_n_w", "m_geq_k_w",
-    "w_eq_k_lpt", "v_c", "copic", "recoverable_robust", "congestion",
-)
-
 # The largest ground set an instance may declare.  A subset is a bit mask
 # of the ground, so a larger one costs memory before any oracle is built.
 MAX_GROUND_SIZE = 1_000_000
@@ -189,8 +184,6 @@ class Instance:
         problem = raw.get("problem")
         if not isinstance(problem, dict) or "type" not in problem:
             raise ParseError("problem: section with a type field is required")
-        if problem["type"] not in PROBLEM_TYPES:
-            raise ParseError(f"problem.type: unknown type {problem['type']!r}")
         self.problem = problem
 
     # -- section parsers ---------------------------------------------------

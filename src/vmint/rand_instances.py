@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import INF, GroundSet, IntVector, InvalidInputError
-from .instances import PROBLEM_TYPES, build_matroid
+from .instances import build_matroid
 from .matroid import MatroidOracle, make_uniform
 from .valuated import (
     ConvexTable,
@@ -201,8 +201,6 @@ def _strings(values) -> list[str]:
 def random_instance_document(problem: str, rng: random.Random) -> dict:
     """A YAML-serializable instance of the given problem type on the
     labels e0, e1, ...; its matroids are uniform, partition or graphic."""
-    if problem not in PROBLEM_TYPES:
-        raise InvalidInputError(f"cannot generate problem type {problem!r}")
     n = rng.randint(2, 6)
     labels = [f"e{i}" for i in range(n)]
     doc: dict = {"ground": {"size": n, "labels": labels}}
@@ -284,11 +282,13 @@ def random_instance_document(problem: str, rng: random.Random) -> dict:
         doc["problem"] = {"type": "recoverable_robust", "oracle": "v1",
                           "lower": _strings(lower), "upper": _strings(upper),
                           "k": rng.randint(0, 2)}
-    else:   # congestion
+    elif problem == "congestion":
         players = modular(range(rng.randint(1, 3)), max_rank=2, low=0,
                           high=10)
         doc["problem"] = {
             "type": "congestion", "players": players,
             "delays": [_strings(random_delay_table(rng, len(players)))
                        for _ in range(n)]}
+    else:
+        raise InvalidInputError(f"cannot generate problem type {problem!r}")
     return doc

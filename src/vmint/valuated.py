@@ -343,21 +343,12 @@ class MnatFunction:
             raise InvalidInputError("witness point has infinite value")
 
     def value(self, x: IntVector) -> ExtValue:
-        if len(x) != self.dimension:
-            raise InvalidInputError("vector length mismatch")
-        self.calls += 1
-        key = x.entries
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self._value_fn(x) if self.in_box(x) else INF
-            self._memo[key] = cached
-            self.evals += 1
-        return cached
+        return self.moved(x.entries, -1, -1)
 
     def moved(self, entries: tuple[int, ...], up: int, down: int) -> ExtValue:
         """`value(z + e_up - e_down)` for z given by its entries, where -1
-        means no move; the same memo, box test and counters as `value`,
-        and a memo hit builds no vector.  Exchange arcs ask through this.
+        means no move; a memo hit builds no vector.  `value` and the
+        exchange arcs ask through this.
         """
         if len(entries) != self.dimension:
             raise InvalidInputError("vector length mismatch")

@@ -705,18 +705,36 @@ def solve_v_eq_k(omega1: ValuationOracle, omega2: ValuationOracle, k: int,
                                 dual_solution.oracle_calls)
 
 
+def witness_problem(mode: str, omega1: ValuationOracle,
+                    omega2: ValuationOracle, x1: Subset, x2: Subset, k: int):
+    """The valuations, pair and level at which a `mode` witness of (x1, x2)
+    solved at k certifies it, on the first valuation's ground set: level
+    k itself; for "eq-dual", rank_1 - k with omega_2 dualized and x2
+    complemented; for "leq", the full rank of the intersection of
+    :func:`vmi.v_leq_k_pair`, on whose two copies the pair is one set.
+    """
+    if mode == "leq":
+        from .vmi import v_leq_k_pair   # vmi imports this module
+
+        omega1, omega2, copies = v_leq_k_pair(omega1, omega2, k)
+        x1 = x2 = copies.to_subset([x1, x2])
+        return omega1, omega2, x1, x2, omega1.rank
+    if mode == "eq-dual":
+        return (omega1, dual_valuation(omega2), x1, x2.complement(),
+                omega1.rank - k)
+    return omega1, omega2, x1, x2, k
+
+
 def verify_solution(solution: IntersectionSolution,
                     omega1: ValuationOracle, omega2: ValuationOracle,
                     exhaustive: bool = False) -> bool:
     """Re-check a solution's witness against the oracles it was solved on.
 
     The witness must certify the pair at the level the solver reached, on
-    the instance it was solved on: level k itself; for an "eq-dual"
-    solution, level rank_1 - k with omega_2 dualized; for a "leq" solution,
-    the full rank of the valuated matroid intersection of
-    :func:`vmi.v_leq_k_pair`, on which the pair is one set.  An "eq-*"
-    pair must also meet in exactly k elements; >= k holds through the
-    matched set and <= k through the constraint valuation.
+    the instance it was solved on: that of :func:`witness_problem` for
+    the solution's mode.  An "eq-*" pair must also meet in exactly k
+    elements; >= k holds through the matched set and <= k through the
+    constraint valuation.
     """
     if not solution.optimal or solution.witness is None:
         return False
@@ -724,17 +742,8 @@ def verify_solution(solution: IntersectionSolution,
     if (solution.mode.startswith("eq")
             and intersection_cardinality(x1, x2) != k):
         return False
-    level = k
-    if solution.mode == "leq":
-        from .vmi import v_leq_k_pair   # vmi imports this module
-
-        omega1, omega2, copies = v_leq_k_pair(omega1, omega2, k)
-        x1 = x2 = copies.to_subset([x1, x2])
-        level = omega1.rank
-    elif solution.mode == "eq-dual":
-        omega2 = dual_valuation(omega2)
-        x2 = x2.complement()
-        level = omega1.rank - k
+    omega1, omega2, x1, x2, level = witness_problem(
+        solution.mode, omega1, omega2, x1, x2, k)
     return (solution.witness.k == level
             and verify_witness(x1, x2, solution.witness, level, omega1,
                                omega2, exhaustive))

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: solving, verification, exit codes, determinism."""
 
 import hashlib
+import random
 import re
 import subprocess
 import sys
@@ -11,8 +12,10 @@ import yaml
 
 from vmint import cli, instances
 from vmint.cli import main
-from vmint.instances import PROBLEM_TYPES, ParseError, dump_report, load_yaml
+from vmint.core import InvalidInputError
+from vmint.instances import ParseError, dump_report, load_yaml
 from vmint.matroid import MatroidOracle
+from vmint.rand_instances import random_instance_document
 
 BASIC = """\
 ground: {size: 3, labels: [a, b, c]}
@@ -208,11 +211,17 @@ def test_hyphenated_kind_spellings_accepted(tmp_path, capsys):
 
 
 def test_problem_table_covers_every_type():
-    assert set(cli.PROBLEMS) == set(PROBLEM_TYPES)
+    # The generator draws exactly the types of the table: it fails closed.
+    for ptype in cli.PROBLEMS:
+        document = random_instance_document(ptype, random.Random(0))
+        assert document["problem"]["type"] == ptype
+    for name in ("bogus", "V_GEQ_K", "v_geq", "", "congestion "):
+        with pytest.raises(InvalidInputError, match="cannot generate"):
+            random_instance_document(name, random.Random(0))
 
 
 def test_generate_then_solve_all_types(tmp_path):
-    for seed, ptype in enumerate(PROBLEM_TYPES):
+    for seed, ptype in enumerate(cli.PROBLEMS):
         path = tmp_path / f"{ptype}.yaml"
         assert main(["generate", "--problem", ptype, "--seed", str(seed),
                      "--out", str(path)]) == 0
@@ -249,7 +258,7 @@ GENERATE_DIGESTS = {
 
 
 def test_generate_output_is_pinned(capsys):
-    assert set(GENERATE_DIGESTS) == set(PROBLEM_TYPES)
+    assert set(GENERATE_DIGESTS) == set(cli.PROBLEMS)
     for ptype, expected in GENERATE_DIGESTS.items():
         digest = hashlib.sha256()
         for seed in range(300):
@@ -289,7 +298,7 @@ SOLVE_DIGESTS = {
 
 
 def test_solve_reports_are_pinned(tmp_path, capsys):
-    assert set(SOLVE_DIGESTS) == set(PROBLEM_TYPES)
+    assert set(SOLVE_DIGESTS) == set(cli.PROBLEMS)
     for ptype, expected in SOLVE_DIGESTS.items():
         digest = hashlib.sha256()
         for seed in range(30):
@@ -521,6 +530,55 @@ def test_eq_report_off_target_is_rejected(tmp_path, capsys):
     assert main(["verify", "-i", str(inst), "-s", str(report_path)]) == 1
     assert main(["solve", "-i", str(inst), "--verify"]) == 0
     assert yaml.safe_load(capsys.readouterr().out)["value"] == "8"
+
+
+@pytest.mark.parametrize("solved, checked", [
+    # (ab, ac), value 6, is the <= 1 optimum; the >= 2 optimum is 9.
+    (LEQ, BASIC),
+    # (ab, ab), value 6, is the >= 1 optimum; the = 1 optimum is 8.
+    (BASIC.replace('["4", "2", "1"]', '["1", "2", "4"]')
+     .replace("v2], k: 2", "v2], k: 1"),
+     BASIC.replace('["4", "2", "1"]', '["1", "2", "4"]')
+     .replace("type: v_geq_k, oracles: [v1, v2], k: 2",
+              "type: v_eq_k, oracles: [v1, v2], k: 1")),
+], ids=["leq-on-geq", "geq-on-eq"])
+def test_report_of_another_type_is_invalid(tmp_path, capsys, solved,
+                                           checked):
+    solved_path, checked_path = tmp_path / "a.yaml", tmp_path / "b.yaml"
+    solved_path.write_text(solved)
+    checked_path.write_text(checked)
+    report_path = tmp_path / "report.yaml"
+    assert main(["solve", "-i", str(solved_path), "--verify", "--out",
+                 str(report_path)]) == 0
+    report = yaml.safe_load(report_path.read_text())
+    assert report["value"] == "6"
+    capsys.readouterr()
+    assert main(["verify", "-i", str(checked_path), "-s",
+                 str(report_path)]) == 3
+    wanted = yaml.safe_load(checked)["problem"]["type"]
+    err = capsys.readouterr().err
+    assert f"{report['problem']!r} report on a {wanted!r} instance" in err
+
+
+@pytest.mark.parametrize("ptype", ["nonsense", "[v_geq_k, v_eq_k]", "3"])
+@pytest.mark.parametrize("command", ["solve", "verify", "check"])
+def test_unknown_type_is_invalid_under_every_command(basic_instance, tmp_path,
+                                                     capsys, ptype, command):
+    report_path = tmp_path / "report.yaml"
+    assert main(["solve", "-i", basic_instance, "--out",
+                 str(report_path)]) == 0
+    path = tmp_path / "unknown.yaml"
+    path.write_text(BASIC.replace("type: v_geq_k", f"type: {ptype}"))
+    extra = {"solve": [], "verify": ["-s", str(report_path)],
+             "check": ["--valuation", "v1"]}[command]
+    capsys.readouterr()
+    assert main([command, "-i", str(path), *extra]) == 3
+    assert "problem.type: unknown type" in capsys.readouterr().err
+
+
+def test_generate_unknown_type_is_invalid(capsys):
+    assert main(["generate", "--problem", "bogus"]) == 3
+    assert "cannot generate problem type 'bogus'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", ["two", "true", "1.9"])

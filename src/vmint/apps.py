@@ -18,6 +18,7 @@ from .core import (
     IntVector,
     InvalidInputError,
     Subset,
+    vector_to_subset,
 )
 from .greedy import minimize_valuated
 from .matroid import MatroidOracle
@@ -226,8 +227,8 @@ def solve_copic_diagonal(matroid1: MatroidOracle, matroid2: MatroidOracle,
         if not solved.optimal:
             return CopicSolution("infeasible")
         ground = matroid1.ground
-        x1 = Subset(ground, sum(b << i for i, b in enumerate(solved.x1)))
-        x2 = Subset(ground, sum(b << i for i, b in enumerate(solved.x2)))
+        x1 = vector_to_subset(ground, solved.x1)
+        x2 = vector_to_subset(ground, solved.x2)
         return CopicSolution("optimal", x1, x2, solved.value)
     raise InvalidInputError(
         "sign-mixed interaction costs are not supported; use brute force")

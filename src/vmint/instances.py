@@ -33,6 +33,7 @@ Schema sketch::
 
 from __future__ import annotations
 
+import io
 from fractions import Fraction
 from typing import Optional
 
@@ -72,6 +73,9 @@ from .valuated import (
 # The largest ground set an instance may declare.  A subset is a bit mask
 # of the ground, so a larger one costs memory before any oracle is built.
 MAX_GROUND_SIZE = 1_000_000
+# PyYAML builds Python objects in pure Python at a few seconds per MB, so
+# the document size bounds the work before any field is checked.
+MAX_DOCUMENT_BYTES = 2 * 1024 * 1024
 
 
 class ParseError(InvalidInputError):
@@ -317,17 +321,24 @@ def _libyaml(fast: str, pure: str):
 def load_yaml(path: str):
     """The document in a YAML file; a syntax error, or a scalar that
     cannot be built (an integer past Python's digit limit), is a
-    ParseError."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return yaml.load(handle,
-                             Loader=_libyaml("CSafeLoader", "SafeLoader"))
-        except yaml.YAMLError as exc:
-            mark = getattr(exc, "problem_mark", None)
-            location = f" at line {mark.line + 1}" if mark else ""
-            raise ParseError(f"YAML parse error{location}: {exc}") from exc
-        except ValueError as exc:
-            raise ParseError(f"YAML value error: {exc}") from exc
+    ParseError.  A file larger than `MAX_DOCUMENT_BYTES` is refused with
+    a ResourceLimitError before PyYAML sees any of it."""
+    with open(path, "rb") as handle:
+        data = handle.read(MAX_DOCUMENT_BYTES + 1)
+    if len(data) > MAX_DOCUMENT_BYTES:
+        raise ResourceLimitError(
+            f"{path} is larger than the limit of {MAX_DOCUMENT_BYTES} bytes")
+    try:
+        # A stream named after the file, so that error marks name it.
+        stream = io.StringIO(data.decode("utf-8"))
+        stream.name = path
+        return yaml.load(stream, Loader=_libyaml("CSafeLoader", "SafeLoader"))
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        location = f" at line {mark.line + 1}" if mark else ""
+        raise ParseError(f"YAML parse error{location}: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"YAML value error: {exc}") from exc
 
 
 def load_instance(path: str) -> Instance:

@@ -18,18 +18,20 @@ with int costs over one scale S per build: the lcm of the network's
 weight denominator (`FlowNetwork.weight_units`, computed once per
 network) and the denominators of the values of h asked.  S is a positive
 factor, so every comparison, tie and choice is that of the rational
-costs.  The cycle search runs on one list of (tail, head, cost, index)
-tuples.  A Bellman-Ford pass from a virtual source settles in O(N*M)
-steps exactly when there is no negative cycle, so the final optimality
-proof skips the fewest-arcs walk DP; the pass stops as soon as its parent
-links close a cycle, which is then negative.  When it does not settle,
-the DP keeps one row of cheapest walks per source.  At each walk length
-it first closes every row through its source's in-arcs and yields the
-negative closed walks; it extends the rows by one arc, from their reached
-tails along per-tail out-lists, only when the caller asks for more.  The
-first improving cycle usually comes at the first negative length, so the
-rows of that length are never built.  The objective sums the weights in
-units and builds one `Fraction`.
+costs.  An arc is a (tail, head, cost, arc index, direction) tuple, and
+the cycle search, the cycles it yields and their application all read
+the one list the build returns.  A Bellman-Ford pass from a virtual
+source settles in O(N*M) steps exactly when there is no negative cycle,
+so the final optimality proof skips the fewest-arcs walk DP; the pass
+stops as soon as its parent links close a cycle, which is then
+negative.  When it does not settle, the DP keeps one row of cheapest
+walks per source.  At each walk length it first closes every row through
+its source's in-arcs and yields the negative closed walks; it extends
+the rows by one arc, from their reached tails along per-tail out-lists,
+only when the caller asks for more.  The first improving cycle usually
+comes at the first negative length, so the rows of that length are
+never built.  The objective sums the weights in units and builds one
+`Fraction`.
 
 Exchange arcs of a direct sum h(z) = sum of part_B(z_B) (see
 `valuated.direct_sum`) are read block by block through the parts'
@@ -69,6 +71,7 @@ from .valuated import (
     NegatedMnat,
     direct_sum,
     interval_indicator,
+    scaled_weights,
 )
 
 MAX_CANCEL_ITERATIONS = 100_000
@@ -103,11 +106,9 @@ class FlowNetwork:
 
     @cached_property
     def weight_units(self) -> tuple[tuple[int, ...], int]:
-        """The arc weights as ints over the lcm D of their denominators,
-        and D."""
-        scale = math.lcm(*(arc.weight.denominator for arc in self.arcs))
-        return tuple(arc.weight.numerator * (scale // arc.weight.denominator)
-                     for arc in self.arcs), scale
+        """The arc weights as ints over the lcm D of their denominators
+        (1 without arcs), and D."""
+        return scaled_weights([arc.weight for arc in self.arcs])
 
 
 @dataclass
@@ -144,21 +145,16 @@ def flow_objective(h: MnatFunction, network: FlowNetwork,
 # Negative-cycle canceling
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class _AuxArc:
-    tail: int
-    head: int
-    cost: int           # in units of 1/S, S the scale of its build
-    arc_index: int      # network arc for residual moves, -1 for exchanges
-    direction: int      # +1 push, -1 retract, 0 exchange
-
-
 def _aux_arcs(h: MnatFunction, network: FlowNetwork, flow: Sequence[int],
               current: IntVector,
-              base_value: Fraction) -> tuple[list[_AuxArc], int]:
+              base_value: Fraction) -> tuple[list[tuple], int]:
     """The residual arcs of `flow`, then the exchange arcs of h at its
     boundary `current` (where h is finite), with int costs over one scale
     S, and S.
+
+    Each arc is a `(tail, head, cost, arc_index, direction)` tuple: the
+    cost in units of 1/S; for a residual arc, its network arc and +1 for
+    a push or -1 for a retraction; for an exchange arc, -1 and 0.
 
     S is the lcm of the network's weight denominator and the denominators
     of the values asked.  An exchange move that leaves the box has
@@ -229,10 +225,9 @@ def _aux_arcs(h: MnatFunction, network: FlowNetwork, flow: Sequence[int],
     for i, arc in enumerate(network.arcs):
         xi = flow[i]
         if arc.upper is None or xi < arc.upper:
-            arcs.append(_AuxArc(arc.tail, arc.head, weights[i] * factor, i, +1))
+            arcs.append((arc.tail, arc.head, weights[i] * factor, i, +1))
         if arc.lower is None or xi > arc.lower:
-            arcs.append(_AuxArc(arc.head, arc.tail, -weights[i] * factor, i,
-                                -1))
+            arcs.append((arc.head, arc.tail, -weights[i] * factor, i, -1))
     base_units = [units(base) for base in bases]
     up_units = [None if value is None else units(value) - base_units[b]
                 for value, b in zip(up, block_of)]
@@ -241,30 +236,29 @@ def _aux_arcs(h: MnatFunction, network: FlowNetwork, flow: Sequence[int],
     for x, y, value in pairs:
         cost = up_units[x] + down_units[y] if value is None \
             else units(value) - base_units[block_of[x]]
-        arcs.append(_AuxArc(x, y, cost, -1, 0))
+        arcs.append((x, y, cost, -1, 0))
     return arcs, scale
 
 
-def _has_negative_cycle(num_nodes: int,
-                        edges: list[tuple[int, int, int, int]]) -> bool:
+def _has_negative_cycle(num_nodes: int, arcs: list[tuple]) -> bool:
     """Bellman-Ford from a virtual source joined to every node at cost 0,
-    over `(tail, head, cost, index)` edges.
+    over the arc tuples of `_aux_arcs`.
 
     Without a negative cycle every shortest path has at most N - 1 arcs,
     so some round among the first N changes nothing, and the settled
-    `dist` is a potential under which every edge has a nonnegative reduced
+    `dist` is a potential under which every arc has a nonnegative reduced
     cost.  With one, no round settles, and the search ends at the first
-    round after which the parent links (the tail of the edge that last
+    round after which the parent links (the tail of the arc that last
     lowered each node) close a cycle.  Such a cycle is negative: when its
-    last link was set, that edge strictly lowered its head, and every
-    other link's head was at least its tail plus the edge cost, so the
+    last link was set, that arc strictly lowered its head, and every
+    other link's head was at least its tail plus the arc cost, so the
     costs around the cycle sum below zero.
     """
     dist = [0] * num_nodes
     parent = [-1] * num_nodes
     for _ in range(num_nodes):
         changed = False
-        for tail, head, cost, _index in edges:
+        for tail, head, cost, _arc_index, _direction in arcs:
             reached = dist[tail] + cost
             if reached < dist[head]:
                 dist[head] = reached
@@ -291,7 +285,7 @@ def _closes_cycle(parent: list[int]) -> bool:
     return False
 
 
-def _find_negative_cycles(num_nodes: int, aux_arcs: list[_AuxArc]):
+def _find_negative_cycles(num_nodes: int, arcs: list[tuple]):
     """Yield negative cycles ordered by (arc count, cost, anchor node).
 
     If the Bellman-Ford gate settles there is no negative cycle and
@@ -310,14 +304,12 @@ def _find_negative_cycles(num_nodes: int, aux_arcs: list[_AuxArc]):
     every parent is the lowest-index arc among the cheapest, whatever the
     order of the tails.
     """
-    edges = [(arc.tail, arc.head, arc.cost, idx)
-             for idx, arc in enumerate(aux_arcs)]
-    if not _has_negative_cycle(num_nodes, edges):
+    if not _has_negative_cycle(num_nodes, arcs):
         return
     nodes = range(num_nodes)
     in_arcs: list[list[tuple[int, int, int]]] = [[] for _ in nodes]
     out_arcs: list[list[tuple[int, int, int]]] = [[] for _ in nodes]
-    for tail, head, cost, idx in edges:
+    for idx, (tail, head, cost, _arc_index, _direction) in enumerate(arcs):
         in_arcs[head].append((tail, cost, idx))
         out_arcs[tail].append((head, cost, idx))
     # best[u][v]: cheapest walk u -> v with exactly L - 1 arcs (None: no
@@ -343,7 +335,7 @@ def _find_negative_cycles(num_nodes: int, aux_arcs: list[_AuxArc]):
                 negatives.append((closed, u, closing))
         negatives.sort()
         for _cost, anchor, closing in negatives:
-            yield _reconstruct_cycle(aux_arcs, parent[anchor], closing)
+            yield _reconstruct_cycle(arcs, parent[anchor], closing)
         if length == num_nodes:
             return
         for u in nodes:
@@ -363,28 +355,27 @@ def _find_negative_cycles(num_nodes: int, aux_arcs: list[_AuxArc]):
             parent[u].append(new_parent)
 
 
-def _reconstruct_cycle(aux_arcs: list[_AuxArc], rows: list[list[int]],
-                       closing: int) -> list[_AuxArc]:
+def _reconstruct_cycle(arcs: list[tuple], rows: list[list[int]],
+                       closing: int) -> list[tuple]:
     """The cycle closed by arc `closing` into its anchor, whose earlier
     arcs are read back through the anchor's parent rows."""
-    arc = aux_arcs[closing]
-    arcs = [arc]
+    arc = arcs[closing]
+    cycle = [arc]
     for row in reversed(rows):
-        arc = aux_arcs[row[arc.tail]]
-        arcs.append(arc)
-    arcs.reverse()
-    return arcs
+        arc = arcs[row[arc[0]]]
+        cycle.append(arc)
+    cycle.reverse()
+    return cycle
 
 
 def _apply_cycle(network: FlowNetwork, flow: list[int],
-                 cycle: list[_AuxArc]) -> Optional[list[int]]:
+                 cycle: list[tuple]) -> Optional[list[int]]:
     """Apply one unit around a cycle; None if capacities cannot take it."""
     new_flow = list(flow)
-    for arc in cycle:
-        if arc.direction == 0:
+    for _tail, _head, _cost, idx, direction in cycle:
+        if direction == 0:
             continue
-        idx = arc.arc_index
-        new_flow[idx] += arc.direction
+        new_flow[idx] += direction
         net_arc = network.arcs[idx]
         if net_arc.upper is not None and new_flow[idx] > net_arc.upper:
             return None
@@ -393,16 +384,16 @@ def _apply_cycle(network: FlowNetwork, flow: list[int],
     return new_flow
 
 
-def _infinitely_repeatable(network: FlowNetwork, cycle: list[_AuxArc]) -> bool:
+def _infinitely_repeatable(network: FlowNetwork, cycle: list[tuple]) -> bool:
     """A cycle of residual arcs whose capacities never bind is repeatable
     forever; a negative one witnesses unboundedness."""
-    for arc in cycle:
-        if arc.direction == 0:
+    for _tail, _head, _cost, idx, direction in cycle:
+        if direction == 0:
             return False
-        net_arc = network.arcs[arc.arc_index]
-        if arc.direction > 0 and net_arc.upper is not None:
+        net_arc = network.arcs[idx]
+        if direction > 0 and net_arc.upper is not None:
             return False
-        if arc.direction < 0 and net_arc.lower is not None:
+        if direction < 0 and net_arc.lower is not None:
             return False
     return True
 

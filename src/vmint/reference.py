@@ -28,9 +28,8 @@ from .greedy import minimizer_family
 from .matroid import MatroidOracle, dual_matroid, min_weight_base
 from .valuated import ValuationOracle, from_matroid_and_weights
 from .viap import (
-    ARC_EXCHANGE_1,
-    ARC_EXCHANGE_2,
     IntersectionSolution,
+    apply_path,
     build_aux_digraph,
     in_units,
     shortest_path_with_hop_tiebreak,
@@ -136,35 +135,27 @@ def _lpt_case1(matroid1: MatroidOracle, matroid2: MatroidOracle,
                       [Fraction(0)] * n, [Fraction(0)] * n)
     while intersection_cardinality(state.x1, state.x2) < k:
         q1, q2, scale = in_units(omega1, omega2, state.q1, state.q2)
-        graph = build_aux_digraph(state.x1, state.x2, q1, q2,
-                                  state.x1.intersection(state.x2),
+        matched = state.x1.intersection(state.x2)
+        graph = build_aux_digraph(state.x1, state.x2, q1, q2, matched,
                                   omega1, omega2, scale)
         dist, _parents, path = shortest_path_with_hop_tiebreak(graph)
-        sink_dist = dist[graph.sink]
-        if sink_dist is not None and sink_dist == 0:
-            x1, x2 = state.x1, state.x2
-            for arc in path:
-                if arc.kind == ARC_EXCHANGE_1:
-                    x1 = x1.exchange(arc.element_out, arc.element_in)
-                elif arc.kind == ARC_EXCHANGE_2:
-                    x2 = x2.exchange(arc.element_out, arc.element_in)
+        if dist[graph.sink] == 0:
+            x1, x2, _ = apply_path(state.x1, state.x2, matched, path, n)
             if intersection_cardinality(x1, x2) != \
                     intersection_cardinality(state.x1, state.x2) + 1:
                 raise InternalInvariantError(
                     "zero-path augmentation did not grow the intersection by 1")
             state.x1, state.x2 = x1, x2
             continue
-        reachable = {node for node in range(graph.node_count())
-                     if dist[node] is not None and dist[node] == 0}
-        delta = None
-        for arc in graph.arcs():
-            if arc.kind not in (ARC_EXCHANGE_1, ARC_EXCHANGE_2):
-                continue
-            if arc.tail in reachable and arc.head not in reachable:
-                if delta is None or arc.length < delta:
-                    delta = arc.length
-        if delta is None:
+        reachable = {node for node, d in enumerate(dist) if d == 0}
+        # A length-0 arc out of a node at distance 0 reaches a node at
+        # distance 0, so only positive exchange arcs leave the set.
+        units = min((length for tail in reachable
+                     for head, length in graph.adjacency[tail]
+                     if head not in reachable), default=None)
+        if units is None:
             return None
+        delta = Fraction(units, graph.scale)
         if delta <= 0:
             raise InternalInvariantError("leaving arcs must have positive length")
         for v in range(n):

@@ -32,12 +32,12 @@ each aux build.  It keeps the calls, evals and memo exactly as
 differently, by the oracle's hooks (see `ValuationOracle`).
 
 The leaves are the oracles with a `block_fn`: a modular valuation on a
-matroid with fundamental-circuit tables, `size_constrained_modular`, the
-intersection constraint and the laminar valuations.  The first answers
-exchanges from one circuit table per base (X - u + v is a base exactly
-when u lies on the circuit C(X, v)) and the integer sums w(X) - w_u +
-w_v, with no independence test; the others read the sum, copy counts or
-member counts of the base.  A memo would cost them more than it saves.
+matroid with fundamental-circuit tables (`size_constrained_modular` is
+one, on a uniform matroid), the intersection constraint and the laminar
+valuations.  The first answers exchanges from one circuit table per base
+(X - u + v is a base exactly when u lies on the circuit C(X, v)) and the
+integer sums w(X) - w_u + w_v, with no independence test; the others
+read the copy counts or member counts of the base.  A memo would cost them more than it saves.
 The composites memoize: the dual and `apps.modular_on_domain`
 hand each batch of misses to the oracle they ask as one `exchange_pairs`
 call, the dual as exchanges of the complement; a disjoint sum walks its
@@ -76,8 +76,9 @@ from .core import (
     ResourceLimitError,
     Subset,
     subset_to_vector,
+    vector_to_subset,
 )
-from .matroid import MatroidOracle
+from .matroid import MatroidOracle, make_uniform
 
 DEFAULT_DOMAIN_LIMIT = 200_000
 
@@ -643,25 +644,11 @@ def indicator_of_matroid(matroid: MatroidOracle) -> ValuationOracle:
 
 def size_constrained_modular(ground: GroundSet, weights: Sequence[Fraction],
                              r: int) -> ValuationOracle:
-    """Modular weights on all r-subsets (the uniform-matroid special case).
-
-    Every exchange of an r-subset X is finite, w(X) - w_u + w_v, so blocks
-    of exchanges are answered from the sum w(X) alone.
-    """
-    if not 0 <= r <= ground.size:
-        raise InvalidInputError(f"rank {r} out of range 0..{ground.size}")
-    scaled, scale = scaled_weights(weights)
-    witness = ground.subset(range(r))
-
-    def block(base: Subset, outs: Sequence[int],
-              ins: Sequence[int]) -> list[Raw]:
-        total = scaled_sum(scaled, base.mask)
-        ws = [scaled[v] for v in ins]
-        return [total - scaled[u] + w for u in outs for w in ws]
-
-    return ValuationOracle(ground, r,
-                           lambda x: scaled_sum(scaled, x.mask),
-                           witness, f"size={r}", scale=scale, block_fn=block)
+    """Modular weights on all r-subsets: `from_matroid_and_weights` on
+    the uniform matroid of rank r, whose circuit tables answer blocks of
+    exchanges from the sum w(X) alone."""
+    return from_matroid_and_weights(make_uniform(ground, r), weights,
+                                    f"size={r}")
 
 
 def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
@@ -1196,15 +1183,13 @@ def restrict_to_hyperplane(fn: MnatFunction, r: int):
 
 
 def mnat_from_valuation(omega: ValuationOracle) -> MnatFunction:
-    """View a valuated matroid as an M-convex function on {0,1}^V."""
+    """View a valuated matroid as an M-convex function on {0,1}^V.
+
+    `MnatFunction` answers +inf outside the 0/1 box without asking the
+    value function, so it sees only 0/1 vectors."""
 
     def value(x: IntVector) -> ExtValue:
-        mask = 0
-        for i, entry in enumerate(x.entries):
-            if entry not in (0, 1):
-                return INF
-            mask |= entry << i
-        return omega.value(Subset(omega.ground, mask))
+        return omega.value(vector_to_subset(omega.ground, x))
 
     witness = None
     if omega.witness_base is not None:

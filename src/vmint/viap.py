@@ -19,14 +19,14 @@ ladder runs on integers: with oracle denominators D1 and D2 (see
 `ValuationOracle.scale`) and the potentials' denominators, every value,
 potential, arc length and distance lies in (1/S)Z for their lcm S, so
 they are all kept as ints in units of 1/S, which keeps every comparison
-and tie.  `Fraction` appears only where a `Witness`, a ladder value or an
-`AuxArc.length` is read, and where the rational potentials of a
-`Witness` from elsewhere are put in units (`in_units`).
+and tie.  `Fraction` appears only where a `Witness` or a ladder value is
+read, and where the rational potentials of a `Witness` from elsewhere
+are put in units (`in_units`).
 
 The aux digraph is kept as rows: one list of `(head, length)` pairs per
 node, which the search relaxes directly.  An arc is known by its end
-nodes, so `AuxArc` objects are built only for the path the search returns
-and for callers that list every arc (`AuxDigraph.arcs`).
+nodes: the search returns its path as `(tail, head)` pairs, and
+`apply_path` reads each arc's exchange or matching off its end nodes.
 
 Checking: `_exchange_lengths`, which computes the exchange rows of
 `build_aux_digraph`, is the one place that rejects a negative reduced
@@ -65,39 +65,15 @@ from .core import (
 from .greedy import minimize_valuated
 from .valuated import ValuationOracle, dual_valuation
 
-ARC_EDGE = "E"          # v1 -> v2, length 0, matches v
-ARC_MATCHED = "F"       # v2 -> v1 for v in F, length 0, unmatches v
-ARC_EXCHANGE_1 = "A1"   # u1 -> v1, exchange X1 - u + v
-ARC_EXCHANGE_2 = "A2"   # v2 -> u2, exchange X2 - u + v
-ARC_SOURCE = "S"        # s -> v1 for v in X1 \ X2
-ARC_SINK = "T"          # v2 -> t for v in X2 \ X1
-
-
-@dataclass(slots=True)
-class AuxArc:
-    tail: int
-    head: int
-    units: int              # the length in units of 1/scale
-    kind: str
-    element_out: int = -1   # u of an exchange arc, else -1
-    element_in: int = -1    # v of an exchange arc / the element of E, F arcs
-    scale: int = 1
-
-    @property
-    def length(self) -> Fraction:
-        """The exact length, units / scale."""
-        return Fraction(self.units, self.scale)
-
-
 @dataclass
 class AuxDigraph:
     """Auxiliary digraph on V1 + V2 + {s, t} with nonnegative arc lengths.
 
-    `adjacency[node]` is the node's row: its arcs as `(head, length)`
-    pairs, every length in units of 1/scale.  An arc of the aux build is
-    known by its tail and head alone (see `arc`), so rows keep no
-    `AuxArc`s; `arc` and `arcs` build them for the callers that read
-    kinds and elements.
+    Node 0 is the source s, node 1 + v the copy v1 of element v, node
+    1 + n + v its copy v2, and node 2n + 1 the sink t.  `adjacency[node]`
+    is the node's row: its arcs as `(head, length)` pairs, every length
+    in units of 1/scale.  An arc of the aux build is known by its tail
+    and head alone (see `apply_path`).
     """
 
     n: int
@@ -112,38 +88,11 @@ class AuxDigraph:
     def sink(self) -> int:
         return 2 * self.n + 1
 
-    def node_count(self) -> int:
-        return 2 * self.n + 2
-
     def node_v1(self, v: int) -> int:
         return 1 + v
 
     def node_v2(self, v: int) -> int:
         return 1 + self.n + v
-
-    def arc(self, tail: int, position: int) -> AuxArc:
-        """The arc at `position` in the row of `tail`, with its kind and
-        elements read off its end nodes."""
-        head, units = self.adjacency[tail][position]
-        n = self.n
-        if tail == 0:
-            kind, out, into = ARC_SOURCE, -1, head - 1
-        elif head == 2 * n + 1:
-            kind, out, into = ARC_SINK, -1, tail - 1 - n
-        elif tail <= n:
-            kind, out, into = ((ARC_EXCHANGE_1, tail - 1, head - 1)
-                               if head <= n else (ARC_EDGE, -1, tail - 1))
-        else:
-            kind, out, into = ((ARC_MATCHED, -1, head - 1) if head <= n
-                               else (ARC_EXCHANGE_2, head - 1 - n,
-                                     tail - 1 - n))
-        return AuxArc(tail, head, units, kind, out, into, self.scale)
-
-    def arcs(self) -> list[AuxArc]:
-        """Every arc, row by row."""
-        return [self.arc(tail, position)
-                for tail, row in enumerate(self.adjacency)
-                for position in range(len(row))]
 
 
 @dataclass(frozen=True)
@@ -270,7 +219,7 @@ def _exchange_lengths(x1: Subset, x2: Subset,
                in zip(heads, offsets, block1[i * width:(i + 1) * width])
                if moved is not None]
         if row and min(row, key=_LENGTH)[1] < 0:
-            raise _negative_length(row, scale, ARC_EXCHANGE_1)
+            raise _negative_length(row, scale, "A1")
         rows1[u] = row
     members2 = x2.members()
     outside2 = [v for v in range(n) if not x2.mask >> v & 1]
@@ -286,7 +235,7 @@ def _exchange_lengths(x1: Subset, x2: Subset,
                in zip(heads, offsets, block2[j::width])
                if moved is not None]
         if row and min(row, key=_LENGTH)[1] < 0:
-            raise _negative_length(row, scale, ARC_EXCHANGE_2)
+            raise _negative_length(row, scale, "A2")
         rows2[v] = row
     return rows1, rows2
 
@@ -348,20 +297,22 @@ def build_aux_digraph(x1: Subset, x2: Subset,
 
 def shortest_path_with_hop_tiebreak(
         graph: AuxDigraph,
-) -> tuple[list[Optional[int]], list[int], Optional[list[AuxArc]]]:
+) -> tuple[list[Optional[int]], list[int],
+           Optional[list[tuple[int, int]]]]:
     """Label-setting search on the lexicographic key (length, hop count).
 
     Returns per-node distances (None for unreachable) in the graph's
     units of 1/scale, the parent of each node on its shortest path as the
     tail of its last arc (-1 for the source and unreachable nodes), and
     the arcs of a shortest source-sink path with the fewest arcs among
-    the shortest, as `AuxArc`s, or None when the sink is unreachable.
+    the shortest, as `(tail, head)` pairs read off the parents, or None
+    when the sink is unreachable.
 
     The search relaxes the rows on (length, hops, node) heap keys, all in
     units of the graph's 1/scale: ints for a graph that the aux build
     made from scaled oracles.  A label moves only on a strict
     improvement, so a node's last arc is the first arc in its parent's
-    row that reaches it at its distance; the path reads that position.
+    row that reaches it at its distance.
     """
     adjacency = graph.adjacency
     size = len(adjacency)
@@ -388,15 +339,39 @@ def shortest_path_with_hop_tiebreak(
                 push(heap, (nd, nh, head))
     if dist[graph.sink] is None:
         return dist, parent, None
-    path: list[AuxArc] = []
+    path: list[tuple[int, int]] = []
     node = graph.sink
     while node != graph.source:
         tail = parent[node]
-        step = (node, dist[node] - dist[tail])
-        path.append(graph.arc(tail, adjacency[tail].index(step)))
+        path.append((tail, node))
         node = tail
     path.reverse()
     return dist, parent, path
+
+
+def apply_path(x1: Subset, x2: Subset, matched: Subset,
+               path: Sequence[tuple[int, int]],
+               n: int) -> tuple[Subset, Subset, Subset]:
+    """The sets and matched set after the exchanges along an aux path.
+
+    Each `(tail, head)` arc is read off its end nodes (see `AuxDigraph`):
+    u1 -> v1 is X1 - u + v, v2 -> u2 is X2 - u + v, v1 -> v2 matches v,
+    v2 -> v1 unmatches v, and source and sink arcs change nothing.
+    """
+    sink = 2 * n + 1
+    for tail, head in path:
+        if tail == 0 or head == sink:
+            continue
+        if tail <= n:
+            if head <= n:
+                x1 = x1.exchange(tail - 1, head - 1)
+            else:
+                matched = matched.add(tail - 1)
+        elif head <= n:
+            matched = matched.remove(head - 1)
+        else:
+            x2 = x2.exchange(head - 1 - n, tail - 1 - n)
+    return x1, x2, matched
 
 
 def augment_step(state: ViapState) -> Optional[ViapState]:
@@ -404,10 +379,11 @@ def augment_step(state: ViapState) -> Optional[ViapState]:
 
     Returns the new state, or None when the sink is unreachable, which
     proves that no feasible pair with a larger intersection exists.
-    Exchanges are applied arc-wise along the path: each exchange arc swaps
-    one element of its copy, each edge arc matches its element, each
-    reverse arc unmatches it; the potentials then grow by the shortest-path
-    distances capped at the sink distance, all in the state's units.
+    Exchanges are applied arc-wise along the path (`apply_path`): each
+    exchange arc swaps one element of its copy, each edge arc matches its
+    element, each reverse arc unmatches it; the potentials then grow by
+    the shortest-path distances capped at the sink distance, all in the
+    state's units.
     """
     graph = build_aux_digraph(state.x1, state.x2, state.p1, state.p2,
                               state.matched, state.omega1, state.omega2,
@@ -415,19 +391,10 @@ def augment_step(state: ViapState) -> Optional[ViapState]:
     dist, _parent, path = shortest_path_with_hop_tiebreak(graph)
     if path is None:
         return None
-    x1, x2, matched = state.x1, state.x2, state.matched
-    for arc in path:
-        if arc.kind == ARC_EXCHANGE_1:
-            x1 = x1.exchange(arc.element_out, arc.element_in)
-        elif arc.kind == ARC_EXCHANGE_2:
-            x2 = x2.exchange(arc.element_out, arc.element_in)
-        elif arc.kind == ARC_EDGE:
-            matched = matched.add(arc.element_in)
-        elif arc.kind == ARC_MATCHED:
-            matched = matched.remove(arc.element_in)
+    n = graph.n
+    x1, x2, matched = apply_path(state.x1, state.x2, state.matched, path, n)
     d_sink = dist[graph.sink]
     assert d_sink is not None
-    n = state.omega1.ground.size
     capped = [d_sink if d is None or d > d_sink else d for d in dist]
     p1 = tuple(p + d for p, d in zip(state.p1, capped[1:n + 1]))
     p2 = tuple(p + d for p, d in zip(state.p2, capped[n + 1:2 * n + 1]))
@@ -642,16 +609,12 @@ def solve_v_geq_k(omega1: ValuationOracle, omega2: ValuationOracle, k: int,
     ladder = run_ladder(omega1, omega2, k, start)
     top = ladder.entries[-1]
     if top.level >= k:
-        if ladder.entries[0].level >= k:
-            first = ladder.entries[0]
-            witness = replace(first.witness, k=k, matched=_k_subset(
-                first.x1.intersection(first.x2), k))
-            return IntersectionSolution("optimal", first.x1, first.x2,
-                                        first.value, witness, k, "geq",
-                                        ladder.oracle_calls)
+        # A start that meets k is the only entry; an augmented top meets
+        # k exactly, so its k-subset is its whole matched intersection.
+        witness = replace(top.witness, k=k, matched=_k_subset(
+            top.x1.intersection(top.x2), k))
         return IntersectionSolution("optimal", top.x1, top.x2, top.value,
-                                    top.witness, k, "geq",
-                                    ladder.oracle_calls)
+                                    witness, k, "geq", ladder.oracle_calls)
     last = IntersectionSolution("optimal", top.x1, top.x2, top.value,
                                 top.witness, top.level, "geq",
                                 ladder.oracle_calls)

@@ -111,6 +111,57 @@ def test_graphic_base_is_one_pass(tmp_path, capsys, monkeypatch):
     assert f"expected {n} rationals" in capsys.readouterr().err
 
 
+def _padded(text: str, size: int) -> str:
+    """The document followed by a comment line that brings it to `size`
+    bytes."""
+    return text + "#" * (size - len(text.encode()) - 1) + "\n"
+
+
+def test_oversized_document_is_a_resource_limit(tmp_path, capsys,
+                                                monkeypatch):
+    # Instances and reports alike are refused before PyYAML sees them.
+    limit = instances.MAX_DOCUMENT_BYTES
+    instance = tmp_path / "basic.yaml"
+    instance.write_text(BASIC)
+    report = tmp_path / "report.yaml"
+    assert main(["solve", "-i", str(instance), "--out", str(report)]) == 0
+    big_instance = tmp_path / "big.yaml"
+    big_instance.write_text(_padded(BASIC, limit + 1))
+    big_report = tmp_path / "big.report.yaml"
+    big_report.write_text(_padded(report.read_text(), limit + 1))
+    capsys.readouterr()
+
+    real_load = yaml.load
+
+    def load(stream, *args, **kwargs):
+        text = stream.read() if hasattr(stream, "read") else stream
+        if len(text) > limit:
+            raise AssertionError("PyYAML read an oversized document")
+        return real_load(text, *args, **kwargs)
+
+    monkeypatch.setattr(yaml, "load", load)
+    for argv in (["solve", "-i", str(big_instance)],
+                 ["verify", "-i", str(instance), "-s", str(big_report)]):
+        assert main(argv) == 4
+        assert f"larger than the limit of {limit} bytes" \
+            in capsys.readouterr().err
+
+
+def test_document_at_the_size_limit_is_read(tmp_path):
+    limit = instances.MAX_DOCUMENT_BYTES
+    small, padded = tmp_path / "small.yaml", tmp_path / "padded.yaml"
+    small.write_text(BASIC)
+    padded.write_text(_padded(BASIC, limit))
+    assert padded.stat().st_size == limit
+    reports = []
+    for path in (small, padded):
+        out = tmp_path / f"{path.stem}.report.yaml"
+        assert main(["solve", "-i", str(path), "--out", str(out)]) == 0
+        reports.append(out.read_text())
+        assert main(["verify", "-i", str(path), "-s", str(out)]) == 0
+    assert reports[0] == reports[1]
+
+
 def test_huge_ground_is_a_resource_limit(tmp_path, capsys, monkeypatch):
     # The size is refused before any matroid or subset mask is built.
     def uniform(*_args):

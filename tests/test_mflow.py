@@ -22,7 +22,6 @@ from vmint.matroid import make_uniform
 from vmint.mflow import (
     FlowArc,
     FlowNetwork,
-    _AuxArc,
     _aux_arcs,
     _cancel_negative_cycles,
     _closes_cycle,
@@ -436,21 +435,19 @@ def _workload_aux_graph(rng, tied):
 
 
 def _in_units(arcs):
-    """The arcs with their costs as ints over the lcm of the denominators."""
+    """The arcs as `_aux_arcs` tuples, with their costs as ints over the
+    lcm of the denominators."""
     scale = math.lcm(*(arc.cost.denominator for arc in arcs))
-    return [_AuxArc(arc.tail, arc.head,
-                    arc.cost.numerator * (scale // arc.cost.denominator),
-                    arc.arc_index, arc.direction) for arc in arcs]
-
-
-def _edges(arcs):
-    return [(arc.tail, arc.head, arc.cost, i) for i, arc in enumerate(arcs)]
+    return [(arc.tail, arc.head,
+             arc.cost.numerator * (scale // arc.cost.denominator),
+             arc.arc_index, arc.direction) for arc in arcs]
 
 
 def _rational(arcs, scale):
     """Arcs of one integer build with their costs read as rationals."""
-    return [_OracleArc(arc.tail, arc.head, Fraction(arc.cost, scale),
-                       arc.arc_index, arc.direction) for arc in arcs]
+    return [_OracleArc(tail, head, Fraction(cost, scale), arc_index,
+                       direction)
+            for tail, head, cost, arc_index, direction in arcs]
 
 
 class TestIntegerCycleSearch:
@@ -461,9 +458,9 @@ class TestIntegerCycleSearch:
         expected = [[arc.arc_index for arc in cycle]
                     for cycle in _oracle_find_negative_cycles(n, arcs)]
         scaled = _in_units(arcs)
-        assert [[arc.arc_index for arc in cycle]
+        assert [[arc_index for _, _, _, arc_index, _ in cycle]
                 for cycle in _find_negative_cycles(n, scaled)] == expected
-        assert _has_negative_cycle(n, _edges(scaled)) == bool(expected)
+        assert _has_negative_cycle(n, scaled) == bool(expected)
         return expected
 
     @settings(max_examples=300, deadline=None)
@@ -506,10 +503,9 @@ class TestIntegerCycleSearch:
         arcs, scale = _aux_arcs(h, net, [0, 0, 0], IntVector((0, 0)),
                                 Fraction(0))
         assert scale == 60
-        assert [(arc.tail, arc.head, arc.cost, arc.arc_index, arc.direction)
-                for arc in arcs] == [(0, 1, 15, 0, +1), (1, 0, -50, 1, +1),
-                                     (1, 0, 180, 2, +1), (0, 1, 84, -1, 0),
-                                     (1, 0, 36, -1, 0)]
+        assert arcs == [(0, 1, 15, 0, +1), (1, 0, -50, 1, +1),
+                        (1, 0, 180, 2, +1), (0, 1, 84, -1, 0),
+                        (1, 0, 36, -1, 0)]
 
     def test_parent_links_closing_a_cycle(self):
         assert not _closes_cycle([-1, 0, 1, 1])
@@ -520,7 +516,7 @@ class TestIntegerCycleSearch:
     def test_zero_cost_cycle_is_not_negative(self):
         arcs = _in_units([_OracleArc(0, 1, Fraction(1, 3), 0, +1),
                           _OracleArc(1, 0, Fraction(-1, 3), 1, +1)])
-        assert not _has_negative_cycle(2, _edges(arcs))
+        assert not _has_negative_cycle(2, arcs)
         assert list(_find_negative_cycles(2, arcs)) == []
 
 
@@ -675,7 +671,7 @@ def _same_build(h_old, h_new, network, flow, point):
     arcs, scale = _aux_arcs(h_new, network, flow, point,
                             h_new.value(point).finite)
     assert _rational(arcs, scale) == expected
-    assert all(type(arc.cost) is int for arc in arcs)
+    assert all(type(cost) is int for _, _, cost, _, _ in arcs)
     assert scale % network.weight_units[1] == 0
 
 

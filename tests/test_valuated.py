@@ -85,6 +85,14 @@ class TestModularConstructors:
         with pytest.raises(InvalidInputError):
             size_constrained_modular(g3, [1, 2, 4], 5)
 
+    def test_size_constrained_needs_one_weight_per_element(self, g3):
+        # Without the check, too few weights build a valuation whose value
+        # raises a bare IndexError, and too many are cut without a word.
+        for weights in ([1, 2], [1, 2, 4, 8]):
+            with pytest.raises(InvalidInputError,
+                               match="need one weight per ground element"):
+                size_constrained_modular(g3, weights, 2)
+
     def test_memoization_is_transparent_and_counted(self, g3):
         # The dual keeps a memo: the repeated query is a hit.
         omega = from_matroid_and_weights(make_uniform(g3, 2), [1, 2, 4])

@@ -35,16 +35,10 @@ from vmint.valuated import (
     valuation_from_explicit,
 )
 from vmint.viap import (
-    ARC_EDGE,
-    ARC_EXCHANGE_1,
-    ARC_EXCHANGE_2,
-    ARC_MATCHED,
-    ARC_SINK,
-    ARC_SOURCE,
-    AuxArc,
     AuxDigraph,
     ViapState,
     Witness,
+    apply_path,
     augment_step,
     build_aux_digraph,
     run_ladder,
@@ -80,8 +74,64 @@ def _pair4():
             from_matroid_and_weights(u24, [8, 2, 1, 4]))
 
 
-def _arcs(graph):
-    return graph.arcs()
+ARC_EDGE = "E"          # v1 -> v2, length 0, matches v
+ARC_MATCHED = "F"       # v2 -> v1 for v in F, length 0, unmatches v
+ARC_EXCHANGE_1 = "A1"   # u1 -> v1, exchange X1 - u + v
+ARC_EXCHANGE_2 = "A2"   # v2 -> u2, exchange X2 - u + v
+ARC_SOURCE = "S"        # s -> v1 for v in X1 \ X2
+ARC_SINK = "T"          # v2 -> t for v in X2 \ X1
+
+
+@dataclass(slots=True)
+class AuxArc:
+    """An aux arc with its kind and elements: the record the solver kept
+    before its arcs were rows and `(tail, head)` pairs, kept here for the
+    reference builds and searches below."""
+    tail: int
+    head: int
+    units: int              # the length in units of 1/scale
+    kind: str
+    element_out: int = -1   # u of an exchange arc, else -1
+    element_in: int = -1    # v of an exchange arc / the element of E, F arcs
+    scale: int = 1
+
+    @property
+    def length(self) -> Fraction:
+        """The exact length, units / scale."""
+        return Fraction(self.units, self.scale)
+
+
+def _arc(graph: AuxDigraph, tail: int, position: int) -> AuxArc:
+    """The arc at `position` in the row of `tail`, with its kind and
+    elements read off its end nodes."""
+    head, units = graph.adjacency[tail][position]
+    n = graph.n
+    if tail == 0:
+        kind, out, into = ARC_SOURCE, -1, head - 1
+    elif head == 2 * n + 1:
+        kind, out, into = ARC_SINK, -1, tail - 1 - n
+    elif tail <= n:
+        kind, out, into = ((ARC_EXCHANGE_1, tail - 1, head - 1)
+                           if head <= n else (ARC_EDGE, -1, tail - 1))
+    else:
+        kind, out, into = ((ARC_MATCHED, -1, head - 1) if head <= n
+                           else (ARC_EXCHANGE_2, head - 1 - n, tail - 1 - n))
+    return AuxArc(tail, head, units, kind, out, into, graph.scale)
+
+
+def _arcs(graph: AuxDigraph) -> list[AuxArc]:
+    """Every arc of the rows, row by row, decoded by its end nodes."""
+    return [_arc(graph, tail, position)
+            for tail, row in enumerate(graph.adjacency)
+            for position in range(len(row))]
+
+
+def _path_arcs(graph: AuxDigraph, dist, path) -> list[AuxArc]:
+    """The `(tail, head)` pairs of a path as decoded arcs: each the first
+    arc in its tail's row that reaches its head at its distance."""
+    return [_arc(graph, tail, graph.adjacency[tail].index(
+                (head, dist[head] - dist[tail])))
+            for tail, head in path]
 
 
 class TestAuxDigraph:
@@ -427,10 +477,58 @@ class TestIntegerDijkstra:
         if ref_path is None:
             assert path is None
         else:
+            assert path == [(a.tail, a.head) for a in ref_path]
             # The reference's path arcs, each read from the rows at its
             # (tail, position).
-            assert [_fields(a) for a in path] == [
-                _fields(rows.arc(*_position(graph, a))) for a in ref_path]
+            assert [_fields(a) for a in _path_arcs(rows, dist, path)] == [
+                _fields(_arc(rows, *_position(graph, a))) for a in ref_path]
+
+
+def _dispatch_by_kind(x1, x2, matched, path: list[AuxArc]):
+    """Verbatim copy of the kind dispatch `augment_step` applied to its
+    path arcs before `apply_path`."""
+    for arc in path:
+        if arc.kind == ARC_EXCHANGE_1:
+            x1 = x1.exchange(arc.element_out, arc.element_in)
+        elif arc.kind == ARC_EXCHANGE_2:
+            x2 = x2.exchange(arc.element_out, arc.element_in)
+        elif arc.kind == ARC_EDGE:
+            matched = matched.add(arc.element_in)
+        elif arc.kind == ARC_MATCHED:
+            matched = matched.remove(arc.element_in)
+    return x1, x2, matched
+
+
+class TestApplyPath:
+    @settings(max_examples=300)
+    @given(_aux_graphs(), st.lists(st.integers(0, 2 ** 4 - 1), min_size=3,
+                                   max_size=3))
+    def test_matches_kind_dispatch(self, graphs, masks):
+        # The drawn graphs join any two nodes, so paths carry every kind.
+        rows, _ = graphs
+        dist, _, path = shortest_path_with_hop_tiebreak(rows)
+        if path is None:
+            return
+        ground = GroundSet(rows.n)
+        x1, x2, matched = (ground.subset([v for v in range(rows.n)
+                                          if mask >> v & 1])
+                           for mask in masks)
+        assert apply_path(x1, x2, matched, path, rows.n) == \
+            _dispatch_by_kind(x1, x2, matched, _path_arcs(rows, dist, path))
+
+    @pytest.mark.parametrize("arc, expected", [
+        ((0, 1), ([0], [1], [1])),      # s -> a1
+        ((1, 3), ([2], [1], [1])),      # a1 -> c1: X1 - a + c
+        ((3, 6), ([0], [1], [1, 2])),   # c1 -> c2: match c
+        ((6, 5), ([0], [2], [1])),      # c2 -> b2: X2 - b + c
+        ((5, 2), ([0], [1], [])),       # b2 -> b1: unmatch b
+        ((5, 7), ([0], [1], [1])),      # b2 -> t
+    ], ids=["source", "A1", "edge", "A2", "matched", "sink"])
+    def test_each_arc_kind(self, g3, arc, expected):
+        # Nodes s = 0, a1 b1 c1 = 1 2 3, a2 b2 c2 = 4 5 6, t = 7.
+        x1, x2, matched = g3.subset([0]), g3.subset([1]), g3.subset([1])
+        assert apply_path(x1, x2, matched, [arc], 3) \
+            == tuple(g3.subset(members) for members in expected)
 
 
 class TestAugmentStep:
@@ -576,9 +674,9 @@ class TestWitness:
 
     def test_builds_no_arcs(self, g3, monkeypatch):
         def no_arcs(*args, **kwargs):
-            raise AssertionError("verify_witness built an aux arc")
+            raise AssertionError("verify_witness built an aux digraph")
 
-        monkeypatch.setattr(viap, "AuxArc", no_arcs)
+        monkeypatch.setattr(viap, "AuxDigraph", no_arcs)
         omega1, omega2 = _modular_pair(g3)
         witness = Witness(ZEROS3, ZEROS3, g3.subset([1]), 1)
         assert verify_witness(g3.subset([0, 1]), g3.subset([1, 2]), witness,
@@ -1126,7 +1224,8 @@ class TestIntegerExchangeLengths:
 
     def test_aux_arc_lengths_are_the_lpt_rationals(self):
         # The LPT raise loop of `reference.py` builds the aux digraph on
-        # rational duals and reads `AuxArc.length` as exact Fractions.
+        # rational duals and reads row lengths over the graph's scale as
+        # exact Fractions.
         rng = random.Random(5)
         checked = 0
         for _ in range(40):
@@ -1207,7 +1306,7 @@ class TestRowsAgainstArcs:
             assert (a.calls, a.evals) == (b.calls, b.evals)
         if graph is None:
             return
-        assert [_fields(arc) for arc in rows.arcs()] \
+        assert [_fields(arc) for arc in _arcs(rows)] \
             == [_fields(arc) for out_arcs in graph.adjacency
                 for arc in out_arcs]
         assert [len(row) for row in rows.adjacency] \
@@ -1220,5 +1319,6 @@ class TestRowsAgainstArcs:
         if ref_path is None:
             assert path is None
         else:
-            assert [_fields(arc) for arc in path] \
+            assert path == [(arc.tail, arc.head) for arc in ref_path]
+            assert [_fields(arc) for arc in _path_arcs(rows, dist, path)] \
                 == [_fields(arc) for arc in ref_path]

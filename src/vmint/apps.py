@@ -18,6 +18,7 @@ from .core import (
     IntVector,
     InvalidInputError,
     Subset,
+    scaled_weights,
     vector_to_subset,
 )
 from .greedy import minimize_valuated
@@ -32,7 +33,6 @@ from .valuated import (
     from_matroid_and_weights,
     mnat_from_valuation,
     scaled_sum,
-    scaled_weights,
 )
 from .vmi import TupleSolution, solve_v_n_w, solve_sum_valuated_plus_laminar
 from .viap import IntersectionSolution, run_ladder, solve_v_geq_k

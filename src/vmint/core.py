@@ -11,6 +11,7 @@ instead of silently wrapping.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -403,6 +404,14 @@ def vector_to_subset(ground: GroundSet, x: IntVector) -> Subset:
 def intersection_cardinality(x: Subset, y: Subset) -> int:
     """|X intersect Y| for two subsets of the same ground set."""
     return x.intersection(y).mask.bit_count()
+
+
+def scaled_weights(weights: Sequence[RationalLike]
+                   ) -> tuple[tuple[int, ...], int]:
+    """The weights times the lcm D of their denominators, and D."""
+    ws = [w if isinstance(w, (int, Fraction)) else Fraction(w) for w in weights]
+    scale = math.lcm(*(w.denominator for w in ws))
+    return tuple(w.numerator * (scale // w.denominator) for w in ws), scale
 
 
 def dot(weights: Sequence[Fraction], subset: Subset) -> Fraction:

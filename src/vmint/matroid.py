@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -12,6 +13,7 @@ from .core import (
     ResourceLimitError,
     Subset,
     parse_rational,
+    scaled_weights,
 )
 
 DEFAULT_ENUMERATION_LIMIT = 1 << 22
@@ -20,12 +22,12 @@ DEFAULT_ENUMERATION_LIMIT = 1 << 22
 class MatroidOracle:
     """A matroid given by its ground set and an independence query.
 
-    A base is computed once by greedy augmentation from the empty set, in
-    index order, and cached with its size, the rank; every downstream
-    algorithm needs them repeatedly.  A construction that knows its
-    structure passes that same greedy base as `base` and skips the pass,
-    which asks one independence query per element.  `some_base` returns
-    it.
+    `greedy(order)` is the set the matroid greedy algorithm keeps when it
+    scans `order`, distinct elements each of which joins when it keeps the
+    set independent.  A construction that knows its structure passes a
+    `greedy` hook that returns that set's mask from one pass; without one,
+    the scan asks one independence query per element.  `some_base`, the
+    greedy base in index order, and its size, the rank, are computed once.
 
     A construction that knows its structure may also pass `circuits`, a
     map from the mask of a base X to its fundamental-circuit table: a
@@ -39,17 +41,16 @@ class MatroidOracle:
     def __init__(self, ground: GroundSet, independent: Callable[[Subset], bool],
                  name: str = "matroid",
                  circuits: Optional[Callable[[int], tuple[int, ...]]] = None,
-                 base: Optional[Subset] = None):
+                 greedy: Optional[Callable[[Sequence[int]], int]] = None):
         self.ground = ground
         self._independent = independent
         self._circuits = circuits
+        self._greedy = greedy or self._greedy_by_queries
         self.name = name
         if not independent(ground.empty()):
             raise InvalidInputError("the empty set must be independent")
-        if base is None:
-            base = self._greedy_extend(ground.empty(), ground.full())
-        self._base = base
-        self._rank = base.cardinality()
+        self._base = self.greedy(ground.elements())
+        self._rank = self._base.cardinality()
 
     def is_independent(self, subset: Subset) -> bool:
         if subset.ground is not self.ground and subset.ground != self.ground:
@@ -62,7 +63,7 @@ class MatroidOracle:
 
     def rank_of(self, subset: Subset) -> int:
         """Rank of a subset: size of a maximal independent subset of it."""
-        return len(self._greedy_extend(self.ground.empty(), subset))
+        return self._greedy(subset.members()).bit_count()
 
     def is_base(self, subset: Subset) -> bool:
         return subset.cardinality() == self._rank and self.is_independent(subset)
@@ -85,14 +86,18 @@ class MatroidOracle:
         the set independent."""
         return self._base
 
-    def _greedy_extend(self, start: Subset, within: Subset) -> Subset:
-        current = start
-        for i in within.members():
-            if not current.contains(i):
-                grown = current.add(i)
-                if self._independent(grown):
-                    current = grown
-        return current
+    def greedy(self, order: Sequence[int]) -> Subset:
+        """The set that each element of `order` in turn joins when it keeps
+        the set independent."""
+        return Subset(self.ground, self._greedy(order))
+
+    def _greedy_by_queries(self, order: Sequence[int]) -> int:
+        mask = 0
+        for i in order:
+            grown = mask | 1 << i
+            if self._independent(Subset(self.ground, grown)):
+                mask = grown
+        return mask
 
     def __repr__(self) -> str:
         return f"MatroidOracle({self.name}, |V|={self.ground.size}, rank={self._rank})"
@@ -116,7 +121,7 @@ def make_uniform(ground: GroundSet, r: int) -> MatroidOracle:
         raise InvalidInputError(f"uniform rank {r} out of range 0..{ground.size}")
     return MatroidOracle(ground, lambda x: x.cardinality() <= r, f"uniform(r={r})",
                          lambda base: (base,) * ground.size,
-                         Subset(ground, (1 << r) - 1))
+                         lambda order: _mask_of(order[:r], ground.size))
 
 
 def make_free(ground: GroundSet) -> MatroidOracle:
@@ -140,31 +145,34 @@ def make_partition(ground: GroundSet,
         seen |= block.mask
     if seen != ground.full().mask:
         raise InvalidInputError("blocks do not cover the ground set")
-    masks_caps = tuple((block.mask, cap) for block, cap in blocks)
+    masks = [block.mask for block, _ in blocks]
+    caps = [cap for _, cap in blocks]
     block_of = [0] * ground.size
-    for block, _ in blocks:
+    for b, (block, _) in enumerate(blocks):
         for v in block.members():
-            block_of[v] = block.mask
+            block_of[v] = b
 
     def independent(x: Subset) -> bool:
-        return all((x.mask & m).bit_count() <= cap for m, cap in masks_caps)
+        return all((x.mask & m).bit_count() <= cap for m, cap in zip(masks, caps))
 
     def circuits(base: int) -> tuple[int, ...]:
         # A base fills the block of every v outside it, so v can only
         # replace a member of its own block.
-        return tuple(base & m for m in block_of)
+        return tuple(base & masks[b] for b in block_of)
 
-    # The greedy base: the first `cap` members of each block.
-    base = 0
-    for m, cap in masks_caps:
-        for _ in range(cap):
-            if not m:
-                break
-            low = m & -m
-            base |= low
-            m ^= low
-    return MatroidOracle(ground, independent, "partition", circuits,
-                         Subset(ground, base))
+    def greedy(order: Sequence[int]) -> int:
+        # One room counter per block, indexed by position: a mask key
+        # would hash |V| bits on every lookup.
+        room = caps.copy()
+        kept = []
+        for i in order:
+            b = block_of[i]
+            if room[b]:
+                room[b] -= 1
+                kept.append(i)
+        return _mask_of(kept, ground.size)
+
+    return MatroidOracle(ground, independent, "partition", circuits, greedy)
 
 
 def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],
@@ -225,12 +233,12 @@ def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],
             table[i] = path
         return tuple(table)
 
-    # The greedy base is Kruskal's forest in index order, read off one
-    # union-find pass; the mask is built from a bit string in linear time.
-    joins = _joins_two_trees(edge_list, vertices, range(len(edge_list)))
-    bits = "".join("1" if joined else "0" for joined in joins)
-    return MatroidOracle(ground, independent, "graphic", circuits,
-                         Subset(ground, int(bits[::-1] or "0", 2)))
+    def greedy(order: Sequence[int]) -> int:
+        # Kruskal's forest: the edges of `order` that join two trees.
+        joins = _joins_two_trees(edge_list, vertices, order)
+        return _mask_of(compress(order, joins), ground.size)
+
+    return MatroidOracle(ground, independent, "graphic", circuits, greedy)
 
 
 def _joins_two_trees(edge_list: Sequence[tuple[int, int]], vertices: int,
@@ -251,6 +259,17 @@ def _joins_two_trees(edge_list: Sequence[tuple[int, int]], vertices: int,
         if ru != rv:
             parent[ru] = rv
         yield ru != rv
+
+
+def _mask_of(indices: Iterable[int], size: int) -> int:
+    """The mask of distinct indices below `size`, in time linear in `size`
+    (an OR per index copies the growing mask); a `range` is one shift."""
+    if isinstance(indices, range) and indices.step == 1:
+        return ((1 << len(indices)) - 1) << indices.start if indices else 0
+    bits = bytearray(b"0") * size
+    for i in indices:
+        bits[i] = 49  # ord("1")
+    return int(bits[::-1], 2) if size else 0
 
 
 def make_linear(ground: GroundSet,
@@ -345,7 +364,6 @@ def check_base_exchange(family: ExplicitBaseFamily) -> bool:
         raise InvalidInputError("bases must be equicardinal")
     masks = sorted({b.mask for b in family.bases})
     mask_set = set(masks)
-    n = family.ground.size
     for xm in masks:
         for ym in masks:
             diff = xm & ~ym
@@ -415,11 +433,10 @@ def check_independence_axioms(matroid: MatroidOracle,
 
 def min_weight_base(matroid: MatroidOracle,
                     weights: Sequence[Fraction]) -> Subset:
-    """Minimum-weight base by the classic matroid greedy algorithm."""
-    order = sorted(matroid.ground.elements(), key=lambda i: (weights[i], i))
-    current = matroid.ground.empty()
-    for i in order:
-        grown = current.add(i)
-        if matroid.is_independent(grown):
-            current = grown
-    return current
+    """Minimum-weight base by the classic matroid greedy algorithm: ties
+    in index order."""
+    if len(weights) != matroid.ground.size:
+        raise InvalidInputError("need one weight per ground element")
+    scaled, _ = scaled_weights(weights)
+    return matroid.greedy(sorted(matroid.ground.elements(),
+                                 key=scaled.__getitem__))

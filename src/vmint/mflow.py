@@ -65,13 +65,13 @@ from .core import (
     InvalidInputError,
     ResourceLimitError,
     componentwise_min,
+    scaled_weights,
 )
 from .valuated import (
     MnatFunction,
     NegatedMnat,
     direct_sum,
     interval_indicator,
-    scaled_weights,
 )
 
 MAX_CANCEL_ITERATIONS = 100_000

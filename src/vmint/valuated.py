@@ -75,6 +75,7 @@ from .core import (
     InvalidInputError,
     ResourceLimitError,
     Subset,
+    scaled_weights,
     subset_to_vector,
     vector_to_subset,
 )
@@ -556,13 +557,6 @@ class ConvexTable:
         if self.start <= k <= self.end:
             return ExtValue(self.values[k - self.start])
         return INF
-
-
-def scaled_weights(weights: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """The weights times the lcm D of their denominators, and D."""
-    ws = [Fraction(w) for w in weights]
-    scale = math.lcm(*(w.denominator for w in ws))
-    return tuple(w.numerator * (scale // w.denominator) for w in ws), scale
 
 
 def scaled_sum(scaled: Sequence[int], mask: int) -> int:

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -77,7 +78,7 @@ def test_table_length_checked_before_quadratic_work(tmp_path, capsys,
     def greedy(*_args):
         raise AssertionError("greedy rank pass on the whole ground set")
 
-    monkeypatch.setattr(MatroidOracle, "_greedy_extend", greedy)
+    monkeypatch.setattr(MatroidOracle, "_greedy_by_queries", greedy)
     path = tmp_path / "huge.yaml"
     path.write_text(
         "ground: {size: 1000000}\n"
@@ -96,7 +97,7 @@ def test_graphic_base_is_one_pass(tmp_path, capsys, monkeypatch):
     def greedy(*_args):
         raise AssertionError("greedy rank pass on the whole ground set")
 
-    monkeypatch.setattr(MatroidOracle, "_greedy_extend", greedy)
+    monkeypatch.setattr(MatroidOracle, "_greedy_by_queries", greedy)
     n = 100_000
     edges = ", ".join(f"[{i}, {i + 1}]" for i in range(n))
     path = tmp_path / "path.yaml"
@@ -109,6 +110,22 @@ def test_graphic_base_is_one_pass(tmp_path, capsys, monkeypatch):
         "problem: {type: v_geq_k, oracles: [v, v], k: 1}\n")
     assert main(["solve", "-i", str(path)]) == 3
     assert f"expected {n} rationals" in capsys.readouterr().err
+
+
+def test_full_rank_uniform_is_checked_at_once(tmp_path, capsys):
+    # The base of U(n, n) is one shift; a mask built by one OR per
+    # element would copy it a million times, for seconds of work.
+    path = tmp_path / "free.yaml"
+    path.write_text(
+        "ground: {size: 1000000}\n"
+        "matroids:\n  M: {kind: uniform, rank: 1000000}\n"
+        "valuations:\n  v: {kind: modular_on_matroid, matroid: M,"
+        " weights: ['1', '2', '3']}\n"
+        "problem: {type: v_geq_k, oracles: [v, v], k: 1}\n")
+    start = time.process_time()
+    assert main(["solve", "-i", str(path)]) == 3
+    assert time.process_time() - start < 2
+    assert "expected 1000000 rationals" in capsys.readouterr().err
 
 
 def _padded(text: str, size: int) -> str:

@@ -1,5 +1,6 @@
 """Exact arithmetic and the basic set/vector types."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,21 @@ from vmint.core import (
     componentwise_min,
     intersection_cardinality,
     parse_rational,
+    scaled_weights,
     subset_to_vector,
     vector_to_subset,
 )
 
 rationals = st.fractions(max_denominator=50)
+
+
+@given(st.lists(st.one_of(rationals, st.integers(-99, 99)), max_size=8))
+def test_scaled_weights_are_integers_over_the_lcm(weights):
+    scaled, scale = scaled_weights(weights)
+    assert all(type(w) is int for w in scaled)
+    assert [Fraction(w, scale) for w in scaled] == weights
+    assert scale == math.lcm(*(Fraction(w).denominator for w in weights))
+    assert scaled_weights([str(w) for w in weights]) == (scaled, scale)
 
 
 class TestExtValue:

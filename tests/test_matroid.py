@@ -242,7 +242,7 @@ class TestCheckers:
     @staticmethod
     def _assert_declared_base_is_greedy(m):
         ground = m.ground
-        greedy = m._greedy_extend(ground.empty(), ground.full())
+        greedy = Subset(ground, m._greedy_by_queries(ground.elements()))
         assert m.some_base() == greedy, m.name
         assert m.rank == greedy.cardinality()
 
@@ -259,23 +259,12 @@ class TestCheckers:
         assert over.rank == 2
 
     def test_declared_bases_on_loops_parallels_and_empty_blocks(self):
-        g6 = GroundSet(6)
-        cases = [
-            # Self-loops first and last, parallel edges, two components.
-            make_graphic(6, [(2, 2), (0, 1), (1, 0), (3, 4), (4, 5), (5, 3)]),
-            make_graphic(9, [(0, 1), (7, 8), (1, 0), (8, 7), (0, 0), (1, 2)]),
-            make_graphic(1, [(0, 0)] * 6),
-            make_partition(g6, [(g6.subset([0, 3]), 0), (g6.subset([1, 5]), 1),
-                                (g6.subset([2, 4]), 2)]),
-            make_partition(g6, [(g6.subset([5, 1, 4]), 2),
-                                (g6.subset([0, 2, 3]), 0)]),
-            make_uniform(g6, 0),
-            make_uniform(g6, 6),
-        ]
+        cases = _edge_case_matroids()
         for m in cases:
             self._assert_declared_base_is_greedy(m)
         assert [m.some_base().mask for m in cases] == [
-            0b011010, 0b100011, 0, 0b010110, 0b000010 | 0b010000, 0, 0b111111]
+            0b011010, 0b100011, 0, 0b010110, 0b000010 | 0b010000, 0b001111,
+            0, 0b111111]
         rng = random.Random(17)
         for _ in range(200):
             n = rng.randint(1, 8)
@@ -311,3 +300,116 @@ class TestGreedyBase:
             best = min(sum(weights[i] for i in b.members())
                        for b in enumerate_bases(m))
             assert sum(weights[i] for i in greedy.members()) == best
+
+    def test_weight_count_is_checked(self):
+        u = make_uniform(GroundSet(3), 2)
+        for count in (2, 4):
+            with pytest.raises(InvalidInputError, match="one weight per"):
+                min_weight_base(u, [Fraction(i) for i in range(count)])
+
+    def test_min_weight_base_equals_the_sorted_query_loop(self):
+        def by_queries(matroid, weights):
+            order = sorted(matroid.ground.elements(), key=lambda i: (weights[i], i))
+            current = matroid.ground.empty()
+            for i in order:
+                grown = current.add(i)
+                if matroid.is_independent(grown):
+                    current = grown
+            return current
+
+        rng = random.Random(29)
+        for _ in range(200):
+            for m in _structured_matroids(rng):
+                # Few distinct values, so most draws tie; ints and
+                # Fractions mixed.
+                weights = [rng.choice([rng.randint(-2, 2),
+                                       Fraction(rng.randint(-4, 4), 2)])
+                           for _ in m.ground.elements()]
+                assert min_weight_base(m, weights) == by_queries(m, weights)
+
+
+def _edge_case_matroids():
+    g6 = GroundSet(6)
+    return [
+        # Self-loops first and last, parallel edges, two components.
+        make_graphic(6, [(2, 2), (0, 1), (1, 0), (3, 4), (4, 5), (5, 3)]),
+        make_graphic(9, [(0, 1), (7, 8), (1, 0), (8, 7), (0, 0), (1, 2)]),
+        make_graphic(1, [(0, 0)] * 6),
+        # Capacity-0 and over-capacity blocks.
+        make_partition(g6, [(g6.subset([0, 3]), 0), (g6.subset([1, 5]), 1),
+                            (g6.subset([2, 4]), 2)]),
+        make_partition(g6, [(g6.subset([5, 1, 4]), 2),
+                            (g6.subset([0, 2, 3]), 0)]),
+        make_partition(g6, [(g6.subset([0, 1]), 5), (g6.subset([2, 3, 4, 5]), 2)]),
+        make_uniform(g6, 0),
+        make_uniform(g6, 6),
+    ]
+
+
+def _structured_matroids(rng):
+    """A uniform, a partition and a graphic matroid on one ground of 1-8
+    elements: blocks of capacity 0 to 4, so some are empty-capacity and
+    some over capacity; multigraphs on 1-6 vertices, so self-loops,
+    parallel edges and several components all occur."""
+    n = rng.randint(1, 8)
+    ground = GroundSet(n)
+    block_of = [rng.randrange(3) for _ in range(n)]
+    blocks = [(ground.subset(v for v in range(n) if block_of[v] == b),
+               rng.randint(0, 4)) for b in sorted(set(block_of))]
+    vertices = rng.randint(1, 6)
+    edges = [(rng.randrange(vertices), rng.randrange(vertices))
+             for _ in range(n)]
+    return [make_uniform(ground, rng.randint(0, n)),
+            make_partition(ground, blocks), make_graphic(vertices, edges)]
+
+
+def _greedy_by_queries(matroid, order):
+    """Each element of `order` in turn joins when the set stays
+    independent, one query per element."""
+    current = matroid.ground.empty()
+    for i in order:
+        if matroid.is_independent(current.add(i)):
+            current = current.add(i)
+    return current
+
+
+class TestGreedyHooks:
+    def test_greedy_and_rank_of_equal_the_query_loop(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            for m in _structured_matroids(rng) + _edge_case_matroids():
+                n = m.ground.size
+                lo = rng.randint(0, n)
+                orders = [rng.sample(range(n), n),
+                          rng.sample(range(n), rng.randint(0, n)),
+                          range(lo, rng.randint(lo, n))]
+                for order in orders:
+                    assert m.greedy(order) == _greedy_by_queries(m, order), \
+                        (m.name, order)
+                subset = Subset(m.ground, rng.getrandbits(n))
+                assert m.rank_of(subset) == _greedy_by_queries(
+                    m, subset.members()).cardinality(), (m.name, subset)
+
+    def test_full_rank_uniform_base_is_one_shift(self):
+        # U(n, n) keeps every element: its base in index order is one
+        # shift, with no buffer of one byte per element.
+        tracemalloc.start()
+        try:
+            free = make_uniform(GroundSet(10**6), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert free.some_base().mask == (1 << 10**6) - 1
+        assert peak < 1_000_000
+
+    def test_dual_independence_is_brute_force(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            for m in _structured_matroids(rng):
+                dual = dual_matroid(m)
+                bases = [b.mask for b in enumerate_bases(m)]
+                for mask in range(1 << m.ground.size):
+                    # X is coindependent iff some base avoids it.
+                    expected = any(not b & mask for b in bases)
+                    assert dual.is_independent(
+                        Subset(m.ground, mask)) == expected, (m.name, mask)

@@ -21,7 +21,6 @@ from .matroid import (
     ExplicitBaseFamily,
     MatroidOracle,
     check_base_exchange,
-    check_independence_axioms,
     dual_matroid,
     enumerate_bases,
     from_explicit_bases,
@@ -50,7 +49,7 @@ from .valuated import (
     restrict_to_hyperplane,
     size_constrained_modular,
 )
-from .greedy import minimize_valuated, minimizer_family
+from .greedy import minimize_valuated
 from .viap import (
     IntersectionSolution,
     Witness,
@@ -85,7 +84,6 @@ from .mflow import (
 )
 from .reference import (
     LptWitness,
-    alt_solve_v_eq_k,
     convert_witness,
     lpt_solve_w_eq_k,
     lpt_solve_with_witness,

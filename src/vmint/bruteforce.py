@@ -232,22 +232,3 @@ def brute_congestion(omegas: Sequence[ValuationOracle],
     if chosen is None:
         return BruteResult("infeasible")
     return BruteResult("optimal", chosen[1], None, ExtValue(chosen[0][0]))
-
-
-def brute_three_matroid_intersection(m1: MatroidOracle, m2: MatroidOracle,
-                                     m3: MatroidOracle,
-                                     limit: int = DEFAULT_PAIR_LIMIT,
-                                     ) -> Optional[Subset]:
-    """A maximum common independent set of three matroids, by enumeration."""
-    ground = m1.ground
-    if 1 << ground.size > limit:
-        raise ResourceLimitError("ground set too large for enumeration")
-    best: Optional[Subset] = None
-    for subset in ground.all_subsets():
-        if not (m1.is_independent(subset) and m2.is_independent(subset)
-                and m3.is_independent(subset)):
-            continue
-        if best is None or (-subset.cardinality(), subset.sort_key()) < \
-                (-best.cardinality(), best.sort_key()):
-            best = subset
-    return best

@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction, str]
@@ -194,6 +195,21 @@ INF = ExtValue.infinity()
 ZERO = ExtValue(0)
 
 
+def mask_of(indices: Iterable[int], size: int) -> int:
+    """The mask of indices below `size`, in time linear in `size` and the
+    number of indices (an OR per index copies the growing mask); a
+    `range` is one shift."""
+    if isinstance(indices, range) and indices.step == 1:
+        return ((1 << len(indices)) - 1) << indices.start if indices else 0
+    data = bytearray((size + 7) // 8)
+    for i in indices:
+        data[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(data, "little")
+
+
+_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\0\1")
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """A finite ground set of `size` elements, optionally labelled."""
@@ -233,12 +249,11 @@ class GroundSet:
         return Subset(self, (1 << self.size) - 1)
 
     def subset(self, indices: Iterable[int]) -> "Subset":
-        mask = 0
+        indices = list(indices)
         for i in indices:
             if not 0 <= i < self.size:
                 raise InvalidInputError(f"element index {i} out of range")
-            mask |= 1 << i
-        return Subset(self, mask)
+        return Subset(self, mask_of(indices, self.size))
 
     def subset_of_labels(self, labels: Iterable[str]) -> "Subset":
         return self.subset(self.index_of(lbl) for lbl in labels)
@@ -271,7 +286,7 @@ class Subset:
     mask: int
 
     def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.ground.size):
+        if self.mask < 0 or self.mask.bit_length() > self.ground.size:
             raise InvalidInputError("subset mask out of range for ground set")
 
     def cardinality(self) -> int:
@@ -287,13 +302,20 @@ class Subset:
         return self.contains(index)
 
     def members(self) -> tuple[int, ...]:
-        found = []
+        # Clearing one member's bit at a time copies the mask per member;
+        # one scan of the binary digits visits every bit.  A mask of at
+        # most 64 members takes the first, any other the second, so
+        # either costs time linear in |V|.
         mask = self.mask
-        while mask:
-            low = mask & -mask
-            found.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(found)
+        if mask.bit_count() <= 64:
+            found = []
+            while mask:
+                low = mask & -mask
+                found.append(low.bit_length() - 1)
+                mask ^= low
+            return tuple(found)
+        digits = bin(mask)[:1:-1].encode().translate(_DIGIT_TO_BIT)
+        return tuple(compress(range(len(digits)), digits))
 
     def member_labels(self) -> tuple[str, ...]:
         return tuple(self.ground.label(i) for i in self.members())

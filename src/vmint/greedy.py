@@ -10,7 +10,7 @@ oracle with a `block_fn` answers a whole step at once.
 
 from __future__ import annotations
 
-from .core import EmptyDomainError, ExtValue, Subset
+from .core import ExtValue, Subset
 from .valuated import ValuationOracle
 
 
@@ -39,16 +39,3 @@ def minimize_valuated(omega: ValuationOracle) -> tuple[Subset, ExtValue]:
         i, j = divmod(values.index(best), len(outside))
         current = current.exchange(members[i], outside[j])
         current_value = best
-
-
-def minimizer_family(omega: ValuationOracle) -> list[Subset]:
-    """All global minimizers, by exhaustive domain enumeration.
-
-    The result is a base family of a matroid; tests verify the exchange
-    axiom on it.
-    """
-    domain = omega.enumerate_domain()
-    if not domain:
-        raise EmptyDomainError("empty domain has no minimizers")
-    best = min(omega.value(x) for x in domain)
-    return [x for x in domain if omega.value(x) == best]

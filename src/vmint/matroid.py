@@ -1,4 +1,5 @@
-"""Independence-oracle matroids, standard constructions, and axiom checkers."""
+"""Independence-oracle matroids, standard constructions, and a
+base-exchange checker."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from .core import (
     InvalidInputError,
     ResourceLimitError,
     Subset,
+    mask_of,
     parse_rational,
     scaled_weights,
 )
@@ -121,7 +123,7 @@ def make_uniform(ground: GroundSet, r: int) -> MatroidOracle:
         raise InvalidInputError(f"uniform rank {r} out of range 0..{ground.size}")
     return MatroidOracle(ground, lambda x: x.cardinality() <= r, f"uniform(r={r})",
                          lambda base: (base,) * ground.size,
-                         lambda order: _mask_of(order[:r], ground.size))
+                         lambda order: mask_of(order[:r], ground.size))
 
 
 def make_free(ground: GroundSet) -> MatroidOracle:
@@ -170,7 +172,7 @@ def make_partition(ground: GroundSet,
             if room[b]:
                 room[b] -= 1
                 kept.append(i)
-        return _mask_of(kept, ground.size)
+        return mask_of(kept, ground.size)
 
     return MatroidOracle(ground, independent, "partition", circuits, greedy)
 
@@ -236,7 +238,7 @@ def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],
     def greedy(order: Sequence[int]) -> int:
         # Kruskal's forest: the edges of `order` that join two trees.
         joins = _joins_two_trees(edge_list, vertices, order)
-        return _mask_of(compress(order, joins), ground.size)
+        return mask_of(compress(order, joins), ground.size)
 
     return MatroidOracle(ground, independent, "graphic", circuits, greedy)
 
@@ -259,17 +261,6 @@ def _joins_two_trees(edge_list: Sequence[tuple[int, int]], vertices: int,
         if ru != rv:
             parent[ru] = rv
         yield ru != rv
-
-
-def _mask_of(indices: Iterable[int], size: int) -> int:
-    """The mask of distinct indices below `size`, in time linear in `size`
-    (an OR per index copies the growing mask); a `range` is one shift."""
-    if isinstance(indices, range) and indices.step == 1:
-        return ((1 << len(indices)) - 1) << indices.start if indices else 0
-    bits = bytearray(b"0") * size
-    for i in indices:
-        bits[i] = 49  # ord("1")
-    return int(bits[::-1], 2) if size else 0
 
 
 def make_linear(ground: GroundSet,
@@ -328,14 +319,34 @@ def from_explicit_bases(family: ExplicitBaseFamily) -> MatroidOracle:
 
 
 def dual_matroid(matroid: MatroidOracle) -> MatroidOracle:
-    """The dual matroid: bases are the complements of the bases of `matroid`."""
+    """The dual matroid: bases are the complements of the bases of `matroid`.
+
+    When `matroid` has circuit tables, so does the dual: X* - u + v is a
+    dual base exactly when V \\ X* - v + u is a base, so the table of X*
+    is the transpose of the table of V \\ X* (entry v of the dual table
+    holds the u whose entry in the primal table holds v).
+    """
     full_rank = matroid.rank
+    ground = matroid.ground
 
     def independent(x: Subset) -> bool:
         # X is coindependent iff some base avoids X.
         return matroid.rank_of(x.complement()) == full_rank
 
-    return MatroidOracle(matroid.ground, independent, f"dual({matroid.name})")
+    circuits = None
+    if matroid.has_circuits:
+        full = ground.full().mask
+
+        def circuits(mask: int) -> tuple[int, ...]:
+            table = matroid.circuits(mask ^ full)
+            transposed = [0] * ground.size
+            for u in Subset(ground, mask).members():
+                for v in Subset(ground, table[u]).members():
+                    transposed[v] |= 1 << u
+            return tuple(transposed)
+
+    return MatroidOracle(ground, independent, f"dual({matroid.name})",
+                         circuits)
 
 
 def enumerate_bases(matroid: MatroidOracle,
@@ -384,50 +395,6 @@ def check_base_exchange(family: ExplicitBaseFamily) -> bool:
                 if not ok:
                     return False
                 v ^= vbit
-    return True
-
-
-def check_independence_axioms(matroid: MatroidOracle,
-                              limit: int = DEFAULT_ENUMERATION_LIMIT) -> bool:
-    """Exhaustively test the independence axioms (desk scale only).
-
-    Checks that the empty set is independent, independence is closed
-    downward, and the augmentation property holds.
-    """
-    n = matroid.ground.size
-    if 1 << n > limit:
-        raise ResourceLimitError(f"2^{n} subsets exceed limit {limit}")
-    independent = [matroid.is_independent(Subset(matroid.ground, m))
-                   for m in range(1 << n)]
-    if not independent[0]:
-        return False
-    for m in range(1 << n):
-        if not independent[m]:
-            continue
-        # Downward closure: dropping any element keeps independence.
-        v = m
-        while v:
-            vbit = v & -v
-            if not independent[m ^ vbit]:
-                return False
-            v ^= vbit
-    sizes = [bin(m).count("1") for m in range(1 << n)]
-    indep_masks = [m for m in range(1 << n) if independent[m]]
-    for xm in indep_masks:
-        for ym in indep_masks:
-            if sizes[xm] >= sizes[ym]:
-                continue
-            candidates = ym & ~xm
-            ok = False
-            u = candidates
-            while u:
-                ubit = u & -u
-                if independent[xm | ubit]:
-                    ok = True
-                    break
-                u ^= ubit
-            if not ok:
-                return False
     return True
 
 

@@ -1,13 +1,12 @@
-"""Reference algorithms used to cross-validate the primary solvers.
+"""Reference algorithm used to cross-validate the primary solvers.
 
 Contains a primal-dual algorithm for the modular equality-constrained
 problem that alternates zero-length-path augmentations with uniform dual
-raises, the conversion between its witness format and the potential-pair
-format of the augmenting-path solver, and an alternative equality solver
-that walks exchange sequences inside minimizer families.
+raises, and the conversion between its witness format and the
+potential-pair format of the augmenting-path solver.
 
-None of these aim at the primary solver's complexity; they exist so that
-three independently-coded routes can be compared value-for-value.
+It does not aim at the primary solver's complexity; it exists so that
+independently coded routes can be compared value-for-value.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from .core import (
     dot,
     intersection_cardinality,
 )
-from .greedy import minimizer_family
 from .matroid import MatroidOracle, dual_matroid, min_weight_base
-from .valuated import ValuationOracle, from_matroid_and_weights
+from .valuated import from_matroid_and_weights
 from .viap import (
     IntersectionSolution,
     apply_path,
@@ -34,7 +32,6 @@ from .viap import (
     in_units,
     shortest_path_with_hop_tiebreak,
 )
-from . import viap
 
 
 @dataclass(frozen=True)
@@ -247,83 +244,3 @@ def lpt_solve_with_witness(matroid1: MatroidOracle, matroid2: MatroidOracle,
                                     None, k, "lpt")
     return LptRun(solution, lpt_state_witness(state), matroid1, dual2,
                   w1, bar_w2, state.x1, state.x2)
-
-
-def _exchange_walk(family: list[Subset], origin: Subset,
-                   destination: Subset) -> list[Subset]:
-    """A sequence of family members from origin to destination that swaps
-    in one destination element per step (base exchange guarantees a legal
-    swap exists at every step)."""
-    members = {b.mask for b in family}
-    walk = [origin]
-    current = origin
-    while current.mask != destination.mask:
-        step = None
-        for v in destination.minus(current).members():
-            for u in current.minus(destination).members():
-                candidate = current.exchange(u, v)
-                if candidate.mask in members:
-                    step = candidate
-                    break
-            if step is not None:
-                break
-        if step is None:
-            raise InternalInvariantError(
-                "no legal swap: the minimizer family violates base exchange")
-        walk.append(step)
-        current = step
-    return walk
-
-
-def alt_solve_v_eq_k(omega1: ValuationOracle, omega2: ValuationOracle,
-                     k: int) -> IntersectionSolution:
-    """Equality-constrained solve via the boundary problems and minimizer
-    walks (exhaustive minimizer families, desk scale).
-
-    First solves the <= k and >= k problems; a boundary optimum that hits
-    k exactly is returned.  Otherwise all four boundary sets are
-    unconstrained minimizers and the optimum equals the unconstrained sum;
-    walking exchange sequences inside the minimizer families changes the
-    tracked intersection by at most one per step, so a pair meeting k
-    exactly is found along the way.
-    """
-    from .vmi import solve_v_leq_k  # local import to avoid a cycle
-
-    below = solve_v_leq_k(omega1, omega2, k)
-    above = viap.solve_v_geq_k(omega1, omega2, k)
-    if not below.optimal or not above.optimal:
-        return IntersectionSolution("infeasible", k=k, mode="alt-eq")
-    if intersection_cardinality(below.x1, below.x2) == k:
-        return IntersectionSolution("optimal", below.x1, below.x2,
-                                    below.value, None, k, "alt-eq")
-    if intersection_cardinality(above.x1, above.x2) == k:
-        return IntersectionSolution("optimal", above.x1, above.x2,
-                                    above.value, None, k, "alt-eq")
-    family1 = minimizer_family(omega1)
-    family2 = minimizer_family(omega2)
-
-    def finish(x1: Subset, x2: Subset) -> IntersectionSolution:
-        value = omega1.value(x1) + omega2.value(x2)
-        return IntersectionSolution("optimal", x1, x2, value, None, k,
-                                    "alt-eq")
-
-    walk1 = _exchange_walk(family1, below.x1, above.x1)
-    previous = intersection_cardinality(below.x1, below.x2)
-    for step in walk1:
-        size = intersection_cardinality(step, below.x2)
-        if abs(size - previous) > 1:
-            raise InternalInvariantError("walk changed the intersection by >1")
-        previous = size
-        if size == k:
-            return finish(step, below.x2)
-    walk2 = _exchange_walk(family2, below.x2, above.x2)
-    previous = intersection_cardinality(above.x1, below.x2)
-    for step in walk2:
-        size = intersection_cardinality(above.x1, step)
-        if abs(size - previous) > 1:
-            raise InternalInvariantError("walk changed the intersection by >1")
-        previous = size
-        if size == k:
-            return finish(above.x1, step)
-    raise InternalInvariantError(
-        "straddling walks must pass through every intermediate size")

@@ -83,6 +83,12 @@ from .matroid import MatroidOracle, make_uniform
 
 DEFAULT_DOMAIN_LIMIT = 200_000
 
+# The most elements a tuple ground (copies times |V|) may have.  The
+# reductions on copies take time that grows with about the fourth power
+# of it; at this size the slowest shapes measured (16 congestion players
+# on 16 resources, 2 copies of 128 elements at half rank) take 9-12 s.
+MAX_TUPLE_GROUND = 256
+
 # A raw oracle value: an int in units of 1/D, None for +infinity.
 Raw = Optional[int]
 _MISSING = object()
@@ -676,12 +682,17 @@ def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
 class TupleGround:
     """n disjoint copies of a ground set V, with tuple/subset conversions.
 
-    Copy i of element v sits at index i*|V| + v of the combined ground set.
+    Copy i of element v sits at index i*|V| + v of the combined ground set,
+    which may have at most `MAX_TUPLE_GROUND` elements.
     """
 
     def __init__(self, base: GroundSet, n: int):
         if n < 1:
             raise InvalidInputError("need at least one copy")
+        if n * base.size > MAX_TUPLE_GROUND:
+            raise ResourceLimitError(
+                f"{n} copies of {base.size} elements exceed the limit of "
+                f"{MAX_TUPLE_GROUND} tuple elements")
         self.base = base
         self.n = n
         labels = None
@@ -1264,17 +1275,3 @@ def check_mnat_exchange(fn: MnatFunction,
                 if not ok:
                     return False
     return True
-
-
-def valuation_from_explicit(ground: GroundSet, rank: int,
-                            table: dict[int, Fraction],
-                            name: str = "explicit") -> ValuationOracle:
-    """A valuation from an explicit mask -> value table (testing helper),
-    scaled by the lcm of its values' denominators; the witness is the
-    smallest mask in the table."""
-    masks = sorted(table)
-    scaled, scale = scaled_weights([table[mask] for mask in masks])
-    raw = dict(zip(masks, scaled))
-    witness = Subset(ground, masks[0]) if masks else None
-    return ValuationOracle(ground, rank, lambda x: raw.get(x.mask), witness,
-                           name, scale=scale)

@@ -443,8 +443,7 @@ def _check_state(state: ViapState, expected_intersection: int) -> None:
 
 
 def verify_witness(x1: Subset, x2: Subset, witness: Witness, k: int,
-                   omega1: ValuationOracle, omega2: ValuationOracle,
-                   exhaustive: bool = False) -> bool:
+                   omega1: ValuationOracle, omega2: ValuationOracle) -> bool:
     """Check the optimality certificate for a pair feasible at level k.
 
     Verifies that the witness has one potential per element on each copy,
@@ -454,8 +453,7 @@ def verify_witness(x1: Subset, x2: Subset, witness: Witness, k: int,
     Minimality is checked by the local exchange criterion, which is
     equivalent to global minimality for valuated matroids: the exchange
     rows of the aux build, computed without building the graph, reject
-    exactly a negative exchange.  `exhaustive` checks it against every set
-    of each domain instead.
+    exactly a negative exchange.
     """
     p1, p2, matched = witness.p1, witness.p2, witness.matched
     if not len(p1) == len(p2) == omega1.ground.size:
@@ -466,29 +464,11 @@ def verify_witness(x1: Subset, x2: Subset, witness: Witness, k: int,
         return False
     if _potential_fault(x1, x2, matched, p1, p2) is not None:
         return False
-    if exhaustive:
-        return (_is_shifted_minimizer_exhaustive(omega1, x1, p1, -1)
-                and _is_shifted_minimizer_exhaustive(omega2, x2, p2, +1))
     q1, q2, scale = in_units(omega1, omega2, p1, p2)
     try:
         _exchange_lengths(x1, x2, q1, q2, scale, omega1, omega2)
     except InternalInvariantError:
         return False
-    return True
-
-
-def _is_shifted_minimizer_exhaustive(omega: ValuationOracle, x: Subset,
-                                     potential: Sequence[Fraction],
-                                     sign: int) -> bool:
-    base = omega.value(x)
-    if not base.is_finite:
-        return False
-    shift_x = base.finite + sign * sum(potential[v] for v in x.members())
-    for y in omega.enumerate_domain():
-        shifted = omega.value(y).finite + sign * sum(
-            potential[v] for v in y.members())
-        if shifted < shift_x:
-            return False
     return True
 
 
@@ -689,8 +669,7 @@ def witness_problem(mode: str, omega1: ValuationOracle,
 
 
 def verify_solution(solution: IntersectionSolution,
-                    omega1: ValuationOracle, omega2: ValuationOracle,
-                    exhaustive: bool = False) -> bool:
+                    omega1: ValuationOracle, omega2: ValuationOracle) -> bool:
     """Re-check a solution's witness against the oracles it was solved on.
 
     The witness must certify the pair at the level the solver reached, on
@@ -709,4 +688,4 @@ def verify_solution(solution: IntersectionSolution,
         solution.mode, omega1, omega2, x1, x2, k)
     return (solution.witness.k == level
             and verify_witness(x1, x2, solution.witness, level, omega1,
-                               omega2, exhaustive))
+                               omega2))

@@ -21,6 +21,8 @@ from vmint.mflow import coupled_objective, flow_objective
 from vmint.valuated import TupleGround, ValuationOracle
 from vmint.viap import Witness
 
+from references import alt_solve_v_eq_k
+
 
 def _report(name: str, detail: str) -> None:
     print(f"\n{name}: PASS  ({detail})")
@@ -310,7 +312,7 @@ def test_criterion_7_cross_algorithm_agreement():
         k = rng.randint(0, max(0, min(m1.rank, m2.rank) + 1))
         lpt = vm.lpt_solve_w_eq_k(m1, m2, w1, w2, k)
         via = vm.solve_v_eq_k(omega1, omega2, k)
-        alt = vm.alt_solve_v_eq_k(omega1, omega2, k)
+        alt = alt_solve_v_eq_k(omega1, omega2, k)
         brute = bf.brute_v_eq_k(omega1, omega2, k)
         assert lpt.status == via.status == alt.status == brute.status
         if lpt.optimal:

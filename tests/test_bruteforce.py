@@ -7,7 +7,6 @@ import pytest
 from vmint.core import ExtValue, GroundSet, ResourceLimitError
 from vmint.bruteforce import (
     brute_m_geq_k_w,
-    brute_three_matroid_intersection,
     brute_v_In,
     brute_v_eq_k,
     brute_v_geq_k,
@@ -18,6 +17,8 @@ from vmint.matroid import make_free, make_partition, make_uniform
 from vmint.rand_instances import random_mconvex_pair
 from vmint.valuated import from_matroid_and_weights
 from vmint.apps import mnat_from_valuation
+
+from references import brute_three_matroid_intersection
 
 
 @pytest.fixture

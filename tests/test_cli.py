@@ -128,6 +128,47 @@ def test_full_rank_uniform_is_checked_at_once(tmp_path, capsys):
     assert "expected 1000000 rationals" in capsys.readouterr().err
 
 
+def test_large_partition_block_is_built_in_linear_time(tmp_path, capsys,
+                                                      monkeypatch):
+    # One block of 250,000 members: a member list or a block mask built
+    # one bit at a time copies the mask per member, for seconds of work.
+    # PyYAML's constructor alone takes over a second on 250,000 scalars,
+    # so the document is parsed before the clock starts.
+    n = 250_000
+    path = tmp_path / "partition.yaml"
+    path.write_text(
+        f"ground: {{size: {n}}}\n"
+        "matroids:\n  M: {kind: partition, blocks: [{members: ["
+        + ",".join(map(str, range(n))) + "], capacity: 1}]}\n"
+        "valuations:\n  v: {kind: modular_on_matroid, matroid: M,"
+        " weights: ['1', '2', '3']}\n"
+        "problem: {type: v_geq_k, oracles: [v, v], k: 1}\n")
+    document = load_yaml(str(path))
+    monkeypatch.setattr(yaml, "load", lambda *_args, **_kwargs: document)
+    start = time.process_time()
+    assert main(["solve", "-i", str(path)]) == 3
+    assert time.process_time() - start < 2
+    assert f"expected {n} rationals" in capsys.readouterr().err
+
+
+def test_copy_count_is_a_resource_limit(tmp_path, capsys):
+    # 200 copies of a 4-element ground: the reduction's tuple ground is
+    # refused before any copy is built, instead of running for minutes.
+    copies = 200
+    path = tmp_path / "copies.yaml"
+    path.write_text(
+        "ground: {size: 4}\n"
+        "matroids:\n  M: {kind: uniform, rank: 2}\n"
+        "valuations:\n  v: {kind: modular_on_matroid, matroid: M,"
+        " weights: ['1', '2', '3', '4']}\n"
+        f"problem: {{type: v_n_w, oracles: [{', '.join(['v'] * copies)}],"
+        " w: [1, 1, 1, 1]}\n")
+    start = time.process_time()
+    assert main(["solve", "-i", str(path)]) == 4
+    assert time.process_time() - start < 2
+    assert f"{copies} copies of 4 elements" in capsys.readouterr().err
+
+
 def _padded(text: str, size: int) -> str:
     """The document followed by a comment line that brings it to `size`
     bytes."""

@@ -132,6 +132,17 @@ class TestSubsetsAndVectors:
         subset = Subset(GroundSet(n), mask)
         assert subset.members() == tuple(i for i in range(n) if mask >> i & 1)
 
+    @given(st.integers(65, 400), st.data())
+    def test_members_of_sparse_and_dense_masks(self, n, data):
+        # A mask of at most 64 members is read by clearing bits, any
+        # other by a scan of its digits.
+        size = data.draw(st.integers(0, n))
+        chosen = data.draw(st.permutations(range(n)))[:size]
+        ground = GroundSet(n)
+        subset = ground.subset(chosen)
+        assert subset.mask == sum(1 << i for i in chosen)
+        assert subset.members() == tuple(sorted(chosen))
+
     def test_sort_key_is_lexicographic(self, ground):
         # {a, c} before {b, c}: member-tuple order, not mask order.
         ac = ground.subset([0, 2])

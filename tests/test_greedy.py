@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vmint.core import EmptyDomainError, ExtValue, GroundSet, dot
-from vmint.greedy import minimize_valuated, minimizer_family
+from vmint.greedy import minimize_valuated
 from vmint.matroid import ExplicitBaseFamily, check_base_exchange, make_uniform
 from vmint.rand_instances import MATROID_KINDS, random_matroid, random_weights
 from vmint.valuated import (
@@ -15,8 +15,9 @@ from vmint.valuated import (
     dual_valuation,
     from_matroid_and_weights,
     size_constrained_modular,
-    valuation_from_explicit,
 )
+
+from references import minimizer_family, valuation_from_explicit
 
 
 def test_uniform_example():

@@ -49,9 +49,10 @@ from vmint.valuated import (
     scaled_sum,
     scaled_weights,
     size_constrained_modular,
-    valuation_from_explicit,
 )
 from vmint.vmi import lift_laminar_to_copies
+
+from references import valuation_from_explicit
 
 
 @pytest.fixture

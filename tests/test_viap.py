@@ -32,7 +32,6 @@ from vmint.valuated import (
     dual_valuation,
     from_matroid_and_weights,
     size_constrained_modular,
-    valuation_from_explicit,
 )
 from vmint.viap import (
     AuxDigraph,
@@ -47,6 +46,12 @@ from vmint.viap import (
     solve_v_geq_k,
     verify_solution,
     verify_witness,
+)
+
+from references import (
+    valuation_from_explicit,
+    verify_solution_exhaustive,
+    verify_witness_exhaustive,
 )
 
 
@@ -619,8 +624,7 @@ class TestWitness:
         x2 = g3.subset([1, 2])
         witness = Witness(ZEROS3, ZEROS3, g3.subset([1]), 1)
         assert verify_witness(x1, x2, witness, 1, omega1, omega2)
-        assert verify_witness(x1, x2, witness, 1, omega1, omega2,
-                              exhaustive=True)
+        assert verify_witness_exhaustive(x1, x2, witness, 1, omega1, omega2)
 
     def test_perturbed_potential_rejected(self, g3):
         omega1, omega2 = _modular_pair(g3)
@@ -633,7 +637,7 @@ class TestWitness:
     def test_solver_witness_verifies_exhaustively(self, g3):
         omega1, omega2 = _modular_pair(g3)
         out = solve_v_geq_k(omega1, omega2, 2)
-        assert verify_solution(out, omega1, omega2, exhaustive=True)
+        assert verify_solution_exhaustive(out, omega1, omega2)
 
     def test_solution_must_sit_at_its_level(self, g3):
         # (ab, ab) is the >= 1 optimum of this pair: it meets in 2

@@ -20,7 +20,6 @@ from vmint.valuated import (
     disjoint_sum,
     from_matroid_and_weights,
     intersection_constraint_valuation,
-    valuation_from_explicit,
 )
 from vmint.vmi import (
     solve_sum_valuated_plus_laminar,
@@ -31,6 +30,8 @@ from vmint.vmi import (
     solve_vmi,
 )
 from vmint.viap import Witness, solve_v_geq_k, verify_solution
+
+from references import valuation_from_explicit, verify_solution_exhaustive
 
 
 @pytest.fixture
@@ -136,7 +137,7 @@ class TestSolveVLeqK:
         out = solve_v_leq_k(omega1, omega2, 1)
         assert out.optimal and out.mode == "leq"
         assert verify_solution(out, omega1, omega2)
-        assert verify_solution(out, omega1, omega2, exhaustive=True)
+        assert verify_solution_exhaustive(out, omega1, omega2)
         witness = out.witness
         p1 = (witness.p1[0] + 1,) + witness.p1[1:]
         out.witness = Witness(p1, witness.p2, witness.matched, witness.k)

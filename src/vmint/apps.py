@@ -21,6 +21,8 @@ from .core import (
     scaled_weights,
     vector_to_subset,
 )
+# Not called here: `bench/tracing.py` wraps `apps.minimize_valuated` by
+# name, and every traced run fails without it.
 from .greedy import minimize_valuated
 from .matroid import MatroidOracle
 from .mflow import CoupledSolution, solve_m_geq_k_w
@@ -163,11 +165,10 @@ def solve_v_c(omega1: ValuationOracle, omega2: ValuationOracle,
     up = run_ladder(omega1, omega2, min(omega1.rank, omega2.rank))
     for entry in up.entries:
         per_level[entry.level] = (entry.value.finite, entry.x1, entry.x2)
-    x1, _ = minimize_valuated(omega1)
-    x2, _ = minimize_valuated(omega2)
+    start = up.entries[0]
     dual2 = dual_valuation(omega2)
     down = run_ladder(omega1, dual2, omega1.rank,
-                      start=(x1, x2.complement()))
+                      start=(start.x1, start.x2.complement()))
     for entry in down.entries:
         level = omega1.rank - entry.level
         x2_back = entry.x2.complement()

@@ -313,7 +313,7 @@ def _labelled_subset(ground: GroundSet, labels, field: str) -> Subset:
     """The subset that `subset_out` wrote as `labels`."""
     if not isinstance(labels, list):
         raise ParseError(f"{field}: expected a list of element labels")
-    index = {ground.label(v): v for v in ground.elements()}
+    index = ground.label_index
     try:
         return ground.subset(index[str(label)] for label in labels)
     except KeyError as exc:

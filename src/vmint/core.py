@@ -11,6 +11,7 @@ instead of silently wrapping.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -223,8 +224,17 @@ class GroundSet:
         if self.labels is not None:
             if len(self.labels) != self.size:
                 raise InvalidInputError("label count must equal ground set size")
-            if len(set(self.labels)) != self.size:
+            if len(self.label_index) != self.size:
                 raise InvalidInputError("labels must be unique")
+
+    @functools.cached_property
+    def label_index(self) -> dict[str, int]:
+        """Each element's label, as `label` writes it, mapped to the element;
+        built once per ground set."""
+        labels = self.labels
+        if labels is None:
+            labels = (f"e{i}" for i in range(self.size))
+        return dict(zip(labels, range(self.size)))
 
     def elements(self) -> range:
         return range(self.size)
@@ -238,8 +248,8 @@ class GroundSet:
         if self.labels is None:
             raise InvalidInputError("ground set has no labels")
         try:
-            return self.labels.index(label)
-        except ValueError as exc:
+            return self.label_index[label]
+        except KeyError as exc:
             raise InvalidInputError(f"unknown element label: {label!r}") from exc
 
     def empty(self) -> "Subset":

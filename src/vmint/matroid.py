@@ -3,6 +3,7 @@ base-exchange checker."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -353,9 +354,7 @@ def enumerate_bases(matroid: MatroidOracle,
                     limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Subset]:
     """All bases of a matroid, by scanning the rank-sized subsets."""
     n, r = matroid.ground.size, matroid.rank
-    count = 1
-    for i in range(r):
-        count = count * (n - i) // (i + 1)
+    count = math.comb(n, r)
     if count > limit:
         raise ResourceLimitError(
             f"enumerating C({n},{r})={count} candidate bases exceeds limit {limit}")

@@ -131,9 +131,11 @@ def _lpt_case1(matroid1: MatroidOracle, matroid2: MatroidOracle,
     state = _LptState(start[0], start[1],
                       [Fraction(0)] * n, [Fraction(0)] * n)
     while intersection_cardinality(state.x1, state.x2) < k:
-        q1, q2, scale = in_units(omega1, omega2, state.q1, state.q2)
+        # q2 = q1 - gap, and a constant shift of one copy's potential
+        # cancels in each of its arc lengths, so q1 alone gives the graph.
+        q, scale = in_units(omega1, omega2, state.q1)
         matched = state.x1.intersection(state.x2)
-        graph = build_aux_digraph(state.x1, state.x2, q1, q2, matched,
+        graph = build_aux_digraph(state.x1, state.x2, q, matched,
                                   omega1, omega2, scale)
         dist, _parents, path = shortest_path_with_hop_tiebreak(graph)
         if dist[graph.sink] == 0:

@@ -314,9 +314,7 @@ class ValuationOracle:
     def enumerate_domain(self, limit: int = DEFAULT_DOMAIN_LIMIT) -> list[Subset]:
         """All finite-valued subsets, by scanning the rank-sized ones."""
         n, r = self.ground.size, self.rank
-        count = 1
-        for i in range(r):
-            count = count * (n - i) // (i + 1)
+        count = math.comb(n, r)
         if count > limit:
             raise ResourceLimitError(
                 f"domain scan over C({n},{r})={count} subsets exceeds limit {limit}")

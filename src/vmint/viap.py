@@ -5,13 +5,16 @@ set, the problems of minimizing omega_1(X_1) + omega_2(X_2) subject to
 |X_1 intersect X_2| >= k or = k.
 
 The solver maintains a pair (X_1, X_2) that is optimal for the current
-intersection size together with potentials (p_1, p_2) and the matched set
-F = X_1 intersect X_2 certifying that optimality.  Each round builds an
-auxiliary digraph on two copies of the ground set whose exchange arcs carry
+intersection size together with one potential p and the matched set
+F = X_1 intersect X_2 certifying that optimality: X_1 minimizes
+omega_1 - p and X_2 minimizes omega_2 + p (the valuated independent
+assignment criterion, Murota 2003).  Each round builds an auxiliary
+digraph on two copies of the ground set whose exchange arcs carry
 reduced-cost lengths, finds a shortest source-sink path (fewest arcs among
-the shortest), applies the exchanges along it, and raises the potentials by
-the capped shortest-path distances.  Every round grows the intersection by
-exactly one and keeps the optimality certificate valid.
+the shortest), applies the exchanges along it, and raises p by the capped
+shortest-path distances, which agree on the two copies.  Every round grows
+the intersection by exactly one and keeps the optimality certificate
+valid.
 
 Arc lengths are exact and must be nonnegative; a negative length means a
 precondition was violated and is reported as an internal error.  The
@@ -20,8 +23,9 @@ ladder runs on integers: with oracle denominators D1 and D2 (see
 potential, arc length and distance lies in (1/S)Z for their lcm S, so
 they are all kept as ints in units of 1/S, which keeps every comparison
 and tie.  `Fraction` appears only where a `Witness` or a ladder value is
-read, and where the rational potentials of a `Witness` from elsewhere
-are put in units (`in_units`).
+read, and where the rational potential of a `Witness` from elsewhere
+is put in units (`in_units`).  A `Witness` and a report write p twice, as
+p1 and p2; only there do two copies exist.
 
 The aux digraph is kept as rows: one list of `(head, length)` pairs per
 node, which the search relaxes directly.  An arc is known by its end
@@ -41,7 +45,7 @@ matched set equal to the intersection, potential conditions) are
 checked; the aux build of a level and those checks together check that
 level's full certificate.  Every level but the last gets an aux build;
 the last gets the same rows once more at the end of the ladder, on its
-int potentials and without building the graph, unless the run stopped
+int potential and without building the graph, unless the run stopped
 because the sink was unreachable, whose aux build already checked it.
 """
 
@@ -50,7 +54,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -97,12 +101,13 @@ class AuxDigraph:
 
 @dataclass(frozen=True)
 class Witness:
-    """Potentials and matched set certifying optimality of a solution pair.
+    """Potential and matched set certifying optimality of a solution pair.
 
-    The certificate asserts: p1 and p2 agree pointwise, X1 minimizes
-    omega_1 - p1, X2 minimizes omega_2 + p2, and F is a k-element subset of
-    the intersection with X1 \\ F inside argmin p1 and X2 \\ F inside
-    argmax p2.
+    The certificate asserts: X1 minimizes omega_1 - p, X2 minimizes
+    omega_2 + p, and F is a k-element subset of the intersection with
+    X1 \\ F inside argmin p and X2 \\ F inside argmax p.  The potential p
+    is written twice, as p1 and p2, as reports print it; a witness whose
+    two copies differ certifies nothing.
     """
 
     p1: tuple[Fraction, ...]
@@ -132,51 +137,53 @@ class IntersectionSolution:
 
 @dataclass
 class ViapState:
-    """The solver's pair, matched set and potentials.
+    """One level of the ladder: the solver's pair, matched set, potential
+    and value.
 
-    The potentials p1 and p2 are in units of 1/scale, where scale is a
-    multiple of both oracles' denominators.
+    The potential p is in units of 1/scale, where scale is a multiple of
+    both oracles' denominators.  `value`, omega_1(X1) + omega_2(X2), is
+    evaluated once, when the state is made.
     """
 
     omega1: ValuationOracle
     omega2: ValuationOracle
     x1: Subset
     x2: Subset
-    p1: tuple[int, ...]
-    p2: tuple[int, ...]
+    p: tuple[int, ...]
     matched: Subset
     scale: int = 1
+    value: ExtValue = field(init=False)
 
     def __post_init__(self):
         if self.scale % self.omega1.scale or self.scale % self.omega2.scale:
             raise InvalidInputError(
                 f"potential scale {self.scale} is not a multiple of the "
                 "oracles' denominators")
+        self.value = self.omega1.value(self.x1) + self.omega2.value(self.x2)
 
-    def intersection_size(self) -> int:
+    @property
+    def level(self) -> int:
         return intersection_cardinality(self.x1, self.x2)
 
-    def objective(self) -> ExtValue:
-        return self.omega1.value(self.x1) + self.omega2.value(self.x2)
+    @property
+    def witness(self) -> Witness:
+        p = tuple(Fraction(v, self.scale) for v in self.p)
+        return Witness(p, p, self.matched, self.level)
 
 
 def in_units(omega1: ValuationOracle, omega2: ValuationOracle,
-             p1: Sequence[Fraction], p2: Sequence[Fraction],
-             ) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Rational potentials as ints in units of 1/S, and S: the lcm of both
-    oracles' denominators and the potentials' denominators."""
+             p: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """A rational potential as ints in units of 1/S, and S: the lcm of both
+    oracles' denominators and the potential's denominators."""
     scale = math.lcm(omega1.scale, omega2.scale,
-                     *(p.denominator for p in p1), *(p.denominator for p in p2))
-    return (tuple(p.numerator * (scale // p.denominator) for p in p1),
-            tuple(p.numerator * (scale // p.denominator) for p in p2), scale)
+                     *(v.denominator for v in p))
+    return tuple(v.numerator * (scale // v.denominator) for v in p), scale
 
 
 _LENGTH = operator.itemgetter(1)
 
 
-def _exchange_lengths(x1: Subset, x2: Subset,
-                      p1: Sequence[int], p2: Sequence[int],
-                      scale: int,
+def _exchange_lengths(x1: Subset, x2: Subset, p: Sequence[int], scale: int,
                       omega1: ValuationOracle, omega2: ValuationOracle,
                       ) -> tuple[list, list]:
     """The exchange arcs of the auxiliary digraph, as rows.
@@ -185,7 +192,7 @@ def _exchange_lengths(x1: Subset, x2: Subset,
     the A1 row of node u1 for u in X1, its arcs to v1 for v outside X1,
     and `rows2[v]` the A2 row of node v2 for v outside X2, its arcs to u2
     for u in X2; each arc is a `(head node, length)` pair, in that element
-    order, and every other entry is an empty tuple.  The potentials and
+    order, and every other entry is an empty tuple.  The potential and
     the lengths are in units of 1/scale, a multiple of both oracles'
     denominators; each length is the reduced-cost change of its single
     exchange.  This routine is the one place that rejects a negative
@@ -210,11 +217,11 @@ def _exchange_lengths(x1: Subset, x2: Subset,
     block1 = _in_units(omega1.raw_exchanges(x1, members1, outside1),
                        scale // omega1.scale)
     heads = [1 + v for v in outside1]
-    offsets = [p1[v] for v in outside1]
+    offsets = [p[v] for v in outside1]
     width = len(outside1)
     shift = base1 * (scale // omega1.scale)
     for i, u in enumerate(members1):
-        pu = p1[u] - shift
+        pu = p[u] - shift
         row = [(head, moved + pu - pv) for head, pv, moved
                in zip(heads, offsets, block1[i * width:(i + 1) * width])
                if moved is not None]
@@ -226,11 +233,11 @@ def _exchange_lengths(x1: Subset, x2: Subset,
     block2 = _in_units(omega2.raw_exchanges(x2, members2, outside2),
                        scale // omega2.scale)
     heads = [1 + n + u for u in members2]
-    offsets = [p2[u] for u in members2]
+    offsets = [p[u] for u in members2]
     width = len(outside2)
     shift = base2 * (scale // omega2.scale)
     for j, v in enumerate(outside2):
-        pv = p2[v] - shift
+        pv = p[v] - shift
         row = [(head, moved + pv - pu) for head, pu, moved
                in zip(heads, offsets, block2[j::width])
                if moved is not None]
@@ -256,8 +263,7 @@ def _negative_length(row: list, scale: int,
         "current sets are not minimizers of the shifted valuations")
 
 
-def build_aux_digraph(x1: Subset, x2: Subset,
-                      p1: Sequence[int], p2: Sequence[int],
+def build_aux_digraph(x1: Subset, x2: Subset, p: Sequence[int],
                       matched: Subset,
                       omega1: ValuationOracle,
                       omega2: ValuationOracle,
@@ -274,13 +280,13 @@ def build_aux_digraph(x1: Subset, x2: Subset,
     The graph keeps one row per node, its arcs as `(head, length)` pairs
     (see `AuxDigraph`): the source's arcs by element; a copy-1 node's
     edge arc, then its A1 arcs; a copy-2 node's matched arc, then its A2
-    arcs, then its sink arc.  The potentials are in units of 1/scale, a
-    multiple of both oracles' denominators, as `ViapState` keeps them
-    (:func:`in_units` puts rational potentials in units); so are the
+    arcs, then its sink arc.  The potential is in units of 1/scale, a
+    multiple of both oracles' denominators, as `ViapState` keeps it
+    (:func:`in_units` puts a rational potential in units); so are the
     graph's arc lengths.
     """
     n = omega1.ground.size
-    rows1, rows2 = _exchange_lengths(x1, x2, p1, p2, scale, omega1, omega2)
+    rows1, rows2 = _exchange_lengths(x1, x2, p, scale, omega1, omega2)
     mask1, mask2, mask_f = x1.mask, x2.mask, matched.mask
     only1, only2 = mask1 & ~mask2, mask2 & ~mask1
     sink = 2 * n + 1
@@ -381,13 +387,13 @@ def augment_step(state: ViapState) -> Optional[ViapState]:
     proves that no feasible pair with a larger intersection exists.
     Exchanges are applied arc-wise along the path (`apply_path`): each
     exchange arc swaps one element of its copy, each edge arc matches its
-    element, each reverse arc unmatches it; the potentials then grow by
+    element, each reverse arc unmatches it; the potential then grows by
     the shortest-path distances capped at the sink distance, all in the
-    state's units.
+    state's units.  Those capped distances must agree on the two copies
+    of each element, or the two copies of the potential would part.
     """
-    graph = build_aux_digraph(state.x1, state.x2, state.p1, state.p2,
-                              state.matched, state.omega1, state.omega2,
-                              state.scale)
+    graph = build_aux_digraph(state.x1, state.x2, state.p, state.matched,
+                              state.omega1, state.omega2, state.scale)
     dist, _parent, path = shortest_path_with_hop_tiebreak(graph)
     if path is None:
         return None
@@ -395,30 +401,29 @@ def augment_step(state: ViapState) -> Optional[ViapState]:
     x1, x2, matched = apply_path(state.x1, state.x2, state.matched, path, n)
     d_sink = dist[graph.sink]
     assert d_sink is not None
-    capped = [d_sink if d is None or d > d_sink else d for d in dist]
-    p1 = tuple(p + d for p, d in zip(state.p1, capped[1:n + 1]))
-    p2 = tuple(p + d for p, d in zip(state.p2, capped[n + 1:2 * n + 1]))
-    new_state = ViapState(state.omega1, state.omega2, x1, x2, p1, p2, matched,
+    capped = [d_sink if d is None or d > d_sink else d
+              for d in dist[1:2 * n + 1]]
+    if capped[:n] != capped[n:]:
+        raise InternalInvariantError("potentials on the two copies disagree")
+    p = tuple(pv + d for pv, d in zip(state.p, capped))
+    new_state = ViapState(state.omega1, state.omega2, x1, x2, p, matched,
                           state.scale)
-    _check_state(new_state, expected_intersection=state.intersection_size() + 1)
+    _check_state(new_state, expected_intersection=state.level + 1)
     return new_state
 
 
 def _potential_fault(x1: Subset, x2: Subset, matched: Subset,
-                     p1: Sequence, p2: Sequence) -> Optional[str]:
+                     p: Sequence) -> Optional[str]:
     """The first potential condition of the certificate that fails, or None.
 
-    The conditions: p1 and p2 agree pointwise, X1 \\ F lies in argmin p1
-    and X2 \\ F lies in argmax p2.
+    The conditions: X1 \\ F lies in argmin p and X2 \\ F lies in argmax p.
     """
-    if tuple(p1) != tuple(p2):
-        return "potentials on the two copies disagree"
-    min_p1 = min(p1)
-    if any(p1[v] != min_p1 for v in x1.minus(matched).members()):
-        return "X1 \\ F left argmin p1"
-    max_p2 = max(p2)
-    if any(p2[v] != max_p2 for v in x2.minus(matched).members()):
-        return "X2 \\ F left argmax p2"
+    min_p = min(p)
+    if any(p[v] != min_p for v in x1.minus(matched).members()):
+        return "X1 \\ F left argmin p"
+    max_p = max(p)
+    if any(p[v] != max_p for v in x2.minus(matched).members()):
+        return "X2 \\ F left argmax p"
     return None
 
 
@@ -434,71 +439,47 @@ def _check_state(state: ViapState, expected_intersection: int) -> None:
         raise InternalInvariantError("intersection did not grow by exactly 1")
     if state.matched.mask != inter.mask:
         raise InternalInvariantError("matched set drifted from the intersection")
-    fault = _potential_fault(state.x1, state.x2, state.matched,
-                             state.p1, state.p2)
+    fault = _potential_fault(state.x1, state.x2, state.matched, state.p)
     if fault is not None:
         raise InternalInvariantError(fault)
-    if min(state.p1) != 0:
-        raise InternalInvariantError("minimum of p1 is not zero")
+    if min(state.p) != 0:
+        raise InternalInvariantError("minimum of p is not zero")
 
 
 def verify_witness(x1: Subset, x2: Subset, witness: Witness, k: int,
                    omega1: ValuationOracle, omega2: ValuationOracle) -> bool:
     """Check the optimality certificate for a pair feasible at level k.
 
-    Verifies that the witness has one potential per element on each copy,
-    that its matched set F has size k and lies inside the intersection,
-    the potential conditions of `_potential_fault`, and that X1 and X2
-    minimize the shifted valuations omega_1 - p1 and omega_2 + p2.
+    Verifies that the witness writes one potential p, one entry per
+    element, on both copies (p1 = p2), that its matched set F has size k
+    and lies inside the intersection, the potential conditions of
+    `_potential_fault`, and that X1 and X2 minimize the shifted valuations
+    omega_1 - p and omega_2 + p.
     Minimality is checked by the local exchange criterion, which is
     equivalent to global minimality for valuated matroids: the exchange
     rows of the aux build, computed without building the graph, reject
     exactly a negative exchange.
     """
-    p1, p2, matched = witness.p1, witness.p2, witness.matched
-    if not len(p1) == len(p2) == omega1.ground.size:
+    p, matched = witness.p1, witness.matched
+    if len(p) != omega1.ground.size or tuple(p) != tuple(witness.p2):
         return False
     if matched.cardinality() != k:
         return False
     if not matched.is_subset_of(x1.intersection(x2)):
         return False
-    if _potential_fault(x1, x2, matched, p1, p2) is not None:
+    if _potential_fault(x1, x2, matched, p) is not None:
         return False
-    q1, q2, scale = in_units(omega1, omega2, p1, p2)
+    q, scale = in_units(omega1, omega2, p)
     try:
-        _exchange_lengths(x1, x2, q1, q2, scale, omega1, omega2)
+        _exchange_lengths(x1, x2, q, scale, omega1, omega2)
     except InternalInvariantError:
         return False
     return True
 
 
 @dataclass
-class LadderEntry:
-    """Optimal solution for one intersection level of the augmenting run.
-
-    The potentials are kept in units of 1/scale; `witness` reads them as
-    exact rationals.
-    """
-
-    level: int
-    x1: Subset
-    x2: Subset
-    value: ExtValue
-    p1: tuple[int, ...]
-    p2: tuple[int, ...]
-    matched: Subset
-    scale: int
-
-    @property
-    def witness(self) -> Witness:
-        return Witness(tuple(Fraction(p, self.scale) for p in self.p1),
-                       tuple(Fraction(p, self.scale) for p in self.p2),
-                       self.matched, self.level)
-
-
-@dataclass
 class LadderResult:
-    entries: list[LadderEntry]
+    entries: list[ViapState]
     infeasible_beyond: bool
     oracle_calls: int
 
@@ -507,7 +488,8 @@ def run_ladder(omega1: ValuationOracle, omega2: ValuationOracle, k_max: int,
                start: Optional[tuple[Subset, Subset]] = None) -> LadderResult:
     """Augment from unconstrained minimizers up to intersection k_max.
 
-    The entry at level i is an optimal solution of the >=i problem with
+    The entries are the states the run visits, one per level.  The entry
+    at level i is an optimal solution of the >=i problem with
     intersection exactly i; for levels at or above the starting
     intersection these are therefore also optima of the =i problem.
     Levels below the starting intersection are not visited.
@@ -529,35 +511,26 @@ def run_ladder(omega1: ValuationOracle, omega2: ValuationOracle, k_max: int,
         x2, _ = minimize_valuated(omega2)
     else:
         x1, x2 = start
-    zeros = (0,) * omega1.ground.size
-    state = ViapState(omega1, omega2, x1, x2, zeros, zeros,
+    state = ViapState(omega1, omega2, x1, x2, (0,) * omega1.ground.size,
                       x1.intersection(x2), math.lcm(omega1.scale, omega2.scale))
-    entries: list[LadderEntry] = []
-    start = state.intersection_size()
-    entries.append(_entry_from_state(state, start))
+    entries = [state]
     infeasible_beyond = False
-    while state.intersection_size() < k_max:
+    while state.level < k_max:
         next_state = augment_step(state)
         if next_state is None:
             infeasible_beyond = True
             break
         state = next_state
-        entries.append(_entry_from_state(state, state.intersection_size()))
-    top = entries[-1]
+        entries.append(state)
     if len(entries) > 1 and not infeasible_beyond:
         try:
-            _exchange_lengths(top.x1, top.x2, top.p1, top.p2, top.scale,
+            _exchange_lengths(state.x1, state.x2, state.p, state.scale,
                               omega1, omega2)
         except InternalInvariantError:
             raise InternalInvariantError(
                 "optimality witness failed at the top level") from None
     return LadderResult(entries, infeasible_beyond,
                         omega1.calls + omega2.calls - calls_before)
-
-
-def _entry_from_state(state: ViapState, level: int) -> LadderEntry:
-    return LadderEntry(level, state.x1, state.x2, state.objective(),
-                       state.p1, state.p2, state.matched, state.scale)
 
 
 def _k_subset(subset: Subset, k: int) -> Subset:

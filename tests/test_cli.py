@@ -151,6 +151,29 @@ def test_large_partition_block_is_built_in_linear_time(tmp_path, capsys,
     assert f"expected {n} rationals" in capsys.readouterr().err
 
 
+def test_labels_are_looked_up_in_linear_time(tmp_path, capsys,
+                                             monkeypatch):
+    # 100,000 labels, each named once by a partition block: a label
+    # lookup that scans the labels makes this quadratic, for minutes.
+    # The document is parsed before the clock starts, as above.
+    n = 100_000
+    labels = ",".join(f"l{i}" for i in range(n))
+    path = tmp_path / "labels.yaml"
+    path.write_text(
+        f"ground: {{size: {n}, labels: [{labels}]}}\n"
+        "matroids:\n  M: {kind: partition, blocks: [{members: ["
+        + labels + "], capacity: 1}]}\n"
+        "valuations:\n  v: {kind: modular_on_matroid, matroid: M,"
+        " weights: ['1', '2', '3']}\n"
+        "problem: {type: v_geq_k, oracles: [v, v], k: 1}\n")
+    document = load_yaml(str(path))
+    monkeypatch.setattr(yaml, "load", lambda *_args, **_kwargs: document)
+    start = time.process_time()
+    assert main(["solve", "-i", str(path)]) == 3
+    assert time.process_time() - start < 2
+    assert f"expected {n} rationals" in capsys.readouterr().err
+
+
 def test_copy_count_is_a_resource_limit(tmp_path, capsys):
     # 200 copies of a 4-element ground: the reduction's tuple ground is
     # refused before any copy is built, instead of running for minutes.
@@ -576,6 +599,25 @@ def test_leq_witness_verifies_via_cli(tmp_path, capsys):
     assert report["witness"]["mode"] == "leq"
     assert main(["verify", "-i", str(inst), "-s", str(report_path)]) == 0
     report["witness"]["p1"][0] = "1/7"
+    report_path.write_text(yaml.dump(report, sort_keys=False))
+    assert main(["verify", "-i", str(inst), "-s", str(report_path)]) == 1
+
+
+def test_report_whose_potential_copies_differ_is_rejected(tmp_path,
+                                                          capsys):
+    # A report writes one potential twice, as p1 and p2; an eq-dual
+    # report with p2 edited alone must not verify.
+    inst = tmp_path / "eq.yaml"
+    report_path = tmp_path / "report.yaml"
+    assert main(["generate", "--problem", "v_eq_k", "--seed", "12",
+                 "--out", str(inst)]) == 0
+    assert main(["solve", "-i", str(inst), "--out", str(report_path)]) == 0
+    assert main(["verify", "-i", str(inst), "-s", str(report_path)]) == 0
+    report = yaml.safe_load(report_path.read_text())
+    assert report["witness"]["mode"] == "eq-dual"
+    assert report["witness"]["p1"] == report["witness"]["p2"]
+    report["witness"]["p2"][0] = str(Fraction(report["witness"]["p2"][0])
+                                     + 1)
     report_path.write_text(yaml.dump(report, sort_keys=False))
     assert main(["verify", "-i", str(inst), "-s", str(report_path)]) == 1
 

@@ -144,7 +144,7 @@ class TestAuxDigraph:
         omega1, omega2 = _modular_pair(g3)
         x1 = g3.subset([0, 1])
         x2 = g3.subset([1, 2])
-        graph = build_aux_digraph(x1, x2, ZEROS3, ZEROS3, g3.empty(),
+        graph = build_aux_digraph(x1, x2, ZEROS3, g3.empty(),
                                   omega1, omega2, 1)
         kinds = {}
         for arc in _arcs(graph):
@@ -156,7 +156,7 @@ class TestAuxDigraph:
         omega1, _ = _modular_pair(g3)
         omega2 = from_matroid_and_weights(make_uniform(g3, 2), [1, 2, 4])
         x = g3.subset([0, 1])
-        graph = build_aux_digraph(x, x, ZEROS3, ZEROS3, x, omega1, omega2, 1)
+        graph = build_aux_digraph(x, x, ZEROS3, x, omega1, omega2, 1)
         kinds = {arc.kind for arc in _arcs(graph)}
         assert ARC_SOURCE not in kinds and ARC_SINK not in kinds
 
@@ -164,7 +164,7 @@ class TestAuxDigraph:
         omega1 = from_matroid_and_weights(make_uniform(g3, 2), [1, 2, 4])
         omega2 = from_matroid_and_weights(make_uniform(g3, 2), [1, 2, 4])
         x = g3.subset([0, 1])
-        graph = build_aux_digraph(x, x, ZEROS3, ZEROS3, x, omega1, omega2, 1)
+        graph = build_aux_digraph(x, x, ZEROS3, x, omega1, omega2, 1)
         a1 = {(arc.element_out, arc.element_in): arc.length
               for arc in _arcs(graph) if arc.kind == ARC_EXCHANGE_1}
         assert a1 == {(0, 2): Fraction(3), (1, 2): Fraction(2)}
@@ -175,7 +175,7 @@ class TestAuxDigraph:
         x1 = g3.subset([1, 2])
         x2 = g3.subset([1, 2])
         with pytest.raises(InternalInvariantError):
-            build_aux_digraph(x1, x2, ZEROS3, ZEROS3, g3.subset([1, 2]),
+            build_aux_digraph(x1, x2, ZEROS3, g3.subset([1, 2]),
                               omega1, omega2, 1)
 
 
@@ -208,7 +208,7 @@ class TestShortestPath:
         omega2 = from_matroid_and_weights(make_uniform(g3, 1), [0, 0, 0])
         x = g3.subset([0])
         # X1 == X2: no source arcs at all, sink unreachable.
-        graph = build_aux_digraph(x, x, ZEROS3, ZEROS3, x, omega1, omega2, 1)
+        graph = build_aux_digraph(x, x, ZEROS3, x, omega1, omega2, 1)
         _, _, path = shortest_path_with_hop_tiebreak(graph)
         assert path is None
 
@@ -217,7 +217,7 @@ class TestShortestPath:
         omega2 = from_matroid_and_weights(make_uniform(g3, 2), [0, 0, 0])
         x1 = g3.subset([0, 1])
         x2 = g3.subset([1, 2])
-        graph = build_aux_digraph(x1, x2, ZEROS3, ZEROS3, x1.intersection(x2),
+        graph = build_aux_digraph(x1, x2, ZEROS3, x1.intersection(x2),
                                   omega1, omega2, 1)
         dist, _, path = shortest_path_with_hop_tiebreak(graph)
         assert dist[graph.sink] == 0
@@ -541,27 +541,49 @@ class TestAugmentStep:
         omega1, omega2 = _modular_pair(g3)
         x1 = g3.subset([0, 1])
         x2 = g3.subset([1, 2])
-        state = ViapState(omega1, omega2, x1, x2, ZEROS3, ZEROS3,
+        state = ViapState(omega1, omega2, x1, x2, ZEROS3,
                           x1.intersection(x2))
         new = augment_step(state)
-        assert new.intersection_size() == 2
-        assert new.objective() == ExtValue(9)
+        assert new.level == 2
+        assert new.value == ExtValue(9)
 
     def test_zero_distance_keeps_potentials(self, g3):
         omega1 = from_matroid_and_weights(make_uniform(g3, 2), [0, 0, 0])
         omega2 = from_matroid_and_weights(make_uniform(g3, 2), [0, 0, 0])
         x1 = g3.subset([0, 1])
         x2 = g3.subset([1, 2])
-        state = ViapState(omega1, omega2, x1, x2, ZEROS3, ZEROS3,
+        state = ViapState(omega1, omega2, x1, x2, ZEROS3,
                           x1.intersection(x2))
         new = augment_step(state)
-        assert new.p1 == ZEROS3 and new.p2 == ZEROS3
+        assert new.p == ZEROS3
+
+    def test_copy_distances_that_part_raise(self, g3, monkeypatch):
+        """The potential grows by the capped distances of copy 1, which
+        must equal those of copy 2: a search whose copy-2 distance of one
+        element parts from its copy-1 distance makes the step raise."""
+        real = viap.shortest_path_with_hop_tiebreak
+
+        def parted(graph):
+            dist, parent, path = real(graph)
+            dist = list(dist)
+            dist[graph.node_v2(0)] = -1
+            return dist, parent, path
+
+        monkeypatch.setattr(viap, "shortest_path_with_hop_tiebreak", parted)
+        omega1, omega2 = _modular_pair(g3)
+        x1 = g3.subset([0, 1])
+        x2 = g3.subset([1, 2])
+        state = ViapState(omega1, omega2, x1, x2, ZEROS3,
+                          x1.intersection(x2))
+        with pytest.raises(InternalInvariantError,
+                           match="potentials on the two copies disagree"):
+            augment_step(state)
 
     def test_returns_none_when_stuck(self, g3):
         omega1 = valuation_from_explicit(g3, 1, {0b001: 0})
         omega2 = valuation_from_explicit(g3, 1, {0b010: 0})
         x1, x2 = g3.subset([0]), g3.subset([1])
-        state = ViapState(omega1, omega2, x1, x2, ZEROS3, ZEROS3,
+        state = ViapState(omega1, omega2, x1, x2, ZEROS3,
                           g3.empty())
         assert augment_step(state) is None
 
@@ -784,7 +806,7 @@ class TestLadderCertificate:
             viap.build_aux_digraph
 
         def lengths(*args):
-            calls.append(args[:4])
+            calls.append(args[:3])
             return real_lengths(*args)
 
         def build(*args, **kwargs):
@@ -807,7 +829,7 @@ class TestLadderCertificate:
             steps = len(ladder.entries) - 1
             if steps and not ladder.infeasible_beyond:
                 top = ladder.entries[-1]
-                assert checks == [(top.x1, top.x2, top.p1, top.p2)]
+                assert checks == [(top.x1, top.x2, top.p)]
                 deep += steps > 1
             else:
                 assert checks == []
@@ -820,10 +842,10 @@ class TestLadderCertificate:
         top = entries[-1]
         real = viap._exchange_lengths
 
-        def failing(x1, x2, p1, p2, *rest):
-            if (x1, x2, p1, p2) == (top.x1, top.x2, top.p1, top.p2):
+        def failing(x1, x2, p, *rest):
+            if (x1, x2, p) == (top.x1, top.x2, top.p):
                 raise InternalInvariantError("planted")
-            return real(x1, x2, p1, p2, *rest)
+            return real(x1, x2, p, *rest)
 
         monkeypatch.setattr(viap, "_exchange_lengths", failing)
         with pytest.raises(InternalInvariantError,
@@ -1086,13 +1108,12 @@ def _check_length(length: Fraction, kind: str) -> None:
             "current sets are not minimizers of the shifted valuations")
 
 
-def _unit_exchange_lengths(x1, x2, p1, p2, omega1, omega2):
-    """The integer rows on rational potentials, yielded as the loop's
+def _unit_exchange_lengths(x1, x2, p, omega1, omega2):
+    """The integer rows on a rational potential, yielded as the loop's
     arcs: (kind, u, v, length) with the length as a Fraction, A1 arcs by
     u and then A2 arcs by v.  The rows raise before any arc is yielded."""
-    q1, q2, scale = viap.in_units(omega1, omega2, p1, p2)
-    rows1, rows2 = viap._exchange_lengths(x1, x2, q1, q2, scale,
-                                          omega1, omega2)
+    q, scale = viap.in_units(omega1, omega2, p)
+    rows1, rows2 = viap._exchange_lengths(x1, x2, q, scale, omega1, omega2)
     n = omega1.ground.size
     arcs = [(ARC_EXCHANGE_1, u, head - 1, length)
             for u, row in enumerate(rows1) for head, length in row]
@@ -1201,7 +1222,7 @@ class TestIntegerExchangeLengths:
                       for _ in ground.elements())
         ours1, ours2 = make1(), make2()
         theirs1, theirs2 = make1(), make2()
-        ours = _drain(_unit_exchange_lengths(x1, x2, p, p, ours1, ours2))
+        ours = _drain(_unit_exchange_lengths(x1, x2, p, ours1, ours2))
         theirs = _drain(_fraction_exchange_lengths(x1, x2, p, p,
                                                    theirs1, theirs2))
         # The rows raise before any arc is read; the loop yielded the
@@ -1224,7 +1245,7 @@ class TestIntegerExchangeLengths:
         p = (Fraction(0), Fraction(1, 7), Fraction(0))
         with pytest.raises(InternalInvariantError,
                            match=r"negative arc length -32/21 on A1 arc"):
-            list(_unit_exchange_lengths(x, x, p, p, omega1, omega2))
+            list(_unit_exchange_lengths(x, x, p, omega1, omega2))
 
     def test_aux_arc_lengths_are_the_lpt_rationals(self):
         # The LPT raise loop of `reference.py` builds the aux digraph on
@@ -1241,8 +1262,8 @@ class TestIntegerExchangeLengths:
             if not out.optimal:
                 continue
             q = list(out.witness.p1)
-            units, _, scale = viap.in_units(omega1, omega2, q, q)
-            graph = build_aux_digraph(out.x1, out.x2, units, units,
+            units, scale = viap.in_units(omega1, omega2, q)
+            graph = build_aux_digraph(out.x1, out.x2, units,
                                       out.witness.matched, omega1, omega2,
                                       scale)
             reference = list(_fraction_exchange_lengths(
@@ -1297,14 +1318,14 @@ class TestRowsAgainstArcs:
                              den)
             v = rng.randrange(ground.size)
             p = tuple(pv + delta if i == v else pv for i, pv in enumerate(p))
-        q, _, scale = viap.in_units(omega1, omega2, p, p)
-        state = (out.x1, out.x2, q, q, out.witness.matched)
+        q, scale = viap.in_units(omega1, omega2, p)
+        x1, x2, matched = out.x1, out.x2, out.witness.matched
         ours1, ours2 = make1(), make2()
         theirs1, theirs2 = make1(), make2()
-        rows, message = _build_outcome(build_aux_digraph, *state,
+        rows, message = _build_outcome(build_aux_digraph, x1, x2, q, matched,
                                        ours1, ours2, scale)
-        graph, reference = _build_outcome(_arc_build_aux_digraph, *state,
-                                          theirs1, theirs2, scale)
+        graph, reference = _build_outcome(_arc_build_aux_digraph, x1, x2, q,
+                                          q, matched, theirs1, theirs2, scale)
         assert message == reference
         for a, b in ((ours1, theirs1), (ours2, theirs2)):
             assert (a.calls, a.evals) == (b.calls, b.evals)

@@ -46,7 +46,6 @@ from .valuated import (
     intersection_constraint_valuation,
     laminar_convex_function,
     laminar_penalty,
-    restrict_to_hyperplane,
     size_constrained_modular,
 )
 from .greedy import minimize_valuated

@@ -66,7 +66,6 @@ from .valuated import (
     indicator_of_matroid,
     laminar_convex_function,
     mnat_from_valuation,
-    restrict_to_hyperplane,
     size_constrained_modular,
 )
 
@@ -275,14 +274,10 @@ class Instance:
                              for v in _list(box["lower"], f"{field}.box.lower")]
                     upper = [parse_int(v, f"{field}.box.upper")
                              for v in _list(box["upper"], f"{field}.box.upper")]
-                fn = laminar_convex_function(lam, lower, upper)
+                total = None
                 if "rank" in spec:
-                    restricted = restrict_to_hyperplane(
-                        fn, parse_int(spec["rank"], f"{field}.rank"))
-                    if isinstance(restricted, ValuationOracle):
-                        return mnat_from_valuation(restricted)
-                    return restricted
-                return fn
+                    total = parse_int(spec["rank"], f"{field}.rank")
+                return laminar_convex_function(lam, lower, upper, total)
             if kind == "from_valuation":
                 return mnat_from_valuation(
                     self.named_valuation(field, spec["valuation"]))

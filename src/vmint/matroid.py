@@ -354,10 +354,9 @@ def enumerate_bases(matroid: MatroidOracle,
                     limit: int = DEFAULT_ENUMERATION_LIMIT) -> list[Subset]:
     """All bases of a matroid, by scanning the rank-sized subsets."""
     n, r = matroid.ground.size, matroid.rank
-    count = math.comb(n, r)
-    if count > limit:
+    if math.comb(n, r) > limit:
         raise ResourceLimitError(
-            f"enumerating C({n},{r})={count} candidate bases exceeds limit {limit}")
+            f"enumerating C({n},{r}) candidate bases exceeds limit {limit}")
     return [x for x in matroid.ground.subsets_of_size(r) if matroid.is_independent(x)]
 
 

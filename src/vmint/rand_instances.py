@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .core import INF, GroundSet, IntVector, InvalidInputError
+from .core import GroundSet, InvalidInputError
 from .instances import build_matroid
 from .matroid import MatroidOracle, make_uniform
 from .valuated import (
@@ -152,34 +152,13 @@ def random_mconvex_function(rng: random.Random, dimension: int,
     """A random M-convex function: a laminar (singleton) convex sum
     restricted to a random achievable coordinate-sum hyperplane."""
     ground = GroundSet(dimension)
-    members = []
-    tables = []
-    uppers = []
-    for v in range(dimension):
-        hi = rng.randint(1, max_entry)
-        uppers.append(hi)
-        members.append(ground.subset([v]))
-        tables.append(random_convex_table(rng, 0, hi + 1))
-    spec = LaminarSpec(ground, tuple(members), tuple(tables))
-    fn = laminar_convex_function(spec)
+    tables = tuple(random_convex_table(rng, 0, rng.randint(1, max_entry) + 1)
+                   for _ in range(dimension))
+    spec = LaminarSpec(ground, tuple(ground.subset([v])
+                                     for v in range(dimension)), tables)
     if rank is None:
-        rank = rng.randint(0, sum(uppers))
-    target = rank
-
-    def value(x):
-        if x.total() != target:
-            return INF
-        return fn.value(x)
-
-    witness_entries = []
-    remaining = target
-    for hi in uppers:
-        take = min(hi, remaining)
-        witness_entries.append(take)
-        remaining -= take
-    witness = IntVector(tuple(witness_entries))
-    return MnatFunction(dimension, value, fn.box_lower, fn.box_upper,
-                        witness, f"random-mconvex(sum={target})")
+        rank = rng.randint(0, sum(t.end for t in tables))
+    return laminar_convex_function(spec, total=rank)
 
 
 def random_mconvex_pair(rng: random.Random, dimension: int,

@@ -50,8 +50,8 @@ the mask.
 
 Laminar convex functions (convex tables of the member sums of a laminar
 family) are built by :func:`laminar_valuation` on subsets (the laminar
-penalty, the lifted laminar function, the 0/1 hyperplane restriction)
-and :func:`laminar_convex_function` on vectors, with witnesses from
+penalty, the lifted laminar function) and :func:`laminar_convex_function`
+on vectors, on a coordinate-sum hyperplane or not, with witnesses from
 :func:`_laminar_point` instead of a scan.
 """
 
@@ -314,10 +314,9 @@ class ValuationOracle:
     def enumerate_domain(self, limit: int = DEFAULT_DOMAIN_LIMIT) -> list[Subset]:
         """All finite-valued subsets, by scanning the rank-sized ones."""
         n, r = self.ground.size, self.rank
-        count = math.comb(n, r)
-        if count > limit:
+        if math.comb(n, r) > limit:
             raise ResourceLimitError(
-                f"domain scan over C({n},{r})={count} subsets exceeds limit {limit}")
+                f"domain scan over C({n},{r}) subsets exceeds limit {limit}")
         return [x for x in self.ground.subsets_of_size(r) if self.in_domain(x)]
 
     def __repr__(self) -> str:
@@ -400,7 +399,7 @@ class MnatFunction:
     def iter_box(self, limit: int = DEFAULT_DOMAIN_LIMIT) -> Iterator[IntVector]:
         if self.box_volume() > limit:
             raise ResourceLimitError(
-                f"box scan over {self.box_volume()} points exceeds limit {limit}")
+                f"box scan in dimension {self.dimension} exceeds limit {limit}")
         ranges = [range(lo, hi + 1) for lo, hi in
                   zip(self.box_lower, self.box_upper)]
         for combo in itertools.product(*ranges):
@@ -827,22 +826,21 @@ def scaled_tables(tables: Sequence[ConvexTable],
 
 def _laminar_point(masks: Sequence[int], tables: Sequence[ConvexTable],
                    lower: Sequence[int], upper: Sequence[int],
-                   total: Optional[int] = None, descending: bool = False,
-                   ) -> Optional[tuple[int, ...]]:
+                   total: Optional[int] = None) -> Optional[tuple[int, ...]]:
     """The first point x of the box [lower, upper] at which every member
     sum of the laminar family `masks` lies in its table's interval (and
     the coordinate sum is `total`, if given), or None when there is none.
 
     "First" is lexicographic with coordinate 0 most significant (the
-    order of `MnatFunction.iter_box`), or, with `descending`, coordinate
-    n - 1 most significant (increasing masks, on a 0/1 box).  The sums a
-    member can reach form an integer interval: the sum of the intervals
-    of its maximal sub-members and of the box bounds of its other
-    elements, cut by its table's interval.  Members are visited by size,
-    so each one's parent is the first later member that contains it
-    (equal masks nest); the sum `total` is a root member.  Each
-    coordinate in turn is fixed at the smallest upper bound that leaves
-    the family feasible.
+    order of `MnatFunction.iter_box`), except with a `total` on a box
+    inside {0,1}^V: there coordinate n - 1 is most significant, so the
+    point is the smallest finite mask.  The sums a member can reach form
+    an integer interval: the sum of the intervals of its maximal
+    sub-members and of the box bounds of its other elements, cut by its
+    table's interval.  Members are visited by size, so each one's parent
+    is the first later member that contains it (equal masks nest); the
+    sum `total` is a root member.  Each coordinate in turn is fixed at
+    the smallest upper bound that leaves the family feasible.
     """
     members = [(mask, t.start, t.end) for mask, t in zip(masks, tables)]
     if total is not None:
@@ -878,7 +876,9 @@ def _laminar_point(masks: Sequence[int], tables: Sequence[ConvexTable],
     if not feasible():
         return None
     n = len(lower)
-    for i in reversed(range(n)) if descending else range(n):
+    by_mask = total is not None and min(lower, default=0) >= 0 \
+        and max(upper, default=0) <= 1
+    for i in reversed(range(n)) if by_mask else range(n):
         lo, hi = lower[i], upper[i]
         while lo < hi:
             upper[i] = (lo + hi) // 2
@@ -903,12 +903,14 @@ def laminar_valuation(ground: GroundSet, member_masks: Sequence[int],
     member's term going down or up one is kept per base, with the
     infinite terms counted apart from the finite sum.  The witness is the
     smallest finite mask.  Raises :class:`EmptyDomainError` when no
-    rank-sized set is finite.
+    rank-sized set is finite.  On vectors, `laminar_convex_function` with
+    the box {0,1}^V and total `rank` is the same function, with the same
+    witness.
     """
     term, scale = scaled_tables(tables)
     masks = tuple(member_masks)
     point = _laminar_point(masks, tables, (0,) * ground.size,
-                           (1,) * ground.size, rank, descending=True)
+                           (1,) * ground.size, rank)
     if point is None:
         raise EmptyDomainError(f"valuation {name!r} has an empty domain")
 
@@ -1097,14 +1099,17 @@ def laminar_penalty(weights: Sequence[Fraction], n: int, r: int,
 def laminar_convex_function(spec: LaminarSpec,
                             box_lower: Optional[Sequence[int]] = None,
                             box_upper: Optional[Sequence[int]] = None,
-                            ) -> MnatFunction:
+                            total: Optional[int] = None) -> MnatFunction:
     """The M-natural-convex function f(x) = sum over members X of g_X(sum x(v)).
 
     A bounding box may be passed explicitly; otherwise it is derived from
     the tables of singleton members, which must then cover every element.
-    The witness is the first finite point of the box in `iter_box` order.
-    The result exposes the spec as `laminar`, which
-    :func:`restrict_to_hyperplane` reads.
+    With `total`, f is restricted to the hyperplane of coordinate sum
+    `total` (+infinity off it), which makes it M-convex.  The witness is
+    the first finite point of the box in `iter_box` order; with a `total`
+    on a box inside {0,1}^V it is the smallest finite mask, the witness of
+    :func:`laminar_valuation` (see :func:`_laminar_point`).  Raises
+    :class:`EmptyDomainError` when no point of the box is finite.
     """
     ground = spec.ground
     if box_lower is None or box_upper is None:
@@ -1124,65 +1129,24 @@ def laminar_convex_function(spec: LaminarSpec,
     elements = tuple(member.members() for member in spec.members)
 
     def value(x: IntVector) -> ExtValue:
-        total = 0
+        if total is not None and x.total() != total:
+            return INF
+        acc = 0
         for m, members in enumerate(elements):
             finite = term(m, sum(x[v] for v in members))
             if finite is None:
                 return INF
-            total += finite
-        return ExtValue(Fraction(total, scale))
+            acc += finite
+        return ExtValue(Fraction(acc, scale))
 
-    fn = MnatFunction(ground.size, value, box_lower, box_upper, None,
-                      "laminar")
+    name = "laminar" if total is None else f"laminar|sum={total}"
+    fn = MnatFunction(ground.size, value, box_lower, box_upper, None, name)
     point = _laminar_point([m.mask for m in spec.members], spec.tables,
-                           fn.box_lower, fn.box_upper)
+                           fn.box_lower, fn.box_upper, total)
     if point is None:
-        raise EmptyDomainError("laminar convex function has an empty domain")
+        raise EmptyDomainError(f"function {name!r} has an empty domain")
     fn.witness_point = IntVector(point)
-    fn.laminar = spec
     return fn
-
-
-def restrict_to_hyperplane(fn: MnatFunction, r: int):
-    """Restrict a :func:`laminar_convex_function` to coordinate sum r.
-
-    Returns a :class:`ValuationOracle` when the box fits in {0,1}^V: the
-    :func:`laminar_valuation` of the spec, where a coordinate fixed by the
-    box is a singleton with a one-point table.  Otherwise returns an
-    M-convex :class:`MnatFunction`, whose witness is the first point of
-    the box in `iter_box` order.  Raises :class:`EmptyDomainError` when no point of
-    the domain has sum r.
-    """
-    spec = getattr(fn, "laminar", None)
-    if spec is None:
-        raise InvalidInputError(
-            f"cannot restrict {fn.name!r}: not a laminar convex function")
-    name = f"{fn.name}|sum={r}"
-    bounds = tuple(zip(fn.box_lower, fn.box_upper))
-    if all(lo >= 0 and hi <= 1 for lo, hi in bounds):
-        masks = [member.mask for member in spec.members]
-        tables = list(spec.tables)
-        for i, (lo, hi) in enumerate(bounds):
-            if lo == hi:
-                masks.append(1 << i)
-                tables.append(ConvexTable(lo, (Fraction(0),)))
-        return laminar_valuation(GroundSet(fn.dimension), masks, tables, r,
-                                 name)
-
-    point = _laminar_point([m.mask for m in spec.members], spec.tables,
-                           fn.box_lower, fn.box_upper, r)
-    if point is None:
-        raise EmptyDomainError("hyperplane restriction has an empty domain")
-
-    def value(x: IntVector) -> ExtValue:
-        if x.total() != r:
-            return INF
-        return fn.value(x)
-
-    restricted = MnatFunction(fn.dimension, value, fn.box_lower,
-                              fn.box_upper, None, name)
-    restricted.witness_point = IntVector(point)
-    return restricted
 
 
 def mnat_from_valuation(omega: ValuationOracle) -> MnatFunction:

@@ -332,6 +332,37 @@ def test_check_exchange(basic_instance, capsys):
     assert "pass" in out
 
 
+HUGE_DOMAIN = {
+    # C(20000, 10000) bases, a count of 6019 digits.
+    "valuation": (
+        "ground: {size: 20000}\n"
+        "matroids:\n  M: {kind: uniform, rank: 10000}\n"
+        "valuations:\n  v: {kind: indicator, matroid: M}\n"
+        "problem: {type: v_geq_k, oracles: [v, v], k: 1}\n",
+        ["--valuation", "v"], "C(20000,10000)"),
+    # A box of 10**5000 points.
+    "mconvex": (
+        "ground: {size: 5000}\n"
+        "mconvex:\n  f: {kind: laminar_hyperplane, terms: [], box: {lower: ["
+        + ", ".join(["0"] * 5000) + "], upper: ["
+        + ", ".join(["9"] * 5000) + "]}}\n"
+        "problem: {type: m_geq_k_w, functions: [f, f], k: 0}\n",
+        ["--mconvex", "f"], "dimension 5000"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HUGE_DOMAIN))
+def test_check_past_the_limit_is_a_resource_limit(tmp_path, capsys, kind):
+    # The scan is refused without writing its size, which has more
+    # digits than an int may be written with.
+    text, flags, size = HUGE_DOMAIN[kind]
+    path = tmp_path / f"{kind}.yaml"
+    path.write_text(text)
+    assert main(["check", "-i", str(path), *flags]) == 4
+    err = capsys.readouterr().err
+    assert "resource limit: " in err and size in err
+
+
 def test_hyphenated_kind_spellings_accepted(tmp_path, capsys):
     text = BASIC.replace("kind: modular_on_matroid",
                          "kind: modular-on-matroid")

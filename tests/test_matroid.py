@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from vmint.core import GroundSet, InvalidInputError, Subset
+from vmint.core import GroundSet, InvalidInputError, ResourceLimitError, Subset
 from vmint.matroid import (
     ExplicitBaseFamily,
     check_base_exchange,
@@ -103,6 +103,16 @@ class TestConstructions:
         assert m.rank == 2
         assert m.is_independent(g3.subset([0]))
         assert not m.is_base(g3.subset([0, 2]))
+
+
+def test_enumeration_limit_is_a_resource_limit():
+    # C(20000, 10000) has 6019 digits, more than an int may be written
+    # with, so the refusal must not write the count.
+    assert len(enumerate_bases(make_uniform(GroundSet(6), 3), limit=20)) == 20
+    with pytest.raises(ResourceLimitError, match=r"C\(6,3\)"):
+        enumerate_bases(make_uniform(GroundSet(6), 3), limit=19)
+    with pytest.raises(ResourceLimitError, match=r"C\(20000,10000\)"):
+        enumerate_bases(make_uniform(GroundSet(20000), 10000))
 
 
 class TestDual:

@@ -15,8 +15,10 @@ from vmint.core import (
     GroundSet,
     IntVector,
     InvalidInputError,
+    ResourceLimitError,
     Subset,
     dot,
+    subset_to_vector,
 )
 from vmint.apps import modular_on_domain
 from vmint.matroid import make_free, make_graphic, make_partition, make_uniform
@@ -45,7 +47,7 @@ from vmint.valuated import (
     intersection_constraint_valuation,
     laminar_convex_function,
     laminar_penalty,
-    restrict_to_hyperplane,
+    laminar_valuation,
     scaled_sum,
     scaled_weights,
     size_constrained_modular,
@@ -726,8 +728,8 @@ class TestScale:
         squares = LaminarSpec(g3, (g3.subset([0, 1]),),
                               (ConvexTable(0, (Fraction(1, 6), Fraction(0),
                                                Fraction(1, 4))),))
-        self._agrees(restrict_to_hyperplane(laminar_convex_function(
-            squares, (0, 0, 0), (1, 1, 1)), 2), 12)
+        self._agrees(laminar_valuation(g3, [m.mask for m in squares.members],
+                                       squares.tables, 2, "squares"), 12)
 
     def test_witness_value_must_be_an_int(self):
         g2 = GroundSet(2)
@@ -1052,20 +1054,23 @@ class TestLaminarConvexFunction:
 
 
 class TestRestrictToHyperplane:
+    """`laminar_convex_function` with a `total` is the laminar function
+    restricted to that coordinate sum, an `MnatFunction` on every box."""
+
     def test_zero_function_restriction(self):
         g3 = GroundSet(3)
         spec = LaminarSpec(g3, (), ())
-        fn = laminar_convex_function(spec, [0, 0, 0], [1, 1, 1])
-        oracle = restrict_to_hyperplane(fn, 2)
-        assert isinstance(oracle, ValuationOracle)
-        assert len(oracle.enumerate_domain()) == 3
+        fn = laminar_convex_function(spec, [0, 0, 0], [1, 1, 1], 2)
+        assert isinstance(fn, MnatFunction)
+        assert fn.enumerate_domain() == [IntVector(x) for x in
+                                         ((0, 1, 1), (1, 0, 1), (1, 1, 0))]
+        assert fn.witness_point == IntVector((1, 1, 0))
 
     def test_unreachable_sum_empty(self):
         g2 = GroundSet(2)
         spec = LaminarSpec(g2, (), ())
-        fn = laminar_convex_function(spec, [0, 0], [1, 1])
         with pytest.raises(EmptyDomainError):
-            restrict_to_hyperplane(fn, 5)
+            laminar_convex_function(spec, [0, 0], [1, 1], 5)
 
     def test_squares_on_hyperplane(self):
         g2 = GroundSet(2)
@@ -1073,17 +1078,24 @@ class TestRestrictToHyperplane:
             g2, (g2.subset([0]), g2.subset([1])),
             (ConvexTable(0, (Fraction(0), Fraction(1), Fraction(4))),
              ConvexTable(0, (Fraction(0), Fraction(1), Fraction(4)))))
-        fn = laminar_convex_function(spec)
-        restricted = restrict_to_hyperplane(fn, 2)
+        restricted = laminar_convex_function(spec, total=2)
         assert restricted.value(IntVector((1, 1))) == ExtValue(2)
         assert restricted.value(IntVector((2, 0))) == ExtValue(4)
         assert restricted.value(IntVector((1, 0))) == INF
+        assert restricted.witness_point == IntVector((0, 2))
 
-    def test_other_functions_rejected(self):
-        fn = MnatFunction(2, lambda x: ExtValue(0), (0, 0), (1, 1),
-                          IntVector((0, 0)))
-        with pytest.raises(InvalidInputError):
-            restrict_to_hyperplane(fn, 1)
+    def test_zero_one_box_without_a_sum_keeps_box_order(self):
+        # The finite points are (1, 0) and (0, 1).  Box order puts (0, 1)
+        # first; with a sum on a 0/1 box the witness is the smallest mask,
+        # (1, 0), as for `laminar_valuation`.
+        g2 = GroundSet(2)
+        spec = LaminarSpec(g2, (g2.full(),), (ConvexTable(1, (Fraction(0),)),))
+        fn = laminar_convex_function(spec, [0, 0], [1, 1])
+        assert fn.witness_point == IntVector((0, 1))
+        restricted = laminar_convex_function(spec, [0, 0], [1, 1], 1)
+        assert restricted.witness_point == IntVector((1, 0))
+        assert restricted.witness_point == subset_to_vector(laminar_valuation(
+            g2, [g2.full().mask], spec.tables, 1, "reference").witness_base)
 
 
 def _old_laminar_value(spec):
@@ -1104,9 +1116,9 @@ def _old_laminar_value(spec):
 
 
 def _box_scan(value, lower, upper):
-    """The `itertools.product` box scan that found the witnesses of
-    `laminar_convex_function` and `restrict_to_hyperplane` before
-    `_laminar_point`: the first finite point in `iter_box` order."""
+    """The `itertools.product` box scan that found the witnesses of the
+    laminar functions on vectors, restricted to a coordinate sum or not,
+    before `_laminar_point`: the first finite point in `iter_box` order."""
     ranges = [range(lo, hi + 1) for lo, hi in zip(lower, upper)]
     for combo in itertools.product(*ranges):
         x = IntVector(combo)
@@ -1116,9 +1128,10 @@ def _box_scan(value, lower, upper):
 
 
 def _subset_scan(ground, r, value):
-    """The r-subset scan of the 0/1 hyperplane restriction, and the
-    combined-ground scan of the lifted laminar function: the first
-    finite r-subset in increasing mask order."""
+    """The r-subset scan that found the witnesses of the laminar
+    functions restricted to a coordinate sum on a 0/1 box, and of the
+    lifted laminar function on the combined ground: the first finite
+    r-subset in increasing mask order."""
     for candidate in ground.subsets_of_size(r):
         if value(candidate).is_finite:
             return candidate
@@ -1184,38 +1197,49 @@ class TestLaminarWitness:
         for x in points:
             assert fn.value(x) == old(x)
         r = rng.randint(sum(lower) - 1, sum(upper) + 1)
-        if zero_one:
-            ground = spec.ground
-
-            def old_subset(subset):
-                x = IntVector(tuple(1 if subset.mask >> i & 1 else 0
-                                    for i in range(ground.size)))
-                return old(x) if fn.in_box(x) else INF
-            witness = _subset_scan(ground, r, old_subset)
-            if witness is None:
-                with pytest.raises(EmptyDomainError):
-                    restrict_to_hyperplane(fn, r)
-                return
-            oracle = restrict_to_hyperplane(fn, r)
-            assert oracle.witness_base == witness
-            for subset in ground.all_subsets():
-                assert oracle.value(subset) == (
-                    old_subset(subset) if subset.cardinality() == r else INF)
-            return
 
         def old_restricted(x):
             return INF if x.total() != r else old(x)
-        witness = _box_scan(old_restricted, lower, upper)
+        if min(lower) < 0 or max(upper) > 1:
+            witness = _box_scan(old_restricted, lower, upper)
+            if witness is None:
+                with pytest.raises(EmptyDomainError):
+                    laminar_convex_function(spec, lower, upper, r)
+                return
+            restricted = laminar_convex_function(spec, lower, upper, r)
+            assert restricted.witness_point == witness
+            for x in points:
+                assert restricted.value(x) == old_restricted(x)
+            return
+
+        # On a 0/1 box the reference is `laminar_valuation`, with each
+        # coordinate the box fixes as a singleton with a one-point table.
+        ground = spec.ground
+        fixed = [i for i in ground.elements() if lower[i] == upper[i]]
+        masks = [m.mask for m in spec.members] + [1 << i for i in fixed]
+        tables = list(spec.tables) + [ConvexTable(lower[i], (Fraction(0),))
+                                      for i in fixed]
+
+        def old_subset(subset):
+            x = subset_to_vector(subset)
+            inside = all(lo <= v <= hi
+                         for lo, v, hi in zip(lower, x.entries, upper))
+            return old_restricted(x) if inside else INF
+        witness = _subset_scan(ground, r, old_subset)
         if witness is None:
             with pytest.raises(EmptyDomainError):
-                restrict_to_hyperplane(fn, r)
+                laminar_convex_function(spec, lower, upper, r)
+            with pytest.raises(EmptyDomainError):
+                laminar_valuation(ground, masks, tables, r, "reference")
             return
-        restricted = restrict_to_hyperplane(fn, r)
-        if isinstance(restricted, ValuationOracle):
-            return          # the box happened to fit in {0,1}^V
-        assert restricted.witness_point == witness
-        for x in points:
-            assert restricted.value(x) == old_restricted(x)
+        restricted = laminar_convex_function(spec, lower, upper, r)
+        reference = laminar_valuation(ground, masks, tables, r, "reference")
+        assert restricted.witness_point == subset_to_vector(witness)
+        assert reference.witness_base == witness
+        for subset in ground.all_subsets():
+            x = subset_to_vector(subset)
+            assert restricted.value(x) == reference.value(subset)
+            assert restricted.value(x) == old_subset(subset)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 3))
@@ -1320,11 +1344,10 @@ class TestExchangeCheckers:
             ground = GroundSet(size)
             members = tuple(ground.subset([v]) for v in range(size))
             tables = tuple(random_convex_table(rng, 0, 2) for _ in range(size))
-            fn = laminar_convex_function(LaminarSpec(ground, members, tables))
             r = rng.randint(0, size)
-            restricted = restrict_to_hyperplane(fn, r)
-            assert isinstance(restricted, ValuationOracle)
-            assert check_valuated_exchange(restricted)
+            restricted = laminar_convex_function(
+                LaminarSpec(ground, members, tables), total=r)
+            assert check_mnat_exchange(restricted)
 
     def test_non_family_indicator_fails(self):
         g4 = GroundSet(4, ("a", "b", "c", "d"))
@@ -1367,3 +1390,32 @@ class TestExchangeCheckers:
 
         fn = MnatFunction(2, value, (0, 0), (2, 2), IntVector((0, 0)))
         assert check_mnat_exchange(fn)
+
+
+class TestScanLimits:
+    """A scan past its limit is refused without writing its size, which
+    may have more digits than an int may be written with."""
+
+    def test_domain_scan(self):
+        small = indicator_of_matroid(make_uniform(GroundSet(6), 3))
+        assert len(small.enumerate_domain(limit=20)) == 20
+        with pytest.raises(ResourceLimitError, match=r"C\(6,3\)"):
+            small.enumerate_domain(limit=19)
+        huge = indicator_of_matroid(make_uniform(GroundSet(20000), 10000))
+        with pytest.raises(ResourceLimitError, match=r"C\(20000,10000\)"):
+            huge.enumerate_domain()
+
+    def test_box_scan(self, monkeypatch):
+        spec = LaminarSpec(GroundSet(3), (), ())
+        small = laminar_convex_function(spec, (0,) * 3, (1,) * 3)
+        assert len(list(small.iter_box(limit=8))) == 8
+        with pytest.raises(ResourceLimitError, match="exceeds limit 7"):
+            list(small.iter_box(limit=7))
+        huge = laminar_convex_function(LaminarSpec(GroundSet(5000), (), ()),
+                                       (0,) * 5000, (9,) * 5000)
+        asked, volume = [], MnatFunction.box_volume
+        monkeypatch.setattr(MnatFunction, "box_volume",
+                            lambda fn: asked.append(fn) or volume(fn))
+        with pytest.raises(ResourceLimitError, match="dimension 5000"):
+            huge.enumerate_domain()
+        assert asked == [huge]

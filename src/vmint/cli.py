@@ -132,9 +132,10 @@ def _two_names(instance: Instance, key: str, what: str) -> list:
     return names
 
 
-# A handler takes (instance, k override) and returns (status, value, the
-# report fields after problem/status/value, and a brute-force thunk of the
-# enumeration limit, or None when there is no brute-force oracle).
+# A handler takes (instance, k override), reads the problem and returns
+# two thunks: `solve()`, which runs the solver and returns (status, value,
+# the report fields after problem/status/value), and the brute force of
+# an enumeration limit, or None when there is no brute-force oracle.
 # Solvers are looked up as module globals at call time, so wrapping them
 # on `vmint.cli` takes effect.
 
@@ -151,13 +152,15 @@ def _pair(instance: Instance, k_override: Optional[int]):
     solver, brute = {"v_geq_k": (solve_v_geq_k, brute_v_geq_k),
                      "v_eq_k": (solve_v_eq_k, brute_v_eq_k),
                      "v_leq_k": (solve_v_leq_k, brute_v_leq_k)}[ptype]
-    before = (omega1.calls, omega2.calls)
-    solution = solver(omega1, omega2, k)
-    calls = {str(names[0]): omega1.calls - before[0],
-             str(names[1]): omega2.calls - before[1]}
-    return (solution.status, solution.value,
-            _intersection_fields(solution, calls),
-            lambda limit: brute(omega1, omega2, k, limit))
+
+    def solve():
+        before = (omega1.calls, omega2.calls)
+        solution = solver(omega1, omega2, k)
+        calls = {str(names[0]): omega1.calls - before[0],
+                 str(names[1]): omega2.calls - before[1]}
+        return (solution.status, solution.value,
+                _intersection_fields(solution, calls))
+    return solve, lambda limit: brute(omega1, omega2, k, limit)
 
 
 def _copies(instance: Instance, k_override: Optional[int]):
@@ -171,11 +174,13 @@ def _copies(instance: Instance, k_override: Optional[int]):
     else:
         coupling = instance.weights_field("problem.w", problem.get("w"))
         solver, brute = solve_v_n_w, brute_v_n_w
-    outcome = solver(omegas, coupling)
-    parts = ([subset_out(p) for p in outcome.parts]
-             if outcome.optimal else None)
-    return (outcome.status, outcome.value, {"parts": parts},
-            lambda limit: brute(omegas, coupling, limit))
+
+    def solve():
+        outcome = solver(omegas, coupling)
+        parts = ([subset_out(p) for p in outcome.parts]
+                 if outcome.optimal else None)
+        return outcome.status, outcome.value, {"parts": parts}
+    return solve, lambda limit: brute(omegas, coupling, limit)
 
 
 def _m_geq_k_w(instance: Instance, k_override: Optional[int]):
@@ -183,13 +188,15 @@ def _m_geq_k_w(instance: Instance, k_override: Optional[int]):
               for name in _two_names(instance, "functions", "mconvex"))
     k = _problem_k(instance, k_override)
     weights = instance.weights_field("problem.w", instance.problem.get("w"))
-    solution = solve_m_geq_k_w(f1, f2, k, weights)
-    fields = {
-        "x1": list(solution.x1.entries) if solution.optimal else None,
-        "x2": list(solution.x2.entries) if solution.optimal else None,
-    }
-    return (solution.status, solution.value, fields,
-            lambda limit: brute_m_geq_k_w(f1, f2, k, weights, limit))
+
+    def solve():
+        solution = solve_m_geq_k_w(f1, f2, k, weights)
+        fields = {
+            "x1": list(solution.x1.entries) if solution.optimal else None,
+            "x2": list(solution.x2.entries) if solution.optimal else None,
+        }
+        return solution.status, solution.value, fields
+    return solve, lambda limit: brute_m_geq_k_w(f1, f2, k, weights, limit)
 
 
 def _weighted_matroids(instance: Instance):
@@ -205,16 +212,21 @@ def _weighted_matroids(instance: Instance):
 def _w_eq_k_lpt(instance: Instance, k_override: Optional[int]):
     m1, m2, w1, w2 = _weighted_matroids(instance)
     k = _problem_k(instance, k_override)
-    solution = lpt_solve_w_eq_k(m1, m2, w1, w2, k)
-    return solution.status, solution.value, _sets_out(solution), None
+
+    def solve():
+        solution = lpt_solve_w_eq_k(m1, m2, w1, w2, k)
+        return solution.status, solution.value, _sets_out(solution)
+    return solve, None
 
 
 def _copic(instance: Instance, k_override: Optional[int]):
     m1, m2, w1, w2 = _weighted_matroids(instance)
     q = instance.weights_field("problem.q", instance.problem.get("q"))
-    outcome = solve_copic_diagonal(m1, m2, w1, w2, q)
-    return (outcome.status, outcome.value, _sets_out(outcome),
-            lambda limit: brute_copic(m1, m2, w1, w2, q, limit))
+
+    def solve():
+        outcome = solve_copic_diagonal(m1, m2, w1, w2, q)
+        return outcome.status, outcome.value, _sets_out(outcome)
+    return solve, lambda limit: brute_copic(m1, m2, w1, w2, q, limit)
 
 
 def _v_c(instance: Instance, k_override: Optional[int]):
@@ -223,10 +235,13 @@ def _v_c(instance: Instance, k_override: Optional[int]):
     if not isinstance(table, list) or len(table) != instance.ground.size + 1:
         raise ParseError("problem.c: table on 0..|V| required")
     c = [ExtValue.parse(str(v)) for v in table]
-    outcome = solve_v_c(omega1, omega2, c)
-    fields = {"k": outcome.k if outcome.optimal else None,
-              **_sets_out(outcome)}
-    return outcome.status, outcome.value, fields, None
+
+    def solve():
+        outcome = solve_v_c(omega1, omega2, c)
+        fields = {"k": outcome.k if outcome.optimal else None,
+                  **_sets_out(outcome)}
+        return outcome.status, outcome.value, fields
+    return solve, None
 
 
 def _recoverable_robust(instance: Instance, k_override: Optional[int]):
@@ -236,11 +251,14 @@ def _recoverable_robust(instance: Instance, k_override: Optional[int]):
     upper = instance.weights_field("problem.upper", problem.get("upper"))
     k = _problem_k(instance, k_override)
     unc = IntervalUncertainty.of(lower, upper)
-    before = omega1.calls
-    solution = solve_recoverable_robust_interval(omega1, unc, k)
-    calls = {str(problem["oracle"]): omega1.calls - before}
-    return (solution.status, solution.value,
-            _intersection_fields(solution, calls), None)
+
+    def solve():
+        before = omega1.calls
+        solution = solve_recoverable_robust_interval(omega1, unc, k)
+        calls = {str(problem["oracle"]): omega1.calls - before}
+        return (solution.status, solution.value,
+                _intersection_fields(solution, calls))
+    return solve, None
 
 
 def _congestion(instance: Instance, k_override: Optional[int]):
@@ -256,10 +274,11 @@ def _congestion(instance: Instance, k_override: Optional[int]):
         raise ParseError("problem.delays: one table per resource required")
     delays = [[parse_rational(v) for v in table] for table in delays_spec]
     congestion = CongestionInstance.of(omegas, delays)
-    state, total = solve_congestion_social_optimum(congestion)
-    fields = {"state": [subset_out(x) for x in state]}
-    return ("optimal", total, fields,
-            lambda limit: brute_congestion(omegas, delays, limit))
+
+    def solve():
+        state, total = solve_congestion_social_optimum(congestion)
+        return "optimal", total, {"state": [subset_out(x) for x in state]}
+    return solve, lambda limit: brute_congestion(omegas, delays, limit)
 
 
 # The problem types: each maps to (handler, whether `--k` applies, the
@@ -294,7 +313,11 @@ def _solve(args) -> tuple[dict, int]:
     instance, ptype, (handler, takes_k, modes) = _load(args.instance)
     if args.k is not None and not takes_k:
         raise InvalidInputError(f"--k: problem type {ptype!r} takes no k")
-    status, value, fields, brute = handler(instance, args.k)
+    solve, brute = handler(instance, args.k)
+    # The brute force runs first, so a scan past its limit is refused
+    # before the solver spends any time.
+    found = brute(args.limit) if args.brute and brute is not None else None
+    status, value, fields = solve()
     report = {"problem": ptype, "status": status,
               "value": _text(value) if status == "optimal" else None,
               **fields}
@@ -302,8 +325,7 @@ def _solve(args) -> tuple[dict, int]:
         if not _certify(instance, ptype, modes, report, args.k):
             raise InvalidInputError("witness failed verification")
         report["verified"] = True
-    if args.brute and brute is not None:
-        found = brute(args.limit)
+    if found is not None:
         _check_brute_match(status, value, found.status, found.value)
         report["brute_checked"] = True
     return report, EXIT_OPTIMAL if status == "optimal" else EXIT_INFEASIBLE

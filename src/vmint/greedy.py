@@ -4,8 +4,8 @@ For valuated matroids, a point admitting no improving single exchange is a
 global minimizer, so steepest descent from the witness base terminates with
 a global certificate.  Each step strictly decreases an exact value and the
 domain is finite, so termination is guaranteed.  A step asks the oracle
-every single exchange of the current base in one block query, so an
-oracle with a `block_fn` answers a whole step at once.
+for the best single exchange of the current base in one query, so a
+leaf with a `best_fn` answers a whole step without building its block.
 """
 
 from __future__ import annotations
@@ -19,10 +19,11 @@ def minimize_valuated(omega: ValuationOracle) -> tuple[Subset, ExtValue]:
 
     Steepest single-exchange descent from the witness base; among equally
     improving exchanges the lexicographically smallest (u, v) index pair is
-    taken, for reproducibility.  Each step asks the oracle one block of
-    exchanges, every member u against every non-member v (see
-    `ValuationOracle.raw_exchanges`), u-major, so the first occurrence of
-    the best value is that smallest pair.  The descent compares the
+    taken, for reproducibility.  Each step asks the oracle for the best
+    exchange of every member u against every non-member v (see
+    `ValuationOracle.best_exchange`): the smallest value of that u-major
+    block and the index of its first occurrence, which is that smallest
+    pair.  It counts as the whole block.  The descent compares the
     oracle's raw values (ints in units of 1/D for a scaled oracle).
     """
     current = omega.require_witness()
@@ -32,10 +33,9 @@ def minimize_valuated(omega: ValuationOracle) -> tuple[Subset, ExtValue]:
         mask = current.mask
         members = current.members()
         outside = [v for v in elements if not mask >> v & 1]
-        values = omega.raw_exchanges(current, members, outside)
-        best = min([x for x in values if x is not None], default=None)
-        if best is None or best >= current_value:
+        best = omega.best_exchange(current, members, outside)
+        if best is None or best[0] >= current_value:
             return current, omega.as_value(current_value)
-        i, j = divmod(values.index(best), len(outside))
+        current_value, index = best
+        i, j = divmod(index, len(outside))
         current = current.exchange(members[i], outside[j])
-        current_value = best

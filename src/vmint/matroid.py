@@ -33,12 +33,16 @@ class MatroidOracle:
     greedy base in index order, and its size, the rank, are computed once.
 
     A construction that knows its structure may also pass `circuits`, a
-    map from the mask of a base X to its fundamental-circuit table: a
-    tuple whose entry v, for each v outside X, is the mask of the u in X
-    for which X - u + v is a base, that is C(X, v) - v (entries for v in
-    X are unspecified).  Then `circuits(mask)` answers every single
-    exchange of X at once, and is None when the mask is not a base;
-    `has_circuits` tells whether the table exists.
+    map from the mask of a rank-sized set X to its fundamental-circuit
+    table, or None when X is not a base: a tuple whose entry v, for each
+    v outside X, is the mask of the u in X for which X - u + v is a base,
+    that is C(X, v) - v (entries for v in X are unspecified).  The hook
+    decides whether X is a base, by whatever test its structure allows:
+    a graphic table pivots the last table it built when X is one
+    exchange away from that table's base (see `make_graphic`), and that
+    exchange alone proves X a base.  Then `circuits(mask)` answers every
+    single exchange of X at once, and is None when the mask is not a
+    base; `has_circuits` tells whether the table exists.
     """
 
     def __init__(self, ground: GroundSet, independent: Callable[[Subset], bool],
@@ -79,8 +83,7 @@ class MatroidOracle:
         """The fundamental-circuit table of a base, or None for a non-base."""
         if self._circuits is None:
             raise InvalidInputError(f"{self.name} matroid has no circuit table")
-        if (base_mask.bit_count() != self._rank
-                or not self._independent(Subset(self.ground, base_mask))):
+        if base_mask.bit_count() != self._rank:
             return None
         return self._circuits(base_mask)
 
@@ -104,6 +107,16 @@ class MatroidOracle:
 
     def __repr__(self) -> str:
         return f"MatroidOracle({self.name}, |V|={self.ground.size}, rank={self._rank})"
+
+
+def single_exchange(base: int, mask: int) -> Optional[tuple[int, int]]:
+    """The pair (u, v) for which `mask` is base - u + v, with u in the
+    base and v outside it, or None when it is no such single exchange."""
+    moved = base ^ mask
+    out, into = moved & base, moved & mask
+    if out.bit_count() != 1 or into.bit_count() != 1:
+        return None
+    return out.bit_length() - 1, into.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -158,9 +171,11 @@ def make_partition(ground: GroundSet,
     def independent(x: Subset) -> bool:
         return all((x.mask & m).bit_count() <= cap for m, cap in zip(masks, caps))
 
-    def circuits(base: int) -> tuple[int, ...]:
+    def circuits(base: int) -> Optional[tuple[int, ...]]:
         # A base fills the block of every v outside it, so v can only
         # replace a member of its own block.
+        if not independent(Subset(ground, base)):
+            return None
         return tuple(base & masks[b] for b in block_of)
 
     def greedy(order: Sequence[int]) -> int:
@@ -185,6 +200,12 @@ def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],
     A subset of edges is independent iff it is acyclic (union-find check).
     Only the vertices that edges touch are kept, renumbered in ascending
     order, so a query costs nothing per isolated vertex.
+
+    A circuit table comes from one walk of the spanning forest, which
+    also tells whether the edge set is a base, unless the base asked for
+    is X - u + v for the base X of the last table and u lies on C(X, v):
+    then the table is that one pivoted on (u, v) (graphic matroids are
+    binary), with no walk and no test.
     """
     if vertices < 1:
         raise InvalidInputError("graph needs at least one vertex")
@@ -200,9 +221,30 @@ def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],
     def independent(x: Subset) -> bool:
         return all(_joins_two_trees(edge_list, vertices, x.members()))
 
-    def circuits(base: int) -> tuple[int, ...]:
-        # Root every tree of the spanning forest, then walk the tree path
-        # between the ends of each non-forest edge.
+    # The last table built, and its base: the next base asked for is
+    # often one exchange away, and then its table is a pivot of this one.
+    last: list = [0, None]
+
+    def circuits(base: int) -> Optional[tuple[int, ...]]:
+        mask, table = last
+        if table is not None:
+            if base == mask:
+                return table
+            step = single_exchange(mask, base)
+            if step is not None and table[step[1]] >> step[0] & 1:
+                table = _pivoted(table, *step)
+                last[:] = base, table
+                return table
+        table = forest_circuits(base)
+        if table is not None:
+            last[:] = base, table
+        return table
+
+    def forest_circuits(base: int) -> Optional[tuple[int, ...]]:
+        # Root every tree of the forest, then walk the tree path between
+        # the ends of each non-forest edge.  A rank-sized edge set is a
+        # base exactly when it is a forest, that is when each of its
+        # edges reaches a new vertex.
         tree: list[list[tuple[int, int]]] = [[] for _ in range(vertices)]
         for i in Subset(ground, base).members():
             a, b = edge_list[i]
@@ -211,6 +253,7 @@ def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],
         up_vertex = list(range(vertices))
         up_edge = [-1] * vertices
         depth = [-1] * vertices
+        reached = 0
         for root in range(vertices):
             if depth[root] >= 0:
                 continue
@@ -223,6 +266,9 @@ def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],
                         depth[b] = depth[a] + 1
                         up_vertex[b], up_edge[b] = a, i
                         stack.append(b)
+                        reached += 1
+        if reached != base.bit_count():
+            return None
         table = [0] * len(edge_list)
         for i, (a, b) in enumerate(edge_list):
             if base >> i & 1:
@@ -242,6 +288,20 @@ def make_graphic(vertices: int, edges: Sequence[tuple[int, int]],
         return mask_of(compress(order, joins), ground.size)
 
     return MatroidOracle(ground, independent, "graphic", circuits, greedy)
+
+
+def _pivoted(table: Sequence[int], u: int, v: int) -> tuple[int, ...]:
+    """The fundamental-circuit table of X - u + v from that of X, for a
+    binary matroid and u on the circuit C(X, v): the GF(2) pivot of its
+    representation [I | A] on (u, v).  Each circuit through u takes the
+    symmetric difference with C(X, v), which drops u and adds v; u's own
+    circuit is C(X, v); v joins the base, whose entries are 0."""
+    circuit = table[v] | 1 << v
+    bit = 1 << u
+    pivoted = [entry ^ circuit if entry & bit else entry for entry in table]
+    pivoted[u] = circuit ^ bit
+    pivoted[v] = 0
+    return tuple(pivoted)
 
 
 def _joins_two_trees(edge_list: Sequence[tuple[int, int]], vertices: int,
@@ -338,8 +398,10 @@ def dual_matroid(matroid: MatroidOracle) -> MatroidOracle:
     if matroid.has_circuits:
         full = ground.full().mask
 
-        def circuits(mask: int) -> tuple[int, ...]:
+        def circuits(mask: int) -> Optional[tuple[int, ...]]:
             table = matroid.circuits(mask ^ full)
+            if table is None:
+                return None
             transposed = [0] * ground.size
             for u in Subset(ground, mask).members():
                 for v in Subset(ground, table[u]).members():

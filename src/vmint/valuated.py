@@ -36,8 +36,11 @@ matroid with fundamental-circuit tables (`size_constrained_modular` is
 one, on a uniform matroid), the intersection constraint and the laminar
 valuations.  The first answers exchanges from one circuit table per base
 (X - u + v is a base exactly when u lies on the circuit C(X, v)) and the
-integer sums w(X) - w_u + w_v, with no independence test; the others
-read the copy counts or member counts of the base.  A memo would cost them more than it saves.
+integer sums w(X) - w_u + w_v, with no independence test, and carries
+table and sum from one base to the next by a single exchange; it also
+answers `best_exchange` without building the block.  The others read
+the copy counts or member counts of the base.  A memo would cost them
+more than it saves.
 The composites memoize: the dual and `apps.modular_on_domain`
 hand each batch of misses to the oracle they ask as one `exchange_pairs`
 call, the dual as exchanges of the complement; a disjoint sum walks its
@@ -46,7 +49,8 @@ once per base, its repeats only counted), so each component's calls,
 evals and memo move exactly as under `value`; explicit tables and
 modular valuations on linear or explicit matroids answer by their value
 function.  Each per-base state is a one-entry `functools.lru_cache` of
-the mask.
+the mask, except the modular leaf's, which moves by single exchanges
+(see `from_matroid_and_weights`).
 
 Laminar convex functions (convex tables of the member sums of a laminar
 family) are built by :func:`laminar_valuation` on subsets (the laminar
@@ -79,7 +83,7 @@ from .core import (
     subset_to_vector,
     vector_to_subset,
 )
-from .matroid import MatroidOracle, make_uniform
+from .matroid import MatroidOracle, make_uniform, single_exchange
 
 DEFAULT_DOMAIN_LIMIT = 200_000
 
@@ -117,7 +121,9 @@ class ValuationOracle:
     A leaf (an oracle with a `block_fn`) keeps no memo: every query goes
     to the hooks and counts as one eval, so `evals == calls`.  Any other
     oracle looks each query up in its memo first, and counts only its
-    misses as evals.
+    misses as evals.  A leaf may also be given a fourth hook,
+    `best_fn(base, outs, ins)`, which answers `best_exchange` without
+    building the block.
     """
 
     def __init__(self, ground: GroundSet, rank: int,
@@ -129,7 +135,10 @@ class ValuationOracle:
                  scale: int = 1,
                  block_fn: Optional[Callable[
                      [Subset, Sequence[int], Sequence[int]],
-                     list[Raw]]] = None):
+                     list[Raw]]] = None,
+                 best_fn: Optional[Callable[
+                     [Subset, Sequence[int], Sequence[int]],
+                     Optional[tuple[int, int]]]] = None):
         if not 0 <= rank <= ground.size:
             raise InvalidInputError(f"rank {rank} out of range 0..{ground.size}")
         if exchange_fn is None and block_fn is not None:
@@ -146,6 +155,7 @@ class ValuationOracle:
         self._value_fn = value_fn
         self._exchange_fn = exchange_fn
         self._block_fn = block_fn
+        self._best_fn = best_fn
         self.witness_base = witness_base
         self.name = name
         self._memo: dict[int, Raw] = {}
@@ -235,6 +245,21 @@ class ValuationOracle:
         self.evals += count
         return self._block_fn(base, outs, ins)
 
+    def best_exchange(self, base: Subset, outs: Sequence[int],
+                      ins: Sequence[int]) -> Optional[tuple[int, int]]:
+        """The smallest finite value of `raw_exchanges(base, outs, ins)`
+        and the index of its first occurrence in that u-major block, or
+        None when every exchange is +infinity; with the checks, `calls`,
+        `evals` and memo of `raw_exchanges`.  A leaf with a `best_fn`
+        answers without building the block; any other oracle scans it."""
+        if self._best_fn is None:
+            return _best_of(self.raw_exchanges(base, outs, ins))
+        self._check_block(base, outs, ins)
+        count = len(outs) * len(ins)
+        self.calls += count
+        self.evals += count
+        return self._best_fn(base, outs, ins)
+
     def exchange_pairs(self, base: Subset,
                        pairs: list[tuple[int, int]]) -> list[Raw]:
         """`[raw_exchange(base, u, v) for u, v in pairs]`, with the same
@@ -321,6 +346,13 @@ class ValuationOracle:
 
     def __repr__(self) -> str:
         return f"ValuationOracle({self.name}, |V|={self.ground.size}, rank={self.rank})"
+
+
+def _best_of(values: list[Raw]) -> Optional[tuple[int, int]]:
+    """The smallest finite raw value and the index of its first
+    occurrence, or None when every value is +infinity."""
+    best = min([x for x in values if x is not None], default=None)
+    return None if best is None else (best, values.index(best))
 
 
 class MnatFunction:
@@ -579,16 +611,22 @@ def from_matroid_and_weights(matroid: MatroidOracle,
     """Modular weights restricted to a base family: w(X) on bases, else +inf.
 
     The oracle is scaled by the lcm D of the weights' denominators.  When
-    the matroid has circuit tables, it answers blocks of exchanges (see
-    `ValuationOracle.raw_exchanges`), and batches of them, from the table
-    of the last base asked about and its scaled sum w(X): X - u + v is a
-    base exactly when u is in the table's entry for v, and then its value
-    is w(X) - w_u + w_v.  Such an oracle is a leaf and keeps no memo, so
-    its value function keeps the value of the last set it was asked
-    about: the current base of a solver step, or a part that a disjoint
-    sum asks about on every exchange.  That value and the table have
-    separate one-entry caches, so an oracle asked about two bases in turn
-    (one valuation on both sides, or on several copies) rebuilds no table.
+    the matroid has circuit tables, the oracle is a leaf and keeps no
+    memo.  Its state is the last base X whose exchanges it was asked,
+    with X's fundamental-circuit table and scaled sum w(X): X - u + v is
+    a base exactly when u is in the table's entry for v, and then its
+    value is w(X) - w_u + w_v.  Blocks and batches of exchanges of X
+    (see `ValuationOracle.raw_exchanges`) are read off that state, and
+    so is `best_exchange`: per column v, the heaviest u on C(X, v).  A
+    step to a base X - u + v moves the state by one exchange (the matroid
+    pivots its table, and the sum moves by w_v - w_u); a base farther
+    away gets a new table and sum.
+
+    The value of X, or of any X - u + v, is read off the state too, with
+    no independence test and without moving it; the value of any other
+    set is tested and kept in a one-entry cache of its own.  So an
+    oracle asked about two bases in turn (one valuation on both sides,
+    or on several copies) keeps its table and rebuilds none.
     """
     if len(weights) != matroid.ground.size:
         raise InvalidInputError("need one weight per ground element")
@@ -596,41 +634,94 @@ def from_matroid_and_weights(matroid: MatroidOracle,
     ground = matroid.ground
 
     @functools.lru_cache(maxsize=1)
-    def value_of(mask: int) -> Optional[int]:
+    def tested(mask: int) -> Optional[int]:
         if not matroid.is_independent(Subset(ground, mask)):
             return None
         return scaled_sum(scaled, mask)
 
-    exchange = block = None
-    if matroid.has_circuits:
-        @functools.lru_cache(maxsize=1)
-        def table_of(mask: int) -> tuple:
-            return matroid.circuits(mask), scaled_sum(scaled, mask)
+    if not matroid.has_circuits:
+        return ValuationOracle(ground, matroid.rank,
+                               lambda subset: tested(subset.mask),
+                               matroid.some_base(), name, scale=scale)
 
-        def exchange(base: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
-            mask = base.mask
-            table, total = table_of(mask)
-            if table is None:
-                return [value_of(mask ^ (1 << u) | 1 << v) for u, v in pairs]
-            return [total - scaled[u] + scaled[v] if table[v] >> u & 1
-                    else None for u, v in pairs]
+    # The last base asked about, its circuit table and its scaled sum.
+    state: list = [0, None, 0]
 
-        def block(base: Subset, outs: Sequence[int],
-                  ins: Sequence[int]) -> list[Raw]:
-            mask = base.mask
-            table, total = table_of(mask)
-            if table is None:
-                return [value_of(mask ^ (1 << u) | 1 << v)
-                        for u in outs for v in ins]
-            columns = [(table[v], scaled[v]) for v in ins]
-            return [left + w if entry & bit else None
-                    for left, bit in [(total - scaled[u], 1 << u)
-                                      for u in outs]
-                    for entry, w in columns]
+    def table_of(mask: int) -> tuple:
+        """The table and sum of a base (the table is None for a set that
+        is not a base), which becomes the state."""
+        last, table, total = state
+        if table is not None and mask == last:
+            return table, total
+        step = single_exchange(last, mask) if table is not None else None
+        table = matroid.circuits(mask)
+        if table is None:
+            return None, None
+        total = total + scaled[step[1]] - scaled[step[0]] \
+            if step is not None else scaled_sum(scaled, mask)
+        state[:] = mask, table, total
+        return table, total
+
+    def value_of(mask: int) -> Optional[int]:
+        last, table, total = state
+        if table is not None:
+            if mask == last:
+                return total
+            step = single_exchange(last, mask)
+            if step is not None:
+                u, v = step
+                return total - scaled[u] + scaled[v] \
+                    if table[v] >> u & 1 else None
+        return tested(mask)
+
+    def exchange(base: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
+        mask = base.mask
+        table, total = table_of(mask)
+        if table is None:
+            return [value_of(mask ^ (1 << u) | 1 << v) for u, v in pairs]
+        return [total - scaled[u] + scaled[v] if table[v] >> u & 1
+                else None for u, v in pairs]
+
+    def block(base: Subset, outs: Sequence[int],
+              ins: Sequence[int]) -> list[Raw]:
+        mask = base.mask
+        table, total = table_of(mask)
+        if table is None:
+            return [value_of(mask ^ (1 << u) | 1 << v)
+                    for u in outs for v in ins]
+        columns = [(table[v], scaled[v]) for v in ins]
+        return [left + w if entry & bit else None
+                for left, bit in [(total - scaled[u], 1 << u)
+                                  for u in outs]
+                for entry, w in columns]
+
+    def best(base: Subset, outs: Sequence[int],
+             ins: Sequence[int]) -> Optional[tuple[int, int]]:
+        table, total = table_of(base.mask)
+        if table is None:
+            return _best_of(block(base, outs, ins))
+        # The rows heaviest first, ties by row: the first row of a column
+        # whose u lies on its circuit gives that column's best exchange.
+        heavy = sorted(range(len(outs)), key=lambda i: (-scaled[outs[i]], i))
+        heavy = [(i, 1 << outs[i], scaled[outs[i]]) for i in heavy]
+        found = None
+        for j, v in enumerate(ins):
+            entry = table[v]
+            for i, bit, weight in heavy:
+                if entry & bit:
+                    key = (scaled[v] - weight, i, j)
+                    if found is None or key < found:
+                        found = key
+                    break
+        if found is None:
+            return None
+        change, i, j = found
+        return total + change, i * len(ins) + j
 
     return ValuationOracle(ground, matroid.rank,
                            lambda subset: value_of(subset.mask),
-                           matroid.some_base(), name, exchange, scale, block)
+                           matroid.some_base(), name, exchange, scale, block,
+                           best)
 
 
 def indicator_of_matroid(matroid: MatroidOracle) -> ValuationOracle:
@@ -836,15 +927,19 @@ def _laminar_point(masks: Sequence[int], tables: Sequence[ConvexTable],
     inside {0,1}^V: there coordinate n - 1 is most significant, so the
     point is the smallest finite mask.  The sums a member can reach form
     an integer interval: the sum of the intervals of its maximal
-    sub-members and of the box bounds of its other elements, cut by its
-    table's interval.  Members are visited by size, so each one's parent
-    is the first later member that contains it (equal masks nest); the
-    sum `total` is a root member.  Each coordinate in turn is fixed at
-    the smallest upper bound that leaves the family feasible.
+    sub-members and of the box bounds of its own elements (those in none
+    of them), cut by its table's interval.  Members are visited by size,
+    so each one's parent is the first later member that contains it
+    (equal masks nest); the sum `total` is a root member.  Each
+    coordinate in turn is fixed at the smallest upper bound that leaves
+    the family feasible.  Each member keeps the sums of its own
+    elements' bounds, so a probe moves one member's sums and a
+    feasibility test costs one pass over the members.
     """
+    n = len(lower)
     members = [(mask, t.start, t.end) for mask, t in zip(masks, tables)]
     if total is not None:
-        members.append(((1 << len(lower)) - 1, total, total))
+        members.append(((1 << n) - 1, total, total))
     order = sorted(range(len(members)), key=lambda m: members[m][0].bit_count())
     children: list[list[int]] = [[] for _ in members]
     for pos, m in enumerate(order):
@@ -852,41 +947,55 @@ def _laminar_point(masks: Sequence[int], tables: Sequence[ConvexTable],
                        if members[m][0] & ~members[p][0] == 0), None)
         if parent is not None:
             children[parent].append(m)
+    lower, upper = list(lower), list(upper)
+    # The member whose own elements hold each coordinate (None when no
+    # member holds it), and the sums of those elements' bounds.
+    owner: list[Optional[int]] = [None] * n
+    own_low = [0] * len(members)
+    own_high = [0] * len(members)
+    ground = GroundSet(n)
+    for m in order:
+        own = members[m][0]
+        for child in children[m]:
+            own &= ~members[child][0]
+        for e in Subset(ground, own).members():
+            owner[e] = m
+            own_low[m] += lower[e]
+            own_high[m] += upper[e]
 
     def feasible() -> bool:
         reach: list = [None] * len(members)
         for m in order:
-            mask, lo, hi = members[m]
-            low = high = 0
+            low, high = own_low[m], own_high[m]
             for child in children[m]:
                 low += reach[child][0]
                 high += reach[child][1]
-                mask &= ~members[child][0]
-            while mask:
-                e = (mask & -mask).bit_length() - 1
-                low += lower[e]
-                high += upper[e]
-                mask &= mask - 1
-            reach[m] = (max(low, lo), min(high, hi))
+            reach[m] = (max(low, members[m][1]), min(high, members[m][2]))
             if reach[m][0] > reach[m][1]:
                 return False
         return True
 
-    lower, upper = list(lower), list(upper)
+    def bound(i: int, low: int, high: int) -> None:
+        m = owner[i]
+        if m is not None:
+            own_low[m] += low - lower[i]
+            own_high[m] += high - upper[i]
+        lower[i], upper[i] = low, high
+
     if not feasible():
         return None
-    n = len(lower)
     by_mask = total is not None and min(lower, default=0) >= 0 \
         and max(upper, default=0) <= 1
     for i in reversed(range(n)) if by_mask else range(n):
         lo, hi = lower[i], upper[i]
         while lo < hi:
-            upper[i] = (lo + hi) // 2
+            mid = (lo + hi) // 2
+            bound(i, lower[i], mid)
             if feasible():
-                hi = upper[i]
+                hi = mid
             else:
-                lo = upper[i] + 1
-        lower[i] = upper[i] = lo
+                lo = mid + 1
+        bound(i, lo, lo)
     return tuple(lower)
 
 

@@ -13,7 +13,9 @@ or a valuation written out as a table:
 - `verify_witness_exhaustive`, `verify_solution_exhaustive`: the
   certificate checks with minimality also checked against every set of
   each domain, not only by the local exchange criterion;
-- `valuation_from_explicit`: a valuation from a mask -> value table.
+- `valuation_from_explicit`: a valuation from a mask -> value table;
+- `laminar_point_rescan`: the laminar witness with every feasibility
+  test summing every coordinate again.
 """
 
 from __future__ import annotations
@@ -251,3 +253,59 @@ def valuation_from_explicit(ground: GroundSet, rank: int,
     witness = Subset(ground, masks[0]) if masks else None
     return ValuationOracle(ground, rank, lambda x: raw.get(x.mask), witness,
                            name, scale=scale)
+
+
+def laminar_point_rescan(masks: Sequence[int], tables: Sequence,
+                         lower: Sequence[int], upper: Sequence[int],
+                         total: Optional[int] = None,
+                         ) -> Optional[tuple[int, ...]]:
+    """`valuated._laminar_point` as it was before each member kept the
+    sums of its own elements' bounds: every feasibility test rescans the
+    box bounds of every member's own elements, so a bisection with a
+    `total` is quadratic in the dimension.  Same arguments, same point."""
+    members = [(mask, t.start, t.end) for mask, t in zip(masks, tables)]
+    if total is not None:
+        members.append(((1 << len(lower)) - 1, total, total))
+    order = sorted(range(len(members)), key=lambda m: members[m][0].bit_count())
+    children: list[list[int]] = [[] for _ in members]
+    for pos, m in enumerate(order):
+        parent = next((p for p in order[pos + 1:]
+                       if members[m][0] & ~members[p][0] == 0), None)
+        if parent is not None:
+            children[parent].append(m)
+
+    def feasible() -> bool:
+        reach: list = [None] * len(members)
+        for m in order:
+            mask, lo, hi = members[m]
+            low = high = 0
+            for child in children[m]:
+                low += reach[child][0]
+                high += reach[child][1]
+                mask &= ~members[child][0]
+            while mask:
+                e = (mask & -mask).bit_length() - 1
+                low += lower[e]
+                high += upper[e]
+                mask &= mask - 1
+            reach[m] = (max(low, lo), min(high, hi))
+            if reach[m][0] > reach[m][1]:
+                return False
+        return True
+
+    lower, upper = list(lower), list(upper)
+    if not feasible():
+        return None
+    n = len(lower)
+    by_mask = total is not None and min(lower, default=0) >= 0 \
+        and max(upper, default=0) <= 1
+    for i in reversed(range(n)) if by_mask else range(n):
+        lo, hi = lower[i], upper[i]
+        while lo < hi:
+            upper[i] = (lo + hi) // 2
+            if feasible():
+                hi = upper[i]
+            else:
+                lo = upper[i] + 1
+        lower[i] = upper[i] = lo
+    return tuple(lower)

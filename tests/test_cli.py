@@ -304,6 +304,52 @@ def test_resource_limit_exit_code(basic_instance, capsys):
     assert main(["solve", "-i", basic_instance, "--brute", "--limit", "1"]) == 4
 
 
+BASES_PAST_THE_LIMIT = """\
+ground: {size: 20000}
+matroids:
+  M: {kind: uniform, rank: 10000}
+valuations:
+  v: {kind: indicator, matroid: M}
+problem: {type: v_geq_k, oracles: [v, v], k: 1}
+"""
+
+
+@pytest.mark.parametrize("text, limit", [
+    (BASIC, ["--limit", "1"]),      # the pair count is past --limit
+    (BASES_PAST_THE_LIMIT, []),     # C(20000, 10000) bases, past the scan
+], ids=["pairs", "bases"])
+def test_brute_limit_is_checked_before_the_solver(text, limit, tmp_path,
+                                                  monkeypatch, capsys):
+    path = tmp_path / "instance.yaml"
+    path.write_text(text)
+    solved = []
+    monkeypatch.setattr(cli, "solve_v_geq_k",
+                        lambda *args: solved.append(args))
+    assert main(["solve", "-i", str(path), "--brute", *limit]) == 4
+    assert solved == []
+    assert "resource limit" in capsys.readouterr().err
+
+
+def test_brute_report_is_the_plain_report(tmp_path, capsys):
+    """An accepted `--brute` run prints the report of a plain run, with
+    `brute_checked` added for the types that have a brute force."""
+    checked = 0
+    for ptype in cli.PROBLEMS:
+        for seed in range(4):
+            path = tmp_path / f"{ptype}-{seed}.yaml"
+            assert main(["generate", "--problem", ptype, "--seed", str(seed),
+                         "--out", str(path)]) == 0
+            capsys.readouterr()
+            plain = main(["solve", "-i", str(path)]), capsys.readouterr().out
+            brute = main(["solve", "-i", str(path), "--brute"]), \
+                capsys.readouterr().out
+            assert brute[0] == plain[0], (ptype, seed)
+            if brute[1] != plain[1]:
+                assert brute[1] == plain[1] + "brute_checked: true\n"
+                checked += 1
+    assert checked >= 20
+
+
 def test_reports_are_byte_identical(basic_instance, tmp_path):
     first = tmp_path / "a.yaml"
     second = tmp_path / "b.yaml"

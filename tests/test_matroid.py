@@ -202,6 +202,67 @@ class TestCircuits:
                 assert loose.is_independent(x) == tight.is_independent(x)
                 assert loose.circuits(mask) == tight.circuits(mask)
 
+    def test_graphic_pivot_matches_the_walk(self, monkeypatch):
+        """Along seeded exchange walks the table of each base equals the
+        forest walk of a fresh matroid at every entry; a single exchange
+        on the last table's circuit walks no forest, a jump of two
+        exchanges does, and a rank-sized non-base gives None."""
+        import vmint.matroid as matroid_module
+
+        walks = []
+
+        class CountingSubset(Subset):
+            def members(self):
+                walks.append(self.mask)
+                return super().members()
+
+        monkeypatch.setattr(matroid_module, "Subset", CountingSubset)
+        rng = random.Random(2029)
+        pivots = jumps = refused = 0
+        for _ in range(150):
+            vertices = rng.randint(1, 6)
+            # Parallel edges and loops come with drawing ends freely.
+            edges = [(rng.randrange(vertices), rng.randrange(vertices))
+                     for _ in range(rng.randint(1, 9))]
+            graph = make_graphic(vertices, edges)
+            ground = graph.ground
+            x = graph.some_base()
+            table = graph.circuits(x.mask)
+            for _ in range(12):
+                inside = list(x.members())
+                outside = [v for v in ground.elements() if not x.contains(v)]
+                if not inside or not outside:
+                    break
+                u, v = rng.choice(inside), rng.choice(outside)
+                y = x.exchange(u, v)
+                if rng.random() < 0.25 and len(inside) > 1 \
+                        and len(outside) > 1:
+                    # Two exchanges at once: no pivot applies.
+                    u2 = rng.choice([e for e in inside if e != u])
+                    v2 = rng.choice([e for e in outside if e != v])
+                    y = y.exchange(u2, v2)
+                    jump = True
+                else:
+                    jump = False
+                walks.clear()
+                got = graph.circuits(y.mask)
+                walked = bool(walks)
+                assert got == make_graphic(vertices, edges).circuits(y.mask), \
+                    (edges, x.mask, y.mask)
+                if got is None:
+                    assert not graph.is_independent(y)
+                    refused += 1
+                    continue
+                if jump:
+                    assert walked, "a jump of two exchanges walks the forest"
+                    jumps += 1
+                else:
+                    assert table[v] >> u & 1
+                    assert not walked, "one exchange pivots the last table"
+                    pivots += 1
+                x, table = y, got
+        assert pivots > 200 and jumps > 10 and refused > 100
+
     def test_generic_constructions_have_no_table(self, g3):
         linear = make_linear(g3, [[1, 0], [0, 1], [1, 1]])
         for matroid in (linear, dual_matroid(linear),

@@ -21,7 +21,13 @@ from vmint.core import (
     subset_to_vector,
 )
 from vmint.apps import modular_on_domain
-from vmint.matroid import make_free, make_graphic, make_partition, make_uniform
+from vmint.matroid import (
+    enumerate_bases,
+    make_free,
+    make_graphic,
+    make_partition,
+    make_uniform,
+)
 from vmint.rand_instances import (
     MATROID_KINDS,
     random_convex_table,
@@ -47,6 +53,7 @@ from vmint.valuated import (
     intersection_constraint_valuation,
     laminar_convex_function,
     laminar_penalty,
+    _laminar_point,
     laminar_valuation,
     scaled_sum,
     scaled_weights,
@@ -54,7 +61,7 @@ from vmint.valuated import (
 )
 from vmint.vmi import lift_laminar_to_copies
 
-from references import valuation_from_explicit
+from references import laminar_point_rescan, valuation_from_explicit
 
 
 @pytest.fixture
@@ -113,6 +120,51 @@ class TestModularConstructors:
         assert omega.value(y) == omega.value(y) == ExtValue(5)
         assert omega.calls == omega.evals == 2
         assert omega._memo == {}
+
+
+class TestModularBaseState:
+    """The circuit-table leaf keeps w(X) of its last base X and moves it
+    by w_v - w_u on a single exchange: after each step of a walk its
+    values equal `scaled_sum` on bases and +infinity elsewhere, for the
+    base, its single exchanges and sets farther away."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(2, 9),
+           st.sampled_from(MATROID_KINDS))
+    def test_sum_follows_the_walk(self, seed, n, kind):
+        rng = random.Random(seed)
+        ground = GroundSet(n)
+        weights = tuple(random_rational(rng, denominators=range(1, 13))
+                        for _ in range(n))
+        scaled, _ = scaled_weights(weights)
+        matroid = random_matroid(rng, ground, kinds=(kind,))
+        omega = from_matroid_and_weights(matroid, weights)
+
+        def expected(x):
+            return scaled_sum(scaled, x.mask) if matroid.is_base(x) else None
+        x = omega.witness_base
+        for _ in range(15):
+            inside = list(x.members())
+            outside = [v for v in ground.elements() if not x.contains(v)]
+            if not inside or not outside:
+                break
+            # Move the state to X by whichever query a solver would ask.
+            rng.choice((lambda: omega.best_exchange(x, inside, outside),
+                        lambda: omega.raw_exchanges(x, inside, outside),
+                        lambda: omega.exchange_pairs(
+                            x, [(inside[0], outside[-1])])))()
+            assert omega.raw_value(x) == expected(x) == \
+                scaled_sum(scaled, x.mask)
+            for u, v in itertools.product(inside, outside):
+                assert omega.raw_value(x.exchange(u, v)) == \
+                    expected(x.exchange(u, v))
+            far = ground.subset(rng.sample(range(n), len(inside)))
+            assert omega.raw_value(far) == expected(far)
+            steps = [(u, v) for u, v in itertools.product(inside, outside)
+                     if matroid.is_base(x.exchange(u, v))]
+            if not steps:
+                break
+            x = x.exchange(*rng.choice(steps))
 
 
 class TestModularSum:
@@ -588,6 +640,62 @@ class TestBlockExchanges:
                 blocks += bool(pairs)
         assert blocks > 0 or ours[0].rank in (0, ground.size)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 6), st.integers(1, 3))
+    def test_best_exchange_is_the_scanned_block(self, kind, seed, size,
+                                                copies):
+        """`best_exchange` is the smallest finite value of the block and
+        the index of its first occurrence, with the block's `calls`,
+        `evals` and memo; outs and ins come shuffled, so ties go by
+        position, not by element."""
+        rng = random.Random(seed)
+        if kind in ("sum", "constraint", "penalty", "lifted"):
+            size = min(size, 4)
+        make = self._maker(rng, kind, size, copies)
+        if make is None:
+            return
+        ours, twin = make(), make()
+        ground = ours[0].ground
+        for x in self._bases(rng, make()[0]):
+            inside = list(x.members())
+            outside = [v for v in ground.elements() if not x.contains(v)]
+            for _ in range(3):
+                outs = self._sublist(rng, inside)
+                ins = self._sublist(rng, outside)
+                values = twin[0].raw_exchanges(x, outs, ins)
+                finite = [value for value in values if value is not None]
+                expected = None if not finite else (
+                    min(finite), values.index(min(finite)))
+                assert ours[0].best_exchange(x, outs, ins) == expected, (
+                    x.mask, outs, ins)
+                for a, b in zip(ours, twin):
+                    assert (a.calls, a.evals) == (b.calls, b.evals), a.name
+                    assert list(a._memo.items()) == list(b._memo.items())
+
+    def test_best_exchange_ties_go_by_position(self):
+        # Weights in two values, so most blocks hold many equal minima.
+        ground = GroundSet(6)
+        weights = [Fraction(w) for w in (1, 0, 1, 0, 1, 0)]
+        rng = random.Random(11)
+        for matroid in (make_uniform(ground, 3),
+                        make_partition(ground, [(ground.subset([0, 1, 2]), 2),
+                                                (ground.subset([3, 4, 5]), 1)]),
+                        make_graphic(4, [(0, 1), (1, 2), (2, 3), (3, 0),
+                                         (0, 2), (1, 3)])):
+            ours = from_matroid_and_weights(matroid, weights)
+            twin = value_only(from_matroid_and_weights(matroid, weights))
+            for x in enumerate_bases(matroid):
+                inside = list(x.members())
+                outside = [v for v in ground.elements() if not x.contains(v)]
+                for _ in range(4):
+                    rng.shuffle(inside)
+                    rng.shuffle(outside)
+                    values = twin.raw_exchanges(x, inside, outside)
+                    best = min(v for v in values if v is not None)
+                    assert ours.best_exchange(x, inside, outside) == (
+                        best, values.index(best)), (matroid.name, x.mask)
+
     @pytest.mark.parametrize("kind", ["graphic", "explicit", "sum"])
     def test_improper_blocks_raise(self, kind):
         rng = random.Random(3)
@@ -612,6 +720,8 @@ class TestBlockExchanges:
                         inside))):
                 with pytest.raises(InvalidInputError):
                     oracle.raw_exchanges(base, outs, ins)
+                with pytest.raises(InvalidInputError):
+                    oracle.best_exchange(base, outs, ins)
                 with pytest.raises(InvalidInputError):
                     oracle.exchange_pairs(base, [(u, v) for u in outs
                                                  for v in ins] or [(0, 0)])
@@ -1240,6 +1350,29 @@ class TestLaminarWitness:
             x = subset_to_vector(subset)
             assert restricted.value(x) == reference.value(subset)
             assert restricted.value(x) == old_subset(subset)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.booleans(), st.booleans())
+    def test_point_matches_the_rescan(self, seed, zero_one, with_total):
+        """The point with per-member sums of the own elements' bounds is
+        the point of the routine that rescans them on every probe."""
+        rng = random.Random(seed)
+        for _ in range(4):      # most draws with many members are empty
+            n = rng.randint(1, 24)
+            if zero_one:
+                lower = [rng.choice((0, 0, 0, 1)) for _ in range(n)]
+                upper = [max(lo, rng.choice((0, 1, 1, 1))) for lo in lower]
+            else:
+                lower = [rng.randint(-3, 2) for _ in range(n)]
+                upper = [lo + rng.randint(0, 5) for lo in lower]
+            spec = _random_spec(rng, lower, upper)
+            masks = [m.mask for m in spec.members]
+            total = rng.randint(sum(lower) - 1, sum(upper) + 1) \
+                if with_total else None
+            expected = laminar_point_rescan(masks, spec.tables, lower,
+                                            upper, total)
+            assert _laminar_point(masks, spec.tables, lower, upper,
+                                  total) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 3))

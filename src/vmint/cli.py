@@ -14,7 +14,6 @@ import functools
 import random
 import sys
 import time
-from fractions import Fraction
 from typing import Optional
 
 from .core import (
@@ -52,6 +51,7 @@ from .instances import (
     load_instance,
     load_yaml,
     parse_int,
+    parse_rationals,
     subset_out,
 )
 from .mflow import solve_m_geq_k_w
@@ -172,7 +172,8 @@ def _copies(instance: Instance, k_override: Optional[int]):
                                           problem.get("constraint"))
         solver, brute = solve_v_In, brute_v_In
     else:
-        coupling = instance.weights_field("problem.w", problem.get("w"))
+        coupling = parse_rationals(problem.get("w"), "problem.w",
+                                   instance.ground.size)
         solver, brute = solve_v_n_w, brute_v_n_w
 
     def solve():
@@ -187,7 +188,8 @@ def _m_geq_k_w(instance: Instance, k_override: Optional[int]):
     f1, f2 = (instance.named_mconvex("problem.functions", name)
               for name in _two_names(instance, "functions", "mconvex"))
     k = _problem_k(instance, k_override)
-    weights = instance.weights_field("problem.w", instance.problem.get("w"))
+    weights = parse_rationals(instance.problem.get("w"), "problem.w",
+                              instance.ground.size)
 
     def solve():
         solution = solve_m_geq_k_w(f1, f2, k, weights)
@@ -204,8 +206,9 @@ def _weighted_matroids(instance: Instance):
     problem = instance.problem
     m1, m2 = (instance.named_matroid("problem.matroids", name)
               for name in _two_names(instance, "matroids", "matroid"))
-    w1 = instance.weights_field("problem.w1", problem.get("w1"))
-    w2 = instance.weights_field("problem.w2", problem.get("w2"))
+    n = instance.ground.size
+    w1 = parse_rationals(problem.get("w1"), "problem.w1", n)
+    w2 = parse_rationals(problem.get("w2"), "problem.w2", n)
     return m1, m2, w1, w2
 
 
@@ -221,7 +224,8 @@ def _w_eq_k_lpt(instance: Instance, k_override: Optional[int]):
 
 def _copic(instance: Instance, k_override: Optional[int]):
     m1, m2, w1, w2 = _weighted_matroids(instance)
-    q = instance.weights_field("problem.q", instance.problem.get("q"))
+    q = parse_rationals(instance.problem.get("q"), "problem.q",
+                        instance.ground.size)
 
     def solve():
         outcome = solve_copic_diagonal(m1, m2, w1, w2, q)
@@ -247,8 +251,9 @@ def _v_c(instance: Instance, k_override: Optional[int]):
 def _recoverable_robust(instance: Instance, k_override: Optional[int]):
     problem = instance.problem
     omega1 = instance.named_valuation("problem.oracle", problem.get("oracle"))
-    lower = instance.weights_field("problem.lower", problem.get("lower"))
-    upper = instance.weights_field("problem.upper", problem.get("upper"))
+    n = instance.ground.size
+    lower = parse_rationals(problem.get("lower"), "problem.lower", n)
+    upper = parse_rationals(problem.get("upper"), "problem.upper", n)
     k = _problem_k(instance, k_override)
     unc = IntervalUncertainty.of(lower, upper)
 
@@ -342,12 +347,6 @@ def _labelled_subset(ground: GroundSet, labels, field: str) -> Subset:
         raise ParseError(f"{field}: unknown element label {exc}") from None
 
 
-def _rationals(values, field: str, size: int) -> tuple[Fraction, ...]:
-    if not isinstance(values, list) or len(values) != size:
-        raise ParseError(f"{field}: expected {size} rationals")
-    return tuple(parse_rational(v) for v in values)
-
-
 def _certify(instance: Instance, ptype: str, modes: tuple, report: dict,
              k_override: Optional[int] = None) -> bool:
     """Check the optimality witness of an optimal report on its instance,
@@ -375,8 +374,8 @@ def _certify(instance: Instance, ptype: str, modes: tuple, report: dict,
     mode = spec.get("mode") if spec.get("mode") in modes else modes[0]
     inner = witness_problem(mode, omega1, omega2, x1, x2, k)[0].ground
     witness = Witness(
-        _rationals(spec.get("p1"), "witness.p1", inner.size),
-        _rationals(spec.get("p2"), "witness.p2", inner.size),
+        parse_rationals(spec.get("p1"), "witness.p1", inner.size),
+        parse_rationals(spec.get("p2"), "witness.p2", inner.size),
         _labelled_subset(inner, spec.get("matched"), "witness.matched"),
         parse_int(spec.get("k"), "witness.k"),
     )

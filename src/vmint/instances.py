@@ -88,6 +88,16 @@ def parse_int(value, field: str) -> int:
     return value
 
 
+def parse_rationals(values, field: str, size: int) -> tuple[Fraction, ...]:
+    """A YAML list of `size` exact rationals."""
+    if not isinstance(values, list) or len(values) != size:
+        raise ParseError(f"{field}: expected {size} rationals")
+    try:
+        return tuple(parse_rational(v) for v in values)
+    except InvalidInputError as exc:
+        raise ParseError(f"{field}: {exc}") from exc
+
+
 def _mapping(value, field: str) -> dict:
     if not isinstance(value, dict):
         raise ParseError(f"{field}: expected a mapping, got {value!r}")
@@ -206,14 +216,6 @@ class Instance:
         except InvalidInputError as exc:
             raise ParseError(f"ground: {exc}") from exc
 
-    def _weights(self, field: str, values) -> tuple[Fraction, ...]:
-        if not isinstance(values, list) or len(values) != self.ground.size:
-            raise ParseError(f"{field}: expected {self.ground.size} rationals")
-        try:
-            return tuple(parse_rational(v) for v in values)
-        except InvalidInputError as exc:
-            raise ParseError(f"{field}: {exc}") from exc
-
     def _build_matroid(self, name: str, spec) -> MatroidOracle:
         return build_matroid(self.ground, spec, f"matroids.{name}")
 
@@ -225,12 +227,13 @@ class Instance:
         try:
             if kind == "modular_on_matroid":
                 matroid = self.named_matroid(field, spec["matroid"])
-                return from_matroid_and_weights(
-                    matroid, self._weights(f"{field}.weights", spec["weights"]))
+                return from_matroid_and_weights(matroid, parse_rationals(
+                    spec["weights"], f"{field}.weights", self.ground.size))
             if kind == "size_constrained":
                 return size_constrained_modular(
                     self.ground,
-                    self._weights(f"{field}.weights", spec["weights"]),
+                    parse_rationals(spec["weights"], f"{field}.weights",
+                                    self.ground.size),
                     parse_int(spec["rank"], f"{field}.rank"))
             if kind == "dual_of":
                 return dual_valuation(self.named_valuation(field, spec["base"]))
@@ -295,9 +298,6 @@ class Instance:
 
     def named_mconvex(self, field: str, name) -> MnatFunction:
         return _named(self.mconvex, "mconvex function", field, name)
-
-    def weights_field(self, field: str, values) -> tuple[Fraction, ...]:
-        return self._weights(field, values)
 
 
 def _named(table: dict, what: str, field: str, name):

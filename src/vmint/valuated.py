@@ -563,10 +563,7 @@ class LaminarSpec:
                 raise InvalidInputError("laminar member on a different ground set")
             if member.mask == 0:
                 raise InvalidInputError("laminar members must be nonempty")
-        for a, b in itertools.combinations(self.members, 2):
-            inter = a.mask & b.mask
-            if inter and inter != a.mask and inter != b.mask:
-                raise InvalidInputError("family is not laminar")
+        _laminar_forest([m.mask for m in self.members], self.ground.size)
 
 
 @dataclass(frozen=True)
@@ -915,6 +912,35 @@ def scaled_tables(tables: Sequence[ConvexTable],
     return term, scale
 
 
+def _laminar_forest(masks: Sequence[int], n: int,
+                    ) -> tuple[list[int], list[Optional[int]],
+                               list[Optional[int]]]:
+    """The forest of a laminar family of masks on n coordinates.
+
+    Returns the members in order of size (stable, so children come
+    first), each member's parent (None for a root), and each
+    coordinate's owner: the innermost member holding it, or None.  One
+    pass over the members, largest first, builds it: a member is laminar
+    with the earlier ones exactly when its elements have one innermost
+    member so far, and that member is its parent.  Of equal masks, the
+    earlier is the child.  Raises :class:`InvalidInputError` when the
+    family is not laminar.
+    """
+    order = sorted(range(len(masks)), key=lambda m: masks[m].bit_count())
+    parent: list[Optional[int]] = [None] * len(masks)
+    owner: list[Optional[int]] = [None] * n
+    ground = GroundSet(n)
+    for m in reversed(order):
+        elements = Subset(ground, masks[m]).members()
+        held = {owner[e] for e in elements}
+        if len(held) > 1:
+            raise InvalidInputError("family is not laminar")
+        parent[m] = held.pop() if held else None
+        for e in elements:
+            owner[e] = m
+    return order, parent, owner
+
+
 def _laminar_point(masks: Sequence[int], tables: Sequence[ConvexTable],
                    lower: Sequence[int], upper: Sequence[int],
                    total: Optional[int] = None) -> Optional[tuple[int, ...]]:
@@ -926,63 +952,54 @@ def _laminar_point(masks: Sequence[int], tables: Sequence[ConvexTable],
     order of `MnatFunction.iter_box`), except with a `total` on a box
     inside {0,1}^V: there coordinate n - 1 is most significant, so the
     point is the smallest finite mask.  The sums a member can reach form
-    an integer interval: the sum of the intervals of its maximal
-    sub-members and of the box bounds of its own elements (those in none
-    of them), cut by its table's interval.  Members are visited by size,
-    so each one's parent is the first later member that contains it
-    (equal masks nest); the sum `total` is a root member.  Each
-    coordinate in turn is fixed at the smallest upper bound that leaves
-    the family feasible.  Each member keeps the sums of its own
-    elements' bounds, so a probe moves one member's sums and a
-    feasibility test costs one pass over the members.
+    an integer interval, its reach: the sum of the reaches of its
+    children in the family's forest (see :func:`_laminar_forest`) and of
+    the box bounds of its own elements (those in no child), cut by its
+    table's interval.  The sum `total` is a root member.  Each coordinate
+    in turn is fixed at the smallest upper bound that leaves every reach
+    nonempty.  Each member keeps its sums and its reach, so a probe
+    updates only the owner of its coordinate and the owner's ancestors,
+    and a count of empty reaches tells feasibility.
     """
     n = len(lower)
     members = [(mask, t.start, t.end) for mask, t in zip(masks, tables)]
     if total is not None:
         members.append(((1 << n) - 1, total, total))
-    order = sorted(range(len(members)), key=lambda m: members[m][0].bit_count())
-    children: list[list[int]] = [[] for _ in members]
-    for pos, m in enumerate(order):
-        parent = next((p for p in order[pos + 1:]
-                       if members[m][0] & ~members[p][0] == 0), None)
-        if parent is not None:
-            children[parent].append(m)
+    order, parent, owner = _laminar_forest([m[0] for m in members], n)
     lower, upper = list(lower), list(upper)
-    # The member whose own elements hold each coordinate (None when no
-    # member holds it), and the sums of those elements' bounds.
-    owner: list[Optional[int]] = [None] * n
-    own_low = [0] * len(members)
-    own_high = [0] * len(members)
-    ground = GroundSet(n)
+    sum_low = [0] * len(members)
+    sum_high = [0] * len(members)
+    for e, m in enumerate(owner):
+        if m is not None:
+            sum_low[m] += lower[e]
+            sum_high[m] += upper[e]
+    reach_low = [0] * len(members)
+    reach_high = [0] * len(members)
     for m in order:
-        own = members[m][0]
-        for child in children[m]:
-            own &= ~members[child][0]
-        for e in Subset(ground, own).members():
-            owner[e] = m
-            own_low[m] += lower[e]
-            own_high[m] += upper[e]
-
-    def feasible() -> bool:
-        reach: list = [None] * len(members)
-        for m in order:
-            low, high = own_low[m], own_high[m]
-            for child in children[m]:
-                low += reach[child][0]
-                high += reach[child][1]
-            reach[m] = (max(low, members[m][1]), min(high, members[m][2]))
-            if reach[m][0] > reach[m][1]:
-                return False
-        return True
+        reach_low[m] = max(sum_low[m], members[m][1])
+        reach_high[m] = min(sum_high[m], members[m][2])
+        if parent[m] is not None:
+            sum_low[parent[m]] += reach_low[m]
+            sum_high[parent[m]] += reach_high[m]
+    empty = sum(1 for lo, hi in zip(reach_low, reach_high) if lo > hi)
 
     def bound(i: int, low: int, high: int) -> None:
+        nonlocal empty
         m = owner[i]
-        if m is not None:
-            own_low[m] += low - lower[i]
-            own_high[m] += high - upper[i]
+        shift_low, shift_high = low - lower[i], high - upper[i]
         lower[i], upper[i] = low, high
+        while m is not None and (shift_low or shift_high):
+            sum_low[m] += shift_low
+            sum_high[m] += shift_high
+            old_low, old_high = reach_low[m], reach_high[m]
+            reach_low[m] = max(sum_low[m], members[m][1])
+            reach_high[m] = min(sum_high[m], members[m][2])
+            empty += (reach_low[m] > reach_high[m]) - (old_low > old_high)
+            shift_low = reach_low[m] - old_low
+            shift_high = reach_high[m] - old_high
+            m = parent[m]
 
-    if not feasible():
+    if empty:
         return None
     by_mask = total is not None and min(lower, default=0) >= 0 \
         and max(upper, default=0) <= 1
@@ -991,7 +1008,7 @@ def _laminar_point(masks: Sequence[int], tables: Sequence[ConvexTable],
         while lo < hi:
             mid = (lo + hi) // 2
             bound(i, lower[i], mid)
-            if feasible():
+            if not empty:
                 hi = mid
             else:
                 lo = mid + 1
@@ -1282,10 +1299,12 @@ def check_valuated_exchange(omega: ValuationOracle,
     For all X, Y in dom and v in X \\ Y there must be u in Y \\ X with
     omega(X) + omega(Y) >= omega(X - v + u) + omega(Y + v - u).
     Both exchanges are rank-sized, so the values of the domain answer
-    them, and the loop asks omega nothing, even a leaf with no memo.
+    them, and the loop asks omega nothing, even a leaf with no memo.  The
+    values are omega's raw ints, which share one scale, so they compare
+    as the values do.
     """
     domain = omega.enumerate_domain(limit)
-    values = {x.mask: omega.value(x) for x in domain}
+    values = {x.mask: omega.raw_value(x) for x in domain}
     for x in domain:
         vx = values[x.mask]
         for y in domain:
@@ -1299,10 +1318,10 @@ def check_valuated_exchange(omega: ValuationOracle,
                 u = candidates_mask
                 while u:
                     ubit = u & -u
-                    first = values.get(x.mask ^ vbit | ubit, INF)
-                    if first.is_finite:
-                        second = values.get(y.mask ^ ubit | vbit, INF)
-                        if second.is_finite and lhs >= first + second:
+                    first = values.get(x.mask ^ vbit | ubit)
+                    if first is not None:
+                        second = values.get(y.mask ^ ubit | vbit)
+                        if second is not None and lhs >= first + second:
                             ok = True
                             break
                     u ^= ubit

@@ -1,11 +1,15 @@
 """The exhaustive oracles themselves: determinism and trivial cases."""
 
+import hashlib
 import random
 
 import pytest
 
 from vmint.core import ExtValue, GroundSet, ResourceLimitError
 from vmint.bruteforce import (
+    best_value_per_intersection,
+    brute_congestion,
+    brute_copic,
     brute_m_geq_k_w,
     brute_v_In,
     brute_v_eq_k,
@@ -14,6 +18,7 @@ from vmint.bruteforce import (
     brute_v_n_w,
 )
 from vmint.matroid import make_free, make_partition, make_uniform
+from vmint import rand_instances as ri
 from vmint.rand_instances import random_mconvex_pair
 from vmint.valuated import from_matroid_and_weights
 from vmint.apps import mnat_from_valuation
@@ -123,3 +128,63 @@ def test_m_geq_k_brute_respects_constraint():
     if out.optimal:
         from vmint.core import componentwise_min
         assert componentwise_min(*out.vectors).total() >= k
+
+
+def _line(name, out):
+    if out.sets is not None:
+        points = " ".join(str(x.mask) for x in out.sets)
+    elif out.vectors is not None:
+        points = " ".join(str(x.entries) for x in out.vectors)
+    else:
+        points = "-"
+    return f"{name} {out.status} {out.value} {points}"
+
+
+def test_brute_force_outputs_pinned():
+    """Every brute force's status, value and sets or vectors over seeded
+    draws, pinned by one digest: the oracles' results and tie-breaks."""
+    rng = random.Random(20261020)
+    lines = []
+    for draw in range(40):
+        ground = ri.random_ground(rng, 2, 6)
+        n = ground.size
+
+        def valuation(max_rank=4):
+            # Odd draws take 0/1 weights, so that ties are common.
+            matroid = ri.random_matroid(rng, ground, max_rank)
+            weights = ([rng.randint(0, 1) for _ in range(n)] if draw % 2
+                       else ri.random_weights(rng, n))
+            return from_matroid_and_weights(matroid, weights)
+
+        omega1, omega2 = valuation(), valuation()
+        k = rng.randint(0, 3)
+        for level, entry in enumerate(
+                best_value_per_intersection(omega1, omega2)):
+            lines.append(f"levels {level} -" if entry is None else
+                         f"levels {level} {entry[0]} {entry[1].mask} "
+                         f"{entry[2].mask}")
+        lines.append(_line("geq", brute_v_geq_k(omega1, omega2, k)))
+        lines.append(_line("eq", brute_v_eq_k(omega1, omega2, k)))
+        lines.append(_line("leq", brute_v_leq_k(omega1, omega2, k)))
+        omegas = [valuation(3) for _ in range(rng.randint(1, 3))]
+        lines.append(_line("in", brute_v_In(
+            omegas, ri.random_matroid(rng, ground, 3))))
+        lines.append(_line("nw", brute_v_n_w(
+            omegas, ri.random_weights(rng, n, -5, 10))))
+        lines.append(_line("copic", brute_copic(
+            ri.random_matroid(rng, ground), ri.random_matroid(rng, ground),
+            ri.random_weights(rng, n), ri.random_weights(rng, n),
+            ri.random_weights(rng, n))))
+        players = [valuation(2) for _ in range(rng.randint(1, 3))]
+        lines.append(_line("congestion", brute_congestion(
+            players, [ri.random_delay_table(rng, len(players))
+                      for _ in range(n)])))
+        f1, f2 = random_mconvex_pair(rng, rng.randint(1, 3))
+        lines.append(_line("mgeq", brute_m_geq_k_w(
+            f1, f2, rng.randint(0, 4), ri.random_weights(rng, f1.dimension,
+                                                         -5, 5))))
+    statuses = {line.split()[1] for line in lines
+                if not line.startswith("levels")}
+    assert statuses == {"optimal", "infeasible"}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == "fc33c9f3e34ee48a"

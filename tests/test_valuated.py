@@ -1255,6 +1255,13 @@ def _random_spec(rng, lower, upper):
     ground = GroundSet(len(lower))
     blocks = _random_laminar_family(rng, list(ground.elements()))
     blocks += [rng.choice(blocks) for _ in range(rng.randint(0, 2)) if blocks]
+    return LaminarSpec(ground, tuple(ground.subset(b) for b in blocks),
+                       _random_tables(rng, blocks, lower, upper))
+
+
+def _random_tables(rng, blocks, lower, upper):
+    """A convex table per block whose interval may miss the sums the
+    block reaches on the box [lower, upper]."""
     tables = []
     for block in blocks:
         low = sum(lower[v] for v in block)
@@ -1263,8 +1270,7 @@ def _random_spec(rng, lower, upper):
         reach = high - start + 1
         tables.append(random_convex_table(
             rng, start, rng.randint(max(1, reach // 2), max(1, reach + 1))))
-    return LaminarSpec(ground, tuple(ground.subset(b) for b in blocks),
-                       tuple(tables))
+    return tuple(tables)
 
 
 def _random_box(rng, zero_one):
@@ -1373,6 +1379,66 @@ class TestLaminarWitness:
                                             upper, total)
             assert _laminar_point(masks, spec.tables, lower, upper,
                                   total) == expected
+
+    def test_spec_accepts_what_the_pairwise_rule_does(self):
+        """One pass over the members, largest first, accepts exactly the
+        families in which no two members cross."""
+        rng = random.Random(3030)
+        table = ConvexTable(0, (Fraction(0),))
+        verdicts = set()
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            ground = GroundSet(n)
+            order = list(range(n))
+            rng.shuffle(order)
+            blocks = _random_laminar_family(rng, order)
+            blocks += [order[:rng.randint(1, n)]
+                       for _ in range(rng.randint(0, 3))]        # a chain
+            blocks += [rng.choice(blocks) for _ in range(rng.randint(0, 2))
+                       if blocks]
+            blocks += [rng.sample(order, rng.randint(1, n))
+                       for _ in range(rng.choice((0, 0, 1, 2)))]
+            rng.shuffle(blocks)
+            members = tuple(ground.subset(b) for b in blocks)
+            laminar = all(a.mask & b.mask in (0, a.mask, b.mask)
+                          for a, b in itertools.combinations(members, 2))
+            verdicts.add(laminar)
+            if laminar:
+                LaminarSpec(ground, members, (table,) * len(members))
+            else:
+                with pytest.raises(InvalidInputError,
+                                   match="family is not laminar"):
+                    LaminarSpec(ground, members, (table,) * len(members))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("shape", ["wide", "deep"])
+    def test_point_matches_the_rescan_on_wide_and_deep_families(self,
+                                                                  shape):
+        """About one member per coordinate, or one chain of nested
+        members: each probe moves the owner and its ancestors alone."""
+        rng = random.Random(shape)
+        found = {True: 0, False: 0}
+        for _ in range(60):
+            n = rng.randint(20, 40)
+            lower = [rng.randint(-2, 1) for _ in range(n)]
+            upper = [lo + rng.randint(0, 3) for lo in lower]
+            order = list(range(n))
+            rng.shuffle(order)
+            if shape == "wide":
+                blocks = [[v] for v in order if rng.random() < 0.9]
+                blocks += [order[i:i + 2] for i in range(0, n - 1, 7)]
+            else:
+                blocks = [order[:i] for i in range(n, 0, -1)
+                          if rng.random() < 0.8]
+            tables = _random_tables(rng, blocks, lower, upper)
+            masks = [sum(1 << v for v in b) for b in blocks]
+            for total in (None, rng.randint(sum(lower), sum(upper))):
+                expected = laminar_point_rescan(masks, tables, lower, upper,
+                                                total)
+                found[expected is not None] += 1
+                assert _laminar_point(masks, tables, lower, upper,
+                                      total) == expected
+        assert found[True] and found[False]
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 3))

@@ -133,6 +133,13 @@ def _edge(field: str, edge) -> tuple[int, int]:
     return parse_int(edge[0], field), parse_int(edge[1], field)
 
 
+def _kind(spec, field: str) -> str:
+    """The kind of a named spec, with `-` read as `_`."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ParseError(f"{field}: mapping with a kind field is required")
+    return str(spec["kind"]).replace("-", "_")
+
+
 def build_matroid(ground: GroundSet, spec, field: str) -> MatroidOracle:
     """The matroid oracle of one `matroids` spec on `ground`.
 
@@ -140,9 +147,7 @@ def build_matroid(ground: GroundSet, spec, field: str) -> MatroidOracle:
     0-based indices.  This is how `vmint solve` reads a document, and how
     the seeded suites build the specs of :mod:`vmint.rand_instances`.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ParseError(f"{field}: mapping with a kind field is required")
-    kind = str(spec["kind"]).replace("-", "_")
+    kind = _kind(spec, field)
     try:
         if kind == "uniform":
             return make_uniform(ground,
@@ -185,11 +190,16 @@ class Instance:
             raise ParseError("instance document must be a mapping")
         self.raw = raw
         self.ground = self._parse_ground(raw.get("ground"))
+        valuations = _section(raw, "valuations")
+        # A wrong weight count is refused before any matroid is built,
+        # which can take far longer than reading the weights.
+        self._weights = {name: self._parse_weights(name, spec)
+                         for name, spec in valuations.items()}
         self.matroids: dict[str, MatroidOracle] = {}
         for name, spec in _section(raw, "matroids").items():
             self.matroids[name] = self._build_matroid(name, spec)
         self.valuations: dict[str, ValuationOracle] = {}
-        for name, spec in _section(raw, "valuations").items():
+        for name, spec in valuations.items():
             self.valuations[name] = self._build_valuation(name, spec)
         self.mconvex: dict[str, MnatFunction] = {}
         for name, spec in _section(raw, "mconvex").items():
@@ -219,21 +229,28 @@ class Instance:
     def _build_matroid(self, name: str, spec) -> MatroidOracle:
         return build_matroid(self.ground, spec, f"matroids.{name}")
 
+    def _parse_weights(self, name: str, spec) -> Optional[tuple]:
+        """The weights of a valuation of a kind that has them, else None."""
+        field = f"valuations.{name}"
+        if _kind(spec, field) not in ("modular_on_matroid",
+                                      "size_constrained"):
+            return None
+        if "weights" not in spec:
+            raise ParseError(f"{field}: missing field 'weights'")
+        return parse_rationals(spec["weights"], f"{field}.weights",
+                               self.ground.size)
+
     def _build_valuation(self, name: str, spec) -> ValuationOracle:
         field = f"valuations.{name}"
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ParseError(f"{field}: mapping with a kind field is required")
-        kind = str(spec["kind"]).replace("-", "_")
+        kind = _kind(spec, field)
+        weights = self._weights[name]
         try:
             if kind == "modular_on_matroid":
-                matroid = self.named_matroid(field, spec["matroid"])
-                return from_matroid_and_weights(matroid, parse_rationals(
-                    spec["weights"], f"{field}.weights", self.ground.size))
+                return from_matroid_and_weights(
+                    self.named_matroid(field, spec["matroid"]), weights)
             if kind == "size_constrained":
                 return size_constrained_modular(
-                    self.ground,
-                    parse_rationals(spec["weights"], f"{field}.weights",
-                                    self.ground.size),
+                    self.ground, weights,
                     parse_int(spec["rank"], f"{field}.rank"))
             if kind == "dual_of":
                 return dual_valuation(self.named_valuation(field, spec["base"]))
@@ -250,9 +267,7 @@ class Instance:
 
     def _build_mconvex(self, name: str, spec) -> MnatFunction:
         field = f"mconvex.{name}"
-        if not isinstance(spec, dict) or "kind" not in spec:
-            raise ParseError(f"{field}: mapping with a kind field is required")
-        kind = str(spec["kind"]).replace("-", "_")
+        kind = _kind(spec, field)
         try:
             if kind == "laminar_hyperplane":
                 members = []

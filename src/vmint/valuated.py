@@ -10,8 +10,9 @@ Domain membership is value finiteness; there is no separate domain oracle.
 All value queries are counted, which feeds the oracle-complexity checks
 in the test suite.  A composite oracle (one that asks other oracles, or
 has no cheaper way to answer than its value function) memoizes its
-answers; a leaf answers every query from its own tables and keeps no
-memo, so each of its calls is an eval.  Oracles are logically immutable,
+answers; a leaf answers every query from its own tables, or from its
+components' answers, and keeps no memo, so each of its calls is an
+eval.  Oracles are logically immutable,
 but the memo, the per-base caches and the counters mutate on query:
 confine an oracle to one solver run at a time (or guard it) when sharing
 across threads.
@@ -33,20 +34,20 @@ differently, by the oracle's hooks (see `ValuationOracle`).
 
 The leaves are the oracles with a `block_fn`: a modular valuation on a
 matroid with fundamental-circuit tables (`size_constrained_modular` is
-one, on a uniform matroid), the intersection constraint and the laminar
-valuations.  The first answers exchanges from one circuit table per base
-(X - u + v is a base exactly when u lies on the circuit C(X, v)) and the
-integer sums w(X) - w_u + w_v, with no independence test, and carries
-table and sum from one base to the next by a single exchange; it also
-answers `best_exchange` without building the block.  The others read
-the copy counts or member counts of the base.  A memo would cost them
-more than it saves.
+one, on a uniform matroid), the intersection constraint, the laminar
+valuations and the disjoint sum.  The first answers exchanges from one
+circuit table per base (X - u + v is a base exactly when u lies on the
+circuit C(X, v)) and the integer sums w(X) - w_u + w_v, with no
+independence test, and carries table and sum from one base to the next
+by a single exchange; it also answers `best_exchange` without building
+the block.  The constraint
+and the laminar valuations read the copy counts or member counts of
+the base, and the disjoint sum asks each component one block of the
+pairs inside its copy (a pair across copies of a base is +infinity).
+A memo would cost them more than it saves.
 The composites memoize: the dual and `apps.modular_on_domain`
 hand each batch of misses to the oracle they ask as one `exchange_pairs`
-call, the dual as exchanges of the complement; a disjoint sum walks its
-batch, asking each component what `value` asks it (an unchanged part
-once per base, its repeats only counted), so each component's calls,
-evals and memo move exactly as under `value`; explicit tables and
+call, the dual as exchanges of the complement; explicit tables and
 modular valuations on linear or explicit matroids answer by their value
 function.  Each per-base state is a one-entry `functools.lru_cache` of
 the mask, except the modular leaf's, which moves by single exchanges
@@ -114,9 +115,8 @@ class ValuationOracle:
     set; `exchange_fn(base, pairs)` the proper exchanges `pairs` (u in
     base, v not) of a rank-sized base, in pair order, by default as 1 x 1
     blocks if there is a `block_fn`, else by `value_fn`; and
-    `block_fn(base, outs, ins)`, for a leaf oracle that asks no other
-    oracle, a whole block at once: base - u + v for u in `outs` and v in
-    `ins`, u-major.
+    `block_fn(base, outs, ins)`, for a leaf oracle, a whole block at
+    once: base - u + v for u in `outs` and v in `ins`, u-major.
 
     A leaf (an oracle with a `block_fn`) keeps no memo: every query goes
     to the hooks and counts as one eval, so `evals == calls`.  Any other
@@ -218,14 +218,6 @@ class ValuationOracle:
                 self._memo[key] = cached
             self.evals += 1
         return cached
-
-    def count_asks(self, count: int) -> None:
-        """Count `count` more `raw_value` queries of a set whose answer
-        the caller holds from an earlier one, as `raw_value` counts them:
-        memo hits, or for a leaf, evals."""
-        self.calls += count
-        if self._block_fn is not None:
-            self.evals += count
 
     def raw_exchanges(self, base: Subset, outs: Sequence[int],
                       ins: Sequence[int]) -> list[Raw]:
@@ -576,9 +568,10 @@ class ConvexTable:
     def __post_init__(self):
         if not self.values:
             raise InvalidInputError("convex table must be nonempty")
-        for i in range(len(self.values) - 2):
-            lhs = self.values[i + 2] + self.values[i]
-            if lhs < 2 * self.values[i + 1]:
+        # On the values times their common denominator: ints, same verdict.
+        scaled, _ = scaled_weights(self.values)
+        for i in range(len(scaled) - 2):
+            if scaled[i + 2] + scaled[i] < 2 * scaled[i + 1]:
                 raise InvalidInputError("table is not discrete convex")
 
     @property
@@ -821,14 +814,16 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
     The sum is scaled by the lcm S of the components' denominators and
     adds their raw values times S / D_i.
 
-    A batch of exchanges is walked pair by pair.  An exchange X - u + v
-    asks the components what `value` asks them, in the same order and up
-    to the same first +infinity: the copy holding both u and v gets
-    `raw_exchange` of its part (so its circuit table answers), and every
-    other copy `value` of the part X - u + v has there, off-rank parts of
-    a cross-copy pair included.  The parts of the last base are kept, and
-    so is the value of each of them once asked: a copy asked again about
-    its unchanged part is not asked, only counted (`count_asks`).
+    The sum is a leaf: it keeps no memo and answers a block of exchanges
+    of a rank-sized X copy by copy.  When every part X_i has its
+    component's rank, as every base does, an exchange across two copies
+    is +infinity and asks no component, and the pairs inside copy i are
+    one `raw_exchanges(X_i, outs_i, ins_i)` of component i, each finite
+    answer plus the other parts' values.  Those values are asked once per
+    X, with the first block that has a pair inside a copy; copy i is not
+    asked when a part other than X_i is +infinity.  At any other X, each
+    pair is valued in turn by the value function at X - u + v, where a
+    pair across copies can be finite.
     """
     if not omegas:
         raise InvalidInputError("need at least one valuation")
@@ -850,40 +845,61 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
         return total
 
     size = base.size
-    count = len(omegas)
 
     @functools.lru_cache(maxsize=1)
-    def state_of(mask: int) -> tuple[tuple[Subset, ...], list]:
-        return tg.to_parts(Subset(tg.combined, mask)), [_MISSING] * count
+    def parts_of(mask: int) -> tuple[tuple[Subset, ...], bool]:
+        """The parts of X, and whether each has its component's rank."""
+        parts = tg.to_parts(Subset(tg.combined, mask))
+        return parts, all(part.mask.bit_count() == om.rank
+                          for part, om in zip(parts, omegas))
 
-    def pair_value(parts: tuple[Subset, ...], held: list, repeats: list[int],
-                   u: int, v: int) -> Raw:
-        copy_u, a = divmod(u, size)
-        copy_v, b = divmod(v, size)
-        total = 0
-        for i, om in enumerate(omegas):
-            if i == copy_u == copy_v:
-                term = om.raw_exchange(parts[i], a, b)
-            elif i == copy_u:
-                term = om.raw_value(Subset(base, parts[i].mask & ~(1 << a)))
-            elif i == copy_v:
-                term = om.raw_value(Subset(base, parts[i].mask | 1 << b))
-            elif held[i] is _MISSING:
-                term = held[i] = om.raw_value(parts[i])
-            else:
-                term = held[i]
-                repeats[i] += 1
-            if term is None:
-                return None
-            total += term * factors[i]
-        return total
+    @functools.lru_cache(maxsize=1)
+    def terms_of(mask: int) -> tuple[list[Raw], int, int]:
+        """Each part's scaled value (None for +infinity), the sum of the
+        finite ones and the number of infinite ones."""
+        terms = [om.raw_value(part) for om, part in
+                 zip(omegas, parts_of(mask)[0])]
+        terms = [None if term is None else term * factor
+                 for term, factor in zip(terms, factors)]
+        return (terms, sum(term for term in terms if term is not None),
+                terms.count(None))
 
-    def exchange(subset: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
-        parts, held = state_of(subset.mask)
-        repeats = [0] * count
-        values = [pair_value(parts, held, repeats, u, v) for u, v in pairs]
-        for om, repeat in zip(omegas, repeats):
-            om.count_asks(repeat)
+    def block(subset: Subset, outs: Sequence[int],
+              ins: Sequence[int]) -> list[Raw]:
+        mask = subset.mask
+        parts, balanced = parts_of(mask)
+        if not balanced:
+            return [value(Subset(tg.combined, mask ^ (1 << u) | 1 << v))
+                    for u in outs for v in ins]
+        width = len(ins)
+        values: list[Raw] = [None] * (len(outs) * width)
+        # Rows and columns by copy, each with its place in the block.
+        rows: list[list[tuple[int, int]]] = [[] for _ in omegas]
+        columns: list[list[tuple[int, int]]] = [[] for _ in omegas]
+        for i, u in enumerate(outs):
+            copy, a = divmod(u, size)
+            rows[copy].append((i * width, a))
+        for j, v in enumerate(ins):
+            copy, b = divmod(v, size)
+            columns[copy].append((j, b))
+        copies = [i for i in range(len(omegas)) if rows[i] and columns[i]]
+        if not copies:
+            return values
+        terms, total, infinite = terms_of(mask)
+        for i in copies:
+            own = terms[i]
+            if infinite - (own is None):
+                continue
+            rest = total - (own or 0)
+            factor = factors[i]
+            answers = iter(omegas[i].raw_exchanges(
+                parts[i], [a for _, a in rows[i]],
+                [b for _, b in columns[i]]))
+            places = [j for j, _ in columns[i]]
+            for start, _ in rows[i]:
+                for j, answer in zip(places, answers):
+                    if answer is not None:
+                        values[start + j] = rest + answer * factor
         return values
 
     witness = None
@@ -891,7 +907,7 @@ def disjoint_sum(omegas: Sequence[ValuationOracle]) -> tuple[ValuationOracle, Tu
         witness = tg.to_subset([om.witness_base for om in omegas])
     rank = sum(om.rank for om in omegas)
     return (ValuationOracle(tg.combined, rank, value, witness, "disjoint-sum",
-                            exchange, scale), tg)
+                            scale=scale, block_fn=block), tg)
 
 
 def scaled_tables(tables: Sequence[ConvexTable],

@@ -128,6 +128,38 @@ def test_full_rank_uniform_is_checked_at_once(tmp_path, capsys):
     assert "expected 1000000 rationals" in capsys.readouterr().err
 
 
+def test_weight_count_is_checked_before_any_matroid_is_built(tmp_path,
+                                                            capsys):
+    # 300 dense columns of height 150: the linear matroid's construction
+    # alone ran for minutes, and only then was the one weight refused.
+    rng = random.Random(1)
+    columns = ", ".join(
+        "[" + ", ".join(str(rng.randint(-9, 9)) for _ in range(150)) + "]"
+        for _ in range(300))
+    text = ("ground: {size: 300}\n"
+            f"matroids:\n  M: {{kind: linear, columns: [{columns}]}}\n"
+            "valuations:\n  v: {kind: modular_on_matroid, matroid: M,"
+            " weights: ['1']}\n"
+            "problem: {type: v_geq_k, oracles: [v, v], k: 1}\n")
+    path = tmp_path / "linear.yaml"
+    path.write_text(text)
+    start = time.process_time()
+    assert main(["solve", "-i", str(path)]) == 3
+    assert time.process_time() - start < 2
+    assert "expected 300 rationals" in capsys.readouterr().err
+    # Every matroid is still built: an unused invalid one is refused
+    # after the weights pass.
+    path.write_text(
+        "ground: {size: 2}\n"
+        "matroids:\n  M: {kind: uniform, rank: 1}\n"
+        "  unused: {kind: uniform, rank: 3}\n"
+        "valuations:\n  v: {kind: modular_on_matroid, matroid: M,"
+        " weights: ['1', '2']}\n"
+        "problem: {type: v_geq_k, oracles: [v, v], k: 1}\n")
+    assert main(["solve", "-i", str(path)]) == 3
+    assert "rank 3" in capsys.readouterr().err
+
+
 def test_large_partition_block_is_built_in_linear_time(tmp_path, capsys,
                                                       monkeypatch):
     # One block of 250,000 members: a member list or a block mask built
@@ -486,7 +518,7 @@ SOLVE_DIGESTS = {
     "v_eq_k":
         "c39c22c7f41546d8c5e3fb27806ec5ae69d0ad0b6c21db96c83abcdfa782b2f3",
     "v_leq_k":
-        "8825b71b6c22c0ee1a93ebf281fdb9b89befa5d3aeeafa73e2190e9406420062",
+        "8bacc8188da0ff389b900642cba4fc27771ea2a2fbe5dfcd53b9ee3a147849b5",
     "v_in":
         "641504e1fb55788dd160f9971e249ff9cdd6168dc145f8dab580cf3d910e8d46",
     "v_n_w":

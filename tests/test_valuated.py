@@ -343,10 +343,10 @@ class TestMoved:
 
 
 class TestCopyReductionExchange:
-    """The four oracles of the copy reductions answer `exchange_value`
-    exactly like a value-only twin asked `value`: the same values, and
-    the same `calls`, `evals` and memo, on the reduction oracle and on
-    every component of a sum."""
+    """The coupling oracles of the copy reductions answer
+    `exchange_value` exactly like a value-only twin asked `value`: the
+    same values, and the same `calls`, `evals` and memo.  The disjoint
+    sum has tests of its own (`TestDisjointSum`)."""
 
     @staticmethod
     def _component(rng, ground, kind):
@@ -439,8 +439,7 @@ class TestCopyReductionExchange:
             if same_kind:
                 assert a._memo == b._memo, a.name
 
-    @pytest.mark.parametrize("kind",
-                             ["sum", "constraint", "penalty", "lifted"])
+    @pytest.mark.parametrize("kind", ["constraint", "penalty", "lifted"])
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(1, 5), st.integers(1, 3))
     def test_twin_answers_alike(self, kind, seed, size, copies):
@@ -448,14 +447,7 @@ class TestCopyReductionExchange:
         ground = GroundSet(size)
         tg = TupleGround(ground, copies)
         rank = rng.randint(0, copies * size)
-        if kind == "sum":
-            makers = [self._component(rng, ground, rng.choice(
-                MATROID_KINDS + ("explicit", "dual"))) for _ in range(copies)]
-
-            def make():
-                parts = [build() for build in makers]
-                return [disjoint_sum(parts)[0]] + parts
-        elif kind == "constraint":
+        if kind == "constraint":
             constraint = random_matroid(rng, ground, rng.randint(0, 3))
 
             def make():
@@ -982,37 +974,108 @@ class TestDisjointSum:
         for subset in omega.enumerate_domain():
             assert total.value(tg.to_subset([subset])) == omega.value(subset)
 
-    def test_unchanged_parts_are_evaluated_once_per_base(self):
-        """Three copies share one leaf: a batch of exchanges evaluates
-        each copy's unchanged part once and only counts its repeats, with
-        the calls of a sum over a value-only twin."""
-        ground = GroundSet(4)
-        leaf = from_matroid_and_weights(make_uniform(ground, 2), [1, 2, 4, 8])
-        asked = []
+    @staticmethod
+    def _maker(rng, ground, copies):
+        """A maker of [sum, component of copy 0, ...]; some sums ask one
+        shared component in every copy."""
+        kinds = MATROID_KINDS + ("explicit", "dual")
+        component = TestCopyReductionExchange._component
+        makers = [component(rng, ground, rng.choice(kinds))
+                  for _ in range(copies)]
+        shared = rng.random() < 0.25
 
-        def value_fn(subset):
-            asked.append(subset.mask)
-            return leaf._value_fn(subset)
+        def make():
+            parts = [makers[0]()] * copies if shared \
+                else [build() for build in makers]
+            return [disjoint_sum(parts)[0]] + parts
+        return make
 
-        counted = ValuationOracle(ground, 2, value_fn, leaf.witness_base,
-                                  "counted", leaf._exchange_fn, leaf.scale,
-                                  leaf._block_fn)
-        twin = value_only(leaf)
-        ours, tg = disjoint_sum([counted] * 3)
-        theirs, _ = disjoint_sum([twin] * 3)
-        parts = [ground.subset(p) for p in ([0, 1], [1, 2], [2, 3])]
-        base = tg.to_subset(parts)
-        outs = list(base.members())
-        ins = [v for v in tg.combined.elements() if not base.contains(v)]
-        counted.reset_counters()
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 5), st.integers(1, 3))
+    def test_answers_like_its_value_only_twin(self, seed, size, copies):
+        """The sum is a leaf: the values and `calls` of a value-only twin
+        asked `value`, every call an eval and no memo."""
+        rng = random.Random(seed)
+        ground = GroundSet(size)
+        make = self._maker(rng, ground, copies)
+        ours, twin = make()[0], value_only(make()[0])
+        ours.reset_counters()
         twin.reset_counters()
-        asked.clear()
-        assert ours.raw_exchanges(base, outs, ins) \
-            == theirs.raw_exchanges(base, outs, ins)
-        assert sorted(asked) == sorted(p.mask for p in parts)
-        assert counted.calls == twin.calls > len(parts)
-        assert counted.evals == counted.calls
-        assert counted._memo == {}
+        queries = TestCopyReductionExchange._queries(
+            rng, TupleGround(ground, copies), ours.rank, ours.witness_base)
+        for x, u, v in queries:
+            assert ours.exchange_value(x, u, v) == twin.value(
+                x.exchange(u, v)), (x.mask, u, v)
+            assert ours.calls == twin.calls == ours.evals
+        assert ours._memo == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(1, 4), st.integers(1, 3))
+    def test_blocks_ask_each_copy_its_own_block(self, seed, size, copies):
+        """At a base, a block across copies asks no component; a mixed
+        block, its rows and columns shuffled, asks each component its
+        part's value once per base and then, when every other part is
+        finite, one `raw_exchanges` of the pairs inside its copy.  A
+        mirror asked just that has the same `calls`, `evals` and memo on
+        every component.  At any other rank-sized set each pair asks the
+        value function."""
+        rng = random.Random(seed)
+        ground = GroundSet(size)
+        make = self._maker(rng, ground, copies)
+        ours, mirror, by_value = make(), make(), value_only(make()[0])
+        tg = TupleGround(ground, copies)
+        total = ours[0]
+        components = ours[1:]
+        blocks = 0
+        asked = None    # the base whose parts the mirror asked last
+        for x in TestBlockExchanges._bases(rng, make()[0]):
+            parts = tg.to_parts(x)
+            inside = list(x.members())
+            outside = [v for v in tg.combined.elements()
+                       if not x.contains(v)]
+            balanced = all(part.cardinality() == om.rank
+                           for part, om in zip(parts, mirror[1:]))
+            for _ in range(3):
+                outs = TestBlockExchanges._sublist(rng, inside)
+                ins = TestBlockExchanges._sublist(rng, outside)
+                values = total.raw_exchanges(x, outs, ins)
+                assert values == [by_value.raw_value(x.exchange(u, v))
+                                  for u in outs for v in ins], (x.mask,
+                                                                outs, ins)
+                blocks += bool(values)
+                if not balanced:
+                    for u in outs:
+                        for v in ins:
+                            mirror[0]._value_fn(x.exchange(u, v))
+                else:
+                    across = [(u, v) for u in outs for v in ins
+                              if u // size != v // size]
+                    before = [(om.calls, om.evals) for om in components]
+                    assert [total.raw_exchange(x, u, v) for u, v in across] \
+                        == [None] * len(across)
+                    assert [(om.calls, om.evals)
+                            for om in components] == before
+                    rows = [[u % size for u in outs if u // size == i]
+                            for i in range(copies)]
+                    columns = [[v % size for v in ins if v // size == i]
+                               for i in range(copies)]
+                    inner = [i for i in range(copies)
+                             if rows[i] and columns[i]]
+                    if inner and asked != x.mask:
+                        asked = x.mask
+                        terms = [om.raw_value(part)
+                                 for om, part in zip(mirror[1:], parts)]
+                    for i in inner:
+                        if all(term is not None for j, term
+                               in enumerate(terms) if j != i):
+                            mirror[1 + i].raw_exchanges(parts[i], rows[i],
+                                                        columns[i])
+                for a, b in zip(components, mirror[1:]):
+                    assert (a.calls, a.evals) == (b.calls, b.evals), a.name
+                    assert list(a._memo.items()) == list(b._memo.items())
+        assert total._memo == {}
+        assert total.evals == total.calls
+        assert blocks > 0 or total.rank in (0, tg.combined.size)
 
 
 class TestIntersectionConstraint:
@@ -1143,6 +1206,27 @@ class TestLaminarConvexFunction:
     def test_nonconvex_table_rejected(self):
         with pytest.raises(InvalidInputError):
             ConvexTable(0, (Fraction(0), Fraction(10), Fraction(5)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fractions(-5, 5, max_denominator=12),
+           st.lists(st.sampled_from([Fraction(n, d) for n in range(-3, 4)
+                                     for d in (1, 2, 3, 4, 6)]), max_size=8),
+           st.booleans())
+    def test_convexity_verdict_is_the_rational_one(self, first, increments,
+                                                   ordered):
+        """The check on the scaled ints accepts a table exactly when
+        g(k+1) + g(k-1) >= 2 g(k) holds in rationals; sorted increments
+        drawn from few values give equal second differences."""
+        if ordered:
+            increments.sort()
+        values = tuple(itertools.accumulate(increments, initial=first))
+        convex = all(values[i + 2] + values[i] >= 2 * values[i + 1]
+                     for i in range(len(values) - 2))
+        if convex:
+            assert ConvexTable(0, values).values == values
+        else:
+            with pytest.raises(InvalidInputError):
+                ConvexTable(0, values)
 
     def test_non_laminar_rejected(self, g3):
         with pytest.raises(InvalidInputError):

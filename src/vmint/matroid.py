@@ -21,6 +21,10 @@ from .core import (
 
 DEFAULT_ENUMERATION_LIMIT = 1 << 22
 
+# The most elements on which `check_base_exchange` builds its table of
+# 2**n bits, one per subset.
+CLOSURE_TABLE_SIZE = 16
+
 
 class MatroidOracle:
     """A matroid given by its ground set and an independence query.
@@ -422,40 +426,62 @@ def enumerate_bases(matroid: MatroidOracle,
     return [x for x in matroid.ground.subsets_of_size(r) if matroid.is_independent(x)]
 
 
-def check_base_exchange(family: ExplicitBaseFamily) -> bool:
-    """Exhaustively test the base exchange axiom on an explicit family.
+def check_base_exchange(family: ExplicitBaseFamily,
+                        limit: int = DEFAULT_ENUMERATION_LIMIT) -> bool:
+    """Test the base exchange axiom on an explicit family.
 
     For all bases X, Y and v in X \\ Y there must be u in Y \\ X with
-    X - v + u in the family.
+    X - v + u in the family.  The elements that extend X - v to a base
+    are v and U(X, v), the u outside X with X - v + u a base, so the
+    axiom fails exactly when some base avoids them.  One pass over the
+    bases maps each X - v to its extenders.  On at most
+    `CLOSURE_TABLE_SIZE` elements, one table over every subset S says
+    whether some base lies inside S; on more, each base mask is ANDed
+    against each set of extenders, and more than `limit` ANDs raise
+    `ResourceLimitError`.
     """
     if not family.bases:
         raise InvalidInputError("base family must be nonempty")
     sizes = {b.cardinality() for b in family.bases}
     if len(sizes) != 1:
         raise InvalidInputError("bases must be equicardinal")
-    masks = sorted({b.mask for b in family.bases})
-    mask_set = set(masks)
-    for xm in masks:
-        for ym in masks:
-            diff = xm & ~ym
-            if not diff:
-                continue
-            candidates = ym & ~xm
-            v = diff
-            while v:
-                vbit = v & -v
-                u = candidates
-                ok = False
-                while u:
-                    ubit = u & -u
-                    if (xm ^ vbit) | ubit in mask_set:
-                        ok = True
-                        break
-                    u ^= ubit
-                if not ok:
-                    return False
-                v ^= vbit
-    return True
+    masks = {b.mask for b in family.bases}
+    extenders: dict[int, int] = {}
+    for x in masks:
+        rest = x
+        while rest:
+            bit = rest & -rest
+            extenders[x ^ bit] = extenders.get(x ^ bit, 0) | bit
+            rest ^= bit
+    hitting = set(extenders.values())
+    n = family.ground.size
+    if n <= CLOSURE_TABLE_SIZE:
+        inside = _holds_a_member(masks, n)
+        full = (1 << n) - 1
+        return not any(inside[(full ^ h) >> 3] >> ((full ^ h) & 7) & 1
+                       for h in hitting)
+    if len(hitting) * len(masks) > limit:
+        raise ResourceLimitError(
+            f"base exchange check over {len(masks)} bases exceeds limit "
+            f"{limit}")
+    return all(y & h for h in hitting for y in masks)
+
+
+def _holds_a_member(masks: Iterable[int], n: int) -> bytes:
+    """The bit table, little-endian, whose bit S is set when some mask
+    lies inside S, for every subset S of n elements: the masks' bits,
+    closed upwards one element at a time."""
+    bits = bytearray(((1 << n) + 7) >> 3)
+    for m in masks:
+        bits[m >> 3] |= 1 << (m & 7)
+    table = int.from_bytes(bits, "little")
+    every = (1 << (1 << n)) - 1
+    for i in range(n):
+        step = 1 << i
+        # The bits S without element i: runs of `step` ones, then zeros.
+        without = ((1 << step) - 1) * (every // ((1 << 2 * step) - 1))
+        table |= (table & without) << step
+    return table.to_bytes(len(bits), "little")
 
 
 def min_weight_base(matroid: MatroidOracle,

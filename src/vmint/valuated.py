@@ -35,23 +35,22 @@ differently, by the oracle's hooks (see `ValuationOracle`).
 The leaves are the oracles with a `block_fn`: a modular valuation on a
 matroid with fundamental-circuit tables (`size_constrained_modular` is
 one, on a uniform matroid), the intersection constraint, the laminar
-valuations and the disjoint sum.  The first answers exchanges from one
-circuit table per base (X - u + v is a base exactly when u lies on the
-circuit C(X, v)) and the integer sums w(X) - w_u + w_v, with no
-independence test, and carries table and sum from one base to the next
-by a single exchange; it also answers `best_exchange` without building
-the block.  The constraint
-and the laminar valuations read the copy counts or member counts of
-the base, and the disjoint sum asks each component one block of the
-pairs inside its copy (a pair across copies of a base is +infinity).
-A memo would cost them more than it saves.
-The composites memoize: the dual and `apps.modular_on_domain`
-hand each batch of misses to the oracle they ask as one `exchange_pairs`
-call, the dual as exchanges of the complement; explicit tables and
-modular valuations on linear or explicit matroids answer by their value
-function.  Each per-base state is a one-entry `functools.lru_cache` of
-the mask, except the modular leaf's, which moves by single exchanges
-(see `from_matroid_and_weights`).
+valuations, the disjoint sum and the dual.  The first answers exchanges
+from one circuit table per base (X - u + v is a base exactly when u
+lies on the circuit C(X, v)) and the integer sums w(X) - w_u + w_v,
+with no independence test, and carries table and sum from one base to
+the next by a single exchange; it also answers `best_exchange` without
+building the block.  The constraint and the laminar valuations read the
+copy counts or member counts of the base, the disjoint sum asks each
+component one block of the pairs inside its copy (a pair across copies
+of a base is +infinity), and the dual asks its base one batch of all
+its pairs, as exchanges of the complement.  A memo would cost them more
+than it saves.  The composites memoize: `apps.modular_on_domain` hands
+each batch of misses to the oracle it asks as one `exchange_pairs`
+call; explicit tables and modular valuations on linear or explicit
+matroids answer by their value function.  Each per-base state is a
+one-entry `functools.lru_cache` of the mask, except the modular leaf's,
+which moves by single exchanges (see `from_matroid_and_weights`).
 
 Laminar convex functions (convex tables of the member sums of a laminar
 family) are built by :func:`laminar_valuation` on subsets (the laminar
@@ -119,9 +118,14 @@ class ValuationOracle:
     once: base - u + v for u in `outs` and v in `ins`, u-major.
 
     A leaf (an oracle with a `block_fn`) keeps no memo: every query goes
-    to the hooks and counts as one eval, so `evals == calls`.  Any other
-    oracle looks each query up in its memo first, and counts only its
-    misses as evals.  A leaf may also be given a fourth hook,
+    to the hooks and counts as one eval, so `evals == calls`.  The
+    leaves are the modular valuations on matroids with circuit tables,
+    the intersection constraint, the laminar valuations, the disjoint
+    sum and the dual; the last two pass their queries on to the oracles
+    they are built on.  Any other oracle (a modular valuation on a
+    linear or explicit matroid, an explicit table, `modular_on_domain`)
+    looks each query up in its memo first, and counts only its misses
+    as evals.  A leaf may also be given a fourth hook,
     `best_fn(base, outs, ins)`, which answers `best_exchange` without
     building the block.
     """
@@ -734,10 +738,13 @@ def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
 
     It has omega's scale, and passes its queries on to omega, exchanges
     as exchanges of the complement: X - u + v is (V \\ X) - v + u.  The
-    misses of a block (or of one exchange) reach omega as one
-    `exchange_pairs` batch, in pair order, so omega's `calls`, `evals`
-    and memo move exactly as under one `raw_exchange` per pair.  The
-    complement of the last base is kept.
+    dual is a leaf: it keeps no memo, and a block (or a batch of pairs,
+    or one exchange) reaches omega as one batch of all its pairs,
+    swapped, on the complement, in the dual's u-major order, so omega's
+    `calls`, `evals` and memo move exactly as under one `raw_exchange`
+    per pair.  The batch skips omega's checks: the dual has checked the
+    same pairs, which are proper on the complement when they are proper
+    on X.  The complement of the last base is kept.
     """
     witness = None
     if omega.witness_base is not None:
@@ -749,12 +756,17 @@ def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
         return Subset(ground, mask ^ (1 << ground.size) - 1)
 
     def exchange(x: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
-        return omega.exchange_pairs(complement(x.mask),
-                                    [(v, u) for u, v in pairs])
+        return omega._pairs(complement(x.mask), [(v, u) for u, v in pairs])
+
+    def block(x: Subset, outs: Sequence[int],
+              ins: Sequence[int]) -> list[Raw]:
+        return omega._pairs(complement(x.mask),
+                            [(v, u) for u in outs for v in ins])
 
     return ValuationOracle(ground, ground.size - omega.rank,
                            lambda x: omega.raw_value(x.complement()), witness,
-                           f"dual({omega.name})", exchange, omega.scale)
+                           f"dual({omega.name})", exchange, omega.scale,
+                           block)
 
 
 class TupleGround:

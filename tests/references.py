@@ -15,11 +15,16 @@ or a valuation written out as a table:
   each domain, not only by the local exchange criterion;
 - `valuation_from_explicit`: a valuation from a mask -> value table;
 - `laminar_point_rescan`: the laminar witness with every feasibility
-  test summing every coordinate again.
+  test summing every coordinate again;
+- `check_base_exchange_pairwise`: the base exchange axiom tried on
+  every pair of bases;
+- `dual_valuation_memoized`: the dual valuation with a memo of its own
+  over its base's.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,13 +33,18 @@ from vmint.core import (
     EmptyDomainError,
     GroundSet,
     InternalInvariantError,
+    InvalidInputError,
     ResourceLimitError,
     Subset,
     intersection_cardinality,
     scaled_weights,
 )
-from vmint.matroid import DEFAULT_ENUMERATION_LIMIT, MatroidOracle
-from vmint.valuated import ValuationOracle
+from vmint.matroid import (
+    DEFAULT_ENUMERATION_LIMIT,
+    ExplicitBaseFamily,
+    MatroidOracle,
+)
+from vmint.valuated import Raw, ValuationOracle
 from vmint.viap import (
     IntersectionSolution,
     Witness,
@@ -309,3 +319,61 @@ def laminar_point_rescan(masks: Sequence[int], tables: Sequence,
                 lo = upper[i] + 1
         lower[i] = upper[i] = lo
     return tuple(lower)
+
+
+def check_base_exchange_pairwise(family: ExplicitBaseFamily) -> bool:
+    """`matroid.check_base_exchange` as it was before it mapped each
+    X - v to its extenders: for every pair of bases X, Y and every v in
+    X \\ Y, a search of Y \\ X for u with X - v + u in the family.  Same
+    verdict and same input errors, in time quadratic in the family."""
+    if not family.bases:
+        raise InvalidInputError("base family must be nonempty")
+    sizes = {b.cardinality() for b in family.bases}
+    if len(sizes) != 1:
+        raise InvalidInputError("bases must be equicardinal")
+    masks = sorted({b.mask for b in family.bases})
+    mask_set = set(masks)
+    for xm in masks:
+        for ym in masks:
+            diff = xm & ~ym
+            if not diff:
+                continue
+            candidates = ym & ~xm
+            v = diff
+            while v:
+                vbit = v & -v
+                u = candidates
+                ok = False
+                while u:
+                    ubit = u & -u
+                    if (xm ^ vbit) | ubit in mask_set:
+                        ok = True
+                        break
+                    u ^= ubit
+                if not ok:
+                    return False
+                v ^= vbit
+    return True
+
+
+def dual_valuation_memoized(omega: ValuationOracle) -> ValuationOracle:
+    """`valuated.dual_valuation` as it was before the dual became a leaf:
+    it keeps a memo over omega's, and only its misses reach omega, as one
+    checked `exchange_pairs` batch.  Same values, and the same `calls`
+    on the dual; omega may be asked less."""
+    witness = None
+    if omega.witness_base is not None:
+        witness = omega.witness_base.complement()
+    ground = omega.ground
+
+    @functools.lru_cache(maxsize=1)
+    def complement(mask: int) -> Subset:
+        return Subset(ground, mask ^ (1 << ground.size) - 1)
+
+    def exchange(x: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
+        return omega.exchange_pairs(complement(x.mask),
+                                    [(v, u) for u, v in pairs])
+
+    return ValuationOracle(ground, ground.size - omega.rank,
+                           lambda x: omega.raw_value(x.complement()), witness,
+                           f"dual({omega.name})", exchange, omega.scale)

@@ -516,7 +516,7 @@ SOLVE_DIGESTS = {
     "v_geq_k":
         "fcda4bf14eca020639ebf97fd622e696ef430c7daa101437b074e748fa21a550",
     "v_eq_k":
-        "c39c22c7f41546d8c5e3fb27806ec5ae69d0ad0b6c21db96c83abcdfa782b2f3",
+        "4499926f34f99c56054a69aec6979fa9db9d91e160d4a25673aa6baecbcac29b",
     "v_leq_k":
         "8bacc8188da0ff389b900642cba4fc27771ea2a2fbe5dfcd53b9ee3a147849b5",
     "v_in":

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from vmint.core import GroundSet, InvalidInputError, ResourceLimitError, Subset
 from vmint.matroid import (
+    CLOSURE_TABLE_SIZE,
     ExplicitBaseFamily,
     check_base_exchange,
     dual_matroid,
@@ -26,7 +27,10 @@ from vmint.rand_instances import (
     random_matroid_spec,
 )
 
-from references import check_independence_axioms
+from references import (
+    check_base_exchange_pairwise,
+    check_independence_axioms,
+)
 
 
 @pytest.fixture
@@ -289,6 +293,44 @@ class TestCheckers:
             ExplicitBaseFamily.of(g3, [g3.subset([0, 1])]))
         with pytest.raises(InvalidInputError):
             check_base_exchange(ExplicitBaseFamily.of(g3, []))
+
+    def test_base_exchange_matches_the_pairwise_reference(self):
+        """Same verdict as the check on every pair of bases, on whole
+        matroids, their random subfamilies and random equicardinal
+        families, by the subset table (n <= 16) and by mask ANDs (n > 16).
+        """
+        rng = random.Random(2033)
+        verdicts = {}
+        for trial in range(1500):
+            n = rng.randint(15, 19) if trial % 8 == 0 else rng.randint(1, 8)
+            ground = GroundSet(n)
+            shape = rng.randrange(3)
+            if shape < 2:
+                bases = enumerate_bases(random_matroid(
+                    rng, ground, max_rank=2 if n > 8 else 4))
+                if shape == 1:
+                    bases = rng.sample(bases, rng.randint(1, len(bases)))
+            else:
+                r = rng.randint(0, n)
+                bases = [ground.subset(rng.sample(range(n), r))
+                         for _ in range(rng.randint(1, 12))]
+            family = ExplicitBaseFamily.of(ground, bases)
+            verdict = check_base_exchange(family)
+            assert verdict == check_base_exchange_pairwise(family), (
+                n, [b.mask for b in bases])
+            verdicts[n > CLOSURE_TABLE_SIZE, verdict] = True
+        assert len(verdicts) == 4
+
+    def test_base_exchange_ands_past_the_table_have_a_limit(self):
+        ground = GroundSet(CLOSURE_TABLE_SIZE + 1)
+        family = ExplicitBaseFamily.of(
+            ground, enumerate_bases(make_uniform(ground, 2)))
+        assert check_base_exchange(family)
+        with pytest.raises(ResourceLimitError, match="exceeds limit 100"):
+            check_base_exchange(family, limit=100)
+        with pytest.raises(InvalidInputError, match="equicardinal"):
+            check_base_exchange(ExplicitBaseFamily.of(
+                ground, [ground.subset([0]), ground.subset([0, 1])]))
 
     def test_random_matroids_satisfy_axioms(self):
         rng = random.Random(7)

@@ -25,6 +25,7 @@ from vmint.matroid import (
     enumerate_bases,
     make_free,
     make_graphic,
+    make_linear,
     make_partition,
     make_uniform,
 )
@@ -104,22 +105,33 @@ class TestModularConstructors:
                 size_constrained_modular(g3, weights, 2)
 
     def test_memoization_is_transparent_and_counted(self, g3):
-        # The dual keeps a memo: the repeated query is a hit.
-        omega = from_matroid_and_weights(make_uniform(g3, 2), [1, 2, 4])
-        dual = dual_valuation(omega)
-        dual.reset_counters()
-        x = g3.subset([1])
-        first = dual.value(x)
-        again = dual.value(x)
-        assert first == again == ExtValue(5)
-        assert dual.calls == 2
-        assert dual.evals == 1
+        # A modular valuation on a linear matroid (no circuit tables)
+        # keeps a memo: the repeated query is a hit.
+        linear = from_matroid_and_weights(
+            make_linear(g3, [[1, 0], [0, 1], [1, 1]]), [1, 2, 4])
+        linear.reset_counters()
+        x = g3.subset([1, 2])
+        first = linear.value(x)
+        again = linear.value(x)
+        assert first == again == ExtValue(6)
+        assert linear.calls == 2
+        assert linear.evals == 1
         # The leaf answers the repeated query again and keeps no memo.
+        omega = from_matroid_and_weights(make_uniform(g3, 2), [1, 2, 4])
         omega.reset_counters()
         y = g3.subset([0, 2])
         assert omega.value(y) == omega.value(y) == ExtValue(5)
         assert omega.calls == omega.evals == 2
         assert omega._memo == {}
+        # So is the dual: every ask is an eval, and each reaches omega.
+        dual = dual_valuation(omega)
+        dual.reset_counters()
+        omega.reset_counters()
+        z = g3.subset([1])
+        assert dual.value(z) == dual.value(z) == ExtValue(5)
+        assert dual.calls == dual.evals == 2
+        assert dual._memo == {}
+        assert omega.calls == 2
 
 
 class TestModularBaseState:
@@ -880,10 +892,12 @@ class TestDualValuation:
     @pytest.mark.parametrize("kind", ["graphic", "uniform"])
     def test_block_misses_reach_the_base_as_one_batch(self, kind,
                                                       monkeypatch):
-        """A block of the dual, or of `modular_on_domain`, sends its misses
-        to the oracle it asks as one `exchange_pairs` call: the dual's
-        swapped, on the complement, and `modular_on_domain`'s as they
-        are, on the same base."""
+        """A block of the dual reaches its base as one batch of all its
+        pairs, swapped, on the complement, in u-major order: the dual
+        keeps no memo and has checked the pairs, so it asks `_pairs`.  A
+        block of `modular_on_domain` sends its misses to the oracle it
+        asks as one `exchange_pairs` call, as they are, on the same
+        base."""
         ground = GroundSet(8)
         make = (lambda: from_matroid_and_weights(
             random_matroid(random.Random(5), ground, kinds=(kind,)),
@@ -903,7 +917,8 @@ class TestDualValuation:
                 composite.raw_exchange(x, u, v)
                 twin_composite.raw_exchange(x, u, v)
             entries = []
-            real = omega.exchange_pairs
+            batch = "_pairs" if outer is dual_valuation else "exchange_pairs"
+            real = getattr(omega, batch)
 
             def counted(base, pairs):
                 entries.append((base.mask, list(pairs)))
@@ -912,24 +927,25 @@ class TestDualValuation:
             def per_pair(*args):
                 raise AssertionError("a block asked its base pair by pair")
 
-            monkeypatch.setattr(omega, "exchange_pairs", counted)
+            monkeypatch.setattr(omega, batch, counted)
             monkeypatch.setattr(omega, "raw_exchange", per_pair)
             values = composite.raw_exchanges(x, inside, outside)
-            misses = [(u, v) for u in inside for v in outside
-                      if (u, v) not in warm]
+            pairs = [(u, v) for u in inside for v in outside]
             if outer is dual_valuation:
-                expected = (x.complement().mask, [(v, u) for u, v in misses])
+                expected = (x.complement().mask, [(v, u) for u, v in pairs])
             else:
-                expected = (x.mask, misses)
+                expected = (x.mask, [pair for pair in pairs
+                                     if pair not in warm])
             assert entries == [expected]
             assert values == [twin_composite.raw_exchange(x, u, v)
                               for u in inside for v in outside]
             for a, b in ((composite, twin_composite), (omega, twin)):
                 assert (a.calls, a.evals) == (b.calls, b.evals)
                 assert list(a._memo.items()) == list(b._memo.items())
-            # Every pair is now a hit: nothing reaches the base.
+            # Again: the dual, with no memo, asks its base the same batch;
+            # every pair of `modular_on_domain` is a hit.
             composite.raw_exchanges(x, inside, outside)
-            assert len(entries) == 1
+            assert entries == [expected] * (1 + (outer is dual_valuation))
 
     def test_modular_single_exchange_reads_the_table(self, monkeypatch):
         ground = GroundSet(6)

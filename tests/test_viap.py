@@ -16,7 +16,13 @@ import vmint.viap as viap
 import vmint.vmi as vmi
 from vmint.core import ExtValue, GroundSet, InternalInvariantError, dot
 from vmint.bruteforce import brute_v_eq_k, brute_v_geq_k
-from vmint.matroid import make_graphic, make_uniform
+from vmint.matroid import (
+    ExplicitBaseFamily,
+    enumerate_bases,
+    from_explicit_bases,
+    make_graphic,
+    make_uniform,
+)
 from vmint.rand_instances import (
     MATROID_KINDS,
     random_ground,
@@ -49,6 +55,7 @@ from vmint.viap import (
 )
 
 from references import (
+    dual_valuation_memoized,
     valuation_from_explicit,
     verify_solution_exhaustive,
     verify_witness_exhaustive,
@@ -1137,6 +1144,70 @@ def _drain(arcs):
 
 DENOMINATORS = range(1, 13)
 EXCHANGE_KINDS = (ARC_EXCHANGE_1, ARC_EXCHANGE_2)
+
+
+class TestDualAgainstMemoizedReference:
+    """The dual is a leaf that passes every block to its base as one
+    batch; `references.dual_valuation_memoized` is the dual as it was,
+    with a memo of its own over its base's.  Over random modular pairs on
+    every kind of base (the linear and explicit ones memoize, the others
+    are leaves), both give the same blocks, and `solve_v_eq_k` run on
+    either gives the same solution, down to its `oracle_calls`."""
+
+    KINDS = MATROID_KINDS + ("explicit",)
+
+    @staticmethod
+    def _modular(rng, ground, kind):
+        if kind == "explicit":
+            matroid = from_explicit_bases(ExplicitBaseFamily.of(
+                ground, enumerate_bases(random_matroid(rng, ground))))
+        else:
+            matroid = random_matroid(rng, ground, kinds=(kind,))
+        weights = tuple(random_rational(rng, denominators=DENOMINATORS)
+                        for _ in ground.elements())
+        return lambda: from_matroid_and_weights(matroid, weights)
+
+    def test_solve_v_eq_k_matches_the_reference_dual(self, monkeypatch):
+        rng = random.Random(3303)
+        dualized = set()
+        for _ in range(120):
+            ground = random_ground(rng, 2, 7)
+            kinds = rng.choice(self.KINDS), rng.choice(self.KINDS)
+            make1, make2 = (self._modular(rng, ground, kind)
+                            for kind in kinds)
+            k = rng.randint(0, make1().rank)
+            ours = solve_v_eq_k(make1(), make2(), k)
+            with monkeypatch.context() as patched:
+                patched.setattr(viap, "dual_valuation",
+                                dual_valuation_memoized)
+                theirs = solve_v_eq_k(make1(), make2(), k)
+            assert ours == theirs, (kinds, k)
+            if ours.mode == "eq-dual":
+                dualized.add(kinds[1])
+        assert dualized == set(self.KINDS)
+
+    def test_blocks_match_the_reference_dual(self):
+        rng = random.Random(3304)
+        blocks = 0
+        for _ in range(80):
+            ground = random_ground(rng, 1, 7)
+            make = self._modular(rng, ground, rng.choice(self.KINDS))
+            ours = dual_valuation(make())
+            theirs = dual_valuation_memoized(make())
+            for _ in range(6):
+                x = ground.subset(rng.sample(range(ground.size), ours.rank))
+                inside = [u for u in x.members() if rng.random() < 0.7]
+                outside = [v for v in ground.elements()
+                           if not x.contains(v) and rng.random() < 0.7]
+                rng.shuffle(outside)
+                assert ours.raw_exchanges(x, inside, outside) == \
+                    theirs.raw_exchanges(x, inside, outside)
+                assert ours.best_exchange(x, inside, outside) == \
+                    theirs.best_exchange(x, inside, outside)
+                blocks += bool(inside and outside)
+            assert ours.calls == ours.evals == theirs.calls
+            assert ours._memo == {}
+        assert blocks > 100
 
 
 def _differential_side(rng, ground, kind):

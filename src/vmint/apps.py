@@ -7,7 +7,6 @@ core solves.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -64,12 +63,12 @@ def modular_on_domain(omega: ValuationOracle,
                       weights: Sequence[Fraction]) -> ValuationOracle:
     """Modular weights carried by the domain of an existing valuation.
 
-    Scaled by the weights' denominator.  A batch of exchange misses asks
-    `omega` the same exchanges as one `exchange_pairs` call, and adds the
-    weights to the scaled sum of the last base where omega is finite.
-    It keeps its memo on purpose: as a leaf it saves little time, and
-    the asks its memo absorbs would then reach omega and move the
-    `oracle_calls` of every report solved on it.
+    Scaled by the weights' denominator.  Each miss of its memo, a block
+    of exchanges too, asks `omega` the value of the set and sums the
+    weights of a set where omega is finite.  It keeps its memo on
+    purpose: as a leaf it saves little time, and the asks its memo
+    absorbs would then reach omega and move the `oracle_calls` of every
+    report solved on it.
     """
     scaled, scale = scaled_weights(weights)
 
@@ -78,19 +77,9 @@ def modular_on_domain(omega: ValuationOracle,
             return None
         return scaled_sum(scaled, subset.mask)
 
-    total_of = functools.lru_cache(maxsize=1)(
-        functools.partial(scaled_sum, scaled))
-
-    def exchange(base: Subset, pairs: list[tuple[int, int]],
-                 ) -> list[Optional[int]]:
-        found = omega.exchange_pairs(base, pairs)
-        total = total_of(base.mask)
-        return [None if raw is None else total - scaled[u] + scaled[v]
-                for (u, v), raw in zip(pairs, found)]
-
     return ValuationOracle(omega.ground, omega.rank, value,
                            omega.witness_base, f"modular-on-dom({omega.name})",
-                           exchange, scale)
+                           scale)
 
 
 def solve_recoverable_robust_interval(omega1: ValuationOracle,

@@ -49,6 +49,7 @@ from .core import (
 from .matroid import (
     ExplicitBaseFamily,
     MatroidOracle,
+    check_base_exchange,
     from_explicit_bases,
     make_graphic,
     make_linear,
@@ -144,8 +145,9 @@ def build_matroid(ground: GroundSet, spec, field: str) -> MatroidOracle:
     """The matroid oracle of one `matroids` spec on `ground`.
 
     `field` names the spec in error messages.  Elements are labels or
-    0-based indices.  This is how `vmint solve` reads a document, and how
-    the seeded suites build the specs of :mod:`vmint.rand_instances`.
+    0-based indices.  An `explicit` family that fails the base exchange
+    axiom is invalid.  This is how `vmint solve` reads a document, and
+    how the seeded suites build the specs of :mod:`vmint.rand_instances`.
     """
     kind = _kind(spec, field)
     try:
@@ -176,7 +178,11 @@ def build_matroid(ground: GroundSet, spec, field: str) -> MatroidOracle:
         if kind == "explicit":
             bases = tuple(_subset(ground, f"{field}.bases", b)
                           for b in _list(spec["bases"], f"{field}.bases"))
-            return from_explicit_bases(ExplicitBaseFamily(ground, bases))
+            family = ExplicitBaseFamily(ground, bases)
+            matroid = from_explicit_bases(family)
+            if not check_base_exchange(family):
+                raise ParseError(f"{field}.bases: family is not a matroid")
+            return matroid
     except KeyError as exc:
         raise ParseError(f"{field}: missing field {exc}") from exc
     raise ParseError(f"{field}.kind: unknown kind {kind!r}")

@@ -368,7 +368,8 @@ def from_explicit_bases(family: ExplicitBaseFamily) -> MatroidOracle:
     """Matroid whose bases are exactly the listed sets.
 
     The caller is responsible for the family satisfying the exchange axiom
-    (see :func:`check_base_exchange`); independence is containment in a base.
+    (`instances` checks the family with :func:`check_base_exchange`);
+    independence is containment in a base.
     """
     if not family.bases:
         raise InvalidInputError("base family must be nonempty")

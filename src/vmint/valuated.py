@@ -24,13 +24,13 @@ Every constructor here scales its oracle by the lcm of the denominators
 of its weights or tables (a disjoint sum by the lcm of its parts').
 
 The descent and the auxiliary digraph ask only single exchanges
-omega(X - u + v), a block at a time: `ValuationOracle.raw_exchanges(X,
-outs, ins)` answers every u in `outs` (inside X) against every v in
-`ins` (outside X) in one call, one per descent step and one per copy of
-each aux build.  It keeps the calls, evals and memo exactly as
-`raw_exchange` (or `exchange_value`) pair by pair, and so as
-`value(X.exchange(u, v))`, does; only an evaluation may be computed
-differently, by the oracle's hooks (see `ValuationOracle`).
+omega(X - u + v), a block at a time, and that block is the one exchange
+query: `ValuationOracle.raw_exchanges(X, outs, ins)` answers every u in
+`outs` (inside X) against every v in `ins` (outside X) in one call, one
+per copy of each aux build (`best_exchange`, its smallest entry, is one
+per descent step).  It keeps the calls, evals and memo exactly as
+`raw_value(X.exchange(u, v))` pair by pair does; only an evaluation may
+be computed differently, by the oracle's `block_fn`.
 
 The leaves are the oracles with a `block_fn`: a modular valuation on a
 matroid with fundamental-circuit tables (`size_constrained_modular` is
@@ -43,12 +43,11 @@ the next by a single exchange; it also answers `best_exchange` without
 building the block.  The constraint and the laminar valuations read the
 copy counts or member counts of the base, the disjoint sum asks each
 component one block of the pairs inside its copy (a pair across copies
-of a base is +infinity), and the dual asks its base one batch of all
-its pairs, as exchanges of the complement.  A memo would cost them more
-than it saves.  The composites memoize: `apps.modular_on_domain` hands
-each batch of misses to the oracle it asks as one `exchange_pairs`
-call; explicit tables and modular valuations on linear or explicit
-matroids answer by their value function.  Each per-base state is a
+of a base is +infinity), and the dual asks its base one block of the
+complement, with outs and ins swapped.  A memo would cost them more than
+it saves.  The composites (`apps.modular_on_domain`, explicit tables,
+modular valuations on linear or explicit matroids) memoize, and send
+each miss to their value function.  Each per-base state is a
 one-entry `functools.lru_cache` of the mask, except the modular leaf's,
 which moves by single exchanges (see `from_matroid_and_weights`).
 
@@ -106,16 +105,13 @@ class ValuationOracle:
 
     `scale` is the oracle's denominator D.  Its hooks return ints in units
     of 1/D, with None for +infinity, and the memo keeps those raw values.
-    The `raw_*` queries and `exchange_pairs` hand them out; `value` and
-    `exchange_value` hand out the same answers as `ExtValue`s.  All of
-    them share the counters and the memo.
+    The `raw_*` queries hand them out, and `value` the same answers as
+    `ExtValue`s.  All of them share the counters and the memo.
 
-    Three hooks, all given here, evaluate: `value_fn(X)` a rank-sized
-    set; `exchange_fn(base, pairs)` the proper exchanges `pairs` (u in
-    base, v not) of a rank-sized base, in pair order, by default as 1 x 1
-    blocks if there is a `block_fn`, else by `value_fn`; and
-    `block_fn(base, outs, ins)`, for a leaf oracle, a whole block at
-    once: base - u + v for u in `outs` and v in `ins`, u-major.
+    Two hooks evaluate: `value_fn(X)` a rank-sized set, and, for a leaf
+    oracle, `block_fn(base, outs, ins)` a whole block of exchanges at
+    once: base - u + v for u in `outs` and v in `ins`, u-major.  Without
+    a `block_fn`, each exchange the memo misses goes to `value_fn`.
 
     A leaf (an oracle with a `block_fn`) keeps no memo: every query goes
     to the hooks and counts as one eval, so `evals == calls`.  The
@@ -134,8 +130,6 @@ class ValuationOracle:
                  value_fn: Callable[[Subset], Raw],
                  witness_base: Optional[Subset],
                  name: str = "valuation",
-                 exchange_fn: Optional[Callable[
-                     [Subset, list[tuple[int, int]]], list[Raw]]] = None,
                  scale: int = 1,
                  block_fn: Optional[Callable[
                      [Subset, Sequence[int], Sequence[int]],
@@ -145,19 +139,10 @@ class ValuationOracle:
                      Optional[tuple[int, int]]]] = None):
         if not 0 <= rank <= ground.size:
             raise InvalidInputError(f"rank {rank} out of range 0..{ground.size}")
-        if exchange_fn is None and block_fn is not None:
-            def exchange_fn(base, pairs):
-                return [block_fn(base, (u,), (v,))[0] for u, v in pairs]
-        elif exchange_fn is None:
-            def exchange_fn(base, pairs):
-                mask = base.mask
-                return [value_fn(Subset(ground, mask ^ (1 << u) | 1 << v))
-                        for u, v in pairs]
         self.ground = ground
         self.rank = rank
         self.scale = scale
         self._value_fn = value_fn
-        self._exchange_fn = exchange_fn
         self._block_fn = block_fn
         self._best_fn = best_fn
         self.witness_base = witness_base
@@ -193,53 +178,16 @@ class ValuationOracle:
             self.evals += 1
         return cached
 
-    def raw_exchange(self, base: Subset, u: int, v: int) -> Raw:
-        """`raw_value(base.exchange(u, v))`, with the same counters and
-        memo; a hit builds no subset.  `u` and `v` must be elements.
-
-        A miss that is a proper exchange (u in base, v not) of a rank-sized
-        base goes to `exchange_fn` as a batch of one pair, and any other
-        miss to the value function.
-        """
-        if base.ground is not self.ground and base.ground != self.ground:
-            raise InvalidInputError("subset is on a different ground set")
-        size = self.ground.size
-        if not (0 <= u < size and 0 <= v < size):
-            raise InvalidInputError(
-                f"element index {v if 0 <= u < size else u} out of range")
-        mask = base.mask
-        key = mask & ~(1 << u) | (1 << v)
-        self.calls += 1
-        cached = self._memo.get(key, _MISSING)
-        if cached is _MISSING:
-            if key.bit_count() != self.rank:
-                cached = None
-            elif mask >> u & 1 and not mask >> v & 1:
-                cached = self._exchange_fn(base, [(u, v)])[0]
-            else:
-                cached = self._value_fn(Subset(self.ground, key))
-            if self._block_fn is None:
-                self._memo[key] = cached
-            self.evals += 1
-        return cached
-
     def raw_exchanges(self, base: Subset, outs: Sequence[int],
                       ins: Sequence[int]) -> list[Raw]:
-        """`[raw_exchange(base, u, v) for u in outs for v in ins]`, with
-        the same values, `calls`, `evals` and memo, in that order.
+        """`[raw_value(base.exchange(u, v)) for u in outs for v in ins]`,
+        with the same values, `calls`, `evals` and memo, in that order.
 
         `base` must be rank-sized, `outs` inside it and `ins` outside it;
-        both lists are checked in one pass.  A leaf asks its `block_fn`
-        for the whole block, and every other oracle goes the way of
-        `exchange_pairs`.
+        both lists are checked in one pass.
         """
         self._check_block(base, outs, ins)
-        if self._block_fn is None:
-            return self._pairs(base, [(u, v) for u in outs for v in ins])
-        count = len(outs) * len(ins)
-        self.calls += count
-        self.evals += count
-        return self._block_fn(base, outs, ins)
+        return self._block(base, outs, ins)
 
     def best_exchange(self, base: Subset, outs: Sequence[int],
                       ins: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -255,17 +203,6 @@ class ValuationOracle:
         self.calls += count
         self.evals += count
         return self._best_fn(base, outs, ins)
-
-    def exchange_pairs(self, base: Subset,
-                       pairs: list[tuple[int, int]]) -> list[Raw]:
-        """`[raw_exchange(base, u, v) for u, v in pairs]`, with the same
-        values, `calls`, `evals` and memo, for a rank-sized base and
-        proper exchanges (u in base, v an element outside it), checked
-        as in `raw_exchanges`.  A leaf hands the pairs to `exchange_fn`;
-        any other oracle looks every pair up in its memo and hands the
-        misses to `exchange_fn` as one batch, in pair order."""
-        self._check_block(base, [u for u, _ in pairs], [v for _, v in pairs])
-        return self._pairs(base, pairs)
 
     def _check_block(self, base: Subset, outs: Sequence[int],
                      ins: Sequence[int]) -> None:
@@ -288,24 +225,30 @@ class ValuationOracle:
                 raise InvalidInputError(
                     "a block exchanges members of the base for non-members")
 
-    def _pairs(self, base: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
-        """`exchange_pairs` for pairs already checked."""
-        self.calls += len(pairs)
+    def _block(self, base: Subset, outs: Sequence[int],
+               ins: Sequence[int]) -> list[Raw]:
+        """`raw_exchanges` for a block already checked.  A leaf asks its
+        `block_fn` for the whole block; any other oracle looks the sets
+        up in its memo, u-major, and sends each miss to `value_fn`."""
+        count = len(outs) * len(ins)
+        self.calls += count
         if self._block_fn is not None:
-            self.evals += len(pairs)
-            return self._exchange_fn(base, pairs)
+            self.evals += count
+            return self._block_fn(base, outs, ins)
         mask = base.mask
         memo = self._memo
-        keys = [mask ^ (1 << u) | 1 << v for u, v in pairs]
-        values = [memo.get(key, _MISSING) for key in keys]
-        missed = {key: pair for key, pair, value in zip(keys, pairs, values)
-                  if value is _MISSING}
-        if not missed:
-            return values
-        memo.update(zip(missed,
-                        self._exchange_fn(base, list(missed.values()))))
-        self.evals += len(missed)
-        return [memo[key] for key in keys]
+        ground = self.ground
+        values = []
+        for u in outs:
+            row = mask ^ (1 << u)
+            for v in ins:
+                key = row | 1 << v
+                value = memo.get(key, _MISSING)
+                if value is _MISSING:
+                    value = memo[key] = self._value_fn(Subset(ground, key))
+                    self.evals += 1
+                values.append(value)
+        return values
 
     def as_value(self, raw: Raw) -> ExtValue:
         """A raw value of this oracle as the exact `ExtValue` it stands for."""
@@ -315,10 +258,6 @@ class ValuationOracle:
 
     def value(self, subset: Subset) -> ExtValue:
         return self.as_value(self.raw_value(subset))
-
-    def exchange_value(self, base: Subset, u: int, v: int) -> ExtValue:
-        """`value(base.exchange(u, v))`; see `raw_exchange`."""
-        return self.as_value(self.raw_exchange(base, u, v))
 
     def in_domain(self, subset: Subset) -> bool:
         return self.raw_value(subset) is not None
@@ -609,8 +548,8 @@ def from_matroid_and_weights(matroid: MatroidOracle,
     memo.  Its state is the last base X whose exchanges it was asked,
     with X's fundamental-circuit table and scaled sum w(X): X - u + v is
     a base exactly when u is in the table's entry for v, and then its
-    value is w(X) - w_u + w_v.  Blocks and batches of exchanges of X
-    (see `ValuationOracle.raw_exchanges`) are read off that state, and
+    value is w(X) - w_u + w_v.  Blocks of exchanges of X (see
+    `ValuationOracle.raw_exchanges`) are read off that state, and
     so is `best_exchange`: per column v, the heaviest u on C(X, v).  A
     step to a base X - u + v moves the state by one exchange (the matroid
     pivots its table, and the sum moves by w_v - w_u); a base farther
@@ -668,14 +607,6 @@ def from_matroid_and_weights(matroid: MatroidOracle,
                     if table[v] >> u & 1 else None
         return tested(mask)
 
-    def exchange(base: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
-        mask = base.mask
-        table, total = table_of(mask)
-        if table is None:
-            return [value_of(mask ^ (1 << u) | 1 << v) for u, v in pairs]
-        return [total - scaled[u] + scaled[v] if table[v] >> u & 1
-                else None for u, v in pairs]
-
     def block(base: Subset, outs: Sequence[int],
               ins: Sequence[int]) -> list[Raw]:
         mask = base.mask
@@ -714,8 +645,7 @@ def from_matroid_and_weights(matroid: MatroidOracle,
 
     return ValuationOracle(ground, matroid.rank,
                            lambda subset: value_of(subset.mask),
-                           matroid.some_base(), name, exchange, scale, block,
-                           best)
+                           matroid.some_base(), name, scale, block, best)
 
 
 def indicator_of_matroid(matroid: MatroidOracle) -> ValuationOracle:
@@ -738,13 +668,13 @@ def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
 
     It has omega's scale, and passes its queries on to omega, exchanges
     as exchanges of the complement: X - u + v is (V \\ X) - v + u.  The
-    dual is a leaf: it keeps no memo, and a block (or a batch of pairs,
-    or one exchange) reaches omega as one batch of all its pairs,
-    swapped, on the complement, in the dual's u-major order, so omega's
-    `calls`, `evals` and memo move exactly as under one `raw_exchange`
-    per pair.  The batch skips omega's checks: the dual has checked the
-    same pairs, which are proper on the complement when they are proper
-    on X.  The complement of the last base is kept.
+    dual is a leaf: it keeps no memo, and a block of X reaches omega as
+    one block of V \\ X with outs and ins swapped, whose v-major answers
+    it transposes, so omega's `calls`, `evals` and memo contents move
+    exactly as under one `raw_value` per pair.  That block skips omega's
+    checks: the dual has checked the same elements, which are proper on
+    the complement when they are proper on X.  The complement of the
+    last base is kept.
     """
     witness = None
     if omega.witness_base is not None:
@@ -755,18 +685,16 @@ def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
     def complement(mask: int) -> Subset:
         return Subset(ground, mask ^ (1 << ground.size) - 1)
 
-    def exchange(x: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
-        return omega._pairs(complement(x.mask), [(v, u) for u, v in pairs])
-
     def block(x: Subset, outs: Sequence[int],
               ins: Sequence[int]) -> list[Raw]:
-        return omega._pairs(complement(x.mask),
-                            [(v, u) for u in outs for v in ins])
+        # omega's block is v-major; its column of u is the dual's row.
+        width = len(outs)
+        values = omega._block(complement(x.mask), ins, outs)
+        return [value for i in range(width) for value in values[i::width]]
 
     return ValuationOracle(ground, ground.size - omega.rank,
                            lambda x: omega.raw_value(x.complement()), witness,
-                           f"dual({omega.name})", exchange, omega.scale,
-                           block)
+                           f"dual({omega.name})", omega.scale, block)
 
 
 class TupleGround:

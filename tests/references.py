@@ -24,7 +24,6 @@ or a valuation written out as a table:
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -44,7 +43,7 @@ from vmint.matroid import (
     ExplicitBaseFamily,
     MatroidOracle,
 )
-from vmint.valuated import Raw, ValuationOracle
+from vmint.valuated import ValuationOracle
 from vmint.viap import (
     IntersectionSolution,
     Witness,
@@ -358,22 +357,13 @@ def check_base_exchange_pairwise(family: ExplicitBaseFamily) -> bool:
 
 def dual_valuation_memoized(omega: ValuationOracle) -> ValuationOracle:
     """`valuated.dual_valuation` as it was before the dual became a leaf:
-    it keeps a memo over omega's, and only its misses reach omega, as one
-    checked `exchange_pairs` batch.  Same values, and the same `calls`
+    it keeps a memo over omega's, and only its misses reach omega, each
+    as `raw_value` of the complement.  Same values, and the same `calls`
     on the dual; omega may be asked less."""
     witness = None
     if omega.witness_base is not None:
         witness = omega.witness_base.complement()
     ground = omega.ground
-
-    @functools.lru_cache(maxsize=1)
-    def complement(mask: int) -> Subset:
-        return Subset(ground, mask ^ (1 << ground.size) - 1)
-
-    def exchange(x: Subset, pairs: list[tuple[int, int]]) -> list[Raw]:
-        return omega.exchange_pairs(complement(x.mask),
-                                    [(v, u) for u, v in pairs])
-
     return ValuationOracle(ground, ground.size - omega.rank,
                            lambda x: omega.raw_value(x.complement()), witness,
-                           f"dual({omega.name})", exchange, omega.scale)
+                           f"dual({omega.name})", omega.scale)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: solving, verification, exit codes, determinism."""
 
 import hashlib
+import itertools
 import random
 import re
 import subprocess
@@ -13,10 +14,12 @@ import yaml
 
 from vmint import cli, instances
 from vmint.cli import main
-from vmint.core import InvalidInputError
+from vmint.core import GroundSet, InvalidInputError
 from vmint.instances import ParseError, dump_report, load_yaml
-from vmint.matroid import MatroidOracle
+from vmint.matroid import ExplicitBaseFamily, MatroidOracle
 from vmint.rand_instances import random_instance_document
+
+from references import check_base_exchange_pairwise
 
 BASIC = """\
 ground: {size: 3, labels: [a, b, c]}
@@ -653,6 +656,96 @@ def test_m_geq_k_w_positive_weight_is_invalid_at_any_k(k, tmp_path, capsys):
     path.write_text(yaml.safe_dump(document, sort_keys=False))
     assert main(["solve", "-i", str(path)]) == 3
     assert "nonpositive" in capsys.readouterr().err
+
+
+def _explicit_draws():
+    """400 seeded documents on the ground a-e: M1 is `explicit` with 2-5
+    distinct random 2-sets as bases, M2 is uniform of rank 2, v1 and v2
+    are modular on them with int weights in [-5, 5], and the problem is
+    `v_geq_k` at k in 0..2.  Yields each document and whether its family
+    is a matroid, by the pairwise reference check."""
+    labels = "abcde"
+    pairs = ["".join(pair) for pair in itertools.combinations(labels, 2)]
+    ground = GroundSet(5, tuple(labels))
+    rng = random.Random(0)
+    for _ in range(400):
+        bases = rng.sample(pairs, rng.randint(2, 5))
+        w1 = [rng.randint(-5, 5) for _ in labels]
+        w2 = [rng.randint(-5, 5) for _ in labels]
+        k = rng.randint(0, 2)
+        family = ExplicitBaseFamily.of(ground, [
+            ground.subset([labels.index(e) for e in base]) for base in bases])
+        listed = ", ".join(f"[{a}, {b}]" for a, b in bases)
+        yield (f"ground: {{size: 5, labels: [{', '.join(labels)}]}}\n"
+               "matroids:\n"
+               f"  M1: {{kind: explicit, bases: [{listed}]}}\n"
+               "  M2: {kind: uniform, rank: 2}\n"
+               "valuations:\n"
+               f"  v1: {{kind: modular_on_matroid, matroid: M1,"
+               f" weights: {w1}}}\n"
+               f"  v2: {{kind: modular_on_matroid, matroid: M2,"
+               f" weights: {w2}}}\n"
+               f"problem: {{type: v_geq_k, oracles: [v1, v2], k: {k}}}\n",
+               check_base_exchange_pairwise(family))
+
+
+# sha256 over "<exit code>\n<report>" of `vmint solve --verify --brute` on
+# the 124 documents of `_explicit_draws` whose family is a matroid, as
+# solved before explicit families were checked.
+EXPLICIT_MATROID_DIGEST = \
+    "a0127423743119dbf57a3f2fb3656a0e2ca6319acfc6c4b68d6f5a42fba4165e"
+
+
+def test_explicit_families_that_are_not_matroids_are_invalid(tmp_path,
+                                                             capsys):
+    # Unchecked, 224 of the 276 other families solved to exit 0, 45 were
+    # caught only by --brute and 7 raised an internal invariant error.
+    path = tmp_path / "draw.yaml"
+    digest = hashlib.sha256()
+    refused = 0
+    for text, is_matroid in _explicit_draws():
+        path.write_text(text)
+        code = main(["solve", "-i", str(path), "--verify", "--brute"])
+        out, err = capsys.readouterr()
+        if is_matroid:
+            digest.update(f"{code}\n{out}".encode())
+            continue
+        refused += 1
+        assert code == 3 and out == "", text
+        assert "matroids.M1.bases: family is not a matroid" in err, text
+    assert refused == 276
+    assert digest.hexdigest() == EXPLICIT_MATROID_DIGEST
+
+
+def test_non_matroid_family_is_invalid_under_every_command(tmp_path, capsys):
+    # Unchecked, `solve --verify` reported value 4 as verified; the
+    # brute force gives 2.
+    text = next(text for text, _ in _explicit_draws()
+                if "[[a, c], [b, c], [c, e], [b, d], [a, b]]" in text)
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    report = tmp_path / "report.yaml"
+    report.write_text("problem: v_geq_k\nstatus: optimal\nvalue: '4'\n")
+    for argv in (["solve", "--verify"], ["verify", "-s", str(report)],
+                 ["check", "--valuation", "v1"]):
+        assert main([argv[0], "-i", str(path), *argv[1:]]) == 3, argv
+        assert "family is not a matroid" in capsys.readouterr().err
+
+
+def test_explicit_family_check_past_its_limit_is_a_resource_limit(tmp_path,
+                                                                  capsys):
+    # U(3, 36): 7140 bases against 630 sets of extenders is more ANDs
+    # than the check's limit, refused before any of them.
+    n = 36
+    bases = ", ".join(str(list(base))
+                      for base in itertools.combinations(range(n), 3))
+    path = tmp_path / "wide.yaml"
+    path.write_text(f"ground: {{size: {n}}}\n"
+                    f"matroids:\n  M: {{kind: explicit, bases: [{bases}]}}\n"
+                    "valuations:\n  v: {kind: indicator, matroid: M}\n"
+                    "problem: {type: v_geq_k, oracles: [v, v], k: 1}\n")
+    assert main(["solve", "-i", str(path)]) == 4
+    assert "base exchange check" in capsys.readouterr().err
 
 
 def test_stock_instances(capsys):

@@ -71,10 +71,19 @@ def g3():
 
 
 def value_only(oracle):
-    """A twin of `oracle` with no exchange or block hook: every miss goes
-    to its value function, the reference every hook must agree with."""
+    """A twin of `oracle` with no block hook: every miss goes to its value
+    function, the reference every hook must agree with."""
     return ValuationOracle(oracle.ground, oracle.rank, oracle._value_fn,
                            oracle.witness_base, scale=oracle.scale)
+
+
+def exchange_of(oracle, x, u, v):
+    """The raw value of X - u + v as a solver asks it: a 1 x 1 block when
+    X is rank-sized, u in X and v not, else `raw_value` of the set."""
+    if x.cardinality() == oracle.rank and x.contains(u) \
+            and not x.contains(v):
+        return oracle.raw_exchanges(x, [u], [v])[0]
+    return oracle.raw_value(x.exchange(u, v))
 
 
 class TestModularConstructors:
@@ -163,8 +172,8 @@ class TestModularBaseState:
             # Move the state to X by whichever query a solver would ask.
             rng.choice((lambda: omega.best_exchange(x, inside, outside),
                         lambda: omega.raw_exchanges(x, inside, outside),
-                        lambda: omega.exchange_pairs(
-                            x, [(inside[0], outside[-1])])))()
+                        lambda: omega.raw_exchanges(
+                            x, inside[:1], outside[-1:])))()
             assert omega.raw_value(x) == expected(x) == \
                 scaled_sum(scaled, x.mask)
             for u, v in itertools.product(inside, outside):
@@ -227,9 +236,10 @@ class TestModularSum:
 
 
 class TestExchangeValue:
-    """`exchange_value(X, u, v)` is `value(X.exchange(u, v))` in every
-    observable way: the result, `calls`, `evals` and the memo, of the
-    oracle and of the oracle a dual passes its queries on to."""
+    """A 1 x 1 block `raw_exchanges(X, [u], [v])` is
+    `raw_value(X.exchange(u, v))` in every observable way: the result,
+    `calls`, `evals` and the memo, of the oracle and of the oracle a dual
+    passes its queries on to."""
 
     @staticmethod
     def _exchanges(ground, rank):
@@ -243,8 +253,8 @@ class TestExchangeValue:
         """Ask the same queries of two fresh copies, one path each."""
         by_value, by_exchange = make(), make()
         for x, u, v in queries:
-            expected = by_value[0].value(x.exchange(u, v))
-            assert by_exchange[0].exchange_value(x, u, v) == expected, (
+            expected = by_value[0].raw_value(x.exchange(u, v))
+            assert exchange_of(by_exchange[0], x, u, v) == expected, (
                 x.mask, u, v)
             for a, b in zip(by_value, by_exchange):
                 assert (a.calls, a.evals) == (b.calls, b.evals)
@@ -275,7 +285,8 @@ class TestExchangeValue:
             return [dual_valuation(omega), omega] if dual else [omega]
 
         # Proper exchanges first, so that their misses are not already
-        # memoized by the improper queries (u outside X, v inside, u = v).
+        # memoized by the improper queries (u outside X, v inside, u = v),
+        # which both copies ask as values.
         queries = self._exchanges(ground, make()[0].rank) + [
             (x, u, v) for x in ground.all_subsets()
             for u in range(n) for v in range(n)]
@@ -292,16 +303,19 @@ class TestExchangeValue:
                          from_matroid_and_weights(graph, ws))]):
             self._same_queries(make, self._exchanges(ground, make()[0].rank))
         omega = from_matroid_and_weights(graph, ws)
+
+        def valued(x, u, v):
+            return omega.as_value(exchange_of(omega, x, u, v))
         tree = ground.subset([0, 1, 3])
-        assert omega.exchange_value(tree, 0, 4) == ExtValue(
+        assert valued(tree, 0, 4) == ExtValue(
             dot(ws, tree.exchange(0, 4)))
-        assert omega.exchange_value(tree, 1, 4) == INF
-        assert omega.exchange_value(tree, 0, 5) == INF
+        assert valued(tree, 1, 4) == INF
+        assert valued(tree, 0, 5) == INF
         not_a_base = ground.subset([0, 1, 2])
-        assert omega.exchange_value(not_a_base, 0, 3) == ExtValue(
+        assert valued(not_a_base, 0, 3) == ExtValue(
             dot(ws, not_a_base.exchange(0, 3)))
         with pytest.raises(InvalidInputError):
-            omega.exchange_value(GroundSet(7).subset([0, 1, 3]), 0, 4)
+            omega.raw_exchanges(GroundSet(7).subset([0, 1, 3]), [0], [4])
 
 
 class TestMoved:
@@ -355,8 +369,8 @@ class TestMoved:
 
 
 class TestCopyReductionExchange:
-    """The coupling oracles of the copy reductions answer
-    `exchange_value` exactly like a value-only twin asked `value`: the
+    """The coupling oracles of the copy reductions answer exchanges
+    (`exchange_of`) exactly like a value-only twin asked `raw_value`: the
     same values, and the same `calls`, `evals` and memo.  The disjoint
     sum has tests of its own (`TestDisjointSum`)."""
 
@@ -437,7 +451,7 @@ class TestCopyReductionExchange:
         alike = [(a._block_fn is None) == (b._block_fn is None)
                  for a, b in zip(ours, twin)]
         for x, u, v in queries:
-            assert ours[0].exchange_value(x, u, v) == twin[0].value(
+            assert exchange_of(ours[0], x, u, v) == twin[0].raw_value(
                 x.exchange(u, v)), (x.mask, u, v)
             for a, b, same_kind in zip(ours, twin, alike):
                 assert a.calls == b.calls, (a.name, x.mask, u, v)
@@ -512,12 +526,13 @@ class TestModularOnDomainExchange:
 
 
 class TestBlockExchanges:
-    """`raw_exchanges(X, outs, ins)` is `raw_exchange(X, u, v)` asked for
-    u in `outs` and v in `ins`, u-major, in every observable way: the
-    values, and the `calls`, `evals` and memo of the oracle and of every
-    oracle it asks.  The values also equal those of a twin whose
-    exchanges all go to its value function.  The memos are warmed first,
-    so that hits mix with misses."""
+    """`raw_exchanges(X, outs, ins)` is `raw_value(X.exchange(u, v))`
+    asked for u in `outs` and v in `ins`, u-major, in every observable
+    way: the values, and the `calls`, `evals` and memo contents of the
+    oracle and of every oracle it asks (but the parts of a disjoint sum,
+    which its value function asks whole; `TestDisjointSum` pins those).
+    The values also equal those of a twin with no block hook.  The memos
+    are warmed first, so that hits mix with misses."""
 
     KINDS = MATROID_KINDS + ("explicit", "size", "dual", "domain", "sum",
                              "constraint", "penalty", "lifted")
@@ -591,7 +606,7 @@ class TestBlockExchanges:
                 if not inside or not outside:
                     break
                 u, v = rng.choice(inside), rng.choice(outside)
-                if scout.raw_exchange(x, u, v) is not None:
+                if scout.raw_value(x.exchange(u, v)) is not None:
                     x = x.exchange(u, v)
             bases.append(x)
         bases.append(ground.subset(rng.sample(range(ground.size),
@@ -618,13 +633,13 @@ class TestBlockExchanges:
         ours, twin, by_value = make(), make(), value_only(make()[0])
         ground = ours[0].ground
         bases = self._bases(rng, make()[0])
-        # Warm the memos alike with exchanges and values near the bases.
+        # Warm the memos alike with values near the bases.
         for x in bases:
             for _ in range(6):
                 u, v = rng.randrange(ground.size), rng.randrange(ground.size)
                 for oracles in (ours, twin):
-                    oracles[0].raw_exchange(x, u, v)
                     oracles[0].raw_value(x.exchange(u, v))
+        asked = len(ours) if kind != "sum" else 1
         blocks = 0
         for x in bases:
             inside = list(x.members())
@@ -634,13 +649,13 @@ class TestBlockExchanges:
                 ins = self._sublist(rng, outside)
                 values = ours[0].raw_exchanges(x, outs, ins)
                 pairs = [(u, v) for u in outs for v in ins]
-                assert values == [twin[0].raw_exchange(x, u, v)
+                assert values == [twin[0].raw_value(x.exchange(u, v))
                                   for u, v in pairs], (x.mask, outs, ins)
                 assert values == [by_value.raw_value(x.exchange(u, v))
                                   for u, v in pairs]
-                for a, b in zip(ours, twin):
+                for a, b in zip(ours[:asked], twin):
                     assert (a.calls, a.evals) == (b.calls, b.evals), a.name
-                    assert list(a._memo.items()) == list(b._memo.items())
+                    assert a._memo == b._memo, a.name
                 blocks += bool(pairs)
         assert blocks > 0 or ours[0].rank in (0, ground.size)
 
@@ -659,7 +674,7 @@ class TestBlockExchanges:
         make = self._maker(rng, kind, size, copies)
         if make is None:
             return
-        ours, twin = make(), make()
+        ours, twin, by_value = make(), make(), value_only(make()[0])
         ground = ours[0].ground
         for x in self._bases(rng, make()[0]):
             inside = list(x.members())
@@ -668,6 +683,8 @@ class TestBlockExchanges:
                 outs = self._sublist(rng, inside)
                 ins = self._sublist(rng, outside)
                 values = twin[0].raw_exchanges(x, outs, ins)
+                assert values == [by_value.raw_value(x.exchange(u, v))
+                                  for u in outs for v in ins]
                 finite = [value for value in values if value is not None]
                 expected = None if not finite else (
                     min(finite), values.index(min(finite)))
@@ -726,19 +743,15 @@ class TestBlockExchanges:
                     oracle.raw_exchanges(base, outs, ins)
                 with pytest.raises(InvalidInputError):
                     oracle.best_exchange(base, outs, ins)
-                with pytest.raises(InvalidInputError):
-                    oracle.exchange_pairs(base, [(u, v) for u in outs
-                                                 for v in ins] or [(0, 0)])
             for u, v in ((ground.size + 3, outside[0]), (-1, outside[0]),
                          (inside[0], ground.size), (inside[0], -1)):
                 with pytest.raises(InvalidInputError, match="out of range"):
-                    oracle.raw_exchange(x, u, v)
+                    oracle.raw_exchanges(x, [u], [v])
                 with pytest.raises(InvalidInputError, match="out of range"):
-                    oracle.exchange_pairs(x, [(inside[0], outside[0]),
-                                              (u, v)])
+                    oracle.raw_exchanges(x, inside[:1] + [u],
+                                         outside[:1] + [v])
             with pytest.raises(InvalidInputError, match="non-members"):
-                oracle.exchange_pairs(x, [(inside[0], outside[0]),
-                                          (inside[0], inside[0])])
+                oracle.raw_exchanges(x, inside[:1], outside[:1] + inside[:1])
             assert oracle._memo == memo
             assert (oracle.calls, oracle.evals) == calls
 
@@ -771,12 +784,11 @@ class TestLeavesKeepNoMemo:
             (1, lambda: oracle.raw_value(x)),
             (1, lambda: oracle.in_domain(x)),
             (1, lambda: oracle.raw_value(ground.full())),
-            (1, lambda: oracle.exchange_value(x, u, v)),
-            (1, lambda: oracle.raw_exchange(x, u, v)),
-            (1, lambda: oracle.raw_exchange(x, v, u)),
-            (1, lambda: oracle.raw_exchange(x, u, u)),
-            (len(pairs), lambda: oracle.exchange_pairs(x, pairs)),
+            (1, lambda: oracle.raw_value(x.exchange(u, v))),
+            (1, lambda: oracle.raw_value(x.exchange(v, u))),
+            (1, lambda: oracle.raw_value(x.exchange(u, u))),
             (len(pairs), lambda: oracle.raw_exchanges(x, inside, outside)),
+            (len(pairs), lambda: oracle.best_exchange(x, inside, outside)),
             (domain, lambda: oracle.enumerate_domain()),
         ]
         oracle.reset_counters()
@@ -892,12 +904,11 @@ class TestDualValuation:
     @pytest.mark.parametrize("kind", ["graphic", "uniform"])
     def test_block_misses_reach_the_base_as_one_batch(self, kind,
                                                       monkeypatch):
-        """A block of the dual reaches its base as one batch of all its
-        pairs, swapped, on the complement, in u-major order: the dual
-        keeps no memo and has checked the pairs, so it asks `_pairs`.  A
-        block of `modular_on_domain` sends its misses to the oracle it
-        asks as one `exchange_pairs` call, as they are, on the same
-        base."""
+        """A block of the dual reaches its base as one block on the
+        complement, with outs and ins swapped: the dual keeps no memo and
+        has checked the block, so it asks `_block`.  A block of
+        `modular_on_domain` sends each miss to the value of the set in
+        the oracle it asks, u-major, on the same base."""
         ground = GroundSet(8)
         make = (lambda: from_matroid_and_weights(
             random_matroid(random.Random(5), ground, kinds=(kind,)),
@@ -914,38 +925,40 @@ class TestDualValuation:
             warm = [(rng.choice(inside), rng.choice(outside))
                     for _ in range(4)]
             for u, v in warm:
-                composite.raw_exchange(x, u, v)
-                twin_composite.raw_exchange(x, u, v)
+                composite.raw_exchanges(x, [u], [v])
+                twin_composite.raw_value(x.exchange(u, v))
             entries = []
-            batch = "_pairs" if outer is dual_valuation else "exchange_pairs"
-            real = getattr(omega, batch)
+            dual = outer is dual_valuation
+            asked, other = ("_block", "raw_value") if dual \
+                else ("raw_value", "_block")
+            real = getattr(omega, asked)
 
-            def counted(base, pairs):
-                entries.append((base.mask, list(pairs)))
-                return real(base, pairs)
+            def counted(base, *lists):
+                entries.append((base.mask, *map(list, lists)))
+                return real(base, *lists)
 
-            def per_pair(*args):
-                raise AssertionError("a block asked its base pair by pair")
+            def unasked(*args):
+                raise AssertionError(f"a block asked its base's {other}")
 
-            monkeypatch.setattr(omega, batch, counted)
-            monkeypatch.setattr(omega, "raw_exchange", per_pair)
+            monkeypatch.setattr(omega, asked, counted)
+            monkeypatch.setattr(omega, other, unasked)
             values = composite.raw_exchanges(x, inside, outside)
             pairs = [(u, v) for u in inside for v in outside]
-            if outer is dual_valuation:
-                expected = (x.complement().mask, [(v, u) for u, v in pairs])
+            if dual:
+                expected = [(x.complement().mask, outside, inside)]
             else:
-                expected = (x.mask, [pair for pair in pairs
-                                     if pair not in warm])
-            assert entries == [expected]
-            assert values == [twin_composite.raw_exchange(x, u, v)
+                expected = [(x.exchange(u, v).mask,) for u, v in pairs
+                            if (u, v) not in warm]
+            assert entries == expected
+            assert values == [twin_composite.raw_value(x.exchange(u, v))
                               for u in inside for v in outside]
             for a, b in ((composite, twin_composite), (omega, twin)):
                 assert (a.calls, a.evals) == (b.calls, b.evals)
-                assert list(a._memo.items()) == list(b._memo.items())
-            # Again: the dual, with no memo, asks its base the same batch;
+                assert a._memo == b._memo
+            # Again: the dual, with no memo, asks its base the same block;
             # every pair of `modular_on_domain` is a hit.
             composite.raw_exchanges(x, inside, outside)
-            assert entries == [expected] * (1 + (outer is dual_valuation))
+            assert entries == expected * (1 + dual)
 
     def test_modular_single_exchange_reads_the_table(self, monkeypatch):
         ground = GroundSet(6)
@@ -958,17 +971,15 @@ class TestDualValuation:
 
         monkeypatch.setattr(matroid, "is_independent", independence)
         x = omega.witness_base
-        assert omega.raw_exchange(x, 0, 5) == 2 + 4 + 32
-        assert omega.raw_exchange(x, 1, 3) == 1 + 4 + 8
-        assert omega.exchange_pairs(x, [(2, 4), (0, 3)]) == [1 + 2 + 16,
-                                                             2 + 4 + 8]
+        assert omega.raw_exchanges(x, [0], [5]) == [2 + 4 + 32]
+        assert omega.raw_exchanges(x, [1], [3]) == [1 + 4 + 8]
+        assert omega.raw_exchanges(x, [2, 0], [4, 3]) == [
+            1 + 2 + 16, 1 + 2 + 8, 2 + 4 + 16, 2 + 4 + 8]
+        assert omega.raw_value(x.exchange(1, 5)) == 1 + 4 + 32
         monkeypatch.undo()
-        # Its misses go to the leaf's own batch hook, not 1 x 1 blocks.
-        assert omega._exchange_fn.__qualname__ == \
-            "from_matroid_and_weights.<locals>.exchange"
         for u, v in ((0, 5), (1, 3), (2, 4), (0, 3)):
-            assert omega.raw_exchange(x, u, v) == reference.raw_value(
-                x.exchange(u, v))
+            assert omega.raw_exchanges(x, [u], [v]) == [reference.raw_value(
+                x.exchange(u, v))]
 
 
 class TestDisjointSum:
@@ -1020,7 +1031,7 @@ class TestDisjointSum:
         queries = TestCopyReductionExchange._queries(
             rng, TupleGround(ground, copies), ours.rank, ours.witness_base)
         for x, u, v in queries:
-            assert ours.exchange_value(x, u, v) == twin.value(
+            assert exchange_of(ours, x, u, v) == twin.raw_value(
                 x.exchange(u, v)), (x.mask, u, v)
             assert ours.calls == twin.calls == ours.evals
         assert ours._memo == {}
@@ -1067,8 +1078,8 @@ class TestDisjointSum:
                     across = [(u, v) for u in outs for v in ins
                               if u // size != v // size]
                     before = [(om.calls, om.evals) for om in components]
-                    assert [total.raw_exchange(x, u, v) for u, v in across] \
-                        == [None] * len(across)
+                    assert [total.raw_exchanges(x, [u], [v])[0]
+                            for u, v in across] == [None] * len(across)
                     assert [(om.calls, om.evals)
                             for om in components] == before
                     rows = [[u % size for u in outs if u // size == i]

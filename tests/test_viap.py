@@ -1092,7 +1092,7 @@ def _fraction_exchange_lengths(x1, x2, p1, p2, omega1, omega2):
         for v in ground.elements():
             if x1.contains(v):
                 continue
-            moved = omega1.exchange_value(x1, u, v)
+            moved = omega1.value(x1.exchange(u, v))
             if moved.is_finite:
                 length = (moved.finite - base1.finite) - p1[v] + p1[u]
                 _check_length(length, ARC_EXCHANGE_1)
@@ -1101,7 +1101,7 @@ def _fraction_exchange_lengths(x1, x2, p1, p2, omega1, omega2):
         if x2.contains(v):
             continue
         for u in x2.members():
-            moved = omega2.exchange_value(x2, u, v)
+            moved = omega2.value(x2.exchange(u, v))
             if moved.is_finite:
                 length = (moved.finite - base2.finite) + p2[v] - p2[u]
                 _check_length(length, ARC_EXCHANGE_2)
@@ -1244,12 +1244,12 @@ def _ask_reached_blocks(x1, x2, message, omega1, omega2):
         for u in x1.members():
             for v in ground.elements():
                 if not x1.contains(v):
-                    omega1.raw_exchange(x1, u, v)
+                    omega1.raw_value(x1.exchange(u, v))
     if f"on {ARC_EXCHANGE_2} arc" in message:
         for v in ground.elements():
             if not x2.contains(v):
                 for u in x2.members():
-                    omega2.raw_exchange(x2, u, v)
+                    omega2.raw_value(x2.exchange(u, v))
 
 
 class TestIntegerExchangeLengths:

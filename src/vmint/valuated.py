@@ -668,10 +668,10 @@ def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
 
     It has omega's scale, and passes its queries on to omega, exchanges
     as exchanges of the complement: X - u + v is (V \\ X) - v + u.  The
-    dual is a leaf: it keeps no memo, and a block of X reaches omega as
-    one block of V \\ X with outs and ins swapped, whose v-major answers
-    it transposes, so omega's `calls`, `evals` and memo contents move
-    exactly as under one `raw_value` per pair.  That block skips omega's
+    dual is a leaf: it keeps no memo, and each row u of a block of X
+    reaches omega as the block of V \\ X with outs `ins` and ins (u,),
+    so omega's `calls`, `evals` and memo move exactly, in order, as
+    under one `raw_value` per pair.  Those blocks skip omega's
     checks: the dual has checked the same elements, which are proper on
     the complement when they are proper on X.  The complement of the
     last base is kept.
@@ -687,10 +687,8 @@ def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
 
     def block(x: Subset, outs: Sequence[int],
               ins: Sequence[int]) -> list[Raw]:
-        # omega's block is v-major; its column of u is the dual's row.
-        width = len(outs)
-        values = omega._block(complement(x.mask), ins, outs)
-        return [value for i in range(width) for value in values[i::width]]
+        comp = complement(x.mask)
+        return [value for u in outs for value in omega._block(comp, ins, (u,))]
 
     return ValuationOracle(ground, ground.size - omega.rank,
                            lambda x: omega.raw_value(x.complement()), witness,

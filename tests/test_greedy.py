@@ -149,4 +149,4 @@ def test_block_descent_equals_the_pairwise_descent(seed, n, kind):
     assert minimize_valuated(ours[0]) == _pairwise_minimize(theirs[0])
     for a, b in zip(ours, theirs):
         assert (a.calls, a.evals) == (b.calls, b.evals)
-        assert a._memo == b._memo
+        assert list(a._memo.items()) == list(b._memo.items())

@@ -671,7 +671,11 @@ def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
     dual is a leaf: it keeps no memo, and each row u of a block of X
     reaches omega as the block of V \\ X with outs `ins` and ins (u,),
     so omega's `calls`, `evals` and memo move exactly, in order, as
-    under one `raw_value` per pair.  Those blocks skip omega's
+    under one `raw_value` per pair.  A leaf omega, which has no memo to
+    keep in order, gets the whole block in one call, outs and ins
+    swapped, and the dual reads its rows off the columns of the answer:
+    one call per row costs the dualized ladder about a tenth of its
+    time.  Those blocks skip omega's
     checks: the dual has checked the same elements, which are proper on
     the complement when they are proper on X.  The complement of the
     last base is kept.
@@ -688,7 +692,12 @@ def dual_valuation(omega: ValuationOracle) -> ValuationOracle:
     def block(x: Subset, outs: Sequence[int],
               ins: Sequence[int]) -> list[Raw]:
         comp = complement(x.mask)
-        return [value for u in outs for value in omega._block(comp, ins, (u,))]
+        if omega._block_fn is None:
+            return [value for u in outs
+                    for value in omega._block(comp, ins, (u,))]
+        values = omega._block(comp, ins, outs)
+        width = len(outs)
+        return [value for i in range(width) for value in values[i::width]]
 
     return ValuationOracle(ground, ground.size - omega.rank,
                            lambda x: omega.raw_value(x.complement()), witness,

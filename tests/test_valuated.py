@@ -902,13 +902,14 @@ class TestDualValuation:
             assert check_valuated_exchange(dual_valuation(omega))
 
 
-    @pytest.mark.parametrize("kind", ["graphic", "uniform"])
+    @pytest.mark.parametrize("kind", ["graphic", "uniform", "linear"])
     def test_block_misses_reach_the_base_as_one_batch(self, kind,
                                                       monkeypatch):
-        """A block of the dual reaches its base row by row on the
-        complement, each row u as the block with outs and ins swapped:
-        the dual keeps no memo and has checked the block, so it asks
-        `_block`.  A block of
+        """A block of the dual reaches its base on the complement with
+        outs and ins swapped: a leaf base (graphic, uniform) gets it as
+        one block, a base with a memo (linear) row by row, each row u as
+        a block of its own.  The dual keeps no memo and has checked the
+        block, so it asks `_block`.  A block of
         `modular_on_domain` sends each miss to the value of the set in
         the oracle it asks, u-major, on the same base."""
         ground = GroundSet(8)
@@ -946,9 +947,11 @@ class TestDualValuation:
             monkeypatch.setattr(omega, other, unasked)
             values = composite.raw_exchanges(x, inside, outside)
             pairs = [(u, v) for u in inside for v in outside]
-            if dual:
+            if dual and kind == "linear":
                 expected = [(x.complement().mask, outside, [u])
                             for u in inside]
+            elif dual:
+                expected = [(x.complement().mask, outside, inside)]
             else:
                 expected = [(x.exchange(u, v).mask,) for u, v in pairs
                             if (u, v) not in warm]
